@@ -1,8 +1,18 @@
-"""Exact arithmetic: rationals, sparse multivariate polynomials, rational functions.
+"""Exact arithmetic: sparse multivariate polynomials over Z, rational functions.
 
 Every symbolic quantity in the engine is a RatFunc: a reduced fraction of
-multivariate polynomials over Q in named parameters (a, b, c, d, t, v1, ...).
+multivariate polynomials in named parameters (a, b, c, d, t, v1, ...).
 All arithmetic is exact; there is no floating point anywhere.
+
+Inside the kernel every coefficient is a plain int: a value of Q(params) is a
+ratio of two polynomials in Z[params]. Rational numbers appear only at the
+boundaries, as Fractions: a rational constant (Poly.const, RatFunc.const), a
+Poly that a caller builds with Fraction coefficients, subs() with rational
+values, and the results of evaluate() and constant_value(). Building a
+RatFunc from such polynomials clears their denominators once; after that, by
+Gauss's lemma (a primitive integer polynomial that divides an integer
+polynomial over Q leaves an integer quotient), every exact division in the
+reduction and in poly_gcd stays in Z.
 
 Canonical form (unique representation per mathematical value):
   * polynomials store no zero coefficients; monomials are compared in graded
@@ -71,8 +81,21 @@ def _mono_cmp(m1: Monomial, m2: Monomial) -> int:
 _mono_key = cmp_to_key(_mono_cmp)
 
 
+def _quo(a, b):
+    """a / b as an int when b divides a, else as a Fraction (never a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return Fraction(a) / b
+
+
 class Poly:
-    """Immutable sparse multivariate polynomial with Fraction coefficients."""
+    """Immutable sparse multivariate polynomial: {monomial: coefficient}.
+
+    Coefficients are ints everywhere inside the kernel. A caller may build a
+    Poly with Fraction coefficients; arithmetic on it stays exact, and
+    RatFunc(num, den) and primitive() bring it back to integer coefficients.
+    """
 
     __slots__ = ("terms", "_hash")
 
@@ -91,11 +114,11 @@ class Poly:
         c = Fraction(value)
         if c == 0:
             return _P_ZERO
-        return Poly({_ONE_MONO: c})
+        return Poly({_ONE_MONO: c.numerator if c.denominator == 1 else c})
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return Poly({((name, 1),): Fraction(1)})
+        return Poly({((name, 1),): 1})
 
     # -- structure ---------------------------------------------------------
 
@@ -108,7 +131,7 @@ class Poly:
     def constant_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
-        return self.terms[_ONE_MONO]
+        return Fraction(self.terms[_ONE_MONO])
 
     def variables(self) -> set:
         out: set = set()
@@ -125,7 +148,7 @@ class Poly:
     def leading(self) -> tuple:
         """(monomial, coefficient) of the graded-lex leading term."""
         if not self.terms:
-            return (_ONE_MONO, Fraction(0))
+            return (_ONE_MONO, 0)
         mono = max(self.terms, key=_mono_key)
         return (mono, self.terms[mono])
 
@@ -193,7 +216,7 @@ class Poly:
                         del out[mono]
         return Poly(out)
 
-    def scale(self, c: Fraction) -> "Poly":
+    def scale(self, c) -> "Poly":
         if c == 0 or not self.terms:
             return _P_ZERO
         return Poly({m: c * v for m, v in self.terms.items()})
@@ -243,43 +266,40 @@ class Poly:
         num_gcd = 0
         den_lcm = 1
         for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+            num_gcd = math.gcd(num_gcd, c.numerator)
+            den_lcm = math.lcm(den_lcm, c.denominator)
         return Fraction(num_gcd, den_lcm)
 
     def primitive(self) -> "Poly":
         """Integer-primitive part with positive leading coefficient."""
         if not self.terms:
             return self
-        c = self.content()
+        terms = _integral_terms(self.terms, _denominator_lcm(self.terms))
+        g = math.gcd(*terms.values())
         if self.leading()[1] < 0:
-            c = -c
-        return self.scale(1 / c)
+            g = -g
+        if g == 1:
+            return self if terms is self.terms else Poly(terms)
+        return Poly({m: c // g for m, c in terms.items()})
 
     def divexact(self, divisor: "Poly") -> "Poly":
-        """Exact polynomial division; raises ValueError if not divisible."""
+        """Exact polynomial division; raises ValueError if not divisible.
+
+        Integer coefficients stay ints; a quotient coefficient becomes a
+        Fraction only when the division is inexact over Z.
+        """
         if divisor.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        if divisor.is_constant():
-            return self.scale(1 / divisor.constant_value())
+        if len(divisor.terms) == 1:
+            ((dmono, dcoef),) = divisor.terms.items()
+            return Poly({_mono_div(m, dmono): _quo(c, dcoef)
+                         for m, c in self.terms.items()})
         rem = self
         quot = _P_ZERO
         dmono, dcoef = divisor.leading()
-        dexp = dict(dmono)
         while not rem.is_zero():
             rmono, rcoef = rem.leading()
-            rexp = dict(rmono)
-            q = {}
-            for name, e in dexp.items():
-                r = rexp.get(name, 0) - e
-                if r < 0:
-                    raise ValueError("not an exact polynomial division")
-                if r:
-                    q[name] = r
-            for name, e in rexp.items():
-                if name not in dexp and e:
-                    q[name] = e
-            qpoly = Poly({tuple(sorted(q.items())): rcoef / dcoef})
+            qpoly = Poly({_mono_div(rmono, dmono): _quo(rcoef, dcoef)})
             quot = quot + qpoly
             rem = rem - qpoly * divisor
         return quot
@@ -316,7 +336,39 @@ class Poly:
 
 
 _P_ZERO = Poly({})
-_P_ONE = Poly({_ONE_MONO: Fraction(1)})
+_P_ONE = Poly({_ONE_MONO: 1})
+
+
+def _mono_div(m: Monomial, d: Monomial) -> Monomial:
+    """m / d; raises ValueError when d does not divide m."""
+    if not d:
+        return m
+    exps = dict(m)
+    for name, e in d:
+        r = exps.get(name, 0) - e
+        if r < 0:
+            raise ValueError("not an exact polynomial division")
+        if r:
+            exps[name] = r
+        else:
+            del exps[name]
+    return tuple(exps.items())
+
+
+def _denominator_lcm(terms: dict) -> int:
+    """lcm of the coefficient denominators; 0 when every coefficient is an int."""
+    den = 0
+    for c in terms.values():
+        if type(c) is not int:
+            den = math.lcm(den or 1, c.denominator)
+    return den
+
+
+def _integral_terms(terms: dict, den: int) -> dict:
+    """terms times den (from _denominator_lcm), with int coefficients."""
+    if not den:
+        return terms
+    return {m: (c * den).numerator for m, c in terms.items()}
 
 
 # -- polynomial gcd ----------------------------------------------------------
@@ -335,7 +387,7 @@ def _split_by_var(p: Poly, x: str) -> dict:
                 rest.append((name, exp))
         part = out.setdefault(e, {})
         key = tuple(rest)
-        part[key] = part.get(key, Fraction(0)) + c
+        part[key] = part.get(key, 0) + c
     return {e: Poly({m: c for m, c in terms.items() if c}) for e, terms in out.items()}
 
 
@@ -344,7 +396,7 @@ def _join_by_var(parts: dict, x: str) -> Poly:
     for e, coeff in parts.items():
         if coeff.is_zero():
             continue
-        xmono = Poly({((x, e),): Fraction(1)}) if e else _P_ONE
+        xmono = Poly({((x, e),): 1}) if e else _P_ONE
         out = out + coeff * xmono
     return out
 
@@ -388,11 +440,31 @@ def _view_content(parts: dict) -> Poly:
     return c
 
 
+def _monomial_gcd(f: Poly, g: Poly) -> Poly:
+    """poly_gcd(f, g) when f or g is a single term: their common power product.
+
+    Each shared variable gets its least exponent over the single term and
+    every term of the other side; the coefficient is 1, as poly_gcd returns.
+    """
+    if len(f.terms) != 1:
+        f, g = g, f
+    (mono,) = f.terms
+    exps = dict(mono)
+    for m in g.terms:
+        if not exps:
+            break
+        other = dict(m)
+        exps = {name: min(e, other[name])
+                for name, e in exps.items() if name in other}
+    return Poly({tuple(exps.items()): 1}) if exps else _P_ONE
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Gcd over Q[params], normalized integer-primitive with positive lead.
 
     Subresultant pseudo-remainder sequence (controlled coefficient growth,
     no per-step content extraction); inputs in this engine stay small.
+    On integer inputs every division below is exact in Z.
     """
     if f.is_zero():
         return g.primitive()
@@ -420,13 +492,15 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         a, b = b, a
 
     # trial division settles the common fully-cancelling cases cheaply
+    pp_b = _join_by_var(b, x)
     try:
-        _join_by_var(a, x).divexact(_join_by_var(b, x))
+        _join_by_var(a, x).divexact(pp_b)
     except ValueError:
         pass
     else:
-        pp_b = _join_by_var(b, x)
-        pp_b = pp_b.divexact(_view_content(b)) if not _view_content(b).is_constant() else pp_b
+        cb = _view_content(b)
+        if not cb.is_constant():
+            pp_b = pp_b.divexact(cb)
         return (c * pp_b.primitive()).primitive()
 
     gg, hh = _P_ONE, _P_ONE
@@ -457,15 +531,18 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 class RatFunc:
-    """Reduced fraction of two Polys; the universal scalar of the engine."""
+    """Reduced fraction of two Polys; the universal scalar of the engine.
+
+    RatFunc(num, den) accepts any Polys and clears Fraction coefficients
+    once; arithmetic between canonical RatFuncs is integer in, integer out.
+    """
 
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: Poly, den: Poly = _P_ONE, _canonical: bool = False):
-        if _canonical:
-            self.num, self.den = num, den
-        else:
-            self.num, self.den = _reduce(num, den)
+        if not _canonical:
+            num, den = _reduce(*_integral(num, den))
+        self.num, self.den = num, den
         self._hash = None
 
     # -- constructors --------------------------------------------------------
@@ -475,8 +552,8 @@ class RatFunc:
         c = Fraction(value)
         if c == 0:
             return RF_ZERO
-        return RatFunc(Poly({_ONE_MONO: Fraction(c.numerator)}),
-                       Poly.const(c.denominator), _canonical=True)
+        return RatFunc(Poly({_ONE_MONO: c.numerator}),
+                       Poly({_ONE_MONO: c.denominator}), _canonical=True)
 
     @staticmethod
     def var(name: str) -> "RatFunc":
@@ -495,7 +572,7 @@ class RatFunc:
             raise ValueError(f"not a constant: {self}")
         if self.is_zero():
             return Fraction(0)
-        return self.num.constant_value() / self.den.constant_value()
+        return Fraction(self.num.terms[_ONE_MONO], self.den.terms[_ONE_MONO])
 
     def variables(self) -> set:
         return self.num.variables() | self.den.variables()
@@ -508,17 +585,17 @@ class RatFunc:
         if not other.num.terms:
             return self
         if self.den.terms == other.den.terms:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+            return _from_ints(self.num + other.num, self.den)
+        return _from_ints(self.num * other.den + other.num * self.den,
+                          self.den * other.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         if not other.num.terms:
             return self
         if self.den.terms == other.den.terms:
-            return RatFunc(self.num - other.num, self.den)
-        return RatFunc(self.num * other.den - other.num * self.den,
-                       self.den * other.den)
+            return _from_ints(self.num - other.num, self.den)
+        return _from_ints(self.num * other.den - other.num * self.den,
+                          self.den * other.den)
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den, _canonical=True)
@@ -526,14 +603,14 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         if not self.num.terms or not other.num.terms:
             return RF_ZERO
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return _from_ints(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
             raise DivisionByZero("division by the zero rational function")
         if not self.num.terms:
             return RF_ZERO
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return _from_ints(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatFunc)
@@ -586,32 +663,42 @@ def _simple_denominator(p: Poly) -> bool:
     return c == 1 and len(mono) == 1
 
 
+def _integral(num: Poly, den: Poly) -> tuple:
+    """num and den times one common integer so every coefficient is an int."""
+    dn, dd = _denominator_lcm(num.terms), _denominator_lcm(den.terms)
+    if not dn and not dd:
+        return (num, den)
+    d = math.lcm(dn or 1, dd or 1)
+    return (Poly(_integral_terms(num.terms, d)),
+            Poly(_integral_terms(den.terms, d)))
+
+
 def _reduce(num: Poly, den: Poly) -> tuple:
+    """Canonical (num, den) of num/den, both with integer coefficients."""
     if den.is_zero():
         raise DivisionByZero("zero denominator")
     if num.is_zero():
         return (_P_ZERO, _P_ONE)
-    if den.is_constant():
-        c = den.constant_value()
-        num = num.scale(1 / c)
-        den = _P_ONE
+    if len(num.terms) == 1 or len(den.terms) == 1:
+        g = _monomial_gcd(num, den)
     else:
         g = poly_gcd(num, den)
-        if not g.is_constant():
-            num = num.divexact(g)
-            den = den.divexact(g)
-        if den.is_constant():
-            num = num.scale(1 / den.constant_value())
-            den = _P_ONE
+    if not g.is_constant():
+        num = num.divexact(g)
+        den = den.divexact(g)
     # joint integer scaling: content 1 across both, positive den leading coeff
-    cn = num.content()
-    cd = den.content()
-    c = Fraction(math.gcd(cn.numerator, cd.numerator),
-                 cn.denominator * cd.denominator //
-                 math.gcd(cn.denominator, cd.denominator))
+    c = math.gcd(*num.terms.values(), *den.terms.values())
     if den.leading()[1] < 0:
         c = -c
-    return (num.scale(1 / c), den.scale(1 / c))
+    if c == 1:
+        return (num, den)
+    return (Poly({m: v // c for m, v in num.terms.items()}),
+            Poly({m: v // c for m, v in den.terms.items()}))
+
+
+def _from_ints(num: Poly, den: Poly) -> RatFunc:
+    """RatFunc of integer-coefficient num/den, skipping the Fraction scan."""
+    return RatFunc(*_reduce(num, den), _canonical=True)
 
 
 RF_ZERO = RatFunc(_P_ZERO, _P_ONE, _canonical=True)

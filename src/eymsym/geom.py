@@ -195,12 +195,8 @@ def _verify_shape(pair: LiePair, shape: FieldMatrix, basis: list,
 # -- signature ---------------------------------------------------------------------
 
 
-def signature_at(g: FieldMatrix, sample: dict) -> tuple:
-    """Exact (n_plus, n_minus, n_zero) of the symmetric matrix at a sample.
-
-    Uses Descartes' rule on the characteristic polynomial; exact because a
-    real symmetric matrix has only real eigenvalues.
-    """
+def _charpoly_coefficients(g: FieldMatrix, sample: dict) -> list:
+    """Fraction coefficients of det(x - g(sample)), constant term first."""
     values = g.evaluate(sample)
     x = RatFunc.var("_x")
     xm = FieldMatrix(4, 4, [[
@@ -208,9 +204,20 @@ def signature_at(g: FieldMatrix, sample: dict) -> tuple:
         for i in range(4)])
     charpoly = det(xm)
     coeffs = [Fraction(0)] * 5
+    den = charpoly.den.constant_value()
     for mono, c in charpoly.num.terms.items():
         deg = mono[0][1] if mono else 0
-        coeffs[deg] = c / charpoly.den.constant_value()
+        coeffs[deg] = Fraction(c) / den
+    return coeffs
+
+
+def signature_at(g: FieldMatrix, sample: dict) -> tuple:
+    """Exact (n_plus, n_minus, n_zero) of the symmetric matrix at a sample.
+
+    Uses Descartes' rule on the characteristic polynomial; exact because a
+    real symmetric matrix has only real eigenvalues.
+    """
+    coeffs = _charpoly_coefficients(g, sample)
     n_zero = 0
     for c in coeffs:
         if c == 0:

@@ -3,8 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+import zlib
 from importlib import resources
+from pathlib import Path
 
+import eymsym
+import eymsym.cli
 from eymsym.cli import main
 from eymsym.report import json_dumps
 
@@ -126,6 +134,41 @@ def test_validate_detects_corrupted_bracket(capsys, tmp_path):
                            "--filter", "1.1^1(7)")
     assert code == 1
     assert "FAIL 1.1^1(7)" in out
+
+
+def test_validate_seed_is_stable_across_hash_seeds():
+    script = ("import random\n"
+              "from eymsym.cli import validate_seed\n"
+              "from eymsym.crosscheck import sample_point\n"
+              "from eymsym.liecat import catalog_load\n"
+              "seed = validate_seed('2.1^2(1)')\n"
+              "entry = catalog_load().get('2.1^2(1)')\n"
+              "print(seed, sorted(sample_point(entry, random.Random(seed)).items()))\n")
+    src = str(Path(eymsym.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].split()[0] == str(zlib.crc32(b"2.1^2(1)"))
+
+
+def test_validate_crosscheck_fail_line_replays(capsys, monkeypatch):
+    monkeypatch.setattr(eymsym.cli, "crosscheck_case",
+                        lambda entry, report, sample: ["ricci"])
+    code, out, _ = run_cli(capsys, "validate", "--filter", "1.1^1(7)")
+    assert code == 1
+    seed = zlib.crc32(b"1.1^1(7)")
+    match = re.search(r"^FAIL 1\.1\^1\(7\): crosscheck ricci "
+                      rf"\(seed {seed}, sample (\S+)\)$", out, re.MULTILINE)
+    assert match, out
+    # the printed sample is valid `solve --sample` input
+    code, out, _ = run_cli(capsys, "solve", "1.1^1(7)", "--sample", match.group(1))
+    assert code == 0
+    assert "signature at sample: " in out
 
 
 def test_report_out_file(capsys, tmp_path):
