@@ -7,7 +7,7 @@ Exit codes (stable contract for CI):
   1  reference-data or invariant mismatch
   2  catalog parse failure
   3  unknown case
-  4  bad arguments
+  4  bad arguments, a --sample point at a pole of lambda or kappa included
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import zlib
 from fractions import Fraction
 
 from .crosscheck import crosscheck_case, sample_point
-from .exact import ParseError, parse_ratfunc, rf
+from .exact import (ParseError, PoleAtPoint, format_point, parse_ratfunc,
+                    rf)
 from .eym import HolonomyMetric, run_case
 from .geom import lorentz_check, lorentz_condition_holds
 from .liecat import (Catalog, CatalogParseError, UnknownCase, catalog_load,
@@ -130,11 +131,6 @@ def validate_seed(case_id: str) -> int:
     return zlib.crc32(case_id.encode())
 
 
-def _format_sample(sample: dict) -> str:
-    """A sample point in the `solve --sample` syntax, e.g. a=3,b=-5/2."""
-    return ",".join(f"{name}={value}" for name, value in sorted(sample.items()))
-
-
 def _validate_one(entry) -> list:
     failures = []
     rep = validate_pair(entry.pair)
@@ -163,18 +159,18 @@ def _validate_one(entry) -> list:
     seed = validate_seed(entry.pair.case_id)
     rng = random.Random(seed)
     avoid = [c for c in report.verdict.conditions]
-    sample = sample_point(entry, rng, avoid=avoid)
-    failures += [f"crosscheck {problem} (seed {seed}, sample {_format_sample(sample)})"
+    sample = sample_point(entry, rng, avoid=avoid, family=report.family)
+    failures += [f"crosscheck {problem} (seed {seed}, sample {format_point(sample)})"
                  for problem in crosscheck_case(entry, report, sample)]
     # recorded Lorentz condition against exact signature verdicts
     if report.family.lorentz:
         for _ in range(5):
-            s = sample_point(entry, rng)
+            s = sample_point(entry, rng, family=report.family)
             verdict = lorentz_check(report.family, s)
             expect = lorentz_condition_holds(report.family.lorentz, s)
             if (verdict.value == "lorentzian") != expect:
                 failures.append(f"lorentz condition {report.family.lorentz!r} "
-                                f"(seed {seed}, sample {_format_sample(s)})")
+                                f"(seed {seed}, sample {format_point(s)})")
                 break
     return failures
 
@@ -268,7 +264,7 @@ def main(argv: list | None = None) -> int:
     except UnknownCase as exc:
         print(f"unknown case: {exc}", file=sys.stderr)
         return 3
-    except _ArgumentError as exc:
+    except (_ArgumentError, PoleAtPoint) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     return 4

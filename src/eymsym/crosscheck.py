@@ -6,6 +6,12 @@ tensor, and both field-equation residuals are recomputed with ordinary
 Fraction arithmetic and index loops (no Poly/RatFunc, no FieldMatrix), at
 concrete rational parameter values.  Comparing it with the symbolic pipeline
 evaluated at the same point gives an end-to-end exactness check.
+
+The index loops test each factor for zero before they multiply: the metrics,
+brackets and curvatures here are sparse, and a term that is 0 leaves a
+Fraction sum unchanged.  The symbolic side of the comparison is read from the
+`CaseReport` that `run_case` built (its Hodge star and second-equation
+residual included) and only evaluated at the sample, never recomputed.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .exact import PoleAtPoint
+from .geom import MetricFamily
 from .liecat import CatalogEntry, U_LABELS
 
 _EPS = {}
@@ -27,8 +34,11 @@ for _p in permutations(range(4)):
     _EPS[_p] = _s
 
 
+_ZERO = Fraction(0)
+
+
 def _zeros(n: int, m: int) -> list:
-    return [[Fraction(0)] * m for _ in range(n)]
+    return [[_ZERO] * m for _ in range(n)]
 
 
 def _mat_mul(a: list, b: list) -> list:
@@ -45,17 +55,26 @@ def _mat_mul(a: list, b: list) -> list:
 
 
 def _mat_sub(a: list, b: list) -> list:
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+    return [[x - y if y else x for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
 def _mat_scale(a: list, c: Fraction) -> list:
-    return [[c * x for x in r] for r in a]
+    return [[c * x if x else x for x in r] for r in a]
 
 
 def _mat_add_into(acc: list, a: list) -> None:
     for i, row in enumerate(a):
         for j, x in enumerate(row):
-            acc[i][j] += x
+            if x:
+                acc[i][j] += x
+
+
+def _mat_add_scaled_into(acc: list, a: list, c: Fraction) -> None:
+    """acc += c * a, touching only the nonzero entries of a."""
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x:
+                acc[i][j] += c * x
 
 
 def _gauss_solve(a: list, rhs: list) -> list | None:
@@ -70,11 +89,11 @@ def _gauss_solve(a: list, rhs: list) -> list | None:
             continue
         aug[r], aug[pr] = aug[pr], aug[r]
         piv = aug[r][c]
-        aug[r] = [x / piv for x in aug[r]]
+        aug[r] = [x / piv if x else x for x in aug[r]]
         for i in range(n):
             if i != r and aug[i][c]:
                 f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+                aug[i] = [x - f * y if y else x for x, y in zip(aug[i], aug[r])]
         pivots.append(c)
         r += 1
     for i in range(r, n):
@@ -82,7 +101,7 @@ def _gauss_solve(a: list, rhs: list) -> list | None:
             return None
     if len(pivots) != m:
         return None
-    x = [Fraction(0)] * m
+    x = [_ZERO] * m
     for k, c in enumerate(pivots):
         x[c] = aug[k][m]
     return x
@@ -92,7 +111,7 @@ def _inverse(mat: list) -> list | None:
     n = len(mat)
     cols = []
     for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
+        e = [Fraction(1) if i == j else _ZERO for i in range(n)]
         x = _gauss_solve(mat, e)
         if x is None:
             return None
@@ -103,7 +122,9 @@ def _inverse(mat: list) -> list | None:
 class NumericCase:
     """All pipeline quantities recomputed numerically from the brackets."""
 
-    def __init__(self, entry: CatalogEntry, sample: dict):
+    def __init__(self, entry: CatalogEntry, sample: dict,
+                 family: MetricFamily | None = None):
+        """`family` is read only when the entry has no `golden metric`."""
         self.entry = entry
         self.sample = sample
         pair = entry.pair
@@ -115,6 +136,7 @@ class NumericCase:
                 coeffs = pair.bracket(x, y)
                 self.brackets[(x, y)] = {
                     lbl: v.evaluate(sample) for lbl, v in coeffs.items()}
+        self.m_parts = [[self.m_part(x, y) for y in U_LABELS] for x in U_LABELS]
 
         self.rho = []
         for e in self.e_labels:
@@ -124,7 +146,7 @@ class NumericCase:
                     mat[U_LABELS.index(lbl)][j] = v
             self.rho.append(mat)
 
-        self.g = entry.golden.metric.evaluate(sample)
+        self.g = _metric_and_det(entry, family)[0].evaluate(sample)
         self.ginv = _inverse(self.g)
         if self.ginv is None:
             raise ZeroDivisionError("degenerate metric sample")
@@ -134,30 +156,26 @@ class NumericCase:
 
     def m_part(self, x: str, y: str) -> list:
         br = self.brackets[(x, y)]
-        return [br.get(lbl, Fraction(0)) for lbl in U_LABELS]
+        return [br.get(lbl, _ZERO) for lbl in U_LABELS]
 
     def h_part(self, x: str, y: str) -> list:
         br = self.brackets[(x, y)]
-        return [br.get(lbl, Fraction(0)) for lbl in self.e_labels]
+        return [br.get(lbl, _ZERO) for lbl in self.e_labels]
 
     def _koszul(self) -> None:
-        def gv(vec: list, k: int) -> Fraction:
-            return sum((vec[p] * self.g[p][k] for p in range(4)), Fraction(0))
+        g, ginv, mps = self.g, self.ginv, self.m_parts
+        # gb[i][j][k] = g([u_i, u_j]_m, u_k)
+        gb = [[[sum((vec[p] * g[p][k] for p in range(4) if vec[p] and g[p][k]),
+                    _ZERO) for k in range(4)] for vec in row] for row in mps]
 
         self.alpha = []
         for i in range(4):
             mat = _zeros(4, 4)
             for j in range(4):
-                rhs = []
-                bij = self.m_part(U_LABELS[i], U_LABELS[j])
-                for k in range(4):
-                    bjk = self.m_part(U_LABELS[j], U_LABELS[k])
-                    bki = self.m_part(U_LABELS[k], U_LABELS[i])
-                    rhs.append(gv(bij, k) - gv(bjk, i) + gv(bki, j))
-                col = [sum((self.ginv[r][k] * rhs[k] for k in range(4)),
-                           Fraction(0)) / 2 for r in range(4)]
+                rhs = [gb[i][j][k] - gb[j][k][i] + gb[k][i][j] for k in range(4)]
                 for r in range(4):
-                    mat[r][j] = col[r]
+                    mat[r][j] = sum((ginv[r][k] * rhs[k] for k in range(4)
+                                     if ginv[r][k] and rhs[k]), _ZERO) / 2
             self.alpha.append(mat)
 
     def curvature_ops(self, maps: list) -> dict:
@@ -167,34 +185,33 @@ class NumericCase:
             for j in range(i + 1, 4):
                 op = _mat_sub(_mat_mul(maps[i], maps[j]),
                               _mat_mul(maps[j], maps[i]))
-                mp = self.m_part(U_LABELS[i], U_LABELS[j])
-                for k in range(4):
-                    if mp[k]:
-                        op = _mat_sub(op, _mat_scale(maps[k], mp[k]))
+                for k, c in enumerate(self.m_parts[i][j]):
+                    if c:
+                        _mat_add_scaled_into(op, maps[k], -c)
                 hp = self.h_part(U_LABELS[i], U_LABELS[j])
                 for k, c in enumerate(hp):
                     if c:
-                        op = _mat_sub(op, _mat_scale(self.rho[k], c))
+                        _mat_add_scaled_into(op, self.rho[k], -c)
                 ops[(i, j)] = op
         return ops
 
     def _ricci(self) -> None:
         ops = self.curvature_ops(self.alpha)
 
-        def op(i: int, j: int) -> list:
-            if i == j:
-                return _zeros(4, 4)
-            return ops[(i, j)] if i < j else _mat_scale(ops[(j, i)], Fraction(-1))
+        def op_entry(k: int, i: int, j: int) -> Fraction:
+            """Entry (k, j) of R(u_k, u_i), k != i."""
+            return ops[(k, i)][k][j] if k < i else -ops[(i, k)][k][j]
 
         self.lc_ops = ops
         self.ricci = _zeros(4, 4)
         for i in range(4):
             for j in range(4):
                 self.ricci[i][j] = sum(
-                    (op(k, i)[k][j] for k in range(4) if k != i), Fraction(0))
+                    (op_entry(k, i, j) for k in range(4) if k != i), _ZERO)
         self.scalar = sum(
             (self.ginv[i][j] * self.ricci[i][j]
-             for i in range(4) for j in range(4)), Fraction(0))
+             for i in range(4) for j in range(4)
+             if self.ginv[i][j] and self.ricci[i][j]), _ZERO)
 
     # -- energy-momentum ----------------------------------------------------
 
@@ -217,28 +234,38 @@ class NumericCase:
 
     def stress(self, structure: dict, weights: list) -> list:
         dim = len(weights)
-        rc = [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(dim)]
+        rc = [[[_ZERO] * 4 for _ in range(4)] for _ in range(dim)]
         for (i, j), coeffs in structure.items():
             for a, c in enumerate(coeffs):
                 rc[a][i][j] = c
                 rc[a][j][i] = -c
-        s_total = Fraction(0)
+        ginv = self.ginv
+        s_total = _ZERO
         for a in range(dim):
+            w, r = weights[a], rc[a]
             for k in range(4):
                 for l in range(4):
+                    if not r[k][l]:
+                        continue
                     for h in range(4):
+                        if not ginv[k][h]:
+                            continue
                         for m in range(4):
-                            s_total += (weights[a] * rc[a][k][l] * rc[a][h][m]
-                                        * self.ginv[k][h] * self.ginv[l][m])
+                            if r[h][m] and ginv[l][m]:
+                                s_total += (w * r[k][l] * r[h][m]
+                                            * ginv[k][h] * ginv[l][m])
         t = _zeros(4, 4)
         for i in range(4):
             for j in range(4):
-                first = Fraction(0)
+                first = _ZERO
                 for a in range(dim):
+                    w, r = weights[a], rc[a]
                     for k in range(4):
+                        if not r[i][k]:
+                            continue
                         for l in range(4):
-                            first += (weights[a] * rc[a][i][k] * rc[a][j][l]
-                                      * self.ginv[k][l])
+                            if r[j][l] and ginv[k][l]:
+                                first += w * r[i][k] * r[j][l] * ginv[k][l]
                 t[i][j] = first / 2 - self.g[i][j] * s_total / 8
         return t
 
@@ -257,6 +284,7 @@ class NumericCase:
                 return _zeros(4, 4)
             return ops[(i, j)] if i < j else _mat_scale(ops[(j, i)], Fraction(-1))
 
+        ginv = self.ginv
         out = {}
         for k in range(4):
             for l in range(k + 1, 4):
@@ -267,13 +295,13 @@ class NumericCase:
                         if not sign:
                             continue
                         for ip in range(4):
+                            if not ginv[i][ip]:
+                                continue
                             for jp in range(4):
-                                if ip == jp:
+                                if ip == jp or not ginv[j][jp]:
                                     continue
-                                f = (Fraction(sign, 2) * self.ginv[i][ip]
-                                     * self.ginv[j][jp])
-                                if f:
-                                    _mat_add_into(acc, _mat_scale(comp(ip, jp), f))
+                                f = Fraction(sign, 2) * ginv[i][ip] * ginv[j][jp]
+                                _mat_add_scaled_into(acc, comp(ip, jp), f)
                 out[(k, l)] = acc
         return out
 
@@ -288,7 +316,7 @@ class NumericCase:
             acc = _zeros(4, 4)
             for p, c in enumerate(vec):
                 if c:
-                    _mat_add_into(acc, _mat_scale(s_comp(p, q), c))
+                    _mat_add_scaled_into(acc, s_comp(p, q), c)
             return acc
 
         def term(x: int, y: int, z: int) -> list:
@@ -297,36 +325,50 @@ class NumericCase:
             col_y = [maps[x][r][y] for r in range(4)]
             col_z = [maps[x][r][z] for r in range(4)]
             out = _mat_sub(out, s_vec(col_y, z))
-            for i, row in enumerate(s_vec(col_z, y)):
-                for j, v in enumerate(row):
-                    out[i][j] += v
+            _mat_add_into(out, s_vec(col_z, y))
             return out
 
+        mps = self.m_parts
         res = {}
         for i in range(4):
             for j in range(i + 1, 4):
                 for k in range(j + 1, 4):
-                    acc = term(i, j, k)
-                    acc = _mat_sub(acc, term(j, i, k))
-                    for r, row in enumerate(term(k, i, j)):
-                        for c, v in enumerate(row):
-                            acc[r][c] += v
-                    acc = _mat_sub(acc, s_vec(self.m_part(U_LABELS[i], U_LABELS[j]), k))
-                    for r, row in enumerate(s_vec(self.m_part(U_LABELS[i], U_LABELS[k]), j)):
-                        for c, v in enumerate(row):
-                            acc[r][c] += v
-                    acc = _mat_sub(acc, s_vec(self.m_part(U_LABELS[j], U_LABELS[k]), i))
+                    acc = _mat_sub(term(i, j, k), term(j, i, k))
+                    _mat_add_into(acc, term(k, i, j))
+                    acc = _mat_sub(acc, s_vec(mps[i][j], k))
+                    _mat_add_into(acc, s_vec(mps[i][k], j))
+                    acc = _mat_sub(acc, s_vec(mps[j][k], i))
                     res[(i, j, k)] = acc
         return res
 
 
+def _metric_and_det(entry: CatalogEntry, family: MetricFamily | None) -> tuple:
+    """The metric the cross-check samples, with its determinant (or None).
+
+    These are the entry's `golden metric` and `golden det`.  An entry without
+    a `golden metric` falls back to `family`, the metric family that
+    `run_case` solved for it (`report.family`).
+    """
+    if entry.golden.metric is not None:
+        return entry.golden.metric, entry.golden.det
+    if family is None:
+        raise ValueError(f"{entry.pair.case_id} has no golden metric; "
+                         "pass the solved metric family")
+    return family.g, family.det_g
+
+
 def sample_point(entry: CatalogEntry, rng: random.Random,
-                 avoid: list | None = None) -> dict:
-    """Random rational parameter values keeping det g and `avoid` nonzero."""
-    names = sorted({v for row in entry.golden.metric.entries for x in row
+                 avoid: list | None = None,
+                 family: MetricFamily | None = None) -> dict:
+    """Random rational parameter values keeping det g and `avoid` nonzero.
+
+    The parameters are those of the metric (see `_metric_and_det`; `family`
+    is read only when the entry has no `golden metric`) and of the pair.
+    """
+    metric, det = _metric_and_det(entry, family)
+    names = sorted({v for row in metric.entries for x in row
                     for v in x.variables()})
     names += [p.name for p in entry.pair.params if p.name not in names]
-    det = entry.golden.det
     for _ in range(200):
         sample = {n: Fraction(rng.choice([x for x in range(-9, 10) if x]),
                               rng.randint(1, 4)) for n in names}
@@ -344,10 +386,13 @@ def sample_point(entry: CatalogEntry, rng: random.Random,
 def crosscheck_case(entry: CatalogEntry, report, sample: dict) -> list:
     """Compare the symbolic CaseReport with the numeric path at a sample.
 
-    Returns a list of mismatch descriptions (empty = everything agrees).
+    The symbolic side is read from the report as `run_case` left it (Ricci,
+    scalar, holonomy basis, T, verdict, Hodge star, second residual) and
+    evaluated at the sample.  Returns a list of mismatch descriptions
+    (empty = everything agrees).
     """
     problems = []
-    num = NumericCase(entry, sample)
+    num = NumericCase(entry, sample, report.family)
 
     if report.lc.ricci.evaluate(sample) != num.ricci:
         problems.append("ricci")
@@ -374,18 +419,13 @@ def crosscheck_case(entry: CatalogEntry, report, sample: dict) -> list:
         if any(x != 0 for row in res for x in row):
             problems.append("first-equation residual")
 
-    from .eym import hodge_star_2form, second_eym_residual
-
     star_num = num.star(ops)
-    star_form = hodge_star_2form(report.form, report.family)
     star_sym = {key: m.evaluate(sample)
-                for key, m in star_form.components.items()}
+                for key, m in report.star.components.items()}
     if star_sym != star_num:
         problems.append("hodge star")
     res_num = num.second_residual(zero_maps, star_num)
-    res_sym = second_eym_residual(entry.pair, report.conn.canonical_member(),
-                                  star_form)
-    for key, mat in res_sym.items():
+    for key, mat in report.second_residual.items():
         if mat.evaluate(sample) != res_num[key]:
             problems.append(f"second-equation residual at {key}")
             break

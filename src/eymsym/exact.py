@@ -140,11 +140,6 @@ class Poly:
                 out.add(name)
         return out
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self.terms)
-
     def leading(self) -> tuple:
         """(monomial, coefficient) of the graded-lex leading term."""
         if not self.terms:
@@ -216,11 +211,6 @@ class Poly:
                         del out[mono]
         return Poly(out)
 
-    def scale(self, c) -> "Poly":
-        if c == 0 or not self.terms:
-            return _P_ZERO
-        return Poly({m: c * v for m, v in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
 
@@ -236,9 +226,13 @@ class Poly:
         for mono, c in self.terms.items():
             v = c
             for name, e in mono:
-                if name not in assignment:
-                    raise MissingParam(name)
-                v = v * Fraction(assignment[name]) ** e
+                try:
+                    x = assignment[name]
+                except KeyError:
+                    raise MissingParam(name) from None
+                if not isinstance(x, Fraction):
+                    x = Fraction(x)
+                v = v * (x if e == 1 else x ** e)
             total += v
         return total
 
@@ -258,17 +252,6 @@ class Poly:
         return out
 
     # -- content / division ---------------------------------------------------
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer-primitive (0 for the zero poly)."""
-        if not self.terms:
-            return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, c.numerator)
-            den_lcm = math.lcm(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
 
     def primitive(self) -> "Poly":
         """Integer-primitive part with positive leading coefficient."""
@@ -625,15 +608,19 @@ class RatFunc:
     # -- evaluation ----------------------------------------------------------------
 
     def evaluate(self, assignment: dict) -> Fraction:
+        if self.den == _P_ONE:
+            return self.num.evaluate(assignment)
         den = self.den.evaluate(assignment)
         if den == 0:
-            raise PoleAtPoint(f"denominator {self.den} vanishes at {assignment}")
+            raise PoleAtPoint(f"denominator {self.den} vanishes at "
+                              f"{format_point(assignment)}")
         return self.num.evaluate(assignment) / den
 
     def subs(self, assignment: dict) -> "RatFunc":
         den = self.den.subs(assignment)
         if den.is_zero():
-            raise PoleAtPoint(f"denominator {self.den} vanishes under {assignment}")
+            raise PoleAtPoint(f"denominator {self.den} vanishes under "
+                              f"{format_point(assignment)}")
         return RatFunc(self.num.subs(assignment), den)
 
     # -- rendering ------------------------------------------------------------------
@@ -651,6 +638,11 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
+
+
+def format_point(assignment: dict) -> str:
+    """A point as `a=3,b=-5/2` (the `solve --sample` syntax), sorted by name."""
+    return ",".join(f"{name}={value}" for name, value in sorted(assignment.items()))
 
 
 def _simple_denominator(p: Poly) -> bool:

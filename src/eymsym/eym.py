@@ -288,12 +288,17 @@ class CaseReport:
     hol_dim: int
     T: FieldMatrix
     verdict: EymVerdict
-    second_residual_zero: bool
+    star: CurvatureForm       # densitized Hodge star of `form`
+    second_residual: dict     # (i, j, k) -> residual of the second equation
     flags: dict               # golden comparison results, name -> bool
 
     @property
     def golden_ok(self) -> bool:
         return all(self.flags.values())
+
+    @property
+    def second_residual_zero(self) -> bool:
+        return residual_is_zero(self.second_residual)
 
 
 def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseReport:
@@ -320,7 +325,6 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
 
     star = hodge_star_2form(form, family)
     residual = second_eym_residual(pair, conn.canonical_member(), star)
-    second_zero = residual_is_zero(residual)
 
     flags = {}
     if golden.det is not None:
@@ -337,10 +341,10 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
             flags["lambda"] = verdict.lambda_ == golden.lambda_
             flags["kappa"] = verdict.kappa == golden.kappa
     if verdict.is_solution:
-        flags["second_eym"] = second_zero
+        flags["second_eym"] = residual_is_zero(residual)
 
     return CaseReport(
         case_id=pair.case_id, pair=pair, golden=golden, family=family,
         lc=lc, conn=conn, curvature_param_dependent=param_dep, form=form,
-        hol_basis=basis, hol_dim=dim, T=T, verdict=verdict,
-        second_residual_zero=second_zero, flags=flags)
+        hol_basis=basis, hol_dim=dim, T=T, verdict=verdict, star=star,
+        second_residual=residual, flags=flags)

@@ -63,13 +63,6 @@ class CurvatureReport:
     ricci: FieldMatrix
     scalar: RatFunc
 
-    def operator(self, i: int, j: int) -> FieldMatrix:
-        if i == j:
-            return FieldMatrix.zeros(4, 4)
-        if i < j:
-            return self.operators[(i, j)]
-        return -self.operators[(j, i)]
-
 
 # -- helpers -------------------------------------------------------------------
 

@@ -56,15 +56,6 @@ class FieldMatrix:
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int) -> list:
-        return list(self.entries[i])
-
-    def col(self, j: int) -> list:
-        return [self.entries[i][j] for i in range(self.rows)]
-
-    def copy(self) -> "FieldMatrix":
-        return FieldMatrix(self.rows, self.cols, [list(r) for r in self.entries])
-
     # -- structure ----------------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -184,3 +184,26 @@ def test_g_holonomy_override(capsys):
                            "--g-holonomy", "5=4")
     assert code == 0
     assert "kappa = a/2" in out
+
+
+def test_solve_sample_at_pole_exit_4(capsys):
+    code, out, err = run_cli(capsys, "solve", "1.1^1(7)",
+                             "--sample", "a=0,b=1,c=0,d=1")
+    assert code == 4
+    assert out == ""
+    assert err == "error: denominator 2*a vanishes at a=0,b=1,c=0,d=1\n"
+
+
+def test_validate_entry_without_golden_metric(capsys, tmp_path):
+    text = (resources.files("eymsym") / "data" / "catalog.txt").read_text()
+    line = "golden metric = [0,0,a,0; 0,b,0,c; a,0,0,0; 0,c,0,d]\n"
+    start = text.index('case "1.1^1(7)"')
+    bare = text[:start] + text[start:].replace(line, "", 1)
+    assert bare.count(line) == text.count(line) - 1
+    path = tmp_path / "catalog.txt"
+    path.write_text(bare)
+    code, out, err = run_cli(capsys, "--catalog", str(path), "validate",
+                             "--filter", "1.1^1(*)")
+    assert code == 0, out
+    assert out == "ok   1.1^1(7)\nok   1.1^1(10)(t=0)\n2/2 pass\n"
+    assert "Traceback" not in err

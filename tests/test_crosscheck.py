@@ -1,0 +1,81 @@
+"""The numeric cross-check: what it reads from a CaseReport, and that it bites."""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+import pytest
+
+from eymsym.conn import CurvatureForm
+from eymsym.crosscheck import crosscheck_case, sample_point
+from eymsym.eym import hodge_star_2form, residual_is_zero, second_eym_residual
+from eymsym.exact import rf
+from eymsym.linalg import FieldMatrix
+
+
+def _bumped(m: FieldMatrix, i: int, j: int) -> FieldMatrix:
+    """A copy of m with 1 added to entry (i, j): off by one at every point."""
+    rows = [list(r) for r in m.entries]
+    rows[i][j] = rows[i][j] + rf(1)
+    return FieldMatrix(m.rows, m.cols, rows)
+
+
+def _clean_sample(entry, report, seed: int) -> dict:
+    sample = sample_point(entry, random.Random(seed),
+                          avoid=list(report.verdict.conditions))
+    assert crosscheck_case(entry, report, sample) == []
+    return sample
+
+
+def test_report_keeps_star_and_residual(reports):
+    """run_case keeps the star and residual it decided the second equation on."""
+    for r in reports.values():
+        star = hodge_star_2form(r.form, r.family)
+        assert r.star.components == star.components, r.case_id
+        residual = second_eym_residual(r.pair, r.conn.canonical_member(), star)
+        assert r.second_residual == residual, r.case_id
+        assert r.second_residual_zero == residual_is_zero(residual), r.case_id
+
+
+@pytest.mark.parametrize("cid", ["1.1^1(7)", "3.5^2(2)", "6.1^3(1)"])
+def test_corrupted_star_is_caught(catalog, reports, cid):
+    entry, r = catalog.get(cid), reports[cid]
+    sample = _clean_sample(entry, r, 11)
+    comps = dict(r.star.components)
+    comps[(0, 1)] = _bumped(comps[(0, 1)], 2, 3)
+    bad = dataclasses.replace(r, star=CurvatureForm(components=comps))
+    assert "hodge star" in crosscheck_case(entry, bad, sample)
+
+
+@pytest.mark.parametrize("cid", ["1.1^1(7)", "2.1^2(4)", "3.5^2(2)"])
+def test_corrupted_second_residual_is_caught(catalog, reports, cid):
+    entry, r = catalog.get(cid), reports[cid]
+    assert r.verdict.is_solution
+    sample = _clean_sample(entry, r, 12)
+    residual = dict(r.second_residual)
+    residual[(1, 2, 3)] = _bumped(residual[(1, 2, 3)], 0, 0)
+    bad = dataclasses.replace(r, second_residual=residual)
+    assert not bad.second_residual_zero
+    assert crosscheck_case(entry, bad, sample) == [
+        "second-equation residual at (1, 2, 3)"]
+
+
+@pytest.mark.parametrize("cid", ["1.1^1(7)", "2.5^2(4)", "6.1^3(1)"])
+def test_corrupted_stress_tensor_is_caught(catalog, reports, cid):
+    entry, r = catalog.get(cid), reports[cid]
+    sample = _clean_sample(entry, r, 13)
+    bad = dataclasses.replace(r, T=_bumped(r.T, 1, 3))
+    assert "stress tensor" in crosscheck_case(entry, bad, sample)
+
+
+def test_sample_point_without_golden_metric(catalog, reports):
+    """An entry without `golden metric` samples the family run_case solved."""
+    entry, r = catalog.get("2.1^2(1)"), reports["2.1^2(1)"]
+    bare = dataclasses.replace(
+        entry, golden=dataclasses.replace(entry.golden, metric=None))
+    with pytest.raises(ValueError, match="no golden metric"):
+        sample_point(bare, random.Random(3))
+    expected = sample_point(entry, random.Random(3))
+    assert sample_point(bare, random.Random(3), family=r.family) == expected
+    assert crosscheck_case(bare, r, expected) == []
