@@ -8,6 +8,9 @@ Exit codes (stable contract for CI):
   2  catalog parse failure
   3  unknown case
   4  bad arguments, a --sample point at a pole of lambda or kappa included
+  5  a case cannot be analysed (not reductive, no invariant metric, a bad
+     metric shape, a degenerate metric, or a holonomy closure that fails);
+     `validate` prints such a case as FAIL, goes on, and exits 5 at the end
 """
 
 from __future__ import annotations
@@ -18,16 +21,22 @@ import sys
 import zlib
 from fractions import Fraction
 
+from .conn import NonClosing
 from .crosscheck import crosscheck_case, sample_point
 from .exact import (ParseError, PoleAtPoint, format_point, parse_ratfunc,
                     rf)
 from .eym import HolonomyMetric, run_case
-from .geom import lorentz_check, lorentz_condition_holds
-from .liecat import (Catalog, CatalogParseError, UnknownCase, catalog_load,
-                     isotropy_rep, rep_is_faithful, rep_is_homomorphism,
-                     validate_pair)
+from .geom import (BadMetricShape, NoInvariantMetric, SingularMetric,
+                   lorentz_check, lorentz_condition_holds)
+from .liecat import (Catalog, CatalogParseError, NotReductive, UnknownCase,
+                     catalog_load, isotropy_rep, rep_is_faithful,
+                     rep_is_homomorphism, validate_pair)
 from .report import (json_dumps, report_markdown, report_to_dict,
                      tables_data, tables_markdown)
+
+# A case whose data the pipeline cannot analyse (exit code 5).
+_UNANALYSABLE = (NotReductive, NoInvariantMetric, BadMetricShape,
+                 SingularMetric, NonClosing)
 
 
 class _ArgumentError(Exception):
@@ -85,6 +94,8 @@ def _parse_holonomy(text: str | None) -> HolonomyMetric:
             hm.overrides[int(key)] = parse_ratfunc(value.strip())
         except ParseError as exc:
             raise _ArgumentError(str(exc))
+        if hm.overrides[int(key)].is_zero():
+            raise _ArgumentError(f"--g-holonomy entry {piece!r} is zero")
     return hm
 
 
@@ -177,15 +188,21 @@ def _validate_one(entry) -> list:
 
 def _cmd_validate(catalog: Catalog, args) -> int:
     entries = catalog.filter(args.filter)
-    n_ok = 0
+    n_ok = n_unanalysable = 0
     for e in entries:
-        failures = _validate_one(e)
+        try:
+            failures = _validate_one(e)
+        except _UNANALYSABLE as exc:
+            n_unanalysable += 1
+            failures = [f"cannot be analysed: {exc}"]
         if failures:
             print(f"FAIL {e.pair.case_id}: " + "; ".join(failures))
         else:
             n_ok += 1
             print(f"ok   {e.pair.case_id}")
     print(f"{n_ok}/{len(entries)} pass")
+    if n_unanalysable:
+        return 5
     return 0 if n_ok == len(entries) else 1
 
 
@@ -200,7 +217,8 @@ def _cmd_report(catalog: Catalog, args) -> int:
 
 
 def _cmd_tables(catalog: Catalog, args) -> int:
-    data = tables_data(catalog, _parse_holonomy(args.g_holonomy))
+    hm = _parse_holonomy(args.g_holonomy)
+    data = tables_data(catalog, [run_case(e, hm) for e in catalog.entries])
     if args.format == "json":
         _emit(json_dumps(data), args.out)
     else:
@@ -267,6 +285,9 @@ def main(argv: list | None = None) -> int:
     except (_ArgumentError, PoleAtPoint) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except _UNANALYSABLE as exc:
+        print(f"error: case cannot be analysed: {exc}", file=sys.stderr)
+        return 5
     return 4
 
 

@@ -5,22 +5,39 @@ solve_connections returns the general solution of the combined linear system
     Lambda(ad(e) u) = [rho(e), Lambda(u)]        (equivariance)
     t(Lambda(u)) g + g Lambda(u) = 0             (values skew w.r.t. g)
 
-over the rational-function field, with free parameters v1, v2, ... attached
-in the deterministic order produced by the nullspace basis.  Curvature is
-computed with the connection parameters symbolic; the canonical member
-(all parameters zero) always belongs to the family and is what the
-energy-momentum pipeline evaluates when curvature turns out to depend on
-the connection parameters.
+over the rational-function field.  The unknowns are the 64 entries
+L_s[i][j] = Lambda(u_s)[i][j], numbered 16s + 4i + j, and the coefficient
+rows are assembled straight from rho(e_a) and g.  The system is solved in
+stages: the equivariance rows of one isotropy generator at a time (they
+carry no metric parameter), each restricted to the kernel basis found so
+far, then the g-skewness rows, the only ones with metric parameters, on the
+few kernel vectors left.
+
+The free parameters v1, v2, ... belong to the basis that one nullspace of
+the whole system gives (free variables set to 1 in column order), and the
+staged solve yields exactly that basis.  A nullspace vector of any stage has
+its last nonzero entry, a 1, at its own free column, and 0 at the other free
+columns; a vector of the next stage combines earlier vectors whose free
+columns lie at or left of its own, with coefficient 1 on its own.  So every
+final vector again ends in a 1 at its free column, with 0 at the others.
+The set of such last positions depends on the solution space alone: it is
+the free-column set of the one-shot system, and a basis that is the identity
+on those columns is unique.
+
+Curvature is computed with the connection parameters symbolic; the
+canonical member (all parameters zero) always belongs to the family and is
+what the energy-momentum pipeline evaluates when curvature turns out to
+depend on the connection parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import RF_ZERO, RatFunc
+from .exact import RF_ONE, RF_ZERO, RatFunc
 from .linalg import FieldMatrix, nullspace, solve_linear
 from .liecat import LiePair, U_LABELS, isotropy_rep
-from .geom import MetricFamily, linear_parts
+from .geom import MetricFamily
 
 
 class NonClosing(RuntimeError):
@@ -75,56 +92,110 @@ class CurvatureForm:
         return out
 
 
+_N_UNKNOWNS = 64   # L_s[i][j] is unknown 16*s + 4*i + j
+
+
+def _add_coeff(row: dict, col: int, c: RatFunc) -> None:
+    if c.is_zero():
+        return
+    x = row.get(col)
+    row[col] = c if x is None else x + c
+
+
+def _equivariance_rows(rho: FieldMatrix) -> list:
+    """Rows of [rho, L_s] - L(rho u_s), entry (s, p, q), as {unknown: coeff}.
+
+    Row (s, p, q) has +rho[p][k] on (s, k, q), -rho[k][q] on (s, p, k) and
+    -rho[t][s] on (t, p, q); rows and unknowns are numbered 16s + 4i + j.
+    """
+    rows = [{} for _ in range(_N_UNKNOWNS)]
+    for i in range(4):
+        for j in range(4):
+            x = rho.entries[i][j]
+            if x.is_zero():
+                continue
+            neg = -x
+            for a in range(4):
+                for b in range(4):
+                    _add_coeff(rows[16 * a + 4 * i + b], 16 * a + 4 * j + b, x)
+                    _add_coeff(rows[16 * a + 4 * b + j], 16 * a + 4 * b + i, neg)
+                    _add_coeff(rows[16 * j + 4 * a + b], 16 * i + 4 * a + b, neg)
+    return rows
+
+
+def _skewness_rows(g: FieldMatrix) -> list:
+    """Rows of t(L_s) g + g L_s, entry (p <= q), as {unknown: coeff}."""
+    ge = g.entries
+    rows = []
+    for s in range(4):
+        for p in range(4):
+            for q in range(p, 4):
+                row: dict = {}
+                for k in range(4):
+                    _add_coeff(row, 16 * s + 4 * k + p, ge[k][q])
+                    _add_coeff(row, 16 * s + 4 * k + q, ge[p][k])
+                rows.append(row)
+    return rows
+
+
+def _restrict(rows: list, kernel: list | None) -> list:
+    """The rows in the coordinates of `kernel` (None: all 64 unknowns),
+    all-zero rows dropped."""
+    if kernel is None:
+        mat = [[row.get(c, RF_ZERO) for c in range(_N_UNKNOWNS)] for row in rows]
+    else:
+        coords: dict = {}     # unknown -> [(i, its coordinate in kernel[i])]
+        for i, vec in enumerate(kernel):
+            for col, x in vec.items():
+                coords.setdefault(col, []).append((i, x))
+        mat = []
+        for row in rows:
+            vals = [RF_ZERO] * len(kernel)
+            for col, c in row.items():
+                for i, x in coords.get(col, ()):
+                    vals[i] = vals[i] + c * x
+            mat.append(vals)
+    return [vals for vals in mat if any(not x.is_zero() for x in vals)]
+
+
+def _cut(kernel: list | None, rows: list) -> list | None:
+    """Basis of the vectors in span(kernel) that `rows` annihilate, as sparse
+    {unknown: coeff} vectors; `kernel` None stands for all 64 unknowns."""
+    mat = _restrict(rows, kernel)
+    if not mat:
+        return kernel
+    out = []
+    for coeffs in nullspace(FieldMatrix(len(mat), len(mat[0]), mat)):
+        vec: dict = {}
+        for i, c in enumerate(coeffs):
+            if c.is_zero():
+                continue
+            if kernel is None:
+                vec[i] = c
+            else:
+                for col, x in kernel[i].items():
+                    _add_coeff(vec, col, c * x)
+        out.append({col: x for col, x in vec.items() if not x.is_zero()})
+    return out
+
+
 def solve_connections(pair: LiePair, family: MetricFamily) -> ConnectionFamily:
     """General solution of equivariance + g-skewness, parameters v1..vd."""
-    unknowns = [f"L{s}_{i}{j}" for s in range(4) for i in range(4) for j in range(4)]
-    unknown_set = set(unknowns)
-    sym_maps = [FieldMatrix(4, 4, [[RatFunc.var(f"L{s}_{i}{j}") for j in range(4)]
-                                   for i in range(4)]) for s in range(4)]
-    rhos = isotropy_rep(pair)
-    g = family.g
+    kernel = None
+    for rho in isotropy_rep(pair):
+        kernel = _cut(kernel, _equivariance_rows(rho))
+    kernel = _cut(kernel, _skewness_rows(family.g))
+    if kernel is None:      # no constraint at all: every unknown is free
+        kernel = [{c: RF_ONE} for c in range(_N_UNKNOWNS)]
 
-    residuals = []
-    for a, e in enumerate(pair.e_labels):
-        for s, u in enumerate(U_LABELS):
-            # [rho(e), Lambda(u_s)] - Lambda([e, u_s])
-            res = rhos[a] * sym_maps[s] - sym_maps[s] * rhos[a]
-            for lbl, c in pair.bracket(e, u).items():
-                res = res - sym_maps[U_LABELS.index(lbl)].scale(c)
-            residuals.append(res)
-    for s in range(4):
-        residuals.append(sym_maps[s].transpose() * g + g * sym_maps[s])
-
-    rows = []
-    seen = set()
-    for res in residuals:
-        for i in range(4):
-            for j in range(4):
-                parts = linear_parts(res.entries[i][j], unknown_set)
-                parts.pop(None, None)
-                if not parts:
-                    continue
-                row = tuple(parts.get(name, RF_ZERO) for name in unknowns)
-                if row not in seen:
-                    seen.add(row)
-                    rows.append(list(row))
-    if rows:
-        basis = nullspace(FieldMatrix(len(rows), len(unknowns), rows))
-    else:
-        basis = nullspace(FieldMatrix.zeros(1, len(unknowns)))
-
-    params = [f"v{k + 1}" for k in range(len(basis))]
-    maps = []
-    for s in range(4):
-        acc = [[RF_ZERO] * 4 for _ in range(4)]
-        for name, vec in zip(params, basis):
-            p = RatFunc.var(name)
-            for i in range(4):
-                for j in range(4):
-                    c = vec[16 * s + 4 * i + j]
-                    if not c.is_zero():
-                        acc[i][j] = acc[i][j] + p * c
-        maps.append(FieldMatrix(4, 4, acc))
+    params = [f"v{k + 1}" for k in range(len(kernel))]
+    acc = [[[RF_ZERO] * 4 for _ in range(4)] for _ in range(4)]
+    for name, vec in zip(params, kernel):
+        p = RatFunc.var(name)
+        for col, c in vec.items():
+            s, i, j = col // 16, col // 4 % 4, col % 4
+            acc[s][i][j] = acc[s][i][j] + p * c
+    maps = [FieldMatrix(4, 4, rows) for rows in acc]
     return ConnectionFamily(maps=maps, free_params=params)
 
 

@@ -388,7 +388,8 @@ def crosscheck_case(entry: CatalogEntry, report, sample: dict) -> list:
 
     The symbolic side is read from the report as `run_case` left it (Ricci,
     scalar, holonomy basis, T, verdict, Hodge star, second residual) and
-    evaluated at the sample.  Returns a list of mismatch descriptions
+    evaluated at the sample; the numeric `T` uses the report's holonomy
+    metric `hm`, evaluated there too.  Returns a list of mismatch descriptions
     (empty = everything agrees).
     """
     problems = []
@@ -407,7 +408,7 @@ def crosscheck_case(entry: CatalogEntry, report, sample: dict) -> list:
     if structure is None:
         problems.append("holonomy expansion degenerates at sample")
         return problems
-    weights = [Fraction(2)] * len(basis_num)
+    weights = [report.hm.value(a).evaluate(sample) for a in range(len(basis_num))]
     t_num = num.stress(structure, weights)
     if report.T.evaluate(sample) != t_num:
         problems.append("stress tensor")

@@ -57,6 +57,18 @@ class HolonomyMetric:
             raise ValueError("holonomy metric entries must be nonzero")
         return v
 
+    def describe(self, dim: int) -> str:
+        """The entries used on a holonomy algebra of dimension `dim`, e.g.
+        `g_aa = 2`, or `g_55 = 4, g_aa = 2 otherwise` under an override."""
+        used = [a for a in sorted(self.overrides) if 5 <= a < 5 + dim]
+        parts = [f"g_{a}{a} = {self.overrides[a]}" if a < 10
+                 else f"g_({a},{a}) = {self.overrides[a]}" for a in used]
+        if not parts:
+            return f"g_aa = {self.default}"
+        if len(used) < dim:
+            parts.append(f"g_aa = {self.default} otherwise")
+        return ", ".join(parts)
+
 
 class EymOutcome(Enum):
     SOLUTION = "solution"
@@ -291,6 +303,7 @@ class CaseReport:
     star: CurvatureForm       # densitized Hodge star of `form`
     second_residual: dict     # (i, j, k) -> residual of the second equation
     flags: dict               # golden comparison results, name -> bool
+    hm: HolonomyMetric        # the holonomy metric `T` was built with
 
     @property
     def golden_ok(self) -> bool:
@@ -347,4 +360,4 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
         case_id=pair.case_id, pair=pair, golden=golden, family=family,
         lc=lc, conn=conn, curvature_param_dependent=param_dep, form=form,
         hol_basis=basis, hol_dim=dim, T=T, verdict=verdict, star=star,
-        second_residual=residual, flags=flags)
+        second_residual=residual, flags=flags, hm=hm)

@@ -15,7 +15,7 @@ Curvature conventions, pinned once and checked by the golden tests:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -49,11 +49,16 @@ class MetricFamily:
     free_params: list
     det_g: RatFunc
     lorentz: str | None = None
+    _g_inv: FieldMatrix | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def g_inverse(self) -> FieldMatrix:
+        """Inverse of g, computed on the first call and kept."""
         if self.det_g.is_zero():
             raise SingularMetric("metric family is identically degenerate")
-        return inverse(self.g)
+        if self._g_inv is None:
+            self._g_inv = inverse(self.g)
+        return self._g_inv
 
 
 @dataclass
@@ -95,6 +100,26 @@ def linear_parts(x: RatFunc, unknowns: set) -> dict:
 _UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
 
 
+def _sym_index(i: int, j: int) -> int:
+    return _UPPER.index((i, j) if i <= j else (j, i))
+
+
+def _invariance_rows(rho: FieldMatrix) -> list:
+    """Nonzero rows of t(rho) G + G rho, entry (p <= q), over the unknowns
+    G_ij (i <= j) in `_UPPER` order."""
+    r = rho.entries
+    rows = []
+    for p, q in _UPPER:
+        row = [RF_ZERO] * len(_UPPER)
+        for k in range(4):
+            for idx, c in ((_sym_index(k, q), r[k][p]), (_sym_index(p, k), r[k][q])):
+                if not c.is_zero():
+                    row[idx] = row[idx] + c
+        if any(not c.is_zero() for c in row):
+            rows.append(row)
+    return rows
+
+
 def invariance_residuals(pair: LiePair, g: FieldMatrix) -> list:
     """t(ad e_i) g + g (ad e_i) for every isotropy generator."""
     return [rho.transpose() * g + g * rho for rho in isotropy_rep(pair)]
@@ -110,30 +135,12 @@ def solve_invariant_metric(pair: LiePair, shape: FieldMatrix | None = None,
     parameters are named a, b, c, ... in unknown order.
     """
     case_params = {p.name for p in pair.params}
-    unknown_names = [f"G{i}{j}" for i, j in _UPPER]
-    entries = [[None] * 4 for _ in range(4)]
-    for i, j in _UPPER:
-        v = RatFunc.var(f"G{i}{j}")
-        entries[i][j] = v
-        entries[j][i] = v
-    gsym = FieldMatrix(4, 4, entries)
-
-    rows = []
-    unknown_set = set(unknown_names)
-    for res in invariance_residuals(pair, gsym):
-        for i, j in _UPPER:
-            parts = linear_parts(res.entries[i][j], unknown_set)
-            if None in parts and not parts[None].is_zero():
-                raise AssertionError("invariance system is not homogeneous")
-            row = [parts.get(name, RF_ZERO) for name in unknown_names]
-            if any(not c.is_zero() for c in row):
-                rows.append(row)
-    if rows:
-        basis = nullspace(FieldMatrix(len(rows), len(unknown_names), rows))
-    else:
-        basis = nullspace(FieldMatrix.zeros(1, len(unknown_names)))
+    rows = [row for rho in isotropy_rep(pair) for row in _invariance_rows(rho)]
+    basis = nullspace(FieldMatrix(len(rows), len(_UPPER), rows)
+                      if rows else FieldMatrix.zeros(1, len(_UPPER)))
     if not basis:
-        raise NoInvariantMetric(pair.case_id)
+        raise NoInvariantMetric(
+            f"{pair.case_id}: only the zero bilinear form is invariant")
 
     if shape is not None:
         params = _verify_shape(pair, shape, basis, case_params)
@@ -141,7 +148,6 @@ def solve_invariant_metric(pair: LiePair, shape: FieldMatrix | None = None,
     else:
         letters = [c for c in "abcdefghij" if c not in case_params]
         params = letters[:len(basis)]
-        g = FieldMatrix.zeros(4, 4)
         acc = [[RF_ZERO] * 4 for _ in range(4)]
         for name, vec in zip(params, basis):
             p = RatFunc.var(name)
@@ -266,7 +272,8 @@ def _h_projection(pair: LiePair, coeffs: dict) -> list:
 def levi_civita(pair: LiePair, family: MetricFamily) -> CurvatureReport:
     """Nomizu map from the Koszul formula, curvature, Ricci, scalar."""
     if family.det_g.is_zero():
-        raise SingularMetric(pair.case_id)
+        raise SingularMetric(
+            f"{pair.case_id}: det g vanishes identically on the metric family")
     g = family.g
     g_inv = family.g_inverse()
     rhos = isotropy_rep(pair)

@@ -3,8 +3,10 @@
 Everything here is deterministic: pivoting always takes the first row with a
 nonzero entry in column order (arithmetic is exact, so there is no numerical
 reason to prefer large pivots), and nullspace bases set free variables to one
-in column order.  Matrices in this engine stay small (at most 24x24 or so for
-the equivariance systems), so no sparse formats are used.
+in column order.  Matrices in this engine stay small (at most 64 rows and
+columns, in the first equivariance stage of the connection solve), so they
+are stored dense; elimination walks only the nonzero entries of the pivot
+row.
 """
 
 from __future__ import annotations
@@ -153,6 +155,11 @@ class FieldMatrix:
         return f"FieldMatrix({self.rows}x{self.cols})"
 
 
+def _nonzero_tail(row: list, c: int) -> list:
+    """(j, row[j]) for the nonzero entries right of column c."""
+    return [(j, row[j]) for j in range(c + 1, len(row)) if not row[j].is_zero()]
+
+
 def rref(m: FieldMatrix) -> tuple:
     """Reduced row echelon form and the list of pivot columns.
 
@@ -175,16 +182,15 @@ def rref(m: FieldMatrix) -> tuple:
         if pr != r:
             a[r], a[pr] = a[pr], a[r]
         piv = a[r][c]
+        rest = _nonzero_tail(a[r], c)
         for i in range(r + 1, rows):
             x = a[i][c]
             if x.is_zero():
                 continue
             f = x / piv
             a[i][c] = RF_ZERO
-            for j in range(c + 1, cols):
-                y = a[r][j]
-                if not y.is_zero():
-                    a[i][j] = a[i][j] - f * y
+            for j, y in rest:
+                a[i][j] = a[i][j] - f * y
         pivots.append(c)
         r += 1
         if r == rows:
@@ -194,16 +200,15 @@ def rref(m: FieldMatrix) -> tuple:
         c = pivots[k]
         piv = a[k][c]
         if piv != RF_ONE:
-            a[k] = [x / piv for x in a[k]]
+            a[k] = [x if x.is_zero() else x / piv for x in a[k]]
+        rest = _nonzero_tail(a[k], c)
         for i in range(k):
             x = a[i][c]
             if x.is_zero():
                 continue
             a[i][c] = RF_ZERO
-            for j in range(c + 1, cols):
-                y = a[k][j]
-                if not y.is_zero():
-                    a[i][j] = a[i][j] - x * y
+            for j, y in rest:
+                a[i][j] = a[i][j] - x * y
     return FieldMatrix(rows, cols, a), pivots
 
 
@@ -221,7 +226,9 @@ def nullspace(m: FieldMatrix) -> list:
         v = [RF_ZERO] * m.cols
         v[fc] = RF_ONE
         for k, pc in enumerate(pivots):
-            v[pc] = -r.entries[k][fc]
+            x = r.entries[k][fc]
+            if not x.is_zero():
+                v[pc] = -x
         basis.append(v)
     return basis
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .eym import CaseReport, HolonomyMetric, run_case
+from .eym import CaseReport
 from .liecat import Catalog, isotropy_rep
 from .linalg import FieldMatrix
 
@@ -123,7 +123,8 @@ def report_markdown(r: CaseReport) -> str:
         out.append(f"R(u{i + 1}, u{j + 1}):")
         out.append(_md_matrix(c))
     out += ["", f"holonomy dimension: {r.hol_dim}"]
-    out += ["", "## Energy-momentum tensor (g_aa = 2)", "", _md_matrix(r.T)]
+    out += ["", f"## Energy-momentum tensor ({r.hm.describe(r.hol_dim)})", "",
+            _md_matrix(r.T)]
     out += ["", "## First field equation", ""]
     v = r.verdict
     if v.is_solution:
@@ -152,16 +153,18 @@ def _family(case_id: str) -> str:
     return case_id.split("(")[0]
 
 
-def tables_data(catalog: Catalog, hm: HolonomyMetric | None = None) -> dict:
-    """All four summary tables; Table 3 rows are computed live."""
-    reports = [run_case(e, hm) for e in catalog.entries]
+def tables_data(catalog: Catalog, reports: list) -> dict:
+    """All four summary tables; Table 3 rows come from `reports`, the
+    `run_case` reports of the catalog entries in catalog order."""
     by_family: dict = {}
     for e in catalog.entries:
         by_family.setdefault(_family(e.pair.case_id), []).append(e)
+    by_case = {r.case_id: r for r in reports}
 
     table1 = [{"family": row.family, "cases": row.cases_text,
                "lorentz": row.lorentz,
-               "det": str(run_det(by_family, row.family))
+               "det": str(by_case[by_family[row.family][0].pair.case_id]
+                          .family.det_g)
                if row.family in by_family else None}
               for row in catalog.table1]
 
@@ -192,13 +195,6 @@ def tables_data(catalog: Catalog, hm: HolonomyMetric | None = None) -> dict:
               for r in reports if r.golden.space]
     return {"table1": table1, "table2": table2, "table3": table3,
             "table4": table4, "mismatches": mismatches}
-
-
-def run_det(by_family: dict, family: str):
-    from .geom import solve_invariant_metric
-    entry = by_family[family][0]
-    fam = solve_invariant_metric(entry.pair, shape=entry.golden.metric)
-    return fam.det_g
 
 
 def _md_table(headers: list, rows: list) -> str:

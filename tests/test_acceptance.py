@@ -75,8 +75,8 @@ def test_c1_published_constants_reproduced(reports):
     reason="the exact pipeline finds sixteen solution cases, not ten: the "
            "null-curvature families 1.4^1(24,25), 2.5^2(4,5), 3.3^2(2,3) "
            "also solve the first equation, with lambda = 0")
-def test_c1_exactly_ten_solutions(catalog):
-    data = tables_data(catalog)
+def test_c1_exactly_ten_solutions(catalog, reports):
+    data = tables_data(catalog, list(reports.values()))
     if len(data["table3"]) != 10:
         note("criterion 1 [exactly ten solution rows]: FAIL "
              f"(engine computes {len(data['table3'])})")
@@ -107,8 +107,8 @@ def test_c2_solution_count(reports):
     assert n == 10
 
 
-def test_c2_table4_names_verbatim(catalog):
-    data = tables_data(catalog)
+def test_c2_table4_names_verbatim(catalog, reports):
+    data = tables_data(catalog, list(reports.values()))
     got = {row["case"]: row["space"] for row in data["table4"]}
     assert got == TABLE4
     note("criterion 2 [ten global space names verbatim]: PASS")

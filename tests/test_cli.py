@@ -207,3 +207,98 @@ def test_validate_entry_without_golden_metric(capsys, tmp_path):
     assert code == 0, out
     assert out == "ok   1.1^1(7)\nok   1.1^1(10)(t=0)\n2/2 pass\n"
     assert "Traceback" not in err
+
+
+def _catalog_file(tmp_path, text: str) -> str:
+    path = tmp_path / "catalog.txt"
+    path.write_text(text)
+    return str(path)
+
+
+def _bundled_catalog() -> str:
+    return (resources.files("eymsym") / "data" / "catalog.txt").read_text()
+
+
+def test_not_reductive_case_exit_5(capsys, tmp_path):
+    text = _bundled_catalog()
+    # the first such line belongs to 1.1^1(7)
+    broken = text.replace("bracket e1 u1 = u1\n", "bracket e1 u1 = u1 + e1\n", 1)
+    assert broken != text
+    path = _catalog_file(tmp_path, broken)
+    code, out, err = run_cli(capsys, "--catalog", path, "report", "1.1^1(7)")
+    assert code == 5
+    assert out == ""
+    assert err == ("error: case cannot be analysed: 1.1^1(7): [e1,u1] has "
+                   "isotropy component on ['e1']\n")
+    code, out, err = run_cli(capsys, "--catalog", path, "validate",
+                             "--filter", "1.1^1(*)")
+    assert code == 5
+    assert out == ("FAIL 1.1^1(7): cannot be analysed: 1.1^1(7): [e1,u1] has "
+                   "isotropy component on ['e1']\n"
+                   "ok   1.1^1(10)(t=0)\n1/2 pass\n")
+    assert err == ""
+
+
+def test_no_invariant_metric_exit_5(capsys, tmp_path):
+    # e1 scales every u_i, so only the zero form is invariant
+    path = _catalog_file(tmp_path, 'case "x(1)" dim_h 1\n' + "".join(
+        f"bracket e1 u{i} = u{i}\n" for i in range(1, 5)))
+    code, out, err = run_cli(capsys, "--catalog", path, "solve", "x(1)")
+    assert code == 5
+    assert out == ""
+    assert err == ("error: case cannot be analysed: x(1): only the zero "
+                   "bilinear form is invariant\n")
+    code, out, _ = run_cli(capsys, "--catalog", path, "validate")
+    assert code == 5
+    assert out.startswith("FAIL x(1): cannot be analysed: ")
+
+
+def test_singular_metric_exit_5(capsys, tmp_path):
+    # e1 scales u1 alone, so every invariant form vanishes on u1
+    path = _catalog_file(tmp_path, 'case "x(1)" dim_h 1\nbracket e1 u1 = u1\n')
+    code, out, err = run_cli(capsys, "--catalog", path, "report", "x(1)")
+    assert code == 5
+    assert out == ""
+    assert err == ("error: case cannot be analysed: x(1): det g vanishes "
+                   "identically on the metric family\n")
+    code, out, _ = run_cli(capsys, "--catalog", path, "tables")
+    assert code == 5
+
+
+def test_bad_metric_shape_exit_5(capsys, tmp_path):
+    text = _bundled_catalog()
+    line = "golden metric = [0,0,a,0; 0,b,0,c; a,0,0,0; 0,c,0,d]\n"
+    start = text.index('case "1.1^1(7)"')
+    broken = text[:start] + text[start:].replace(
+        line, "golden metric = [a,0,0,0; 0,b,0,c; 0,0,a,0; 0,c,0,d]\n", 1)
+    assert broken != text
+    path = _catalog_file(tmp_path, broken)
+    code, out, err = run_cli(capsys, "--catalog", path, "report", "1.1^1(7)",
+                             "--format", "json")
+    assert code == 5
+    assert out == ""
+    assert err == ("error: case cannot be analysed: 1.1^1(7): shape is not "
+                   "invariant\n")
+    code, out, _ = run_cli(capsys, "--catalog", path, "validate",
+                           "--filter", "1.1^1(*)")
+    assert code == 5
+    assert "FAIL 1.1^1(7): cannot be analysed: " in out
+    assert "ok   1.1^1(10)(t=0)" in out
+
+
+def test_zero_holonomy_metric_entry_exit_4(capsys):
+    code, out, err = run_cli(capsys, "report", "1.1^1(7)", "--g-holonomy", "5=0")
+    assert code == 4
+    assert out == ""
+    assert err == "error: --g-holonomy entry '5=0' is zero\n"
+
+
+def test_report_header_names_holonomy_metric(capsys):
+    code, out, _ = run_cli(capsys, "report", "1.1^1(7)")
+    assert "## Energy-momentum tensor (g_aa = 2)\n" in out
+    # exit 1: kappa no longer matches the golden value recorded for g_aa = 2
+    code, out, _ = run_cli(capsys, "report", "1.1^1(7)", "--g-holonomy", "5=4")
+    assert code == 1
+    assert "## Energy-momentum tensor (g_55 = 4)\n" in out
+    code, out, _ = run_cli(capsys, "report", "3.5^2(2)", "--g-holonomy", "6=4")
+    assert "## Energy-momentum tensor (g_66 = 4, g_aa = 2 otherwise)\n" in out

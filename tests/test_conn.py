@@ -5,9 +5,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from eymsym.exact import RatFunc, rf
+from eymsym.exact import RF_ZERO, RatFunc, rf
 from eymsym.liecat import U_LABELS, isotropy_rep
-from eymsym.linalg import FieldMatrix
+from eymsym.linalg import FieldMatrix, nullspace
 from eymsym.conn import curvature
 from eymsym.crosscheck import NumericCase, sample_point
 
@@ -83,6 +83,52 @@ def test_family_dimensions_match_numeric_rank(catalog, reports):
         sample = sample_point(entry, rng)
         assert _numeric_family_dim(entry, sample) == r.conn.dim, \
             entry.pair.case_id
+
+
+def _one_shot_system(pair, g) -> FieldMatrix:
+    """Equivariance and g-skewness stacked in one RatFunc system over the 64
+    unknowns L_s[i][j] = 16*s + 4*i + j, every entry of both residuals."""
+    rows = []
+    for rho in isotropy_rep(pair):
+        r = rho.entries
+        for s in range(4):
+            for p in range(4):
+                for q in range(4):
+                    # [rho, L_s] - L(rho u_s), entry (p, q)
+                    row = [RF_ZERO] * 64
+                    for k in range(4):
+                        row[16 * s + 4 * k + q] += r[p][k]
+                        row[16 * s + 4 * p + k] -= r[k][q]
+                        row[16 * k + 4 * p + q] -= r[k][s]
+                    rows.append(row)
+    for s in range(4):
+        for p in range(4):
+            for q in range(4):
+                # t(L_s) g + g L_s, entry (p, q)
+                row = [RF_ZERO] * 64
+                for k in range(4):
+                    row[16 * s + 4 * k + p] += g.entries[k][q]
+                    row[16 * s + 4 * k + q] += g.entries[p][k]
+                rows.append(row)
+    return FieldMatrix(len(rows), 64, rows)
+
+
+def test_family_basis_is_the_one_shot_nullspace(catalog, reports):
+    """The staged solve keeps the basis of one nullspace of the whole system:
+    same parameters v1..vd, same maps entry by entry."""
+    for entry in catalog.entries:
+        r = reports[entry.pair.case_id]
+        basis = nullspace(_one_shot_system(entry.pair, r.family.g))
+        params = [f"v{k + 1}" for k in range(len(basis))]
+        assert r.conn.free_params == params, entry.pair.case_id
+        for s in range(4):
+            expected = [[RF_ZERO] * 4 for _ in range(4)]
+            for name, vec in zip(params, basis):
+                for i in range(4):
+                    for j in range(4):
+                        expected[i][j] += RatFunc.var(name) * vec[16 * s + 4 * i + j]
+            assert r.conn.maps[s] == FieldMatrix(4, 4, expected), \
+                (entry.pair.case_id, s)
 
 
 def test_hand_derived_family_dimensions(reports):

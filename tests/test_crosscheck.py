@@ -9,7 +9,8 @@ import pytest
 
 from eymsym.conn import CurvatureForm
 from eymsym.crosscheck import crosscheck_case, sample_point
-from eymsym.eym import hodge_star_2form, residual_is_zero, second_eym_residual
+from eymsym.eym import (HolonomyMetric, hodge_star_2form, residual_is_zero,
+                        run_case, second_eym_residual)
 from eymsym.exact import rf
 from eymsym.linalg import FieldMatrix
 
@@ -79,3 +80,28 @@ def test_sample_point_without_golden_metric(catalog, reports):
     expected = sample_point(entry, random.Random(3))
     assert sample_point(bare, random.Random(3), family=r.family) == expected
     assert crosscheck_case(bare, r, expected) == []
+
+
+@pytest.mark.parametrize("cid", ["1.1^1(7)", "3.5^2(2)", "6.1^3(1)"])
+@pytest.mark.parametrize("hm", [
+    HolonomyMetric(default=rf(4)),
+    HolonomyMetric(overrides={5: rf(3), 6: rf(-1)}),
+], ids=["default-4", "override-5-6"])
+def test_crosscheck_uses_the_report_holonomy_metric(catalog, reports, cid, hm):
+    """A report built with a non-default holonomy metric cross-checks clean."""
+    entry = catalog.get(cid)
+    r = run_case(entry, hm)
+    assert r.T != reports[cid].T
+    sample = sample_point(entry, random.Random(21),
+                          avoid=list(r.verdict.conditions))
+    assert crosscheck_case(entry, r, sample) == []
+
+
+def test_holonomy_metric_describe():
+    assert HolonomyMetric().describe(3) == "g_aa = 2"
+    assert HolonomyMetric(default=rf(4)).describe(0) == "g_aa = 4"
+    hm = HolonomyMetric(overrides={5: rf(3), 7: rf(-1), 12: rf(5)})
+    assert hm.describe(1) == "g_55 = 3"
+    assert hm.describe(3) == "g_55 = 3, g_77 = -1, g_aa = 2 otherwise"
+    assert hm.describe(8) == ("g_55 = 3, g_77 = -1, g_(12,12) = 5, "
+                              "g_aa = 2 otherwise")
