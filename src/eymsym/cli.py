@@ -8,8 +8,9 @@ Exit codes (stable contract for CI):
   2  catalog parse failure
   3  unknown case
   4  bad arguments, a --sample point at a pole of lambda or kappa included
-  5  a case cannot be analysed (not reductive, no invariant metric, a bad
-     metric shape, a degenerate metric, or a holonomy closure that fails);
+  5  a case cannot be analysed (not reductive, not symmetric, no invariant
+     metric, a bad metric shape, a degenerate metric, or a holonomy closure
+     that fails);
      `validate` prints such a case as FAIL, goes on, and exits 5 at the end
 """
 
@@ -28,15 +29,15 @@ from .exact import (ParseError, PoleAtPoint, format_point, parse_ratfunc,
 from .eym import HolonomyMetric, run_case
 from .geom import (BadMetricShape, NoInvariantMetric, SingularMetric,
                    lorentz_check, lorentz_condition_holds)
-from .liecat import (Catalog, CatalogParseError, NotReductive, UnknownCase,
-                     catalog_load, isotropy_rep, rep_is_faithful,
+from .liecat import (Catalog, CatalogParseError, NotReductive, NotSymmetric,
+                     UnknownCase, catalog_load, isotropy_rep, rep_is_faithful,
                      rep_is_homomorphism, validate_pair)
 from .report import (json_dumps, report_markdown, report_to_dict,
                      tables_data, tables_markdown)
 
 # A case whose data the pipeline cannot analyse (exit code 5).
-_UNANALYSABLE = (NotReductive, NoInvariantMetric, BadMetricShape,
-                 SingularMetric, NonClosing)
+_UNANALYSABLE = (NotReductive, NotSymmetric, NoInvariantMetric,
+                 BadMetricShape, SingularMetric, NonClosing)
 
 
 class _ArgumentError(Exception):

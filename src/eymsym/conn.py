@@ -24,10 +24,12 @@ The set of such last positions depends on the solution space alone: it is
 the free-column set of the one-shot system, and a basis that is the identity
 on those columns is unique.
 
-Curvature is computed with the connection parameters symbolic; the
-canonical member (all parameters zero) always belongs to the family and is
-what the energy-momentum pipeline evaluates when curvature turns out to
-depend on the connection parameters.
+Every pair reaching this module is symmetric ([m, m] in h; eym.run_case
+checks it first), so curvature has no L([u_i, u_j]_m) term.  It is computed
+with the connection parameters symbolic; the canonical member (all
+parameters zero) always belongs to the family, its curvature is that of the
+Levi-Civita connection, and it is what the energy-momentum pipeline
+evaluates when curvature turns out to depend on the connection parameters.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from dataclasses import dataclass
 from .exact import RF_ONE, RF_ZERO, RatFunc
 from .linalg import FieldMatrix, nullspace, solve_linear
 from .liecat import LiePair, U_LABELS, isotropy_rep
-from .geom import MetricFamily
 
 
 class NonClosing(RuntimeError):
@@ -179,12 +180,12 @@ def _cut(kernel: list | None, rows: list) -> list | None:
     return out
 
 
-def solve_connections(pair: LiePair, family: MetricFamily) -> ConnectionFamily:
+def solve_connections(pair: LiePair, g: FieldMatrix) -> ConnectionFamily:
     """General solution of equivariance + g-skewness, parameters v1..vd."""
     kernel = None
     for rho in isotropy_rep(pair):
         kernel = _cut(kernel, _equivariance_rows(rho))
-    kernel = _cut(kernel, _skewness_rows(family.g))
+    kernel = _cut(kernel, _skewness_rows(g))
     if kernel is None:      # no constraint at all: every unknown is free
         kernel = [{c: RF_ONE} for c in range(_N_UNKNOWNS)]
 
@@ -200,18 +201,14 @@ def solve_connections(pair: LiePair, family: MetricFamily) -> ConnectionFamily:
 
 
 def curvature(pair: LiePair, maps: list) -> CurvatureForm:
-    """R(u_i, u_j) = [L_i, L_j] - L([u_i,u_j]_m) - rho([u_i,u_j]_h)."""
+    """R(u_i, u_j) = [L_i, L_j] - rho([u_i,u_j]) on a symmetric pair."""
     rhos = isotropy_rep(pair)
     components = {}
     for i in range(4):
         for j in range(i + 1, 4):
-            br = pair.bracket(U_LABELS[i], U_LABELS[j])
             op = maps[i].commutator(maps[j])
-            for lbl, c in br.items():
-                if lbl in U_LABELS:
-                    op = op - maps[U_LABELS.index(lbl)].scale(c)
-                else:
-                    op = op - rhos[pair.e_labels.index(lbl)].scale(c)
+            for lbl, c in pair.bracket(U_LABELS[i], U_LABELS[j]).items():
+                op = op - rhos[pair.e_labels.index(lbl)].scale(c)
             components[(i, j)] = op
     return CurvatureForm(components=components)
 

@@ -833,3 +833,28 @@ def parse_ratfunc(text: str) -> RatFunc:
     if parser.pos != len(parser.tokens):
         raise ParseError(f"trailing tokens in {text!r}")
     return value
+
+
+def linear_parts(x: RatFunc, unknowns: set) -> dict:
+    """Coefficients of each unknown in an expression linear in `unknowns`.
+
+    The constant part, if any, is returned under the key None; raises
+    ValueError when an unknown occurs in the denominator or the expression is
+    not linear in the unknowns.
+    """
+    bad = x.den.variables() & unknowns
+    if bad:
+        raise ValueError(f"{min(bad)} in a denominator")
+    groups: dict = {}
+    for mono, coeff in x.num.terms.items():
+        hit = None
+        rest = []
+        for name, exp in mono:
+            if name in unknowns:
+                if hit is not None or exp != 1:
+                    raise ValueError(f"term {Poly({mono: coeff})} is not linear")
+                hit = name
+            else:
+                rest.append((name, exp))
+        groups.setdefault(hit, {})[tuple(rest)] = coeff
+    return {key: RatFunc(Poly(terms), x.den) for key, terms in groups.items()}

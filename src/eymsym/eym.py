@@ -15,8 +15,9 @@ rational-function field and classified:
 
 The second equation  *D*R = 0  is checked through the covariant exterior
 derivative of the dualized curvature: slot corrections and the value action
-of the connection, alternated over the three arguments, plus the
-[.,.]_m-part of the plain exterior derivative (zero on symmetric pairs).
+of the connection, alternated over the three arguments.  The plain exterior
+derivative of an invariant form adds only [.,.]_m-terms, and a symmetric
+pair has none; run_case rejects any other pair up front (NotSymmetric).
 The Hodge star is densitized (the volume factor sqrt|det g| is a nonzero
 constant on a homogeneous space and cannot affect whether the residual
 vanishes, so it is omitted to stay inside rational-function arithmetic).
@@ -24,7 +25,9 @@ vanishes, so it is omitted to stay inside rational-function arithmetic).
 When the curvature of the general connection family depends on the family's
 free parameters, the pipeline evaluates the energy-momentum stage at the
 canonical member (all parameters zero), which always belongs to the family;
-reports carry a flag saying so.
+reports carry a flag saying so.  The canonical member's curvature is the
+Levi-Civita curvature, so the pipeline reuses it instead of building it
+again.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from itertools import permutations
 
 from .exact import RF_ZERO, RatFunc, rf
 from .linalg import FieldMatrix, rref
-from .liecat import CaseGolden, CatalogEntry, LiePair, U_LABELS, isotropy_rep
+from .liecat import (CaseGolden, CatalogEntry, LiePair, NotSymmetric,
+                     isotropy_rep, symmetric_witness)
 from .geom import (CurvatureReport, MetricFamily, levi_civita,
                    solve_invariant_metric)
 from .conn import (ConnectionFamily, CurvatureForm, curvature,
@@ -241,8 +245,7 @@ def hodge_star_2form(form: CurvatureForm, family: MetricFamily) -> CurvatureForm
     return CurvatureForm(components=comps)
 
 
-def second_eym_residual(pair: LiePair, maps: list,
-                        star: CurvatureForm) -> dict:
+def second_eym_residual(maps: list, star: CurvatureForm) -> dict:
     """Covariant exterior derivative of *R per basis triple i<j<k."""
 
     def s_vec_right(vec: list, q: int) -> FieldMatrix:
@@ -254,10 +257,6 @@ def second_eym_residual(pair: LiePair, maps: list,
 
     def lam_column(x: int, y: int) -> list:
         return [maps[x].entries[r][y] for r in range(4)]
-
-    def m_part(i: int, j: int) -> list:
-        br = pair.bracket(U_LABELS[i], U_LABELS[j])
-        return [br.get(lbl, RF_ZERO) for lbl in U_LABELS]
 
     def slot_term(x: int, y: int, z: int) -> FieldMatrix:
         # [Lambda(x), S(y,z)] - S(Lambda(x) y, z) - S(y, Lambda(x) z)
@@ -271,11 +270,8 @@ def second_eym_residual(pair: LiePair, maps: list,
     for i in range(4):
         for j in range(i + 1, 4):
             for k in range(j + 1, 4):
-                acc = slot_term(i, j, k) - slot_term(j, i, k) + slot_term(k, i, j)
-                acc = acc - s_vec_right(m_part(i, j), k)
-                acc = acc + s_vec_right(m_part(i, k), j)
-                acc = acc - s_vec_right(m_part(j, k), i)
-                residual[(i, j, k)] = acc
+                residual[(i, j, k)] = (slot_term(i, j, k) - slot_term(j, i, k)
+                                       + slot_term(k, i, j))
     return residual
 
 
@@ -320,13 +316,18 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
     pair = entry.pair
     golden = entry.golden
 
+    witness = symmetric_witness(pair)
+    if witness:
+        raise NotSymmetric(
+            f"{pair.case_id}: bracket of {witness} has a component in m")
     family = solve_invariant_metric(pair, shape=golden.metric,
                                     lorentz=golden.lorentz)
     lc = levi_civita(pair, family)
-    conn = solve_connections(pair, family)
-    form_sym = curvature(pair, conn.maps)
-    param_dep = depends_on_connection_params(form_sym, conn)
-    form = curvature(pair, conn.canonical_member()) if param_dep else form_sym
+    conn = solve_connections(pair, family.g)
+    param_dep = depends_on_connection_params(curvature(pair, conn.maps), conn)
+    # the curvature of the canonical member, and of the whole family when it
+    # does not depend on the parameters
+    form = CurvatureForm(components=lc.operators)
 
     rhos = isotropy_rep(pair)
     basis, dim = holonomy(form, rhos)
@@ -337,7 +338,7 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
     verdict = solve_first_eym(lc, family, T, form=form)
 
     star = hodge_star_2form(form, family)
-    residual = second_eym_residual(pair, conn.canonical_member(), star)
+    residual = second_eym_residual(conn.canonical_member(), star)
 
     flags = {}
     if golden.det is not None:

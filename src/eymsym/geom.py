@@ -6,8 +6,10 @@ conventional parameter letters, that parameterization is verified to span
 the same solution space and is then used for all downstream output, so the
 engine's formulas come out in the familiar letters (a, b, c, d).
 
-Curvature conventions, pinned once and checked by the golden tests:
-  R(X, Y) = [a_X, a_Y] - a_{[X,Y]_m} - ad([X,Y]_h)   (a = Nomizu map)
+Curvature conventions, pinned once and checked by the golden tests.  The
+pair is symmetric ([m, m] in h), so the Levi-Civita connection has zero
+connection maps and its curvature is conn.curvature of the zero maps:
+  R(X, Y) = -ad([X,Y])   restricted to m
   ricci(X, Y) = trace(Z -> R(Z, X) Y)
   scalar = g^{ij} ricci_{ij}
 """
@@ -19,9 +21,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .exact import RF_ZERO, RatFunc, parse_ratfunc, rf
+from .conn import curvature
+from .exact import RF_ZERO, RatFunc, linear_parts, parse_ratfunc, rf
 from .linalg import FieldMatrix, det, inverse, nullspace, rank
-from .liecat import LiePair, U_LABELS, isotropy_rep
+from .liecat import LiePair, isotropy_rep
 
 
 class NoInvariantMetric(ValueError):
@@ -63,38 +66,9 @@ class MetricFamily:
 
 @dataclass
 class CurvatureReport:
-    nomizu: list          # alpha_i as 4x4 matrices (columns: alpha(u_i)u_j)
     operators: dict       # (i, j) i<j -> R(u_i, u_j) as FieldMatrix
     ricci: FieldMatrix
     scalar: RatFunc
-
-
-# -- helpers -------------------------------------------------------------------
-
-
-def linear_parts(x: RatFunc, unknowns: set) -> dict:
-    """Coefficients of each unknown in an expression linear in `unknowns`.
-
-    The constant part is returned under the key None; raises ValueError when
-    the expression is not linear (or an unknown occurs in the denominator).
-    """
-    if x.den.variables() & unknowns:
-        raise ValueError("unknown appears in a denominator")
-    groups: dict = {}
-    from .exact import Poly
-    for mono, coeff in x.num.terms.items():
-        hit = None
-        rest = []
-        for name, exp in mono:
-            if name in unknowns:
-                if hit is not None or exp != 1:
-                    raise ValueError("expression is not linear in the unknowns")
-                hit = name
-            else:
-                rest.append((name, exp))
-        groups.setdefault(hit, {})[tuple(rest)] = coeff
-    return {key: RatFunc(Poly(terms), x.den)
-            for key, terms in groups.items()}
 
 
 _UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
@@ -176,16 +150,17 @@ def _verify_shape(pair: LiePair, shape: FieldMatrix, basis: list,
             f"{pair.case_id}: shape has {len(params)} parameters, "
             f"solution space has dimension {len(basis)}")
     # the shape must be linear in its parameters with independent coefficients
-    coeff_rows = []
-    for p in params:
-        row = []
-        for i, j in _UPPER:
+    entries = []
+    for i, j in _UPPER:
+        try:
             parts = linear_parts(shape.entries[i][j], set(params))
-            if None in parts and not parts[None].is_zero():
-                raise BadMetricShape(f"{pair.case_id}: shape has a constant part")
-            row.append(parts.get(p, RF_ZERO))
-        coeff_rows.append(row)
-    m = FieldMatrix(len(params), len(_UPPER), coeff_rows)
+        except ValueError as exc:
+            raise BadMetricShape(f"{pair.case_id}: {exc}") from exc
+        if None in parts:
+            raise BadMetricShape(f"{pair.case_id}: shape has a constant part")
+        entries.append(parts)
+    m = FieldMatrix(len(params), len(_UPPER),
+                    [[e.get(p, RF_ZERO) for e in entries] for p in params])
     if rank(m) != len(params):
         raise BadMetricShape(f"{pair.case_id}: shape parameters are dependent")
     return params
@@ -261,69 +236,14 @@ def lorentz_condition_holds(condition: str, sample: dict) -> bool:
 # -- Levi-Civita curvature --------------------------------------------------------------
 
 
-def _m_projection(coeffs: dict) -> list:
-    return [coeffs.get(lbl, RF_ZERO) for lbl in U_LABELS]
-
-
-def _h_projection(pair: LiePair, coeffs: dict) -> list:
-    return [coeffs.get(lbl, RF_ZERO) for lbl in pair.e_labels]
-
-
 def levi_civita(pair: LiePair, family: MetricFamily) -> CurvatureReport:
-    """Nomizu map from the Koszul formula, curvature, Ricci, scalar."""
+    """Curvature, Ricci and scalar of the Levi-Civita connection."""
     if family.det_g.is_zero():
         raise SingularMetric(
             f"{pair.case_id}: det g vanishes identically on the metric family")
-    g = family.g
     g_inv = family.g_inverse()
-    rhos = isotropy_rep(pair)
-
-    def pair_bracket(i: int, j: int) -> dict:
-        return pair.bracket(U_LABELS[i], U_LABELS[j])
-
-    def g_vec(vec: list, k: int) -> RatFunc:
-        out = RF_ZERO
-        for idx, c in enumerate(vec):
-            if not c.is_zero():
-                out = out + c * g.entries[idx][k]
-        return out
-
-    half = rf(Fraction(1, 2))
-    alphas = []
-    for i in range(4):
-        cols = []
-        for j in range(4):
-            rhs = []
-            bij = _m_projection(pair_bracket(i, j))
-            for k in range(4):
-                bjk = _m_projection(pair_bracket(j, k))
-                bki = _m_projection(pair_bracket(k, i))
-                rhs.append(g_vec(bij, k) - g_vec(bjk, i) + g_vec(bki, j))
-            col = [half * s for s in FieldMatrix(4, 4, g_inv.entries).apply(rhs)]
-            cols.append(col)
-        alphas.append(FieldMatrix(4, 4, [[cols[j][i] for j in range(4)]
-                                         for i in range(4)]))
-
-    def combo(mats: list, coeffs: list) -> FieldMatrix:
-        out = FieldMatrix.zeros(4, 4)
-        for m, c in zip(mats, coeffs):
-            if not c.is_zero():
-                out = out + m.scale(c)
-        return out
-
-    operators = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            br = pair_bracket(i, j)
-            op = alphas[i].commutator(alphas[j])
-            op = op - combo(alphas, _m_projection(br))
-            op = op - combo(rhos, _h_projection(pair, br))
-            operators[(i, j)] = op
-
-    def op(i: int, j: int) -> FieldMatrix:
-        if i == j:
-            return FieldMatrix.zeros(4, 4)
-        return operators[(i, j)] if i < j else -operators[(j, i)]
+    # on a symmetric pair the Levi-Civita connection maps are zero
+    form = curvature(pair, [FieldMatrix.zeros(4, 4)] * 4)
 
     ricci_rows = []
     for i in range(4):
@@ -332,7 +252,7 @@ def levi_civita(pair: LiePair, family: MetricFamily) -> CurvatureReport:
             s = RF_ZERO
             for k in range(4):
                 if k != i:
-                    s = s + op(k, i).entries[k][j]
+                    s = s + form.component(k, i).entries[k][j]
             row.append(s)
         ricci_rows.append(row)
     ricci = FieldMatrix(4, 4, ricci_rows)
@@ -343,5 +263,5 @@ def levi_civita(pair: LiePair, family: MetricFamily) -> CurvatureReport:
             x = g_inv.entries[i][j]
             if not x.is_zero():
                 scalar = scalar + x * ricci.entries[i][j]
-    return CurvatureReport(nomizu=alphas, operators=operators,
-                           ricci=ricci, scalar=scalar)
+    return CurvatureReport(operators=form.components, ricci=ricci,
+                           scalar=scalar)

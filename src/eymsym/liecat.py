@@ -16,8 +16,9 @@ import fnmatch
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import combinations
 
-from .exact import ParseError, RatFunc, parse_ratfunc, rf
+from .exact import ParseError, RatFunc, linear_parts, parse_ratfunc, rf
 from .linalg import FieldMatrix
 
 U_LABELS = ("u1", "u2", "u3", "u4")
@@ -33,6 +34,10 @@ class UnknownCase(KeyError):
 
 class NotReductive(ValueError):
     """[h, m] does not stay inside m."""
+
+
+class NotSymmetric(ValueError):
+    """[m, m] does not stay inside h."""
 
 
 @dataclass(frozen=True)
@@ -156,44 +161,6 @@ class ValidationReport:
 _QUOTED = re.compile(r'"([^"]*)"')
 
 
-def _linear_combo(text: str, labels: tuple, where: str) -> dict:
-    """Parse a linear combination of basis labels with RatFunc coefficients."""
-    try:
-        value = parse_ratfunc(text)
-    except ParseError as exc:
-        raise CatalogParseError(f"{where}: {exc}") from exc
-    label_set = set(labels)
-    if value.den.variables() & label_set:
-        raise CatalogParseError(f"{where}: basis label in a denominator")
-    groups: dict = {}
-    for mono, coeff in value.num.terms.items():
-        found = None
-        rest = []
-        for name, exp in mono:
-            if name in label_set:
-                if found is not None or exp != 1:
-                    raise CatalogParseError(f"{where}: not linear in basis labels")
-                found = name
-            else:
-                rest.append((name, exp))
-        if found is None:
-            raise CatalogParseError(f"{where}: constant term in a bracket")
-        part = groups.setdefault(found, {})
-        key = tuple(rest)
-        part[key] = part.get(key, 0) + coeff
-    out = {}
-    for label, terms in groups.items():
-        num = RatFunc(_poly_from_terms(terms), value.den)
-        if not num.is_zero():
-            out[label] = num
-    return out
-
-
-def _poly_from_terms(terms: dict):
-    from .exact import Poly
-    return Poly({m: c for m, c in terms.items() if c})
-
-
 def _parse_matrix(text: str, where: str) -> FieldMatrix:
     body = text.strip()
     if not body.startswith("[") or not body.endswith("]"):
@@ -284,7 +251,13 @@ def parse_catalog(text: str, source: str = "<catalog>") -> Catalog:
                 raise CatalogParseError(f"{where}: unknown basis label {x} or {y}")
             if (x, y) in current_pair.brackets or (y, x) in current_pair.brackets:
                 raise CatalogParseError(f"{where}: duplicate bracket [{x},{y}]")
-            current_pair.brackets[(x, y)] = _linear_combo(rhs, basis, where)
+            try:
+                parts = linear_parts(parse_ratfunc(rhs), set(basis))
+            except ValueError as exc:   # ParseError included
+                raise CatalogParseError(f"{where}: {exc}") from exc
+            if None in parts:
+                raise CatalogParseError(f"{where}: constant term in a bracket")
+            current_pair.brackets[(x, y)] = parts
         elif head == "golden":
             _parse_golden(rest, current_golden, where)
         elif head == "space":
@@ -372,7 +345,6 @@ def isotropy_rep(pair: LiePair) -> list:
 def validate_pair(pair: LiePair) -> ValidationReport:
     """Check antisymmetry, Jacobi, reductivity, and the symmetric-pair property."""
     report = ValidationReport(pair.case_id)
-    basis = pair.basis
 
     bad = [key for key in pair.brackets if key[0] == key[1]
            and any(not v.is_zero() for v in pair.brackets[key].values())]
@@ -381,25 +353,15 @@ def validate_pair(pair: LiePair) -> ValidationReport:
                   f"bad pairs {bad + both}" if bad or both else "")
 
     witness = ""
-    jacobi_ok = True
-    n = len(basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                x, y, z = basis[i], basis[j], basis[k]
-                total: dict = {}
-                for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                    for lbl, v in pair.bracket_vec(pair.bracket(a, b), c).items():
-                        total[lbl] = total.get(lbl, rf(0)) + v
-                if any(not v.is_zero() for v in total.values()):
-                    jacobi_ok = False
-                    witness = f"({x},{y},{z})"
-                    break
-            if not jacobi_ok:
-                break
-        if not jacobi_ok:
+    for x, y, z in combinations(pair.basis, 3):
+        total: dict = {}
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            for lbl, v in pair.bracket_vec(pair.bracket(a, b), c).items():
+                total[lbl] = total.get(lbl, rf(0)) + v
+        if any(not v.is_zero() for v in total.values()):
+            witness = f"({x},{y},{z})"
             break
-    report.record("jacobi", jacobi_ok, witness)
+    report.record("jacobi", not witness, witness)
 
     reductive_ok, witness = True, ""
     for e in pair.e_labels:
@@ -408,14 +370,20 @@ def validate_pair(pair: LiePair) -> ValidationReport:
                 reductive_ok, witness = False, f"[{e},{u}]"
     report.record("reductive", reductive_ok, witness)
 
-    symmetric_ok, witness = True, ""
+    witness = symmetric_witness(pair)
+    report.record("symmetric", not witness, witness)
+    return report
+
+
+def symmetric_witness(pair: LiePair) -> str:
+    """'(u_i,u_j)' for the first [u_i, u_j] with a component in m, or ''
+    when the pair is symmetric ([m, m] in h)."""
     for i in range(4):
         for j in range(i + 1, 4):
-            coeffs = pair.bracket(U_LABELS[i], U_LABELS[j])
-            if any(lbl in U_LABELS for lbl in coeffs):
-                symmetric_ok, witness = False, f"({U_LABELS[i]},{U_LABELS[j]})"
-    report.record("symmetric", symmetric_ok, witness)
-    return report
+            x, y = U_LABELS[i], U_LABELS[j]
+            if any(lbl in U_LABELS for lbl in pair.bracket(x, y)):
+                return f"({x},{y})"
+    return ""
 
 
 def rep_is_homomorphism(pair: LiePair, mats: list | None = None) -> bool:

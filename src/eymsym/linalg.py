@@ -121,18 +121,6 @@ class FieldMatrix:
     def commutator(self, other: "FieldMatrix") -> "FieldMatrix":
         return self * other - other * self
 
-    def apply(self, vec: list) -> list:
-        """Matrix times column vector (list of RatFunc)."""
-        out = []
-        for i in range(self.rows):
-            s = RF_ZERO
-            for j in range(self.cols):
-                x = self.entries[i][j]
-                if not x.is_zero() and not vec[j].is_zero():
-                    s = s + x * vec[j]
-            out.append(s)
-        return out
-
     def subs(self, assignment: dict) -> "FieldMatrix":
         return FieldMatrix(self.rows, self.cols,
                            [[a.subs(assignment) for a in r] for r in self.entries])

@@ -266,7 +266,7 @@ def test_c6_second_equation_on_all_solutions(reports):
         if keep:  # symbolic connection parameters where the family allows it
             form = curvature(r.pair, maps)
             star = hodge_star_2form(form, r.family)
-            assert residual_is_zero(second_eym_residual(r.pair, maps, star)), cid
+            assert residual_is_zero(second_eym_residual(maps, star)), cid
     note("criterion 6 [second equation residual identically zero]: PASS")
 
 

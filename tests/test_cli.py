@@ -302,3 +302,38 @@ def test_report_header_names_holonomy_metric(capsys):
     assert "## Energy-momentum tensor (g_55 = 4)\n" in out
     code, out, _ = run_cli(capsys, "report", "3.5^2(2)", "--g-holonomy", "6=4")
     assert "## Energy-momentum tensor (g_66 = 4, g_aa = 2 otherwise)\n" in out
+
+
+def test_not_symmetric_case_exit_5(capsys, tmp_path):
+    text = _bundled_catalog()
+    start = text.index('case "1.1^1(7)"')
+    broken = text[:start] + text[start:].replace(
+        "bracket u1 u3 = e1\n", "bracket u1 u3 = e1\nbracket u1 u2 = u3\n", 1)
+    assert broken != text
+    path = _catalog_file(tmp_path, broken)
+    code, out, err = run_cli(capsys, "--catalog", path, "report", "1.1^1(7)")
+    assert code == 5
+    assert out == ""
+    assert err == ("error: case cannot be analysed: 1.1^1(7): bracket of "
+                   "(u1,u2) has a component in m\n")
+    code, out, err = run_cli(capsys, "--catalog", path, "validate",
+                             "--filter", "1.1^1(*)")
+    assert code == 5
+    assert out == ("FAIL 1.1^1(7): cannot be analysed: 1.1^1(7): bracket of "
+                   "(u1,u2) has a component in m\n"
+                   "ok   1.1^1(10)(t=0)\n1/2 pass\n")
+    assert err == ""
+
+
+def test_nonlinear_metric_shape_exit_5(capsys, tmp_path):
+    text = _bundled_catalog()
+    line = "golden metric = [-a,0,0,0; 0,-a,0,0; 0,0,-a,0; 0,0,0,a]\n"
+    start = text.index('case "6.1^3(1)"')
+    broken = text[:start] + text[start:].replace(line, line.replace("a", "a^2"), 1)
+    assert broken != text
+    path = _catalog_file(tmp_path, broken)
+    code, out, err = run_cli(capsys, "--catalog", path, "report", "6.1^3(1)")
+    assert code == 5
+    assert out == ""
+    assert err == ("error: case cannot be analysed: 6.1^3(1): term -a^2 is "
+                   "not linear\n")

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from eymsym.conn import CurvatureForm
+from eymsym import geom
+from eymsym.conn import CurvatureForm, curvature
 from eymsym.crosscheck import crosscheck_case, sample_point
 from eymsym.eym import (HolonomyMetric, hodge_star_2form, residual_is_zero,
                         run_case, second_eym_residual)
@@ -34,7 +35,7 @@ def test_report_keeps_star_and_residual(reports):
     for r in reports.values():
         star = hodge_star_2form(r.form, r.family)
         assert r.star.components == star.components, r.case_id
-        residual = second_eym_residual(r.pair, r.conn.canonical_member(), star)
+        residual = second_eym_residual(r.conn.canonical_member(), star)
         assert r.second_residual == residual, r.case_id
         assert r.second_residual_zero == residual_is_zero(residual), r.case_id
 
@@ -68,6 +69,32 @@ def test_corrupted_stress_tensor_is_caught(catalog, reports, cid):
     sample = _clean_sample(entry, r, 13)
     bad = dataclasses.replace(r, T=_bumped(r.T, 1, 3))
     assert "stress tensor" in crosscheck_case(entry, bad, sample)
+
+
+def test_flipped_levi_civita_curvature_is_caught(catalog, reports, monkeypatch):
+    """levi_civita reads its curvature from conn.curvature; with the sign of
+    rho flipped there, the numeric Koszul path flags Ricci and scalar."""
+    def flipped(pair, maps):
+        form = curvature(pair, maps)
+        return CurvatureForm({k: -m for k, m in form.components.items()})
+
+    monkeypatch.setattr(geom, "curvature", flipped)
+    flagged = []
+    for entry in catalog.entries:
+        r = reports[entry.pair.case_id]
+        lc = geom.levi_civita(r.pair, r.family)
+        assert lc.ricci == -r.lc.ricci and lc.scalar == -r.lc.scalar
+        # a sample where every nonzero Ricci entry and the scalar stay nonzero
+        avoid = [x for row in r.lc.ricci.entries for x in row if not x.is_zero()]
+        avoid += [r.lc.scalar] if not r.lc.scalar.is_zero() else []
+        sample = sample_point(entry, random.Random(31),
+                              avoid=avoid + list(r.verdict.conditions))
+        problems = crosscheck_case(entry, dataclasses.replace(r, lc=lc), sample)
+        expected = (["ricci"] if not r.lc.ricci.is_zero() else []) + \
+            (["scalar"] if not r.lc.scalar.is_zero() else [])
+        assert problems == expected, entry.pair.case_id
+        flagged += expected
+    assert flagged.count("ricci") == 20 and flagged.count("scalar") == 14
 
 
 def test_sample_point_without_golden_metric(catalog, reports):

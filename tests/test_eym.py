@@ -237,7 +237,7 @@ def test_second_equation_zero_on_all_solutions(reports):
 def test_second_equation_zero_for_zero_curvature(reports):
     r = reports["2.4^1(3)"]
     star = hodge_star_2form(r.form, r.family)
-    residual = second_eym_residual(r.pair, r.conn.canonical_member(), star)
+    residual = second_eym_residual(r.conn.canonical_member(), star)
     assert residual_is_zero(residual)
 
 
@@ -251,7 +251,7 @@ def test_second_equation_symbolic_u2_u4_family(catalog, reports):
         assert keep, cid
         form = curvature(r.pair, maps)
         star = hodge_star_2form(form, r.family)
-        residual = second_eym_residual(r.pair, maps, star)
+        residual = second_eym_residual(maps, star)
         assert residual_is_zero(residual), cid
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from eymsym.crosscheck import NumericCase, sample_point
 from eymsym.exact import RatFunc, rf
 from eymsym.geom import (BadMetricShape, SignatureVerdict, invariance_residuals,
                          lorentz_check, lorentz_condition_holds,
@@ -166,9 +167,14 @@ def test_scalar_equals_trace_of_g_inverse_ricci(reports):
         assert trace == r.lc.scalar, r.case_id
 
 
-def test_nomizu_vanishes_on_symmetric_pairs(reports):
-    for r in reports.values():
-        assert all(alpha.is_zero() for alpha in r.lc.nomizu), r.case_id
+def test_nomizu_vanishes_on_symmetric_pairs(catalog):
+    """The numeric Koszul formula gives a zero Nomizu map in every case, which
+    is why levi_civita may take its curvature from the zero connection maps."""
+    rng = random.Random(707)
+    for entry in catalog.entries:
+        num = NumericCase(entry, sample_point(entry, rng))
+        assert all(x == 0 for alpha in num.alpha for row in alpha for x in row), \
+            entry.pair.case_id
 
 
 def test_ricci_proportional_to_metric_under_full_isotropy(reports):

@@ -36,7 +36,6 @@ def _report_parts(report) -> dict:
         "det": report.family.det_g,
         "ricci": report.lc.ricci,
         "scalar": report.lc.scalar,
-        "nomizu": report.lc.nomizu,
         "levi-civita curvature": report.lc.operators,
         "connection maps": report.conn.maps,
         "curvature": report.form.components,

@@ -135,3 +135,15 @@ def test_parse_bracket_with_coefficients():
     coeffs = cat.entries[0].pair.bracket("u2", "u3")
     assert str(coeffs["e1"]) == "t + 1"
     assert coeffs["e2"] == rf(-2)
+
+
+@pytest.mark.parametrize("rhs, reason", [
+    ("e1/u1", "u1 in a denominator"),
+    ("e1*u1", "term e1*u1 is not linear"),
+    ("e1 + 1", "constant term in a bracket"),
+], ids=["label-in-denominator", "nonlinear", "constant"])
+def test_parse_rejects_bad_bracket(rhs, reason):
+    text = f'case "x" dim_h 1\nbracket u1 u2 = {rhs}\n'
+    with pytest.raises(CatalogParseError) as err:
+        parse_catalog(text, "f.txt")
+    assert str(err.value) == f"f.txt:2: {reason}"
