@@ -785,6 +785,8 @@ class _Parser:
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             _, op = self.take()
             rhs = self.unary()
+            if op == "/" and rhs.is_zero():
+                raise ParseError("division by zero")
             value = value * rhs if op == "*" else value / rhs
         return value
 

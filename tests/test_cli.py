@@ -233,7 +233,8 @@ def test_not_reductive_case_exit_5(capsys, tmp_path):
     code, out, err = run_cli(capsys, "--catalog", path, "validate",
                              "--filter", "1.1^1(*)")
     assert code == 5
-    assert out == ("FAIL 1.1^1(7): cannot be analysed: 1.1^1(7): [e1,u1] has "
+    assert out == ("FAIL 1.1^1(7): jacobi ((e1,u1,u3)); reductive ([e1,u1]); "
+                   "cannot be analysed: 1.1^1(7): [e1,u1] has "
                    "isotropy component on ['e1']\n"
                    "ok   1.1^1(10)(t=0)\n1/2 pass\n")
     assert err == ""
@@ -286,6 +287,25 @@ def test_bad_metric_shape_exit_5(capsys, tmp_path):
     assert "ok   1.1^1(10)(t=0)" in out
 
 
+def test_division_by_zero_in_holonomy_metric_exit_4(capsys):
+    code, out, err = run_cli(capsys, "report", "1.1^1(7)",
+                             "--g-holonomy", "5=1/0")
+    assert (code, out, err) == (4, "", "error: division by zero\n")
+
+
+def test_division_by_zero_in_catalog_exit_2(capsys, tmp_path):
+    text = _bundled_catalog()
+    start = text.index('case "1.1^1(7)"')
+    broken = text[:start] + text[start:].replace(
+        "bracket u1 u3 = e1\n", "bracket u1 u3 = e1/0\n", 1)
+    assert broken != text
+    line = broken.splitlines().index("bracket u1 u3 = e1/0") + 1
+    path = _catalog_file(tmp_path, broken)
+    code, out, err = run_cli(capsys, "--catalog", path, "list")
+    assert (code, out) == (2, "")
+    assert err == f"catalog error: {path}:{line}: division by zero\n"
+
+
 def test_zero_holonomy_metric_entry_exit_4(capsys):
     code, out, err = run_cli(capsys, "report", "1.1^1(7)", "--g-holonomy", "5=0")
     assert code == 4
@@ -319,7 +339,8 @@ def test_not_symmetric_case_exit_5(capsys, tmp_path):
     code, out, err = run_cli(capsys, "--catalog", path, "validate",
                              "--filter", "1.1^1(*)")
     assert code == 5
-    assert out == ("FAIL 1.1^1(7): cannot be analysed: 1.1^1(7): bracket of "
+    assert out == ("FAIL 1.1^1(7): jacobi ((e1,u1,u2)); symmetric ((u1,u2)); "
+                   "cannot be analysed: 1.1^1(7): bracket of "
                    "(u1,u2) has a component in m\n"
                    "ok   1.1^1(10)(t=0)\n1/2 pass\n")
     assert err == ""

@@ -9,7 +9,7 @@ import pytest
 
 from eymsym import geom
 from eymsym.conn import CurvatureForm, curvature
-from eymsym.crosscheck import crosscheck_case, sample_point
+from eymsym.crosscheck import NumericCase, crosscheck_case, sample_point
 from eymsym.eym import (HolonomyMetric, hodge_star_2form, residual_is_zero,
                         run_case, second_eym_residual)
 from eymsym.exact import rf
@@ -30,37 +30,61 @@ def _clean_sample(entry, report, seed: int) -> dict:
     return sample
 
 
-def test_report_keeps_star_and_residual(reports):
-    """run_case keeps the star and residual it decided the second equation on."""
+def test_second_residual_at_canonical_member_is_zero(reports):
+    """The identity run_case relies on: at Lambda = 0 on a symmetric pair the
+    second-equation residual vanishes whatever star it is given."""
+    fixed = FieldMatrix(4, 4, [[rf(4 * i + j + 1) for j in range(4)]
+                               for i in range(4)])
     for r in reports.values():
         star = hodge_star_2form(r.form, r.family)
-        assert r.star.components == star.components, r.case_id
-        residual = second_eym_residual(r.conn.canonical_member(), star)
-        assert r.second_residual == residual, r.case_id
-        assert r.second_residual_zero == residual_is_zero(residual), r.case_id
+        zero = r.conn.canonical_member()
+        assert residual_is_zero(second_eym_residual(zero, star)), r.case_id
+        junk = CurvatureForm(components={key: fixed for key in star.components})
+        assert residual_is_zero(second_eym_residual(zero, junk)), r.case_id
+        assert r.second_residual_zero, r.case_id
 
 
 @pytest.mark.parametrize("cid", ["1.1^1(7)", "3.5^2(2)", "6.1^3(1)"])
-def test_corrupted_star_is_caught(catalog, reports, cid):
+def test_corrupted_curvature_is_caught(catalog, reports, cid):
     entry, r = catalog.get(cid), reports[cid]
     sample = _clean_sample(entry, r, 11)
-    comps = dict(r.star.components)
+    comps = dict(r.form.components)
     comps[(0, 1)] = _bumped(comps[(0, 1)], 2, 3)
-    bad = dataclasses.replace(r, star=CurvatureForm(components=comps))
-    assert "hodge star" in crosscheck_case(entry, bad, sample)
+    bad = dataclasses.replace(
+        r, form=dataclasses.replace(r.form, components=comps))
+    assert crosscheck_case(entry, bad, sample) == ["curvature"]
 
 
-@pytest.mark.parametrize("cid", ["1.1^1(7)", "2.1^2(4)", "3.5^2(2)"])
-def test_corrupted_second_residual_is_caught(catalog, reports, cid):
+@pytest.mark.parametrize("cid", ["3.5^2(2)", "1.4^1(25)"])
+def test_second_residual_oracle_at_a_nonzero_member(catalog, reports, cid):
+    """At the member v2 = 1 the second equation fails, symbolically and in
+    the numeric reference, and the two agree at a seeded sample."""
     entry, r = catalog.get(cid), reports[cid]
-    assert r.verdict.is_solution
-    sample = _clean_sample(entry, r, 12)
-    residual = dict(r.second_residual)
-    residual[(1, 2, 3)] = _bumped(residual[(1, 2, 3)], 0, 0)
-    bad = dataclasses.replace(r, second_residual=residual)
-    assert not bad.second_residual_zero
-    assert crosscheck_case(entry, bad, sample) == [
-        "second-equation residual at (1, 2, 3)"]
+    member = {p: int(p == "v2") for p in r.conn.free_params}
+    maps = [m.subs(member) for m in r.conn.maps]
+    residual = second_eym_residual(
+        maps, hodge_star_2form(curvature(r.pair, maps), r.family))
+    assert not residual_is_zero(residual)
+
+    sample = sample_point(entry, random.Random(5))
+    num = NumericCase(entry, sample)
+    maps_num = [m.evaluate(sample) for m in maps]
+    res_num = num.second_residual(
+        maps_num, num.star(num.curvature_ops(maps_num)))
+    assert {key: m.evaluate(sample) for key, m in residual.items()} == res_num
+    assert any(x for m in res_num.values() for row in m for x in row)
+
+
+@pytest.mark.parametrize("cid", ["2.1^2(1)", "1.1^1(7)"])
+def test_corrupted_holonomy_basis_is_caught(catalog, reports, cid):
+    entry, r = catalog.get(cid), reports[cid]
+    sample = _clean_sample(entry, r, 14)
+    short = dataclasses.replace(r, hol_basis=r.hol_basis[:-1])
+    assert crosscheck_case(entry, short, sample) == [
+        "holonomy expansion degenerates at sample"]
+    doubled = [r.hol_basis[0].scale(rf(2))] + r.hol_basis[1:]
+    bad = dataclasses.replace(r, hol_basis=doubled)
+    assert "stress tensor" in crosscheck_case(entry, bad, sample)
 
 
 @pytest.mark.parametrize("cid", ["1.1^1(7)", "2.5^2(4)", "6.1^3(1)"])

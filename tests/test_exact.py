@@ -165,6 +165,12 @@ def test_parse_errors():
             parse_ratfunc(bad)
 
 
+def test_parse_division_by_zero_is_a_parse_error():
+    for bad in ("1/0", "a/(b - b)", "2*a/0*b"):
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_ratfunc(bad)
+
+
 def test_substitution_partial():
     x = (A + B) / C
     y = x.subs({"b": Fraction(2)})
