@@ -9,8 +9,8 @@ Exit codes (stable contract for CI):
   3  unknown case
   4  bad arguments, a --sample point at a pole of lambda or kappa included
   5  a case cannot be analysed (not reductive, not symmetric, no invariant
-     metric, a bad metric shape, a degenerate metric, or a holonomy closure
-     that fails);
+     metric, a bad metric shape, a degenerate metric, or a curvature
+     component outside the holonomy span);
      `validate` prints such a case as FAIL, goes on, and exits 5 at the end
 """
 
@@ -168,7 +168,10 @@ def _validate_one(entry, failures: list) -> None:
             failures.append("lambda != scalar/4")
     seed = validate_seed(entry.pair.case_id)
     rng = random.Random(seed)
-    avoid = [c for c in report.verdict.conditions]
+    # a vanishing structure coefficient would hide a dropped basis element
+    avoid = list(report.verdict.conditions) + [
+        c for coeffs in report.form.structure.values() for c in coeffs
+        if not c.is_zero()]
     sample = sample_point(entry, rng, avoid=avoid, family=report.family)
     failures += [f"crosscheck {problem} (seed {seed}, sample {format_point(sample)})"
                  for problem in crosscheck_case(entry, report, sample)]

@@ -30,6 +30,9 @@ with the connection parameters symbolic; the canonical member (all
 parameters zero) always belongs to the family, its curvature is that of the
 Levi-Civita connection, and it is what the energy-momentum pipeline
 evaluates when curvature turns out to depend on the connection parameters.
+The canonical member's holonomy algebra is the span of its curvature
+components, rho([m, m]), which Jacobi closes under brackets; holonomy and
+expand_in_basis find it and its coefficients with linalg.rref.
 """
 
 from __future__ import annotations
@@ -37,12 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import RF_ONE, RF_ZERO, RatFunc
-from .linalg import FieldMatrix, nullspace, solve_linear
+from .linalg import FieldMatrix, nullspace, rref
 from .liecat import LiePair, U_LABELS, isotropy_rep
 
 
 class NonClosing(RuntimeError):
-    """Holonomy closure failed to stabilize (guards implementation bugs)."""
+    """A curvature component lies outside the holonomy span (guards
+    implementation bugs)."""
 
 
 @dataclass
@@ -222,96 +226,44 @@ def _vec(m: FieldMatrix) -> list:
     return [m.entries[i][j] for i in range(4) for j in range(4)]
 
 
-class _Span:
-    """Incremental row space over the RatFunc field (running RREF)."""
+def holonomy(form: CurvatureForm, isotropy_mats: list) -> list:
+    """Basis of the holonomy algebra, the span of the curvature components.
 
-    def __init__(self):
-        self.rows = []          # reduced rows
-        self.pivots = []        # pivot column per row
-
-    def _reduce(self, vec: list) -> list:
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if not c.is_zero():
-                v = [x - c * y for x, y in zip(v, row)]
-        return v
-
-    def contains(self, vec: list) -> bool:
-        return all(x.is_zero() for x in self._reduce(vec))
-
-    def add(self, vec: list) -> bool:
-        """Insert if independent; returns True when the span grew."""
-        v = self._reduce(vec)
-        for p, x in enumerate(v):
-            if not x.is_zero():
-                v = [y / x for y in v]
-                self.rows.append(v)
-                self.pivots.append(p)
-                return True
-        return False
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-
-def holonomy(form: CurvatureForm, isotropy_mats: list,
-             max_rounds: int = 16) -> tuple:
-    """Bracket closure of the span of the curvature components.
-
-    The returned basis prefers isotropy matrices when they lie in the
-    closed span (so reports read in terms of rho(e_i)), completed
-    deterministically by RREF representatives.
+    Precondition: `form` is R(u_i, u_j) = -rho([u_i, u_j]) on a symmetric
+    pair.  Its span rho([m, m]) is then closed under brackets, as Jacobi
+    gives [h, [m, m]] in [m, m] (Kobayashi-Nomizu II, ch. XI).  The basis
+    lists the isotropy matrices in the span, in order, then completes from
+    the span's reduced echelon rows.
     """
-    gens = [c for c in form.components.values() if not c.is_zero()]
-    span = _Span()
-    mats = []
-    for gmat in gens:
-        if span.add(_vec(gmat)):
-            mats.append(gmat)
-    for _ in range(max_rounds):
-        grew = False
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                br = mats[i].commutator(mats[j])
-                if not br.is_zero() and span.add(_vec(br)):
-                    mats.append(br)
-                    grew = True
-        if not grew:
-            break
-    else:
-        raise NonClosing("holonomy closure did not stabilize")
+    gens = [_vec(c) for c in form.components.values() if not c.is_zero()]
+    if not gens:
+        return []
+    red, pivots = rref(FieldMatrix(len(gens), 16, gens))
+    rows = red.entries[:len(pivots)]
 
-    basis = []
-    chosen = _Span()
-    for rho in isotropy_mats:
-        if not rho.is_zero() and span.contains(_vec(rho)) and chosen.add(_vec(rho)):
-            basis.append(rho)
-    if chosen.dim < span.dim:
-        for row in span.rows:
-            if chosen.add(list(row)):
-                basis.append(FieldMatrix(4, 4, [row[4 * i:4 * i + 4]
-                                                for i in range(4)]))
-            if chosen.dim == span.dim:
-                break
-    return basis, span.dim
+    def in_span(v: list) -> bool:
+        # echelon rows rebuild each vector of their span from its pivot entries
+        return all(x == sum((v[p] * row[c] for p, row in zip(pivots, rows)),
+                            RF_ZERO) for c, x in enumerate(v))
+
+    cands = [rho for rho in isotropy_mats
+             if not rho.is_zero() and in_span(_vec(rho))]
+    cands += [FieldMatrix(4, 4, [row[4 * i:4 * i + 4] for i in range(4)])
+              for row in rows]
+    # pivot columns pick the first independent candidates, left to right
+    _, chosen = rref(FieldMatrix(16, len(cands),
+                                 [list(r) for r in zip(*map(_vec, cands))]))
+    return [cands[c] for c in chosen]
 
 
 def expand_in_basis(form: CurvatureForm, basis: list) -> dict:
-    """Coefficients R^alpha_{ij} of each component in the holonomy basis."""
-    structure = {}
-    if not basis:
-        for key, comp in form.components.items():
-            if not comp.is_zero():
-                raise NonClosing("nonzero curvature with empty holonomy basis")
-            structure[key] = []
-        return structure
-    cols = FieldMatrix(16, len(basis), [[_vec(b)[r] for b in basis]
-                                        for r in range(16)])
-    for key, comp in form.components.items():
-        sol, _ = solve_linear(cols, _vec(comp))
-        if sol is None:
-            raise NonClosing("curvature component outside the holonomy span")
-        structure[key] = sol
-    return structure
+    """Coefficients R^alpha_{ij} of each component in the independent
+    holonomy basis, read off one reduced echelon form of [basis | components]."""
+    keys = list(form.components)
+    cols = [_vec(b) for b in basis] + [_vec(form.components[k]) for k in keys]
+    n = len(basis)
+    red, pivots = rref(FieldMatrix(16, len(cols), [list(r) for r in zip(*cols)]))
+    if pivots != list(range(n)):
+        raise NonClosing("curvature component outside the holonomy span")
+    return {key: [red.entries[k][n + t] for k in range(n)]
+            for t, key in enumerate(keys)}

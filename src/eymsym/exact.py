@@ -32,8 +32,6 @@ import re
 from fractions import Fraction
 from functools import cmp_to_key
 
-Rational = Fraction
-
 # A monomial is a tuple of (name, exponent) pairs, sorted by name, exponents > 0.
 Monomial = tuple
 
@@ -704,30 +702,6 @@ def rf(value) -> RatFunc:
     if isinstance(value, str):
         return parse_ratfunc(value)
     return RatFunc.const(value)
-
-
-# -- named operation surface -----------------------------------------------------
-
-
-def ratfunc_arith(x: RatFunc, y: RatFunc, op: str) -> RatFunc:
-    """Exact field arithmetic; `op` is one of add/sub/mul/div."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
-
-
-def ratfunc_eval(x: RatFunc, assignment: dict) -> Fraction:
-    return x.evaluate(assignment)
-
-
-def ratfunc_is_zero(x: RatFunc) -> bool:
-    return x.is_zero()
 
 
 # -- parsing ---------------------------------------------------------------------

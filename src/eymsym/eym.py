@@ -188,7 +188,10 @@ def solve_first_eym(lc: CurvatureReport, family: MetricFamily,
         return EymVerdict(EymOutcome.INCONSISTENT,
                           detail="component equations have no common solution")
     if pivots != [0, 1]:
-        # cannot happen for nondegenerate g and traceless nonzero T
+        # T is traceless by construction (stress_tensor: g^ij T_ij =
+        # s_total/2 - 4 s_total/8 = 0) and g is nondegenerate (g^ij g_ij = 4),
+        # so a nonzero T is never a multiple of g and columns 0 and 1 are
+        # independent
         raise AssertionError("first-equation system is rank deficient")
     lam = red.entries[0][2]
     kap = red.entries[1][2]
@@ -295,7 +298,6 @@ class CaseReport:
     curvature_param_dependent: bool
     form: CurvatureForm       # canonical-member curvature with structure filled
     hol_basis: list
-    hol_dim: int
     T: FieldMatrix
     verdict: EymVerdict
     flags: dict               # golden comparison results, name -> bool
@@ -304,6 +306,10 @@ class CaseReport:
     @property
     def golden_ok(self) -> bool:
         return all(self.flags.values())
+
+    @property
+    def hol_dim(self) -> int:
+        return len(self.hol_basis)
 
     @property
     def second_residual_zero(self) -> bool:
@@ -331,8 +337,7 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
     # does not depend on the parameters
     form = CurvatureForm(components=lc.operators)
 
-    rhos = isotropy_rep(pair)
-    basis, dim = holonomy(form, rhos)
+    basis = holonomy(form, isotropy_rep(pair))
     form.holonomy_basis = basis
     form.structure = expand_in_basis(form, basis)
 
@@ -347,7 +352,7 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
     if golden.scalar is not None:
         flags["scalar"] = lc.scalar == golden.scalar
     if golden.hol_dim is not None:
-        flags["hol_dim"] = dim == golden.hol_dim
+        flags["hol_dim"] = len(basis) == golden.hol_dim
     if golden.verdict is not None:
         flags["verdict"] = verdict.verdict_string() == golden.verdict
         if golden.verdict == "solution" and verdict.is_solution:
@@ -357,7 +362,7 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
     report = CaseReport(
         case_id=pair.case_id, pair=pair, golden=golden, family=family,
         lc=lc, conn=conn, curvature_param_dependent=param_dep, form=form,
-        hol_basis=basis, hol_dim=dim, T=T, verdict=verdict, flags=flags, hm=hm)
+        hol_basis=basis, T=T, verdict=verdict, flags=flags, hm=hm)
     if verdict.is_solution:
         flags["second_eym"] = report.second_residual_zero
     return report

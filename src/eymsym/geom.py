@@ -94,11 +94,6 @@ def _invariance_rows(rho: FieldMatrix) -> list:
     return rows
 
 
-def invariance_residuals(pair: LiePair, g: FieldMatrix) -> list:
-    """t(ad e_i) g + g (ad e_i) for every isotropy generator."""
-    return [rho.transpose() * g + g * rho for rho in isotropy_rep(pair)]
-
-
 def solve_invariant_metric(pair: LiePair, shape: FieldMatrix | None = None,
                            lorentz: str | None = None) -> MetricFamily:
     """General invariant symmetric bilinear form on the complement.
@@ -139,16 +134,9 @@ def _verify_shape(pair: LiePair, shape: FieldMatrix, basis: list,
                   case_params: set) -> list:
     if not shape.is_symmetric():
         raise BadMetricShape(f"{pair.case_id}: shape is not symmetric")
-    for res in invariance_residuals(pair, shape):
-        if not res.is_zero():
-            raise BadMetricShape(f"{pair.case_id}: shape is not invariant")
     params = sorted(v for m in shape.entries for x in m for v in x.variables()
                     if v not in case_params)
     params = sorted(set(params))
-    if len(params) != len(basis):
-        raise BadMetricShape(
-            f"{pair.case_id}: shape has {len(params)} parameters, "
-            f"solution space has dimension {len(basis)}")
     # the shape must be linear in its parameters with independent coefficients
     entries = []
     for i, j in _UPPER:
@@ -159,9 +147,16 @@ def _verify_shape(pair: LiePair, shape: FieldMatrix, basis: list,
         if None in parts:
             raise BadMetricShape(f"{pair.case_id}: shape has a constant part")
         entries.append(parts)
-    m = FieldMatrix(len(params), len(_UPPER),
-                    [[e.get(p, RF_ZERO) for e in entries] for p in params])
-    if rank(m) != len(params):
+    coeffs = [[e.get(p, RF_ZERO) for e in entries] for p in params]
+    # invariant iff every coefficient row lies in the solution space
+    if rank(FieldMatrix(len(basis) + len(coeffs), len(_UPPER),
+                        basis + coeffs)) != len(basis):
+        raise BadMetricShape(f"{pair.case_id}: shape is not invariant")
+    if len(params) != len(basis):
+        raise BadMetricShape(
+            f"{pair.case_id}: shape has {len(params)} parameters, "
+            f"solution space has dimension {len(basis)}")
+    if rank(FieldMatrix(len(params), len(_UPPER), coeffs)) != len(params):
         raise BadMetricShape(f"{pair.case_id}: shape parameters are dependent")
     return params
 

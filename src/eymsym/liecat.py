@@ -19,7 +19,7 @@ from importlib import resources
 from itertools import combinations
 
 from .exact import ParseError, RatFunc, linear_parts, parse_ratfunc, rf
-from .linalg import FieldMatrix
+from .linalg import FieldMatrix, rank
 
 U_LABELS = ("u1", "u2", "u3", "u4")
 
@@ -403,7 +403,6 @@ def rep_is_homomorphism(pair: LiePair, mats: list | None = None) -> bool:
 
 def rep_is_faithful(pair: LiePair, mats: list | None = None) -> bool:
     """The isotropy matrices are linearly independent."""
-    from .linalg import rank
     mats = mats if mats is not None else isotropy_rep(pair)
     stacked = FieldMatrix(len(mats), 16, [
         [m.entries[i][j] for i in range(4) for j in range(4)] for m in mats])

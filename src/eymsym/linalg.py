@@ -72,9 +72,6 @@ class FieldMatrix:
         return (isinstance(other, FieldMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
 
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.entries))
-
     # -- arithmetic ------------------------------------------------------------------
 
     def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
@@ -261,22 +258,3 @@ def inverse(m: FieldMatrix) -> FieldMatrix:
     if pivots != list(range(n)):
         raise Singular("matrix is singular over the rational-function field")
     return FieldMatrix(n, n, [row[n:] for row in red.entries])
-
-
-def solve_linear(a: FieldMatrix, b: list) -> tuple:
-    """Solve a x = b for x over the RatFunc field.
-
-    Returns (solution vector or None, pivot entries used).  None means the
-    system is inconsistent.  Underdetermined systems get free variables set
-    to zero (deterministic); callers that care about uniqueness should check
-    the rank themselves.
-    """
-    aug = FieldMatrix(a.rows, a.cols + 1,
-                      [list(a.entries[i]) + [rf(b[i])] for i in range(a.rows)])
-    red, pivots = rref(aug)
-    if a.cols in pivots:
-        return None, pivots
-    x = [RF_ZERO] * a.cols
-    for k, c in enumerate(pivots):
-        x[c] = red.entries[k][a.cols]
-    return x, pivots

@@ -5,10 +5,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from eymsym.exact import RF_ZERO, RatFunc, rf
 from eymsym.liecat import U_LABELS, isotropy_rep
-from eymsym.linalg import FieldMatrix, nullspace
-from eymsym.conn import curvature
+from eymsym.linalg import FieldMatrix, nullspace, rank
+from eymsym.conn import (CurvatureForm, NonClosing, curvature, expand_in_basis,
+                         holonomy)
 from eymsym.crosscheck import NumericCase, sample_point
 
 
@@ -190,21 +193,67 @@ def test_holonomy_prefers_isotropy_matrices(reports):
     assert r.hol_basis == isotropy_rep(r.pair)
 
 
+def span_rank(mats: list) -> int:
+    """Rank of the 4x4 matrices as vectors of 16 entries."""
+    return rank(FieldMatrix(len(mats), 16, [
+        [x for row in m.entries for x in row] for m in mats]))
+
+
+def is_closed_basis(basis: list) -> bool:
+    """The matrices are independent and their span is closed under brackets."""
+    n = len(basis)
+    return n == 0 or span_rank(basis) == n and all(
+        span_rank(basis + [basis[i].commutator(basis[j])]) == n
+        for i in range(n) for j in range(i + 1, n))
+
+
 def test_holonomy_closure_and_skewness(reports):
-    from eymsym.conn import _Span, _vec
     for r in reports.values():
-        if not r.hol_basis:
-            continue
-        span = _Span()
-        for b in r.hol_basis:
-            assert span.add(_vec(b))
-        for i in range(len(r.hol_basis)):
-            for j in range(i + 1, len(r.hol_basis)):
-                br = r.hol_basis[i].commutator(r.hol_basis[j])
-                assert br.is_zero() or span.contains(_vec(br)), r.case_id
+        assert is_closed_basis(r.hol_basis), r.case_id
         g = r.family.g
         for b in r.hol_basis:
             assert (b.transpose() * g + g * b).is_zero(), r.case_id
+
+
+def test_holonomy_completes_from_echelon_rows(catalog):
+    """A span that holds no isotropy matrix is spanned by its reduced echelon
+    rows (first nonzero entry 1); isotropy matrices in the span come first."""
+    rhos = isotropy_rep(catalog.get("6.1^3(1)").pair)
+    mix = rhos[0] + rhos[1]
+    lead = next(x for row in mix.entries for x in row if not x.is_zero())
+    zero = FieldMatrix.zeros(4, 4)
+    comps = {(i, j): zero for i in range(4) for j in range(i + 1, 4)}
+    form = CurvatureForm({**comps, (0, 1): mix.scale(rf(3))})
+    basis = holonomy(form, rhos)
+    assert basis == [mix.scale(rf(1) / lead)]
+    structure = expand_in_basis(form, basis)
+    assert structure[(0, 1)] == [rf(3) * lead]
+    assert all(structure[key] == [RF_ZERO] for key in comps if key != (0, 1))
+
+    form = CurvatureForm({**comps, (0, 1): mix, (2, 3): rhos[2]})
+    basis = holonomy(form, rhos)
+    assert basis[0] == rhos[2] and len(basis) == 2
+    assert span_rank(basis + [mix]) == 2
+
+
+def test_expand_in_basis_solves_and_rejects(catalog):
+    """Coefficients of each component in the basis; a component outside the
+    span raises NonClosing, with an empty basis too."""
+    rhos = isotropy_rep(catalog.get("6.1^3(1)").pair)
+    t = RatFunc.var("t")
+    zero = FieldMatrix.zeros(4, 4)
+    comps = {(i, j): zero for i in range(4) for j in range(i + 1, 4)}
+    form = CurvatureForm({**comps, (0, 1): rhos[0] + rhos[1],
+                          (1, 2): rhos[0] - rhos[1].scale(t)})
+    structure = expand_in_basis(form, rhos[:2])
+    assert structure[(0, 1)] == [rf(1), rf(1)]
+    assert structure[(1, 2)] == [rf(1), -t]
+    assert structure[(2, 3)] == [RF_ZERO, RF_ZERO]
+    with pytest.raises(NonClosing):
+        expand_in_basis(form, rhos[:1])
+    with pytest.raises(NonClosing):
+        expand_in_basis(form, [])
+    assert expand_in_basis(CurvatureForm(comps), []) == {k: [] for k in comps}
 
 
 def test_structure_coefficients_reconstruct_components(reports):

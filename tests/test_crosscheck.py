@@ -24,8 +24,12 @@ def _bumped(m: FieldMatrix, i: int, j: int) -> FieldMatrix:
 
 
 def _clean_sample(entry, report, seed: int) -> dict:
-    sample = sample_point(entry, random.Random(seed),
-                          avoid=list(report.verdict.conditions))
+    """A sample where the report cross-checks clean and no holonomy structure
+    coefficient vanishes, so a dropped basis element shows."""
+    avoid = list(report.verdict.conditions) + [
+        c for coeffs in report.form.structure.values() for c in coeffs
+        if not c.is_zero()]
+    sample = sample_point(entry, random.Random(seed), avoid=avoid)
     assert crosscheck_case(entry, report, sample) == []
     return sample
 
@@ -41,7 +45,6 @@ def test_second_residual_at_canonical_member_is_zero(reports):
         assert residual_is_zero(second_eym_residual(zero, star)), r.case_id
         junk = CurvatureForm(components={key: fixed for key in star.components})
         assert residual_is_zero(second_eym_residual(zero, junk)), r.case_id
-        assert r.second_residual_zero, r.case_id
 
 
 @pytest.mark.parametrize("cid", ["1.1^1(7)", "3.5^2(2)", "6.1^3(1)"])
@@ -75,7 +78,7 @@ def test_second_residual_oracle_at_a_nonzero_member(catalog, reports, cid):
     assert any(x for m in res_num.values() for row in m for x in row)
 
 
-@pytest.mark.parametrize("cid", ["2.1^2(1)", "1.1^1(7)"])
+@pytest.mark.parametrize("cid", ["2.1^2(1)", "1.1^1(7)", "2.5^2(4)", "2.5^2(5)"])
 def test_corrupted_holonomy_basis_is_caught(catalog, reports, cid):
     entry, r = catalog.get(cid), reports[cid]
     sample = _clean_sample(entry, r, 14)

@@ -228,19 +228,6 @@ def test_star_matches_independent_numeric_star(catalog, reports):
             assert comp.evaluate(sample) == star_num[key], (cid, key)
 
 
-def test_second_equation_zero_on_all_solutions(reports):
-    for r in reports.values():
-        if r.verdict.is_solution:
-            assert r.second_residual_zero, r.case_id
-
-
-def test_second_equation_zero_for_zero_curvature(reports):
-    r = reports["2.4^1(3)"]
-    star = hodge_star_2form(r.form, r.family)
-    residual = second_eym_residual(r.conn.canonical_member(), star)
-    assert residual_is_zero(residual)
-
-
 def test_second_equation_symbolic_u2_u4_family(catalog, reports):
     """The u2/u4-supported subfamily keeps the residual identically zero,
     with its connection parameters left symbolic."""
@@ -289,7 +276,6 @@ def test_run_case_examples(catalog, reports):
     r = reports["2.1^2(4)"]
     assert r.verdict.lambda_ == rf(1) / (rf(2) * B)
     assert r.verdict.kappa == B
-    assert r.second_residual_zero
     assert reports["3.3^2(2)"].verdict.is_solution
     assert reports["6.1^3(1)"].verdict.outcome is EymOutcome.INCONSISTENT
     for r in reports.values():

@@ -9,7 +9,7 @@ import pytest
 
 from eymsym.exact import RatFunc, rf
 from eymsym.linalg import (FieldMatrix, NonSquare, Singular, det, inverse,
-                           nullspace, rank, rref, solve_linear)
+                           nullspace, rank, rref)
 
 A, B, C, D = (RatFunc.var(x) for x in "abcd")
 Z = rf(0)
@@ -137,12 +137,3 @@ def fraction_det(m: list) -> Fraction:
             f = m[i][k] / m[k][k]
             m[i] = [x - f * y for x, y in zip(m[i], m[k])]
     return sign * out
-
-
-def test_solve_linear_consistent_and_not():
-    a = FieldMatrix.from_rows([[1, 1], [1, -1]])
-    x, _ = solve_linear(a, [rf(2), rf(0)])
-    assert x == [rf(1), rf(1)]
-    bad = FieldMatrix.from_rows([[1, 1], [1, 1]])
-    x, _ = solve_linear(bad, [rf(0), rf(1)])
-    assert x is None

@@ -1,17 +1,41 @@
-"""Every function the benchmark's span tracer wraps still exists.
+"""The benchmark's span tracer still fits the functions it wraps.
 
 `perfbench/spans.py` names its targets as (module, attribute path) pairs and
 looks each one up when `perfbench/run.py --trace 1` or `perfbench/selftest.py`
-installs the tracer; a renamed or deleted function would break both.
+installs the tracer; a renamed or deleted function would break both, and so
+would a wrapper that changes what a traced call returns.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+
+# Runs in a fresh interpreter, since installing the tracer rebinds names in
+# every loaded eymsym module.
+_TRACED_RUN = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import eymsym.cli
+from eymsym import eym, liecat, report
+import spans
+
+entry = liecat.catalog_load().get(sys.argv[3])
+plain = report.json_dumps(report.report_to_dict(eym.run_case(entry)))
+tracer = spans.Tracer()
+tracer.install()
+traced = report.json_dumps(report.report_to_dict(eym.run_case(entry)))
+calls = {name: row["calls_all"]
+         for name, row in spans.summarize(tracer.document()).items()}
+print(json.dumps({"same": traced == plain, "calls": calls}))
+"""
 
 
 def _load_spans():
@@ -33,3 +57,17 @@ def test_every_span_target_resolves():
             assert hasattr(owner, part), name
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+def test_traced_run_case_records_spans_and_keeps_the_report():
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(ROOT / "src"),
+         str(SPANS.parent), "2.1^2(1)"],
+        capture_output=True, text=True, check=True, timeout=120)
+    result = json.loads(out.stdout)
+    assert result["same"]
+    calls = result["calls"]
+    assert calls["eym.run_case"] == 1
+    assert calls["conn.holonomy"] == 1
+    assert calls["conn.expand_in_basis"] == 1
+    assert calls["linalg.rref"] > 0
