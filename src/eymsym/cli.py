@@ -32,6 +32,7 @@ from .geom import (BadMetricShape, NoInvariantMetric, SingularMetric,
 from .liecat import (Catalog, CatalogParseError, NotReductive, NotSymmetric,
                      UnknownCase, catalog_load, isotropy_rep, rep_is_faithful,
                      rep_is_homomorphism, validate_pair)
+from .linalg import FieldMatrix
 from .report import (json_dumps, report_markdown, report_to_dict,
                      tables_data, tables_markdown)
 
@@ -60,6 +61,8 @@ def _build_parser() -> _Parser:
 
     p_val = sub.add_parser("validate", help="run the validation suite")
     p_val.add_argument("--filter")
+    p_val.add_argument("--seed", type=int,
+                       help="sample seed for every case run, replaying a FAIL line")
 
     p_rep = sub.add_parser("report", help="full report for one case")
     p_rep.add_argument("case")
@@ -143,8 +146,33 @@ def validate_seed(case_id: str) -> int:
     return zlib.crc32(case_id.encode())
 
 
-def _validate_one(entry, failures: list) -> None:
-    """Append the case's failures; an unanalysable case raises after them."""
+def _render(x) -> str:
+    """A golden or computed value, matrices in the catalog's row syntax."""
+    if isinstance(x, FieldMatrix):
+        return "[" + "; ".join(",".join(map(str, row)) for row in x.entries) + "]"
+    return str(x)
+
+
+def _golden_failure(report, name: str) -> str:
+    """`golden:<name> (expected ..., computed ...)` for a failed flag."""
+    g, v = report.golden, report.verdict
+    values = {"det": (g.det, report.family.det_g),
+              "ricci": (g.ricci, report.lc.ricci),
+              "scalar": (g.scalar, report.lc.scalar),
+              "hol_dim": (g.hol_dim, report.hol_dim),
+              "verdict": (g.verdict, v.verdict_string()),
+              "lambda": (g.lambda_, v.lambda_),
+              "kappa": (g.kappa, v.kappa)}
+    if name not in values:
+        return f"golden:{name}"
+    expected, computed = values[name]
+    return (f"golden:{name} (expected {_render(expected)}, "
+            f"computed {_render(computed)})")
+
+
+def _validate_one(entry, failures: list, seed: int | None = None) -> None:
+    """Append the case's failures; an unanalysable case raises after them.
+    `seed` overrides validate_seed for the sample points."""
     rep = validate_pair(entry.pair)
     failures += [f"{name} ({witness})" if witness else name
                  for name, witness in rep.failures()]
@@ -154,7 +182,8 @@ def _validate_one(entry, failures: list) -> None:
     if not rep_is_faithful(entry.pair, mats):
         failures.append("isotropy faithfulness")
     report = run_case(entry)
-    failures += [f"golden:{name}" for name, ok in report.flags.items() if not ok]
+    failures += [_golden_failure(report, name)
+                 for name, ok in report.flags.items() if not ok]
     # invariant suite: tracelessness, trace identity
     ginv = report.family.g_inverse()
     trace = rf(0)
@@ -166,7 +195,8 @@ def _validate_one(entry, failures: list) -> None:
     if report.verdict.is_solution:
         if report.verdict.lambda_ * rf(4) != report.lc.scalar:
             failures.append("lambda != scalar/4")
-    seed = validate_seed(entry.pair.case_id)
+    if seed is None:
+        seed = validate_seed(entry.pair.case_id)
     rng = random.Random(seed)
     # a vanishing structure coefficient would hide a dropped basis element
     avoid = list(report.verdict.conditions) + [
@@ -193,7 +223,7 @@ def _cmd_validate(catalog: Catalog, args) -> int:
     for e in entries:
         failures = []
         try:
-            _validate_one(e, failures)
+            _validate_one(e, failures, args.seed)
         except _UNANALYSABLE as exc:
             n_unanalysable += 1
             failures.append(f"cannot be analysed: {exc}")

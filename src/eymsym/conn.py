@@ -7,11 +7,14 @@ solve_connections returns the general solution of the combined linear system
 
 over the rational-function field.  The unknowns are the 64 entries
 L_s[i][j] = Lambda(u_s)[i][j], numbered 16s + 4i + j, and the coefficient
-rows are assembled straight from rho(e_a) and g.  The system is solved in
-stages: the equivariance rows of one isotropy generator at a time (they
-carry no metric parameter), each restricted to the kernel basis found so
-far, then the g-skewness rows, the only ones with metric parameters, on the
-few kernel vectors left.
+rows are assembled straight from rho(e_a) and g.  The equivariance rows
+carry no metric parameter.  When every isotropy matrix is constant (all
+catalog cases but the three whose isotropy carries `lam`), the rows of all
+generators, each rho scaled to integers, are solved in one call of
+linalg.int_nullspace, which returns the nullspace() basis.  Otherwise they
+are solved in stages over RatFunc, one generator at a time, each restricted
+to the kernel basis found so far.  The g-skewness rows, the only ones with
+metric parameters, are then solved on the few kernel vectors left.
 
 The free parameters v1, v2, ... belong to the basis that one nullspace of
 the whole system gives (free variables set to 1 in column order), and the
@@ -40,7 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import RF_ONE, RF_ZERO, RatFunc
-from .linalg import FieldMatrix, nullspace, rref
+from .linalg import (FieldMatrix, int_nullspace, integer_entries,
+                     nonzero_entries, nullspace, rref)
 from .liecat import LiePair, U_LABELS, isotropy_rep
 
 
@@ -100,31 +104,27 @@ class CurvatureForm:
 _N_UNKNOWNS = 64   # L_s[i][j] is unknown 16*s + 4*i + j
 
 
-def _add_coeff(row: dict, col: int, c: RatFunc) -> None:
-    if c.is_zero():
-        return
+def _add_coeff(row: dict, col: int, c) -> None:
+    """Add the nonzero c (an int or a RatFunc) to row[col]."""
     x = row.get(col)
     row[col] = c if x is None else x + c
 
 
-def _equivariance_rows(rho: FieldMatrix) -> list:
+def _equivariance_rows(entries: list) -> list:
     """Rows of [rho, L_s] - L(rho u_s), entry (s, p, q), as {unknown: coeff}.
 
-    Row (s, p, q) has +rho[p][k] on (s, k, q), -rho[k][q] on (s, p, k) and
+    `entries` are the nonzero (i, j, rho[i][j]), ints or RatFuncs.  Row
+    (s, p, q) has +rho[p][k] on (s, k, q), -rho[k][q] on (s, p, k) and
     -rho[t][s] on (t, p, q); rows and unknowns are numbered 16s + 4i + j.
     """
     rows = [{} for _ in range(_N_UNKNOWNS)]
-    for i in range(4):
-        for j in range(4):
-            x = rho.entries[i][j]
-            if x.is_zero():
-                continue
-            neg = -x
-            for a in range(4):
-                for b in range(4):
-                    _add_coeff(rows[16 * a + 4 * i + b], 16 * a + 4 * j + b, x)
-                    _add_coeff(rows[16 * a + 4 * b + j], 16 * a + 4 * b + i, neg)
-                    _add_coeff(rows[16 * j + 4 * a + b], 16 * i + 4 * a + b, neg)
+    for i, j, x in entries:
+        neg = -x
+        for a in range(4):
+            for b in range(4):
+                _add_coeff(rows[16 * a + 4 * i + b], 16 * a + 4 * j + b, x)
+                _add_coeff(rows[16 * a + 4 * b + j], 16 * a + 4 * b + i, neg)
+                _add_coeff(rows[16 * j + 4 * a + b], 16 * i + 4 * a + b, neg)
     return rows
 
 
@@ -137,8 +137,10 @@ def _skewness_rows(g: FieldMatrix) -> list:
             for q in range(p, 4):
                 row: dict = {}
                 for k in range(4):
-                    _add_coeff(row, 16 * s + 4 * k + p, ge[k][q])
-                    _add_coeff(row, 16 * s + 4 * k + q, ge[p][k])
+                    for col, c in ((16 * s + 4 * k + p, ge[k][q]),
+                                   (16 * s + 4 * k + q, ge[p][k])):
+                        if not c.is_zero():
+                            _add_coeff(row, col, c)
                 rows.append(row)
     return rows
 
@@ -177,7 +179,7 @@ def _cut(kernel: list | None, rows: list) -> list | None:
                 continue
             if kernel is None:
                 vec[i] = c
-            else:
+            else:       # kernel vectors hold nonzero entries only
                 for col, x in kernel[i].items():
                     _add_coeff(vec, col, c * x)
         out.append({col: x for col, x in vec.items() if not x.is_zero()})
@@ -186,9 +188,16 @@ def _cut(kernel: list | None, rows: list) -> list | None:
 
 def solve_connections(pair: LiePair, g: FieldMatrix) -> ConnectionFamily:
     """General solution of equivariance + g-skewness, parameters v1..vd."""
-    kernel = None
-    for rho in isotropy_rep(pair):
-        kernel = _cut(kernel, _equivariance_rows(rho))
+    rhos = isotropy_rep(pair)
+    scaled = integer_entries(rhos)
+    if scaled is None:      # a case parameter in rho: staged RatFunc solve
+        kernel = None
+        for rho in rhos:
+            kernel = _cut(kernel, _equivariance_rows(nonzero_entries(rho)))
+    else:
+        rows = [row for ents in scaled for row in _equivariance_rows(ents)]
+        kernel = [{col: RatFunc.const(x) for col, x in vec.items()}
+                  for vec in int_nullspace(rows, _N_UNKNOWNS)]
     kernel = _cut(kernel, _skewness_rows(g))
     if kernel is None:      # no constraint at all: every unknown is free
         kernel = [{c: RF_ONE} for c in range(_N_UNKNOWNS)]

@@ -565,6 +565,9 @@ class RatFunc:
             return other
         if not other.num.terms:
             return self
+        a, b = _const_parts(self), _const_parts(other)
+        if a and b:
+            return _const(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
         if self.den.terms == other.den.terms:
             return _from_ints(self.num + other.num, self.den)
         return _from_ints(self.num * other.den + other.num * self.den,
@@ -573,6 +576,9 @@ class RatFunc:
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         if not other.num.terms:
             return self
+        a, b = _const_parts(self), _const_parts(other)
+        if a and b:
+            return _const(a[0] * b[1] - b[0] * a[1], a[1] * b[1])
         if self.den.terms == other.den.terms:
             return _from_ints(self.num - other.num, self.den)
         return _from_ints(self.num * other.den - other.num * self.den,
@@ -584,6 +590,9 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         if not self.num.terms or not other.num.terms:
             return RF_ZERO
+        a, b = _const_parts(self), _const_parts(other)
+        if a and b:
+            return _const(a[0] * b[0], a[1] * b[1])
         return _from_ints(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
@@ -591,6 +600,9 @@ class RatFunc:
             raise DivisionByZero("division by the zero rational function")
         if not self.num.terms:
             return RF_ZERO
+        a, b = _const_parts(self), _const_parts(other)
+        if a and b:
+            return _const(a[0] * b[1], a[1] * b[0])
         return _from_ints(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other) -> bool:
@@ -689,6 +701,28 @@ def _reduce(num: Poly, den: Poly) -> tuple:
 def _from_ints(num: Poly, den: Poly) -> RatFunc:
     """RatFunc of integer-coefficient num/den, skipping the Fraction scan."""
     return RatFunc(*_reduce(num, den), _canonical=True)
+
+
+def _const_parts(x: RatFunc) -> tuple | None:
+    """(numerator, denominator) ints of a nonzero constant, else None."""
+    num, den = x.num.terms, x.den.terms
+    if len(num) == 1 and len(den) == 1 and _ONE_MONO in num and _ONE_MONO in den:
+        return (num[_ONE_MONO], den[_ONE_MONO])
+    return None
+
+
+def _const(n: int, d: int) -> RatFunc:
+    """Canonical n/d of two ints, d nonzero: what _from_ints gives, without
+    its polynomial gcd."""
+    if not n:
+        return RF_ZERO
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n, d = n // g, d // g
+    den = _P_ONE if d == 1 else Poly({_ONE_MONO: d})
+    return RatFunc(Poly({_ONE_MONO: n}), den, _canonical=True)
 
 
 RF_ZERO = RatFunc(_P_ZERO, _P_ONE, _canonical=True)

@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from .conn import curvature
 from .exact import RF_ZERO, RatFunc, linear_parts, parse_ratfunc, rf
-from .linalg import FieldMatrix, det, inverse, nullspace, rank
+from .linalg import (FieldMatrix, det, int_nullspace, integer_entries, inverse,
+                     nonzero_entries, nullspace, rref)
 from .liecat import LiePair, isotropy_rep
 
 
@@ -78,20 +79,20 @@ def _sym_index(i: int, j: int) -> int:
     return _UPPER.index((i, j) if i <= j else (j, i))
 
 
-def _invariance_rows(rho: FieldMatrix) -> list:
-    """Nonzero rows of t(rho) G + G rho, entry (p <= q), over the unknowns
-    G_ij (i <= j) in `_UPPER` order."""
-    r = rho.entries
-    rows = []
-    for p, q in _UPPER:
-        row = [RF_ZERO] * len(_UPPER)
-        for k in range(4):
-            for idx, c in ((_sym_index(k, q), r[k][p]), (_sym_index(p, k), r[k][q])):
-                if not c.is_zero():
-                    row[idx] = row[idx] + c
-        if any(not c.is_zero() for c in row):
-            rows.append(row)
-    return rows
+def _invariance_rows(entries: list) -> list:
+    """Rows of t(rho) G + G rho, entry (p <= q), as {unknown: coeff} over
+    the unknowns G_ij (i <= j) in `_UPPER` order.
+
+    `entries` are the nonzero (k, c, rho[k][c]), ints or RatFuncs: rho[k][c]
+    multiplies G_kq in entry (c, q) and G_pk in entry (p, c).
+    """
+    rows = {key: {} for key in _UPPER}
+    for k, c, x in entries:
+        for key, col in ([((c, q), _sym_index(k, q)) for q in range(c, 4)]
+                         + [((p, c), _sym_index(p, k)) for p in range(c + 1)]):
+            row = rows[key]
+            row[col] = row[col] + x if col in row else x
+    return [row for row in rows.values() if row]
 
 
 def solve_invariant_metric(pair: LiePair, shape: FieldMatrix | None = None,
@@ -104,9 +105,19 @@ def solve_invariant_metric(pair: LiePair, shape: FieldMatrix | None = None,
     parameters are named a, b, c, ... in unknown order.
     """
     case_params = {p.name for p in pair.params}
-    rows = [row for rho in isotropy_rep(pair) for row in _invariance_rows(rho)]
-    basis = nullspace(FieldMatrix(len(rows), len(_UPPER), rows)
-                      if rows else FieldMatrix.zeros(1, len(_UPPER)))
+    n = len(_UPPER)
+    rhos = isotropy_rep(pair)
+    scaled = integer_entries(rhos)
+    if scaled is None:      # a case parameter in rho
+        rows = [[row.get(c, RF_ZERO) for c in range(n)] for rho in rhos
+                for row in _invariance_rows(nonzero_entries(rho))
+                if not all(x.is_zero() for x in row.values())]
+        basis = nullspace(FieldMatrix(len(rows), n, rows)
+                          if rows else FieldMatrix.zeros(1, n))
+    else:
+        rows = [row for ents in scaled for row in _invariance_rows(ents)]
+        basis = [[RatFunc.const(vec.get(c, 0)) for c in range(n)]
+                 for vec in int_nullspace(rows, n)]
     if not basis:
         raise NoInvariantMetric(
             f"{pair.case_id}: only the zero bilinear form is invariant")
@@ -148,15 +159,20 @@ def _verify_shape(pair: LiePair, shape: FieldMatrix, basis: list,
             raise BadMetricShape(f"{pair.case_id}: shape has a constant part")
         entries.append(parts)
     coeffs = [[e.get(p, RF_ZERO) for e in entries] for p in params]
-    # invariant iff every coefficient row lies in the solution space
-    if rank(FieldMatrix(len(basis) + len(coeffs), len(_UPPER),
-                        basis + coeffs)) != len(basis):
+    # one reduced echelon form of the columns [coefficient rows | basis]
+    cols = coeffs + basis
+    _, pivots = rref(FieldMatrix(len(_UPPER), len(cols),
+                                 [list(r) for r in zip(*cols)]))
+    # invariant iff every coefficient row lies in the solution space, which
+    # the independent basis spans
+    if len(pivots) != len(basis):
         raise BadMetricShape(f"{pair.case_id}: shape is not invariant")
     if len(params) != len(basis):
         raise BadMetricShape(
             f"{pair.case_id}: shape has {len(params)} parameters, "
             f"solution space has dimension {len(basis)}")
-    if rank(FieldMatrix(len(params), len(_UPPER), coeffs)) != len(params):
+    # the coefficient rows are independent iff each is a pivot column
+    if pivots[:len(params)] != list(range(len(params))):
         raise BadMetricShape(f"{pair.case_id}: shape parameters are dependent")
     return params
 
@@ -245,9 +261,11 @@ def levi_civita(pair: LiePair, family: MetricFamily) -> CurvatureReport:
         row = []
         for j in range(4):
             s = RF_ZERO
-            for k in range(4):
-                if k != i:
-                    s = s + form.component(k, i).entries[k][j]
+            # R(u_k, u_i) = -R(u_i, u_k): read one entry, negate no matrix
+            for k in range(i):
+                s = s + form.components[(k, i)].entries[k][j]
+            for k in range(i + 1, 4):
+                s = s - form.components[(i, k)].entries[k][j]
             row.append(s)
         ricci_rows.append(row)
     ricci = FieldMatrix(4, 4, ricci_rows)

@@ -1,15 +1,27 @@
-"""Dense exact linear algebra over the rational-function field.
+"""Exact linear algebra over the rational-function field, and over Z.
 
 Everything here is deterministic: pivoting always takes the first row with a
 nonzero entry in column order (arithmetic is exact, so there is no numerical
 reason to prefer large pivots), and nullspace bases set free variables to one
-in column order.  Matrices in this engine stay small (at most 64 rows and
-columns, in the first equivariance stage of the connection solve), so they
-are stored dense; elimination walks only the nonzero entries of the pivot
-row.
+in column order.  Matrices in this engine stay small (at most 64 columns), so
+FieldMatrix stores them dense; elimination walks only the nonzero entries of
+the pivot row.
+
+Systems whose coefficients are all constants (the equivariance rows of the
+connection solve and the invariance rows of the metric solve, whenever the
+isotropy matrices carry no case parameter) take int_nullspace instead: sparse
+{col: int} rows, Gauss-Jordan over Z with each row divided by its content,
+and Fractions only where the basis is read off.  Its rows are kept fully
+reduced (zero at every pivot column but their own) and each starts at its
+own pivot, so they are the rows of the reduced echelon form up to scaling.
+That form is unique for the row space, so the pivot columns, and the basis
+that is the identity on the other columns, are exactly those of nullspace().
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from .exact import RF_ONE, RF_ZERO, RatFunc, rf
 
@@ -258,3 +270,75 @@ def inverse(m: FieldMatrix) -> FieldMatrix:
     if pivots != list(range(n)):
         raise Singular("matrix is singular over the rational-function field")
     return FieldMatrix(n, n, [row[n:] for row in red.entries])
+
+
+# -- constant systems over Z ----------------------------------------------------
+
+
+def nonzero_entries(m: FieldMatrix) -> list:
+    """The nonzero entries (i, j, m[i][j])."""
+    return [(i, j, x) for i, row in enumerate(m.entries)
+            for j, x in enumerate(row) if not x.is_zero()]
+
+
+def integer_entries(mats: list) -> list | None:
+    """Per matrix, its nonzero entries (i, j, x) times the lcm of that
+    matrix's denominators, x an int; None when some entry is not constant.
+
+    Scaling a matrix leaves the kernel of a system linear in it unchanged.
+    """
+    out = []
+    for m in mats:
+        ents = nonzero_entries(m)
+        if not all(x.is_constant() for _, _, x in ents):
+            return None
+        ents = [(i, j, x.constant_value()) for i, j, x in ents]
+        d = math.lcm(*(x.denominator for _, _, x in ents))
+        out.append([(i, j, (x * d).numerator) for i, j, x in ents])
+    return out
+
+
+def _eliminate(r: dict, p: dict, c: int) -> dict:
+    """r with column c cleared by the pivot row p, divided by its content."""
+    a, b = p[c], r[c]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    out = {k: a * x for k, x in r.items()}
+    for k, y in p.items():
+        v = out.get(k, 0) - b * y
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    g = math.gcd(*out.values())
+    if g > 1:
+        out = {k: x // g for k, x in out.items()}
+    return out
+
+
+def int_nullspace(rows: list, cols: int) -> list:
+    """nullspace() of the integer system with sparse rows {col: int}, as
+    sparse vectors {col: int or Fraction} in column order."""
+    piv: dict = {}      # pivot column -> its row, 0 at every other pivot column
+    for row in rows:
+        r = {c: x for c, x in row.items() if x}
+        # every pivot column the row touches, not only its leftmost one:
+        # clearing one never refills another, as pivot rows are reduced
+        for c in [c for c in r if c in piv]:
+            r = _eliminate(r, piv[c], c)
+        if not r:
+            continue
+        c = min(r)
+        for pc, prow in piv.items():
+            if c in prow:
+                piv[pc] = _eliminate(prow, r, c)
+        piv[c] = r
+    basis = []
+    for fc in range(cols):
+        if fc in piv:
+            continue
+        vec = {pc: Fraction(-prow[fc], prow[pc])
+               for pc, prow in sorted(piv.items()) if fc in prow}
+        vec[fc] = 1
+        basis.append(vec)
+    return basis

@@ -14,6 +14,7 @@ from pathlib import Path
 import eymsym
 import eymsym.cli
 from eymsym.cli import main
+from eymsym.exact import format_point
 from eymsym.report import json_dumps
 
 
@@ -169,6 +170,50 @@ def test_validate_crosscheck_fail_line_replays(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "solve", "1.1^1(7)", "--sample", match.group(1))
     assert code == 0
     assert "signature at sample: " in out
+
+
+def test_validate_golden_mismatch_prints_expected_and_computed(capsys, tmp_path):
+    text = (resources.files("eymsym") / "data" / "catalog.txt").read_text()
+    good = "golden det = a^2*(c^2 - b*d)"
+    broken = text.replace(good, "golden det = a^2*(c^2 + b*d)", 1)
+    assert broken != text
+    path = tmp_path / "catalog.txt"
+    path.write_text(broken)
+    code, out, _ = run_cli(capsys, "--catalog", str(path), "validate",
+                           "--filter", "1.1^1(7)")
+    assert code == 1
+    assert ("FAIL 1.1^1(7): golden:det (expected a^2*b*d + a^2*c^2, "
+            "computed -a^2*b*d + a^2*c^2)\n") in out
+    # the JSON report keeps its plain flags
+    code, out, _ = run_cli(capsys, "--catalog", str(path), "report",
+                           "1.1^1(7)", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["golden"]["flags"]["det"] is False
+
+
+def test_validate_seed_replays_a_fail_line(capsys, monkeypatch):
+    # a fault that shows only at one sample point
+    bad_point = []
+
+    def crosscheck(entry, report, sample):
+        if not bad_point:
+            bad_point.append(format_point(sample))
+        return ["ricci"] if format_point(sample) == bad_point[0] else []
+
+    monkeypatch.setattr(eymsym.cli, "crosscheck_case", crosscheck)
+    code, out, _ = run_cli(capsys, "validate", "--filter", "1.1^1(7)",
+                           "--seed", "123")
+    assert code == 1
+    match = re.search(r"^FAIL 1\.1\^1\(7\): crosscheck ricci "
+                      r"\(seed (\d+), sample (\S+)\)$", out, re.MULTILINE)
+    assert match, out
+    assert match.group(1) == "123" and match.group(2) == bad_point[0]
+    # the printed seed replays the line; the case's own seed does not hit it
+    code, again, _ = run_cli(capsys, "validate", "--filter", "1.1^1(7)",
+                             "--seed", match.group(1))
+    assert code == 1 and again == out
+    code, out, _ = run_cli(capsys, "validate", "--filter", "1.1^1(7)")
+    assert code == 0 and "ok   1.1^1(7)" in out
 
 
 def test_report_out_file(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 from eymsym.exact import (DivisionByZero, MissingParam, ParseError,
                           PoleAtPoint, Poly, RatFunc, RF_ONE, RF_ZERO,
-                          parse_ratfunc, poly_gcd, rf)
+                          _from_ints, parse_ratfunc, poly_gcd, rf)
 
 A, B, C, D = (RatFunc.var(x) for x in "abcd")
 
@@ -114,6 +115,42 @@ def test_field_axioms_randomized():
         if not x.is_zero():
             assert x / x == RF_ONE
             assert x * (RF_ONE / x) == RF_ONE
+
+
+# the general path each operator takes for non-constant operands
+_GENERAL = {
+    operator.add: lambda x, y: _from_ints(x.num * y.den + y.num * x.den,
+                                          x.den * y.den),
+    operator.sub: lambda x, y: _from_ints(x.num * y.den - y.num * x.den,
+                                          x.den * y.den),
+    operator.mul: lambda x, y: _from_ints(x.num * y.num, x.den * y.den),
+    operator.truediv: lambda x, y: _from_ints(x.num * y.den, x.den * y.num),
+}
+
+
+def test_constant_fast_path_matches_general_path():
+    rng = random.Random(37)
+    values = [Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6, -4, -6)))
+              for _ in range(60)]
+    # a zero result, a reducible product, a quotient with negative denominator
+    pairs = [(Fraction(3, 4), Fraction(-3, 4)), (Fraction(3, 2), Fraction(2, 3)),
+             (Fraction(1, 2), Fraction(-3))]
+    pairs += [(rng.choice(values), rng.choice(values)) for _ in range(400)]
+    zeros = 0
+    for p, q in pairs:
+        for op, general in _GENERAL.items():
+            if op is operator.truediv and q == 0:
+                continue
+            x, y = rf(p), rf(q)
+            got, want = op(x, y), general(x, y)
+            assert got.num.terms == want.num.terms, (op, p, q)
+            assert got.den.terms == want.den.terms, (op, p, q)
+            assert got == want and hash(got) == hash(want)
+            assert got.constant_value() == op(p, q)
+            assert all(type(c) is int for c in (*got.num.terms.values(),
+                                                *got.den.terms.values()))
+            zeros += got.is_zero()
+    assert zeros
 
 
 def test_eval_is_homomorphism():

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from eymsym.exact import RatFunc, rf
-from eymsym.linalg import (FieldMatrix, NonSquare, Singular, det, inverse,
-                           nullspace, rank, rref)
+from eymsym.linalg import (FieldMatrix, NonSquare, Singular, det,
+                           int_nullspace, integer_entries, inverse, nullspace,
+                           rank, rref)
 
 A, B, C, D = (RatFunc.var(x) for x in "abcd")
 Z = rf(0)
@@ -51,6 +53,89 @@ def test_nullspace_vectors_in_kernel():
         for v in nullspace(m):
             assert (m * FieldMatrix(cols, 1, [[x] for x in v])).is_zero()
         assert rank(m) + len(nullspace(m)) == cols
+
+
+def _int_rows(rows: list) -> list:
+    """Sparse {col: int} rows, each rational row times its denominators' lcm."""
+    out = []
+    for row in rows:
+        d = math.lcm(*(Fraction(x).denominator for x in row))
+        out.append({c: int(x * d) for c, x in enumerate(row) if x})
+    return out
+
+
+def _dense(vec: dict, cols: int) -> list:
+    return [rf(vec.get(c, 0)) for c in range(cols)]
+
+
+def _random_system(rng: random.Random) -> list:
+    """A random matrix: integer or rational, tall or wide, often rank
+    deficient, with zero rows, duplicate rows and rows that are sums of
+    earlier ones (their later entries land on earlier pivot columns)."""
+    rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+    rational = rng.random() < 0.5
+
+    def entry():
+        if rng.random() < 0.55:
+            return 0
+        n = rng.randint(-5, 5)
+        return Fraction(n, rng.randint(1, 4)) if rational else n
+
+    out = []
+    for _ in range(rows):
+        kind = rng.random()
+        if out and kind < 0.15:
+            out.append(list(rng.choice(out)))
+        elif kind < 0.25:
+            out.append([0] * cols)
+        elif len(out) >= 2 and kind < 0.5:
+            p, q = rng.sample(out, 2)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            out.append([a * x + b * y for x, y in zip(p, q)])
+        else:
+            out.append([entry() for _ in range(cols)])
+    rng.shuffle(out)
+    return out
+
+
+def test_int_nullspace_is_the_nullspace_basis():
+    rng = random.Random(43)
+    shapes = set()
+    for _ in range(600):
+        rows = _random_system(rng)
+        cols = len(rows[0])
+        expected = nullspace(FieldMatrix.from_rows(rows))
+        got = int_nullspace(_int_rows(rows), cols)
+        assert [_dense(v, cols) for v in got] == expected, rows
+        for v in got:
+            assert all(type(x) in (int, Fraction) and x for x in v.values())
+            assert list(v) == sorted(v)
+        shapes.add((len(rows) > cols, len(expected) > max(0, cols - len(rows))))
+    # tall and wide systems, with and without a rank deficit, all occurred
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_int_nullspace_reduces_at_every_pivot_column():
+    # the second row's leftmost column is no pivot, but its column 2 is the
+    # first row's pivot; leaving it there would give a wrong basis
+    rows = [[0, 0, 1, 1], [1, 0, 1, 0]]
+    assert int_nullspace(_int_rows(rows), 4) == [{1: 1}, {0: 1, 2: -1, 3: 1}]
+    assert [_dense(v, 4) for v in int_nullspace(_int_rows(rows), 4)] == \
+        nullspace(FieldMatrix.from_rows(rows))
+
+
+def test_int_nullspace_edge_systems():
+    assert int_nullspace([], 2) == [{0: 1}, {1: 1}]
+    assert int_nullspace([{0: 0, 1: 0}], 2) == [{0: 1}, {1: 1}]
+    assert int_nullspace([{0: 2}, {1: -3}], 2) == []
+    assert int_nullspace([{0: 2, 1: 3}], 2) == [{0: Fraction(-3, 2), 1: 1}]
+
+
+def test_integer_entries_scale_each_matrix():
+    half = FieldMatrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(-1, 3)]])
+    assert integer_entries([half, FieldMatrix.identity(2)]) == [
+        [(0, 0, 3), (1, 1, -2)], [(0, 0, 1), (1, 1, 1)]]
+    assert integer_entries([FieldMatrix.from_rows([[A, 0], [0, 1]])]) is None
 
 
 def test_det_metric_families():
