@@ -27,9 +27,20 @@ The set of such last positions depends on the solution space alone: it is
 the free-column set of the one-shot system, and a basis that is the identity
 on those columns is unique.
 
+solve_connections solves each distinct system once per process.  The
+system reads only the values of the isotropy matrices and of g, never the
+[m, m] brackets or the case name, so the memo key is those values as tuples
+of canonical RatFuncs, which hash and compare by value (the 35 catalog
+cases give 14 keys).  Only a returned family is stored.  Cases with equal
+keys share one ConnectionFamily, so callers treat it as read-only; the one
+field set after construction, the cached answer of
+depends_on_connection_params, is a function of the family itself.
+
 Every pair reaching this module is symmetric ([m, m] in h; eym.run_case
-checks it first), so curvature has no L([u_i, u_j]_m) term.  It is computed
-with the connection parameters symbolic; the canonical member (all
+checks it first), so curvature has no L([u_i, u_j]_m) term.  Whether the
+curvature of the family depends on its parameters is read off the basis
+maps B^k that the kernel vectors give (depends_on_connection_params),
+without building the curvature in v1..vd.  The canonical member (all
 parameters zero) always belongs to the family, its curvature is that of the
 Levi-Civita connection, and it is what the energy-momentum pipeline
 evaluates when curvature turns out to depend on the connection parameters.
@@ -40,11 +51,11 @@ expand_in_basis find it and its coefficients with linalg.rref.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exact import RF_ONE, RF_ZERO, RatFunc
 from .linalg import (FieldMatrix, int_nullspace, integer_entries,
-                     nonzero_entries, nullspace, rref)
+                     matrices_key, nonzero_entries, nullspace, rref)
 from .liecat import LiePair, U_LABELS, isotropy_rep
 
 
@@ -57,6 +68,9 @@ class NonClosing(RuntimeError):
 class ConnectionFamily:
     maps: list            # Lambda(u_1..u_4), entries linear in free_params
     free_params: list
+    basis: list           # basis[k][s] = B^k(u_s); maps = sum_k v_k basis[k]
+    _depends: bool | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def dim(self) -> int:
@@ -72,10 +86,7 @@ class ConnectionFamily:
 
     def basis_map(self, param: str) -> list:
         """The four coefficient matrices attached to one free parameter."""
-        one = {name: (1 if name == param else 0) for name in self.free_params}
-        zero = self.canonical_member()
-        at_one = [m.subs(one) for m in self.maps]
-        return [a - z for a, z in zip(at_one, zero)]
+        return self.basis[self.free_params.index(param)]
 
 
 @dataclass
@@ -186,9 +197,24 @@ def _cut(kernel: list | None, rows: list) -> list | None:
     return out
 
 
+_FAMILIES: dict = {}    # (isotropy matrices, g) by value -> ConnectionFamily
+
+
 def solve_connections(pair: LiePair, g: FieldMatrix) -> ConnectionFamily:
-    """General solution of equivariance + g-skewness, parameters v1..vd."""
+    """General solution of equivariance + g-skewness, parameters v1..vd.
+
+    Solved once per distinct (rho, g) in a process; the family returned is
+    shared and read-only (module docstring).
+    """
     rhos = isotropy_rep(pair)
+    key = (matrices_key(rhos), matrices_key([g]))
+    family = _FAMILIES.get(key)
+    if family is None:
+        family = _FAMILIES[key] = _solve_connections(rhos, g)
+    return family
+
+
+def _solve_connections(rhos: list, g: FieldMatrix) -> ConnectionFamily:
     scaled = integer_entries(rhos)
     if scaled is None:      # a case parameter in rho: staged RatFunc solve
         kernel = None
@@ -204,13 +230,17 @@ def solve_connections(pair: LiePair, g: FieldMatrix) -> ConnectionFamily:
 
     params = [f"v{k + 1}" for k in range(len(kernel))]
     acc = [[[RF_ZERO] * 4 for _ in range(4)] for _ in range(4)]
+    basis = []
     for name, vec in zip(params, kernel):
         p = RatFunc.var(name)
+        b = [[[RF_ZERO] * 4 for _ in range(4)] for _ in range(4)]
         for col, c in vec.items():
             s, i, j = col // 16, col // 4 % 4, col % 4
+            b[s][i][j] = c
             acc[s][i][j] = acc[s][i][j] + p * c
+        basis.append([FieldMatrix(4, 4, rows) for rows in b])
     maps = [FieldMatrix(4, 4, rows) for rows in acc]
-    return ConnectionFamily(maps=maps, free_params=params)
+    return ConnectionFamily(maps=maps, free_params=params, basis=basis)
 
 
 def curvature(pair: LiePair, maps: list) -> CurvatureForm:
@@ -226,9 +256,31 @@ def curvature(pair: LiePair, maps: list) -> CurvatureForm:
     return CurvatureForm(components=components)
 
 
-def depends_on_connection_params(form: CurvatureForm,
-                                 conn: ConnectionFamily) -> bool:
-    return bool(form.variables() & set(conn.free_params))
+def depends_on_connection_params(conn: ConnectionFamily) -> bool:
+    """Whether the curvature of the family depends on v1..vd.
+
+    With L_s = sum_k v_k B_s^k, R_ij = sum_{k,l} v_k v_l [B_i^k, B_j^l] -
+    rho([u_i, u_j]) is a quadratic form in v plus a constant, so it depends
+    on v iff a coefficient of one of its monomials is nonzero: [B_i^k, B_j^k]
+    for v_k^2, [B_i^k, B_j^l] + [B_i^l, B_j^k] for v_k v_l with k < l.  The
+    answer is kept on the family, so each family is decided once.
+    """
+    if conn._depends is None:
+        conn._depends = any(not m.is_zero()
+                            for m in _quadratic_coefficients(conn.basis))
+    return conn._depends
+
+
+def _quadratic_coefficients(basis: list):
+    """The coefficient matrices of the v-monomials in each R_ij, lazily."""
+    n = len(basis)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            for k in range(n):
+                yield basis[k][i].commutator(basis[k][j])
+                for l in range(k + 1, n):
+                    yield (basis[k][i].commutator(basis[l][j])
+                           + basis[l][i].commutator(basis[k][j]))
 
 
 def _vec(m: FieldMatrix) -> list:

@@ -142,6 +142,8 @@ class Poly:
         """(monomial, coefficient) of the graded-lex leading term."""
         if not self.terms:
             return (_ONE_MONO, 0)
+        if len(self.terms) == 1:
+            return next(iter(self.terms.items()))
         mono = max(self.terms, key=_mono_key)
         return (mono, self.terms[mono])
 
@@ -569,9 +571,13 @@ class RatFunc:
         if a and b:
             return _const(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
         if self.den.terms == other.den.terms:
-            return _from_ints(self.num + other.num, self.den)
-        return _from_ints(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
+            num, den = self.num + other.num, self.den
+        else:
+            num = self.num * other.den + other.num * self.den
+            den = self.den * other.den
+        if self.den.is_constant() or other.den.is_constant():
+            return _from_coprime(num, den)
+        return _from_ints(num, den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         if not other.num.terms:
@@ -580,9 +586,13 @@ class RatFunc:
         if a and b:
             return _const(a[0] * b[1] - b[0] * a[1], a[1] * b[1])
         if self.den.terms == other.den.terms:
-            return _from_ints(self.num - other.num, self.den)
-        return _from_ints(self.num * other.den - other.num * self.den,
-                          self.den * other.den)
+            num, den = self.num - other.num, self.den
+        else:
+            num = self.num * other.den - other.num * self.den
+            den = self.den * other.den
+        if self.den.is_constant() or other.den.is_constant():
+            return _from_coprime(num, den)
+        return _from_ints(num, den)
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den, _canonical=True)
@@ -593,7 +603,10 @@ class RatFunc:
         a, b = _const_parts(self), _const_parts(other)
         if a and b:
             return _const(a[0] * b[0], a[1] * b[1])
-        return _from_ints(self.num * other.num, self.den * other.den)
+        num, den = self.num * other.num, self.den * other.den
+        if a or b or (self.den.is_constant() and other.den.is_constant()):
+            return _from_coprime(num, den)
+        return _from_ints(num, den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
@@ -603,7 +616,10 @@ class RatFunc:
         a, b = _const_parts(self), _const_parts(other)
         if a and b:
             return _const(a[0] * b[1], a[1] * b[0])
-        return _from_ints(self.num * other.den, self.den * other.num)
+        num, den = self.num * other.den, self.den * other.num
+        if a or b:
+            return _from_coprime(num, den)
+        return _from_ints(num, den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatFunc)
@@ -688,7 +704,12 @@ def _reduce(num: Poly, den: Poly) -> tuple:
     if not g.is_constant():
         num = num.divexact(g)
         den = den.divexact(g)
-    # joint integer scaling: content 1 across both, positive den leading coeff
+    return _unit_normal(num, den)
+
+
+def _unit_normal(num: Poly, den: Poly) -> tuple:
+    """num/den over their joint integer content, with the leading coefficient
+    of den positive; num nonzero."""
     c = math.gcd(*num.terms.values(), *den.terms.values())
     if den.leading()[1] < 0:
         c = -c
@@ -701,6 +722,25 @@ def _reduce(num: Poly, den: Poly) -> tuple:
 def _from_ints(num: Poly, den: Poly) -> RatFunc:
     """RatFunc of integer-coefficient num/den, skipping the Fraction scan."""
     return RatFunc(*_reduce(num, den), _canonical=True)
+
+
+def _from_coprime(num: Poly, den: Poly) -> RatFunc:
+    """What _from_ints gives when gcd(num, den) over Q[params] is a constant:
+    only the integer content and the sign of den's leading coefficient are
+    fixed, with no polynomial gcd.
+
+    For canonical operands (each numerator coprime to its denominator) that
+    holds when
+      * a sum or difference has a constant denominator beta on one side:
+        gcd(a*d + beta*c, beta*d) = gcd(beta*c, d) = 1;
+      * a product has two constant denominators, or a constant operand;
+      * a quotient has a constant operand;
+    in the last two, each numerator meets only its own denominator and
+    nonzero constants, which are units of Q[params].
+    """
+    if not num.terms:
+        return RF_ZERO
+    return RatFunc(*_unit_normal(num, den), _canonical=True)
 
 
 def _const_parts(x: RatFunc) -> tuple | None:

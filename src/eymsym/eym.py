@@ -45,7 +45,7 @@ from .liecat import (CaseGolden, CatalogEntry, LiePair, NotSymmetric,
                      isotropy_rep, symmetric_witness)
 from .geom import (CurvatureReport, MetricFamily, levi_civita,
                    solve_invariant_metric)
-from .conn import (ConnectionFamily, CurvatureForm, curvature,
+from .conn import (ConnectionFamily, CurvatureForm,
                    depends_on_connection_params, expand_in_basis, holonomy,
                    solve_connections)
 
@@ -332,7 +332,7 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
                                     lorentz=golden.lorentz)
     lc = levi_civita(pair, family)
     conn = solve_connections(pair, family.g)
-    param_dep = depends_on_connection_params(curvature(pair, conn.maps), conn)
+    param_dep = depends_on_connection_params(conn)
     # the curvature of the canonical member, and of the whole family when it
     # does not depend on the parameters
     form = CurvatureForm(components=lc.operators)

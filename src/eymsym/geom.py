@@ -6,6 +6,17 @@ conventional parameter letters, that parameterization is verified to span
 the same solution space and is then used for all downstream output, so the
 engine's formulas come out in the familiar letters (a, b, c, d).
 
+solve_invariant_metric solves each distinct input once per process.  The
+result reads the isotropy matrices, the shape, the Lorentz condition it
+carries and the case-parameter names (all of them without a shape, where
+the default letters skip them; those in the shape otherwise, where they are
+not metric parameters), never the [m, m] brackets; the memo key is those
+values, matrices as tuples of canonical RatFuncs that hash and compare by
+value (14 keys over the 35 catalog cases).  Failures are not stored, so
+NoInvariantMetric and BadMetricShape always name the case that raised them.
+Cases with equal keys share one MetricFamily, its det_g and its lazily
+computed inverse, so callers treat it as read-only.
+
 Curvature conventions, pinned once and checked by the golden tests.  The
 pair is symmetric ([m, m] in h), so the Levi-Civita connection has zero
 connection maps and its curvature is conn.curvature of the zero maps:
@@ -24,7 +35,7 @@ from fractions import Fraction
 from .conn import curvature
 from .exact import RF_ZERO, RatFunc, linear_parts, parse_ratfunc, rf
 from .linalg import (FieldMatrix, det, int_nullspace, integer_entries, inverse,
-                     nonzero_entries, nullspace, rref)
+                     matrices_key, nonzero_entries, nullspace, rref)
 from .liecat import LiePair, isotropy_rep
 
 
@@ -95,6 +106,9 @@ def _invariance_rows(entries: list) -> list:
     return [row for row in rows.values() if row]
 
 
+_FAMILIES: dict = {}    # (rho, shape, lorentz, case parameters) -> MetricFamily
+
+
 def solve_invariant_metric(pair: LiePair, shape: FieldMatrix | None = None,
                            lorentz: str | None = None) -> MetricFamily:
     """General invariant symmetric bilinear form on the complement.
@@ -102,11 +116,29 @@ def solve_invariant_metric(pair: LiePair, shape: FieldMatrix | None = None,
     When `shape` is given (the family written in its conventional letters) it
     is verified against the computed solution space and then adopted, so
     parameter names match the published tables.  Without a shape, free
-    parameters are named a, b, c, ... in unknown order.
+    parameters are named a, b, c, ... in unknown order.  Solved once per
+    distinct input in a process; the family returned is shared and read-only
+    (module docstring).
     """
     case_params = {p.name for p in pair.params}
-    n = len(_UPPER)
     rhos = isotropy_rep(pair)
+    if shape is None:
+        key = (matrices_key(rhos), None, lorentz, tuple(sorted(case_params)))
+    else:   # only the case parameters in the shape change the result
+        names = {v for row in shape.entries for x in row for v in x.variables()}
+        key = (matrices_key(rhos), matrices_key([shape]), lorentz,
+               tuple(sorted(case_params & names)))
+    family = _FAMILIES.get(key)
+    if family is None:
+        family = _FAMILIES[key] = _solve_invariant_metric(
+            pair, rhos, shape, lorentz, case_params)
+    return family
+
+
+def _solve_invariant_metric(pair: LiePair, rhos: list,
+                            shape: FieldMatrix | None, lorentz: str | None,
+                            case_params: set) -> MetricFamily:
+    n = len(_UPPER)
     scaled = integer_entries(rhos)
     if scaled is None:      # a case parameter in rho
         rows = [[row.get(c, RF_ZERO) for c in range(n)] for rho in rhos

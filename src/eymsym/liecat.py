@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations
 
-from .exact import ParseError, RatFunc, linear_parts, parse_ratfunc, rf
+from .exact import RF_ZERO, ParseError, RatFunc, linear_parts, parse_ratfunc
 from .linalg import FieldMatrix, rank
 
 U_LABELS = ("u1", "u2", "u3", "u4")
@@ -336,7 +336,7 @@ def isotropy_rep(pair: LiePair) -> list:
             if bad:
                 raise NotReductive(
                     f"{pair.case_id}: [{e},{u}] has isotropy component on {bad}")
-            cols.append([coeffs.get(lbl, rf(0)) for lbl in U_LABELS])
+            cols.append([coeffs.get(lbl, RF_ZERO) for lbl in U_LABELS])
         mats.append(FieldMatrix(4, 4, [[cols[j][i] for j in range(4)]
                                        for i in range(4)]))
     return mats
@@ -357,7 +357,7 @@ def validate_pair(pair: LiePair) -> ValidationReport:
         total: dict = {}
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             for lbl, v in pair.bracket_vec(pair.bracket(a, b), c).items():
-                total[lbl] = total.get(lbl, rf(0)) + v
+                total[lbl] = total.get(lbl, RF_ZERO) + v
         if any(not v.is_zero() for v in total.values()):
             witness = f"({x},{y},{z})"
             break

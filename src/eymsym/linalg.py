@@ -152,6 +152,12 @@ class FieldMatrix:
         return f"FieldMatrix({self.rows}x{self.cols})"
 
 
+def matrices_key(mats: list) -> tuple:
+    """The entries of `mats` as nested tuples of canonical RatFuncs, which
+    hash and compare by value: a dictionary key for the matrices' values."""
+    return tuple(tuple(map(tuple, m.entries)) for m in mats)
+
+
 def _nonzero_tail(row: list, c: int) -> list:
     """(j, row[j]) for the nonzero entries right of column c."""
     return [(j, row[j]) for j in range(c + 1, len(row)) if not row[j].is_zero()]

@@ -10,7 +10,8 @@ import pytest
 from eymsym.exact import RF_ZERO, RatFunc, rf
 from eymsym.liecat import U_LABELS, isotropy_rep
 from eymsym.linalg import FieldMatrix, nullspace, rank
-from eymsym.conn import (CurvatureForm, NonClosing, curvature, expand_in_basis,
+from eymsym.conn import (ConnectionFamily, CurvatureForm, NonClosing, curvature,
+                         depends_on_connection_params, expand_in_basis,
                          holonomy)
 from eymsym.crosscheck import NumericCase, sample_point
 
@@ -272,6 +273,47 @@ def test_curvature_param_dependence_flags(reports):
     # large families do feed the curvature beyond the canonical member
     assert reports["1.1^1(7)"].curvature_param_dependent
     assert reports["3.5^2(2)"].curvature_param_dependent
+
+
+def test_basis_maps_rebuild_the_family(reports):
+    for r in reports.values():
+        conn = r.conn
+        acc = [FieldMatrix.zeros(4, 4) for _ in range(4)]
+        for p in conn.free_params:
+            acc = [a + b.scale(RatFunc.var(p))
+                   for a, b in zip(acc, conn.basis_map(p))]
+        assert acc == conn.maps, r.case_id
+
+
+def test_dependence_decision_matches_symbolic_curvature(reports):
+    """The decision from basis-map commutators agrees with the variables of
+    the curvature built symbolically in v1..vd, on a fresh family too."""
+    for r in reports.values():
+        conn = r.conn
+        symbolic = bool(curvature(r.pair, conn.maps).variables()
+                        & set(conn.free_params))
+        fresh = ConnectionFamily(maps=conn.maps, free_params=conn.free_params,
+                                 basis=conn.basis)
+        assert depends_on_connection_params(fresh) == symbolic, r.case_id
+        assert r.curvature_param_dependent == symbolic, r.case_id
+    assert sum(r.curvature_param_dependent for r in reports.values()) == 22
+
+
+def test_dependence_through_a_cross_term_alone():
+    """B^1 = E12 in slot u1, B^2 = E21 in slot u2: every [B_i^k, B_j^k]
+    vanishes, but [B_1^1, B_2^2] + [B_1^2, B_2^1] = E11 - E22 does not, so
+    R(u1, u2) carries v1*v2."""
+    zero = FieldMatrix.zeros(4, 4)
+    e12, e21 = FieldMatrix.zeros(4, 4), FieldMatrix.zeros(4, 4)
+    e12.entries[0][1] = e21.entries[1][0] = rf(1)
+    v1, v2 = RatFunc.var("v1"), RatFunc.var("v2")
+    basis = [[e12, zero, zero, zero], [zero, e21, zero, zero]]
+    maps = [e12.scale(v1), e21.scale(v2), zero, zero]
+    family = ConnectionFamily(maps=maps, free_params=["v1", "v2"], basis=basis)
+    assert all(b[i].commutator(b[j]).is_zero()
+               for b in basis for i in range(4) for j in range(4))
+    assert depends_on_connection_params(family)
+    assert maps[0].commutator(maps[1]).entries[0][0] == v1 * v2
 
 
 def u2_u4_subfamily(report):

@@ -153,6 +153,57 @@ def test_constant_fast_path_matches_general_path():
     assert zeros
 
 
+def _int_poly(rng: random.Random, max_terms: int) -> Poly:
+    out = Poly.zero()
+    for _ in range(rng.randint(1, max_terms)):
+        mono = tuple((name, e) for name in "ab" if (e := rng.randint(0, 2)))
+        out = out + Poly({mono: rng.choice((-1, 1)) * rng.randint(1, 6)})
+    return out
+
+
+def test_coprime_fast_path_matches_general_path():
+    """Sums with a constant denominator, products with two constant
+    denominators or a constant operand, and quotients with a constant
+    operand skip the polynomial gcd; they must still be canonical."""
+    rng = random.Random(41)
+    consts = [rf(Fraction(rng.choice((-1, 1)) * rng.randint(1, 12),
+                          rng.randint(1, 6))) for _ in range(20)]
+    consts += [rf(-3), rf(Fraction(-2, 3))]
+    polys = []          # constant denominator, leading sign either way
+    while len(polys) < 30:
+        num = _int_poly(rng, 3)
+        if not num.is_constant():
+            polys.append(_from_ints(num, Poly.const(
+                rng.choice((-1, 1)) * rng.randint(1, 6))))
+    polys += [RF_ONE - A, (B * B - A) / rf(4), rf(-6) * A * B]
+    fractions = []      # non-constant denominator
+    while len(fractions) < 30:
+        num, den = _int_poly(rng, 2), _int_poly(rng, 2)
+        if not den.is_constant():
+            fractions.append(_from_ints(num, den))
+    fractions += [RF_ONE / (RF_ONE - A), (A + B) / (rf(-2) * A * A + B)]
+    operands = consts + polys + fractions
+    for x in operands:
+        assert all(type(c) is int for c in (*x.num.terms.values(),
+                                            *x.den.terms.values()))
+    cases = [(rng.choice(consts + polys), rng.choice(operands))
+             for _ in range(400)]
+    cases += [(y, x) for x, y in cases]
+    cases += [(rng.choice(fractions), rng.choice(fractions)) for _ in range(100)]
+    for x, y in cases:
+        for op, general in _GENERAL.items():
+            if op is operator.truediv and y.is_zero():
+                continue
+            got, want = op(x, y), general(x, y)
+            assert got.num.terms == want.num.terms, (op, x, y)
+            assert got.den.terms == want.den.terms, (op, x, y)
+            assert got == want and hash(got) == hash(want)
+    # a negative constant divisor, and a divisor with negative leading coefficient
+    assert (A + RF_ONE) / rf(-2) == _from_ints(-A.num - RF_ONE.num, Poly.const(2))
+    got = rf(3) / (RF_ONE - A)
+    assert str(got) == "-3/(a - 1)" and got.den.leading()[1] > 0
+
+
 def test_eval_is_homomorphism():
     rng = random.Random(31)
     checked = 0

@@ -68,6 +68,11 @@ def test_traced_run_case_records_spans_and_keeps_the_report():
     assert result["same"]
     calls = result["calls"]
     assert calls["eym.run_case"] == 1
+    # the untraced run already solved this case: the memo answers, and the
+    # only curvature built is the Levi-Civita one
+    assert calls["conn.solve_connections"] == 1
+    assert calls["conn.depends_on_connection_params"] == 1
+    assert calls["conn.curvature"] == 1
     assert calls["conn.holonomy"] == 1
     assert calls["conn.expand_in_basis"] == 1
     assert calls["linalg.rref"] > 0
