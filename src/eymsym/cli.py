@@ -23,7 +23,6 @@ import zlib
 from fractions import Fraction
 
 from .conn import NonClosing
-from .crosscheck import crosscheck_case, sample_point
 from .exact import (ParseError, PoleAtPoint, format_point, parse_ratfunc,
                     rf)
 from .eym import HolonomyMetric, run_case
@@ -173,6 +172,8 @@ def _golden_failure(report, name: str) -> str:
 def _validate_one(entry, failures: list, seed: int | None = None) -> None:
     """Append the case's failures; an unanalysable case raises after them.
     `seed` overrides validate_seed for the sample points."""
+    # imported here, as no other verb needs the numeric cross-check
+    from .crosscheck import crosscheck_case, sample_point
     rep = validate_pair(entry.pair)
     failures += [f"{name} ({witness})" if witness else name
                  for name, witness in rep.failures()]

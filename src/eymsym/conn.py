@@ -11,10 +11,22 @@ rows are assembled straight from rho(e_a) and g.  The equivariance rows
 carry no metric parameter.  When every isotropy matrix is constant (all
 catalog cases but the three whose isotropy carries `lam`), the rows of all
 generators, each rho scaled to integers, are solved in one call of
-linalg.int_nullspace, which returns the nullspace() basis.  Otherwise they
-are solved in stages over RatFunc, one generator at a time, each restricted
-to the kernel basis found so far.  The g-skewness rows, the only ones with
-metric parameters, are then solved on the few kernel vectors left.
+linalg.int_nullspace, which returns the nullspace() basis.  The g-skewness
+rows, the only ones with metric parameters, are then solved on the few
+kernel vectors left.
+
+When rho carries case parameters, every parameter is first set to c = 1,
+then 2, ..., 8, up to the first point where every entry of rho is defined
+(a point where subs meets a pole is skipped), and the specialised rows are
+solved over the integers.  Specialising can only lower the rank where every
+entry is defined: a nonzero minor at the point is the value of the same
+minor over Q(params), which is then nonzero too.  So the kernel at the point
+is at least as large as the generic one, and when it is empty the kernel
+over Q(params) is empty as well; it is returned without further work (the
+three `lam` cases all end here, at lam = 1).  When the specialised kernel
+is not empty, or no point tried is free of poles, the rows are solved in
+stages over RatFunc, one generator at a time, each restricted to the kernel
+basis found so far.
 
 The free parameters v1, v2, ... belong to the basis that one nullspace of
 the whole system gives (free variables set to 1 in column order), and the
@@ -53,10 +65,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact import RF_ONE, RF_ZERO, RatFunc
+from .exact import RF_ONE, RF_ZERO, PoleAtPoint, RatFunc
 from .linalg import (FieldMatrix, int_nullspace, integer_entries,
                      matrices_key, nonzero_entries, nullspace, rref)
-from .liecat import LiePair, U_LABELS, isotropy_rep
+from .liecat import LiePair, U_LABELS
 
 
 class NonClosing(RuntimeError):
@@ -75,14 +87,6 @@ class ConnectionFamily:
     @property
     def dim(self) -> int:
         return len(self.free_params)
-
-    def member(self, assignment: dict) -> list:
-        full = {name: assignment.get(name, 0) for name in self.free_params}
-        return [m.subs(full) for m in self.maps]
-
-    def canonical_member(self) -> list:
-        """The member with every free parameter zero."""
-        return self.member({})
 
     def basis_map(self, param: str) -> list:
         """The four coefficient matrices attached to one free parameter."""
@@ -200,13 +204,13 @@ def _cut(kernel: list | None, rows: list) -> list | None:
 _FAMILIES: dict = {}    # (isotropy matrices, g) by value -> ConnectionFamily
 
 
-def solve_connections(pair: LiePair, g: FieldMatrix) -> ConnectionFamily:
+def solve_connections(rhos: list, g: FieldMatrix) -> ConnectionFamily:
     """General solution of equivariance + g-skewness, parameters v1..vd.
 
-    Solved once per distinct (rho, g) in a process; the family returned is
-    shared and read-only (module docstring).
+    `rhos` are the isotropy matrices (liecat.isotropy_rep).  Solved once per
+    distinct (rho, g) in a process; the family returned is shared and
+    read-only (module docstring).
     """
-    rhos = isotropy_rep(pair)
     key = (matrices_key(rhos), matrices_key([g]))
     family = _FAMILIES.get(key)
     if family is None:
@@ -214,17 +218,45 @@ def solve_connections(pair: LiePair, g: FieldMatrix) -> ConnectionFamily:
     return family
 
 
-def _solve_connections(rhos: list, g: FieldMatrix) -> ConnectionFamily:
+def _int_kernel(scaled: list) -> list:
+    """int_nullspace of the equivariance rows of integer-scaled rhos."""
+    rows = [row for ents in scaled for row in _equivariance_rows(ents)]
+    return int_nullspace(rows, _N_UNKNOWNS)
+
+
+def _empty_when_specialised(rhos: list) -> bool:
+    """Whether the equivariance rows have no nonzero solution at the first
+    point where every entry of rho is defined, each case parameter set to
+    c = 1, 2, ..., 8; False when no point tried is (module docstring)."""
+    names = sorted({v for rho in rhos for row in rho.entries for x in row
+                    for v in x.variables()})
+    for c in range(1, 9):
+        point = dict.fromkeys(names, c)
+        try:
+            spec = [rho.subs(point) for rho in rhos]
+        except PoleAtPoint:
+            continue
+        return not _int_kernel(integer_entries(spec))
+    return False
+
+
+def _equivariance_kernel(rhos: list) -> list | None:
+    """Basis of the solutions of the equivariance rows (None: all 64
+    unknowns, when no row constrains them)."""
     scaled = integer_entries(rhos)
-    if scaled is None:      # a case parameter in rho: staged RatFunc solve
-        kernel = None
-        for rho in rhos:
-            kernel = _cut(kernel, _equivariance_rows(nonzero_entries(rho)))
-    else:
-        rows = [row for ents in scaled for row in _equivariance_rows(ents)]
-        kernel = [{col: RatFunc.const(x) for col, x in vec.items()}
-                  for vec in int_nullspace(rows, _N_UNKNOWNS)]
-    kernel = _cut(kernel, _skewness_rows(g))
+    if scaled is not None:
+        return [{col: RatFunc.const(x) for col, x in vec.items()}
+                for vec in _int_kernel(scaled)]
+    if _empty_when_specialised(rhos):
+        return []
+    kernel = None       # a case parameter in rho: staged RatFunc solve
+    for rho in rhos:
+        kernel = _cut(kernel, _equivariance_rows(nonzero_entries(rho)))
+    return kernel
+
+
+def _solve_connections(rhos: list, g: FieldMatrix) -> ConnectionFamily:
+    kernel = _cut(_equivariance_kernel(rhos), _skewness_rows(g))
     if kernel is None:      # no constraint at all: every unknown is free
         kernel = [{c: RF_ONE} for c in range(_N_UNKNOWNS)]
 
@@ -243,9 +275,9 @@ def _solve_connections(rhos: list, g: FieldMatrix) -> ConnectionFamily:
     return ConnectionFamily(maps=maps, free_params=params, basis=basis)
 
 
-def curvature(pair: LiePair, maps: list) -> CurvatureForm:
-    """R(u_i, u_j) = [L_i, L_j] - rho([u_i,u_j]) on a symmetric pair."""
-    rhos = isotropy_rep(pair)
+def curvature(pair: LiePair, rhos: list, maps: list) -> CurvatureForm:
+    """R(u_i, u_j) = [L_i, L_j] - rho([u_i,u_j]) on a symmetric pair, with
+    `rhos` its isotropy matrices (liecat.isotropy_rep)."""
     components = {}
     for i in range(4):
         for j in range(i + 1, 4):

@@ -291,6 +291,7 @@ def residual_is_zero(residual: dict) -> bool:
 class CaseReport:
     case_id: str
     pair: LiePair
+    rhos: list                # isotropy_rep(pair), built once per case
     golden: CaseGolden
     family: MetricFamily
     lc: CurvatureReport
@@ -328,16 +329,17 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
     if witness:
         raise NotSymmetric(
             f"{pair.case_id}: bracket of {witness} has a component in m")
-    family = solve_invariant_metric(pair, shape=golden.metric,
+    rhos = isotropy_rep(pair)
+    family = solve_invariant_metric(pair, rhos, shape=golden.metric,
                                     lorentz=golden.lorentz)
-    lc = levi_civita(pair, family)
-    conn = solve_connections(pair, family.g)
+    lc = levi_civita(pair, rhos, family)
+    conn = solve_connections(rhos, family.g)
     param_dep = depends_on_connection_params(conn)
     # the curvature of the canonical member, and of the whole family when it
     # does not depend on the parameters
     form = CurvatureForm(components=lc.operators)
 
-    basis = holonomy(form, isotropy_rep(pair))
+    basis = holonomy(form, rhos)
     form.holonomy_basis = basis
     form.structure = expand_in_basis(form, basis)
 
@@ -360,9 +362,9 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
             flags["kappa"] = verdict.kappa == golden.kappa
 
     report = CaseReport(
-        case_id=pair.case_id, pair=pair, golden=golden, family=family,
-        lc=lc, conn=conn, curvature_param_dependent=param_dep, form=form,
-        hol_basis=basis, T=T, verdict=verdict, flags=flags, hm=hm)
+        case_id=pair.case_id, pair=pair, rhos=rhos, golden=golden,
+        family=family, lc=lc, conn=conn, curvature_param_dependent=param_dep,
+        form=form, hol_basis=basis, T=T, verdict=verdict, flags=flags, hm=hm)
     if verdict.is_solution:
         flags["second_eym"] = report.second_residual_zero
     return report

@@ -36,7 +36,7 @@ from .conn import curvature
 from .exact import RF_ZERO, RatFunc, linear_parts, parse_ratfunc, rf
 from .linalg import (FieldMatrix, det, int_nullspace, integer_entries, inverse,
                      matrices_key, nonzero_entries, nullspace, rref)
-from .liecat import LiePair, isotropy_rep
+from .liecat import LiePair
 
 
 class NoInvariantMetric(ValueError):
@@ -109,9 +109,11 @@ def _invariance_rows(entries: list) -> list:
 _FAMILIES: dict = {}    # (rho, shape, lorentz, case parameters) -> MetricFamily
 
 
-def solve_invariant_metric(pair: LiePair, shape: FieldMatrix | None = None,
+def solve_invariant_metric(pair: LiePair, rhos: list,
+                           shape: FieldMatrix | None = None,
                            lorentz: str | None = None) -> MetricFamily:
-    """General invariant symmetric bilinear form on the complement.
+    """General invariant symmetric bilinear form on the complement, with
+    `rhos` the isotropy matrices of the pair (liecat.isotropy_rep).
 
     When `shape` is given (the family written in its conventional letters) it
     is verified against the computed solution space and then adopted, so
@@ -121,7 +123,6 @@ def solve_invariant_metric(pair: LiePair, shape: FieldMatrix | None = None,
     (module docstring).
     """
     case_params = {p.name for p in pair.params}
-    rhos = isotropy_rep(pair)
     if shape is None:
         key = (matrices_key(rhos), None, lorentz, tuple(sorted(case_params)))
     else:   # only the case parameters in the shape change the result
@@ -279,14 +280,16 @@ def lorentz_condition_holds(condition: str, sample: dict) -> bool:
 # -- Levi-Civita curvature --------------------------------------------------------------
 
 
-def levi_civita(pair: LiePair, family: MetricFamily) -> CurvatureReport:
-    """Curvature, Ricci and scalar of the Levi-Civita connection."""
+def levi_civita(pair: LiePair, rhos: list,
+                family: MetricFamily) -> CurvatureReport:
+    """Curvature, Ricci and scalar of the Levi-Civita connection; `rhos`
+    are the isotropy matrices of the pair (liecat.isotropy_rep)."""
     if family.det_g.is_zero():
         raise SingularMetric(
             f"{pair.case_id}: det g vanishes identically on the metric family")
     g_inv = family.g_inverse()
     # on a symmetric pair the Levi-Civita connection maps are zero
-    form = curvature(pair, [FieldMatrix.zeros(4, 4)] * 4)
+    form = curvature(pair, rhos, [FieldMatrix.zeros(4, 4)] * 4)
 
     ricci_rows = []
     for i in range(4):

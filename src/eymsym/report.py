@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .eym import CaseReport
-from .liecat import Catalog, isotropy_rep
+from .liecat import Catalog
 from .linalg import FieldMatrix
 
 
@@ -41,7 +41,7 @@ def report_to_dict(r: CaseReport) -> dict:
             "det": str(r.family.det_g),
             "lorentz": r.family.lorentz,
         },
-        "isotropy": [_mat(m) for m in isotropy_rep(r.pair)],
+        "isotropy": [_mat(m) for m in r.rhos],
         "ricci": _mat(r.lc.ricci),
         "scalar": str(r.lc.scalar),
         "connection": {
@@ -95,7 +95,7 @@ def report_markdown(r: CaseReport) -> str:
     if r.family.lorentz:
         out.append(f"Lorentzian iff {r.family.lorentz}")
     out += ["", "## Isotropy representation", ""]
-    for lbl, m in zip(r.pair.e_labels, isotropy_rep(r.pair)):
+    for lbl, m in zip(r.pair.e_labels, r.rhos):
         out.append(f"rho({lbl}):")
         out.append(_md_matrix(m))
     out += ["", "## Levi-Civita curvature", "", "Ricci tensor:",

@@ -262,7 +262,7 @@ def test_c6_second_equation_on_all_solutions(reports):
         r = reports[cid]
         maps, keep = u2_u4_subfamily(r)
         if keep:  # symbolic connection parameters where the family allows it
-            form = curvature(r.pair, maps)
+            form = curvature(r.pair, r.rhos, maps)
             star = hodge_star_2form(form, r.family)
             assert residual_is_zero(second_eym_residual(maps, star)), cid
     note("criterion 6 [second equation residual identically zero]: PASS")

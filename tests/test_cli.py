@@ -13,6 +13,7 @@ from pathlib import Path
 
 import eymsym
 import eymsym.cli
+import eymsym.crosscheck
 from eymsym.cli import main
 from eymsym.exact import format_point
 from eymsym.report import json_dumps
@@ -157,8 +158,27 @@ def test_validate_seed_is_stable_across_hash_seeds():
     assert outs[0].split()[0] == str(zlib.crc32(b"2.1^2(1)"))
 
 
+def test_only_validate_imports_the_crosscheck():
+    """`list` and `report` never load eymsym.crosscheck; `validate` does."""
+    script = ("import sys\n"
+              "from eymsym.cli import main\n"
+              "def loaded(code):\n"
+              "    seen = 'eymsym.crosscheck' in sys.modules\n"
+              "    print(code, seen, file=sys.stderr)\n"
+              "loaded(main(['list']))\n"
+              "loaded(main(['report', '2.5^2(4)', '--format', 'json']))\n"
+              "loaded(main(['validate', '--filter', '2.5^2(4)']))\n")
+    src = str(Path(eymsym.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert done.stderr.splitlines() == ["0 False", "0 False", "0 True"]
+    assert "1/1 pass" in done.stdout
+
+
 def test_validate_crosscheck_fail_line_replays(capsys, monkeypatch):
-    monkeypatch.setattr(eymsym.cli, "crosscheck_case",
+    monkeypatch.setattr(eymsym.crosscheck, "crosscheck_case",
                         lambda entry, report, sample: ["ricci"])
     code, out, _ = run_cli(capsys, "validate", "--filter", "1.1^1(7)")
     assert code == 1
@@ -200,7 +220,7 @@ def test_validate_seed_replays_a_fail_line(capsys, monkeypatch):
             bad_point.append(format_point(sample))
         return ["ricci"] if format_point(sample) == bad_point[0] else []
 
-    monkeypatch.setattr(eymsym.cli, "crosscheck_case", crosscheck)
+    monkeypatch.setattr(eymsym.crosscheck, "crosscheck_case", crosscheck)
     code, out, _ = run_cli(capsys, "validate", "--filter", "1.1^1(7)",
                            "--seed", "123")
     assert code == 1

@@ -16,21 +16,29 @@ from eymsym.conn import (ConnectionFamily, CurvatureForm, NonClosing, curvature,
 from eymsym.crosscheck import NumericCase, sample_point
 
 
+def _defining_residuals(pair, maps, g):
+    """Equivariance residuals per (e, u), then g-skewness residuals per u,
+    built from the brackets and isotropy_rep."""
+    rhos = isotropy_rep(pair)
+    out = []
+    for a, e in enumerate(pair.e_labels):
+        for s, u in enumerate(U_LABELS):
+            res = rhos[a] * maps[s] - maps[s] * rhos[a]
+            for lbl, c in pair.bracket(e, u).items():
+                res = res - maps[U_LABELS.index(lbl)].scale(c)
+            out.append(((e, u), res))
+    for s in range(4):
+        out.append((s, maps[s].transpose() * g + g * maps[s]))
+    return out
+
+
 def test_families_satisfy_defining_equations(catalog, reports):
     """Equivariance and g-skewness hold identically in the free parameters."""
     for entry in catalog.entries:
         r = reports[entry.pair.case_id]
-        pair, g = entry.pair, r.family.g
-        rhos = isotropy_rep(pair)
-        for a, e in enumerate(pair.e_labels):
-            for s, u in enumerate(U_LABELS):
-                res = rhos[a] * r.conn.maps[s] - r.conn.maps[s] * rhos[a]
-                for lbl, c in pair.bracket(e, u).items():
-                    res = res - r.conn.maps[U_LABELS.index(lbl)].scale(c)
-                assert res.is_zero(), (entry.pair.case_id, e, u)
-        for s in range(4):
-            skew = r.conn.maps[s].transpose() * g + g * r.conn.maps[s]
-            assert skew.is_zero(), (entry.pair.case_id, s)
+        for where, res in _defining_residuals(entry.pair, r.conn.maps,
+                                              r.family.g):
+            assert res.is_zero(), (entry.pair.case_id, where)
 
 
 def _numeric_family_dim(entry, sample) -> int:
@@ -89,11 +97,11 @@ def test_family_dimensions_match_numeric_rank(catalog, reports):
             entry.pair.case_id
 
 
-def _one_shot_system(pair, g) -> FieldMatrix:
+def _one_shot_system(rhos, g) -> FieldMatrix:
     """Equivariance and g-skewness stacked in one RatFunc system over the 64
     unknowns L_s[i][j] = 16*s + 4*i + j, every entry of both residuals."""
     rows = []
-    for rho in isotropy_rep(pair):
+    for rho in rhos:
         r = rho.entries
         for s in range(4):
             for p in range(4):
@@ -117,22 +125,29 @@ def _one_shot_system(pair, g) -> FieldMatrix:
     return FieldMatrix(len(rows), 64, rows)
 
 
+def _one_shot_family(rhos, g) -> tuple:
+    """Parameters v1..vd and maps from one nullspace of the whole system."""
+    basis = nullspace(_one_shot_system(rhos, g))
+    params = [f"v{k + 1}" for k in range(len(basis))]
+    maps = []
+    for s in range(4):
+        expected = [[RF_ZERO] * 4 for _ in range(4)]
+        for name, vec in zip(params, basis):
+            for i in range(4):
+                for j in range(4):
+                    expected[i][j] += RatFunc.var(name) * vec[16 * s + 4 * i + j]
+        maps.append(FieldMatrix(4, 4, expected))
+    return params, maps
+
+
 def test_family_basis_is_the_one_shot_nullspace(catalog, reports):
     """The staged solve keeps the basis of one nullspace of the whole system:
     same parameters v1..vd, same maps entry by entry."""
     for entry in catalog.entries:
         r = reports[entry.pair.case_id]
-        basis = nullspace(_one_shot_system(entry.pair, r.family.g))
-        params = [f"v{k + 1}" for k in range(len(basis))]
+        params, maps = _one_shot_family(isotropy_rep(entry.pair), r.family.g)
         assert r.conn.free_params == params, entry.pair.case_id
-        for s in range(4):
-            expected = [[RF_ZERO] * 4 for _ in range(4)]
-            for name, vec in zip(params, basis):
-                for i in range(4):
-                    for j in range(4):
-                        expected[i][j] += RatFunc.var(name) * vec[16 * s + 4 * i + j]
-            assert r.conn.maps[s] == FieldMatrix(4, 4, expected), \
-                (entry.pair.case_id, s)
+        assert r.conn.maps == maps, entry.pair.case_id
 
 
 def test_hand_derived_family_dimensions(reports):
@@ -148,9 +163,16 @@ def test_hand_derived_family_dimensions(reports):
         assert reports[f"3.5^1({k})"].conn.dim == 2
 
 
-def test_canonical_member_is_zero_map(reports):
-    for r in reports.values():
-        assert all(m.is_zero() for m in r.conn.canonical_member())
+def test_zero_maps_are_the_canonical_member(catalog, reports):
+    """The four zero maps satisfy every equivariance and g-skewness row, and
+    are the family's member at v1 = .. = vd = 0, the member run_case uses."""
+    zero = [FieldMatrix.zeros(4, 4)] * 4
+    for entry in catalog.entries:
+        r = reports[entry.pair.case_id]
+        for where, res in _defining_residuals(entry.pair, zero, r.family.g):
+            assert res.is_zero(), (entry.pair.case_id, where)
+        origin = dict.fromkeys(r.conn.free_params, 0)
+        assert [m.subs(origin) for m in r.conn.maps] == zero, r.case_id
 
 
 def test_curvature_examples_at_canonical_member(catalog, reports):
@@ -290,7 +312,7 @@ def test_dependence_decision_matches_symbolic_curvature(reports):
     the curvature built symbolically in v1..vd, on a fresh family too."""
     for r in reports.values():
         conn = r.conn
-        symbolic = bool(curvature(r.pair, conn.maps).variables()
+        symbolic = bool(curvature(r.pair, r.rhos, conn.maps).variables()
                         & set(conn.free_params))
         fresh = ConnectionFamily(maps=conn.maps, free_params=conn.free_params,
                                  basis=conn.basis)
@@ -333,7 +355,7 @@ def test_u2_u4_subfamily_preserves_curvature(catalog, reports):
         r = reports[cid]
         maps, keep = u2_u4_subfamily(r)
         assert len(keep) >= 2, cid
-        form = curvature(r.pair, maps)
+        form = curvature(r.pair, r.rhos, maps)
         assert not (form.variables() & set(keep)), cid
         for key, comp in form.components.items():
             assert comp == r.form.components[key], (cid, key)

@@ -236,7 +236,7 @@ def test_second_equation_symbolic_u2_u4_family(catalog, reports):
         r = reports[cid]
         maps, keep = u2_u4_subfamily(r)
         assert keep, cid
-        form = curvature(r.pair, maps)
+        form = curvature(r.pair, r.rhos, maps)
         star = hodge_star_2form(form, r.family)
         residual = second_eym_residual(maps, star)
         assert residual_is_zero(residual), cid
@@ -267,7 +267,7 @@ def test_second_equation_first_slot_reduction(catalog, reports):
     for cid in ("1.1^1(7)", "1.1^2(9)"):
         r = reports[cid]
         maps, keep = u2_u4_subfamily(r)
-        form = curvature(r.pair, maps)
+        form = curvature(r.pair, r.rhos, maps)
         star = hodge_star_2form(form, r.family)
         assert residual_is_zero(first_slot_only(r.pair, maps, star)), cid
 

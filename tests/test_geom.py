@@ -19,7 +19,8 @@ A, B = RatFunc.var("a"), RatFunc.var("b")
 
 def family_of(catalog, case_id):
     entry = catalog.get(case_id)
-    return solve_invariant_metric(entry.pair, shape=entry.golden.metric,
+    return solve_invariant_metric(entry.pair, isotropy_rep(entry.pair),
+                                  shape=entry.golden.metric,
                                   lorentz=entry.golden.lorentz)
 
 
@@ -47,7 +48,8 @@ def test_solution_is_invariant_for_all_cases(catalog):
 
 
 def test_fallback_parameter_naming(catalog):
-    fam = solve_invariant_metric(catalog.get("1.1^1(7)").pair)
+    pair = catalog.get("1.1^1(7)").pair
+    fam = solve_invariant_metric(pair, isotropy_rep(pair))
     assert fam.free_params == ["a", "b", "c", "d"]
     assert fam.g == catalog.get("1.1^1(7)").golden.metric
 
@@ -55,11 +57,12 @@ def test_fallback_parameter_naming(catalog):
 def test_trivial_pair_full_family():
     # no isotropy at all: every symmetric bilinear form is invariant
     pair = LiePair(case_id="free", dim_h=0, brackets={})
-    fam = solve_invariant_metric(pair)
+    fam = solve_invariant_metric(pair, isotropy_rep(pair))
     assert len(fam.free_params) == 10
     # same with an isotropy generator that acts trivially
     pair = LiePair(case_id="abelian", dim_h=1, brackets={})
-    assert len(solve_invariant_metric(pair).free_params) == 10
+    assert len(solve_invariant_metric(
+        pair, isotropy_rep(pair)).free_params) == 10
 
 
 def test_shape_rejected_when_not_general():
@@ -67,7 +70,7 @@ def test_shape_rejected_when_not_general():
     too_small = FieldMatrix.from_rows(
         [[A, 0, 0, 0], [0, A, 0, 0], [0, 0, A, 0], [0, 0, 0, A]])
     with pytest.raises(BadMetricShape):
-        solve_invariant_metric(pair, shape=too_small)
+        solve_invariant_metric(pair, isotropy_rep(pair), shape=too_small)
 
 
 def test_lorentz_check_examples(catalog):

@@ -51,18 +51,19 @@ def test_memo_keys_separate_what_the_solves_read(catalog):
     g0 = g.subs({"c": 0})
     rhos = isotropy_rep(pair)
     for metric in (g, g0):
-        assert (conn.solve_connections(pair, metric).maps
+        assert (conn.solve_connections(rhos, metric).maps
                 == conn._solve_connections(rhos, metric).maps)
-    assert (conn.solve_connections(pair, g).maps
-            != conn.solve_connections(pair, g0).maps)
+    assert (conn.solve_connections(rhos, g).maps
+            != conn.solve_connections(rhos, g0).maps)
     for lorentz in ("b*d > c^2", None):
         assert geom.solve_invariant_metric(
-            pair, shape=g, lorentz=lorentz).lorentz == lorentz
+            pair, rhos, shape=g, lorentz=lorentz).lorentz == lorentz
     plain = LiePair(case_id="free", dim_h=1, brackets={})
     with_a = LiePair(case_id="free-a", dim_h=1, brackets={},
                      params=[CaseParam("a", "a != 0")])
-    assert geom.solve_invariant_metric(plain).free_params[0] == "a"
-    assert geom.solve_invariant_metric(with_a).free_params[0] == "b"
+    for lie, letter in ((plain, "a"), (with_a, "b")):
+        assert geom.solve_invariant_metric(
+            lie, isotropy_rep(lie)).free_params[0] == letter
 
 
 def _counting(monkeypatch, module, name: str) -> list:

@@ -68,6 +68,9 @@ def test_traced_run_case_records_spans_and_keeps_the_report():
     assert result["same"]
     calls = result["calls"]
     assert calls["eym.run_case"] == 1
+    # run_case builds the isotropy matrices once, and the report reads them
+    # off the CaseReport
+    assert calls["liecat.isotropy_rep"] == 1
     # the untraced run already solved this case: the memo answers, and the
     # only curvature built is the Levi-Civita one
     assert calls["conn.solve_connections"] == 1
