@@ -7,32 +7,18 @@ solve_connections returns the general solution of the combined linear system
 
 over the rational-function field.  The unknowns are the 64 entries
 L_s[i][j] = Lambda(u_s)[i][j], numbered 16s + 4i + j, and the coefficient
-rows are assembled straight from rho(e_a) and g.  The equivariance rows
-carry no metric parameter.  When every isotropy matrix is constant (all
-catalog cases but the three whose isotropy carries `lam`), the rows of all
-generators, each rho scaled to integers, are solved in one call of
-linalg.int_nullspace, which returns the nullspace() basis.  The g-skewness
-rows, the only ones with metric parameters, are then solved on the few
-kernel vectors left.
-
-When rho carries case parameters, every parameter is first set to c = 1,
-then 2, ..., 8, up to the first point where every entry of rho is defined
-(a point where subs meets a pole is skipped), and the specialised rows are
-solved over the integers.  Specialising can only lower the rank where every
-entry is defined: a nonzero minor at the point is the value of the same
-minor over Q(params), which is then nonzero too.  So the kernel at the point
-is at least as large as the generic one, and when it is empty the kernel
-over Q(params) is empty as well; it is returned without further work (the
-three `lam` cases all end here, at lam = 1).  When the specialised kernel
-is not empty, or no point tried is free of poles, the rows are solved in
-stages over RatFunc, one generator at a time, each restricted to the kernel
-basis found so far.
+rows are assembled straight from rho(e_a) and g.  The solve has two stages.
+The equivariance rows carry no metric parameter and are linear in the
+isotropy matrices, so linalg.kernel_linear_in solves them, over the integers
+whenever it can, and returns their nullspace() basis.  The g-skewness rows,
+the only ones with metric parameters, are then solved on the few kernel
+vectors left.
 
 The free parameters v1, v2, ... belong to the basis that one nullspace of
 the whole system gives (free variables set to 1 in column order), and the
-staged solve yields exactly that basis.  A nullspace vector of any stage has
+two stages yield exactly that basis.  A vector of the equivariance basis has
 its last nonzero entry, a 1, at its own free column, and 0 at the other free
-columns; a vector of the next stage combines earlier vectors whose free
+columns; a vector of the second stage combines such vectors whose free
 columns lie at or left of its own, with coefficient 1 on its own.  So every
 final vector again ends in a 1 at its free column, with 0 at the others.
 The set of such last positions depends on the solution space alone: it is
@@ -65,9 +51,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact import RF_ONE, RF_ZERO, PoleAtPoint, RatFunc
-from .linalg import (FieldMatrix, int_nullspace, integer_entries,
-                     matrices_key, nonzero_entries, nullspace, rref)
+from .exact import RF_ZERO, RatFunc
+from .linalg import (FieldMatrix, kernel_linear_in, matrices_key, nullspace,
+                     rref)
 from .liecat import LiePair, U_LABELS
 
 
@@ -87,10 +73,6 @@ class ConnectionFamily:
     @property
     def dim(self) -> int:
         return len(self.free_params)
-
-    def basis_map(self, param: str) -> list:
-        """The four coefficient matrices attached to one free parameter."""
-        return self.basis[self.free_params.index(param)]
 
 
 @dataclass
@@ -160,29 +142,25 @@ def _skewness_rows(g: FieldMatrix) -> list:
     return rows
 
 
-def _restrict(rows: list, kernel: list | None) -> list:
-    """The rows in the coordinates of `kernel` (None: all 64 unknowns),
-    all-zero rows dropped."""
-    if kernel is None:
-        mat = [[row.get(c, RF_ZERO) for c in range(_N_UNKNOWNS)] for row in rows]
-    else:
-        coords: dict = {}     # unknown -> [(i, its coordinate in kernel[i])]
-        for i, vec in enumerate(kernel):
-            for col, x in vec.items():
-                coords.setdefault(col, []).append((i, x))
-        mat = []
-        for row in rows:
-            vals = [RF_ZERO] * len(kernel)
-            for col, c in row.items():
-                for i, x in coords.get(col, ()):
-                    vals[i] = vals[i] + c * x
-            mat.append(vals)
+def _restrict(rows: list, kernel: list) -> list:
+    """The rows in the coordinates of `kernel`, all-zero rows dropped."""
+    coords: dict = {}     # unknown -> [(i, its coordinate in kernel[i])]
+    for i, vec in enumerate(kernel):
+        for col, x in vec.items():
+            coords.setdefault(col, []).append((i, x))
+    mat = []
+    for row in rows:
+        vals = [RF_ZERO] * len(kernel)
+        for col, c in row.items():
+            for i, x in coords.get(col, ()):
+                vals[i] = vals[i] + c * x
+        mat.append(vals)
     return [vals for vals in mat if any(not x.is_zero() for x in vals)]
 
 
-def _cut(kernel: list | None, rows: list) -> list | None:
+def _cut(kernel: list, rows: list) -> list:
     """Basis of the vectors in span(kernel) that `rows` annihilate, as sparse
-    {unknown: coeff} vectors; `kernel` None stands for all 64 unknowns."""
+    {unknown: coeff} vectors."""
     mat = _restrict(rows, kernel)
     if not mat:
         return kernel
@@ -192,11 +170,9 @@ def _cut(kernel: list | None, rows: list) -> list | None:
         for i, c in enumerate(coeffs):
             if c.is_zero():
                 continue
-            if kernel is None:
-                vec[i] = c
-            else:       # kernel vectors hold nonzero entries only
-                for col, x in kernel[i].items():
-                    _add_coeff(vec, col, c * x)
+            # kernel vectors hold nonzero entries only
+            for col, x in kernel[i].items():
+                _add_coeff(vec, col, c * x)
         out.append({col: x for col, x in vec.items() if not x.is_zero()})
     return out
 
@@ -218,47 +194,9 @@ def solve_connections(rhos: list, g: FieldMatrix) -> ConnectionFamily:
     return family
 
 
-def _int_kernel(scaled: list) -> list:
-    """int_nullspace of the equivariance rows of integer-scaled rhos."""
-    rows = [row for ents in scaled for row in _equivariance_rows(ents)]
-    return int_nullspace(rows, _N_UNKNOWNS)
-
-
-def _empty_when_specialised(rhos: list) -> bool:
-    """Whether the equivariance rows have no nonzero solution at the first
-    point where every entry of rho is defined, each case parameter set to
-    c = 1, 2, ..., 8; False when no point tried is (module docstring)."""
-    names = sorted({v for rho in rhos for row in rho.entries for x in row
-                    for v in x.variables()})
-    for c in range(1, 9):
-        point = dict.fromkeys(names, c)
-        try:
-            spec = [rho.subs(point) for rho in rhos]
-        except PoleAtPoint:
-            continue
-        return not _int_kernel(integer_entries(spec))
-    return False
-
-
-def _equivariance_kernel(rhos: list) -> list | None:
-    """Basis of the solutions of the equivariance rows (None: all 64
-    unknowns, when no row constrains them)."""
-    scaled = integer_entries(rhos)
-    if scaled is not None:
-        return [{col: RatFunc.const(x) for col, x in vec.items()}
-                for vec in _int_kernel(scaled)]
-    if _empty_when_specialised(rhos):
-        return []
-    kernel = None       # a case parameter in rho: staged RatFunc solve
-    for rho in rhos:
-        kernel = _cut(kernel, _equivariance_rows(nonzero_entries(rho)))
-    return kernel
-
-
 def _solve_connections(rhos: list, g: FieldMatrix) -> ConnectionFamily:
-    kernel = _cut(_equivariance_kernel(rhos), _skewness_rows(g))
-    if kernel is None:      # no constraint at all: every unknown is free
-        kernel = [{c: RF_ONE} for c in range(_N_UNKNOWNS)]
+    kernel = _cut(kernel_linear_in(rhos, _equivariance_rows, _N_UNKNOWNS),
+                  _skewness_rows(g))
 
     params = [f"v{k + 1}" for k in range(len(kernel))]
     acc = [[[RF_ZERO] * 4 for _ in range(4)] for _ in range(4)]

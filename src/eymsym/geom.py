@@ -1,10 +1,11 @@
 """Invariant metrics, Lorentz signature checks, and Levi-Civita curvature.
 
-The invariant-metric equations for a pair are solved exactly over the
-rational-function field; when the catalog records the family in its
-conventional parameter letters, that parameterization is verified to span
-the same solution space and is then used for all downstream output, so the
-engine's formulas come out in the familiar letters (a, b, c, d).
+The invariant-metric equations for a pair are linear in its isotropy
+matrices and solved exactly by linalg.kernel_linear_in; when the catalog
+records the family in its conventional parameter letters, that
+parameterization is verified to span the same solution space and is then
+used for all downstream output, so the engine's formulas come out in the
+familiar letters (a, b, c, d).
 
 solve_invariant_metric solves each distinct input once per process.  The
 result reads the isotropy matrices, the shape, the Lorentz condition it
@@ -34,8 +35,8 @@ from fractions import Fraction
 
 from .conn import curvature
 from .exact import RF_ZERO, RatFunc, linear_parts, parse_ratfunc, rf
-from .linalg import (FieldMatrix, det, int_nullspace, integer_entries, inverse,
-                     matrices_key, nonzero_entries, nullspace, rref)
+from .linalg import (FieldMatrix, det, inverse, kernel_linear_in, matrices_key,
+                     rref)
 from .liecat import LiePair
 
 
@@ -140,17 +141,8 @@ def _solve_invariant_metric(pair: LiePair, rhos: list,
                             shape: FieldMatrix | None, lorentz: str | None,
                             case_params: set) -> MetricFamily:
     n = len(_UPPER)
-    scaled = integer_entries(rhos)
-    if scaled is None:      # a case parameter in rho
-        rows = [[row.get(c, RF_ZERO) for c in range(n)] for rho in rhos
-                for row in _invariance_rows(nonzero_entries(rho))
-                if not all(x.is_zero() for x in row.values())]
-        basis = nullspace(FieldMatrix(len(rows), n, rows)
-                          if rows else FieldMatrix.zeros(1, n))
-    else:
-        rows = [row for ents in scaled for row in _invariance_rows(ents)]
-        basis = [[RatFunc.const(vec.get(c, 0)) for c in range(n)]
-                 for vec in int_nullspace(rows, n)]
+    basis = [[vec.get(c, RF_ZERO) for c in range(n)]
+             for vec in kernel_linear_in(rhos, _invariance_rows, n)]
     if not basis:
         raise NoInvariantMetric(
             f"{pair.case_id}: only the zero bilinear form is invariant")

@@ -7,15 +7,28 @@ in column order.  Matrices in this engine stay small (at most 64 columns), so
 FieldMatrix stores them dense; elimination walks only the nonzero entries of
 the pivot row.
 
-Systems whose coefficients are all constants (the equivariance rows of the
-connection solve and the invariance rows of the metric solve, whenever the
-isotropy matrices carry no case parameter) take int_nullspace instead: sparse
+kernel_linear_in solves a homogeneous system linear in a list of matrices
+(the isotropy matrices, in the metric invariance and connection equivariance
+systems) and returns the nullspace() basis.  When every entry is constant
+(all catalog cases but the three whose isotropy carries `lam`), each matrix
+is scaled to integers and the rows are solved by int_nullspace: sparse
 {col: int} rows, Gauss-Jordan over Z with each row divided by its content,
 and Fractions only where the basis is read off.  Its rows are kept fully
 reduced (zero at every pivot column but their own) and each starts at its
 own pivot, so they are the rows of the reduced echelon form up to scaling.
 That form is unique for the row space, so the pivot columns, and the basis
 that is the identity on the other columns, are exactly those of nullspace().
+
+When the matrices carry case parameters, every parameter is first set to
+c = 1, then 2, ..., 8, up to the first point where every entry is defined
+(a point where subs meets a pole is skipped), and the specialised rows are
+solved over the integers.  Specialising can only lower the rank where every
+entry is defined: a nonzero minor at the point is the value of the same
+minor over Q(params), which is then nonzero too.  So the kernel at the point
+is at least as large as the generic one, and when it is empty the kernel
+over Q(params) is empty as well.  Otherwise, or when no point tried is free
+of poles, the rows of all matrices are stacked and solved by one nullspace()
+over RatFunc.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import RF_ONE, RF_ZERO, RatFunc, rf
+from .exact import RF_ONE, RF_ZERO, PoleAtPoint, RatFunc, rf
 
 
 class NonSquare(ValueError):
@@ -63,12 +76,6 @@ class FieldMatrix:
         for i in range(n):
             data[i][i] = RF_ONE
         return cls(n, n, data)
-
-    # -- access ----------------------------------------------------------------
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
 
     # -- structure ----------------------------------------------------------------
 
@@ -278,7 +285,7 @@ def inverse(m: FieldMatrix) -> FieldMatrix:
     return FieldMatrix(n, n, [row[n:] for row in red.entries])
 
 
-# -- constant systems over Z ----------------------------------------------------
+# -- systems linear in a list of matrices -------------------------------------
 
 
 def nonzero_entries(m: FieldMatrix) -> list:
@@ -348,3 +355,36 @@ def int_nullspace(rows: list, cols: int) -> list:
         vec[fc] = 1
         basis.append(vec)
     return basis
+
+
+def kernel_linear_in(mats: list, rows_of, cols: int) -> list:
+    """nullspace() basis of the rows that rows_of builds from every matrix in
+    `mats`, as sparse {col: RatFunc} vectors (module docstring).
+
+    rows_of takes the nonzero entries (i, j, x) of one matrix, x an int or a
+    RatFunc, and returns rows {col: coeff} linear in them.
+    """
+    def int_kernel(scaled: list) -> list:
+        return int_nullspace([row for ents in scaled for row in rows_of(ents)],
+                             cols)
+
+    scaled = integer_entries(mats)
+    if scaled is not None:
+        return [{c: RatFunc.const(x) for c, x in vec.items()}
+                for vec in int_kernel(scaled)]
+    names = sorted({v for m in mats for row in m.entries for x in row
+                    for v in x.variables()})
+    for c in range(1, 9):
+        try:
+            spec = [m.subs(dict.fromkeys(names, c)) for m in mats]
+        except PoleAtPoint:
+            continue
+        if not int_kernel(integer_entries(spec)):
+            return []
+        break
+    rows = [[row.get(c, RF_ZERO) for c in range(cols)]
+            for m in mats for row in rows_of(nonzero_entries(m))]
+    rows = [r for r in rows if any(not x.is_zero() for x in r)]
+    return [{c: x for c, x in enumerate(vec) if not x.is_zero()}
+            for vec in nullspace(FieldMatrix(len(rows), cols, rows)
+                                 if rows else FieldMatrix.zeros(1, cols))]

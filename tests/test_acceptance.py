@@ -147,7 +147,7 @@ def test_c3_ricci_2_5_2_quoted_value(reports):
     got = reports["2.5^2(4)"].lc.ricci
     if not got.is_zero():
         note("criterion 3 [2.5^2(4) Ricci = 0]: FAIL (r33 = "
-             f"{got[2, 2]})")
+             f"{got.entries[2][2]})")
     assert got.is_zero()
 
 
@@ -280,7 +280,7 @@ def test_c7_property_suite(catalog, reports):
         trace = rf(0)
         for i in range(4):
             for j in range(4):
-                trace = trace + ginv[i, j] * r.T[i, j]
+                trace = trace + ginv.entries[i][j] * r.T.entries[i][j]
         assert trace.is_zero(), f"{cid}: T trace"
 
         if r.verdict.is_solution:

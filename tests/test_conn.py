@@ -141,8 +141,8 @@ def _one_shot_family(rhos, g) -> tuple:
 
 
 def test_family_basis_is_the_one_shot_nullspace(catalog, reports):
-    """The staged solve keeps the basis of one nullspace of the whole system:
-    same parameters v1..vd, same maps entry by entry."""
+    """The two-stage solve keeps the basis of one nullspace of the whole
+    system: same parameters v1..vd, same maps entry by entry."""
     for entry in catalog.entries:
         r = reports[entry.pair.case_id]
         params, maps = _one_shot_family(isotropy_rep(entry.pair), r.family.g)
@@ -302,8 +302,8 @@ def test_basis_maps_rebuild_the_family(reports):
         conn = r.conn
         acc = [FieldMatrix.zeros(4, 4) for _ in range(4)]
         for p in conn.free_params:
-            acc = [a + b.scale(RatFunc.var(p))
-                   for a, b in zip(acc, conn.basis_map(p))]
+            acc = [a + b.scale(RatFunc.var(p)) for a, b in
+                   zip(acc, conn.basis[conn.free_params.index(p)])]
         assert acc == conn.maps, r.case_id
 
 
@@ -342,8 +342,8 @@ def u2_u4_subfamily(report):
     """Members supported on the h-fixed slots u2, u4 (symbolic parameters)."""
     conn = report.conn
     keep = [p for p in conn.free_params
-            if all(m.is_zero() for s, m in enumerate(conn.basis_map(p))
-                   if s in (0, 2))]
+            if all(conn.basis[conn.free_params.index(p)][s].is_zero()
+                   for s in (0, 2))]
     drop = {p: 0 for p in conn.free_params if p not in keep}
     return [m.subs(drop) for m in conn.maps], keep
 

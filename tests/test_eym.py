@@ -23,19 +23,19 @@ def test_holonomy_weight_two_is_forced(catalog, reports):
     r = reports["1.1^1(7)"]
     hm = HolonomyMetric(default=W)
     T = stress_tensor(r.form, r.family, hm)
-    assert T[0, 2] == -W / (rf(4) * A)
-    assert T[0, 2].subs({"w": 2}) == -rf(1) / (rf(2) * A)
+    assert T.entries[0][2] == -W / (rf(4) * A)
+    assert T.entries[0][2].subs({"w": 2}) == -rf(1) / (rf(2) * A)
 
 
 def test_stress_tensor_entries_1_1_1(reports):
     T = reports["1.1^1(7)"].T
     two_a2 = rf(2) * A * A
-    assert T[0, 2] == -rf(1) / (rf(2) * A)
-    assert T[1, 1] == B / two_a2
-    assert T[1, 3] == C / two_a2
-    assert T[3, 3] == D / two_a2
-    for idx in ((0, 0), (0, 1), (0, 3), (1, 2), (2, 2), (2, 3)):
-        assert T[idx].is_zero()
+    assert T.entries[0][2] == -rf(1) / (rf(2) * A)
+    assert T.entries[1][1] == B / two_a2
+    assert T.entries[1][3] == C / two_a2
+    assert T.entries[3][3] == D / two_a2
+    for i, j in ((0, 0), (0, 1), (0, 3), (1, 2), (2, 2), (2, 3)):
+        assert T.entries[i][j].is_zero()
 
 
 def test_stress_tensor_zero_for_flat_case(reports):
@@ -45,9 +45,9 @@ def test_stress_tensor_zero_for_flat_case(reports):
 def test_stress_tensor_diag_3_5_2(reports):
     T = reports["3.5^2(2)"].T
     half_a = rf(1) / (rf(2) * A)
-    assert T[0, 0] == half_a and T[1, 1] == half_a and T[2, 2] == half_a
-    assert T[3, 3] == -rf(3) * B / (rf(2) * A * A)
-    assert T[0, 1].is_zero() and T[2, 3].is_zero()
+    assert all(T.entries[i][i] == half_a for i in range(3))
+    assert T.entries[3][3] == -rf(3) * B / (rf(2) * A * A)
+    assert T.entries[0][1].is_zero() and T.entries[2][3].is_zero()
 
 
 def test_stress_tensor_traceless_and_symmetric_all_cases(reports):
@@ -57,7 +57,7 @@ def test_stress_tensor_traceless_and_symmetric_all_cases(reports):
         trace = rf(0)
         for i in range(4):
             for j in range(4):
-                trace = trace + ginv[i, j] * r.T[i, j]
+                trace = trace + ginv.entries[i][j] * r.T.entries[i][j]
         assert trace.is_zero(), r.case_id
 
 
@@ -97,7 +97,7 @@ def test_stress_tensor_traceless_synthetic():
         trace = rf(0)
         for i in range(4):
             for j in range(4):
-                trace = trace + ginv[i, j] * T[i, j]
+                trace = trace + ginv.entries[i][j] * T.entries[i][j]
         assert trace.is_zero()
 
 

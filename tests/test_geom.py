@@ -144,7 +144,7 @@ def test_ricci_and_scalar_goldens(catalog, reports):
 
 def test_sign_convention_pinned(reports):
     r = reports["1.1^1(7)"]
-    assert r.lc.ricci[0, 2] == rf(-1)
+    assert r.lc.ricci.entries[0][2] == rf(-1)
     assert r.lc.scalar == rf(-2) / A
 
 
@@ -166,7 +166,7 @@ def test_scalar_equals_trace_of_g_inverse_ricci(reports):
         trace = rf(0)
         for i in range(4):
             for j in range(4):
-                trace = trace + g_inv[i, j] * r.lc.ricci[i, j]
+                trace = trace + g_inv.entries[i][j] * r.lc.ricci.entries[i][j]
         assert trace == r.lc.scalar, r.case_id
 
 

@@ -156,18 +156,18 @@ def test_inverse_diagonal():
                                [Z, Z, A, Z], [Z, Z, Z, B]])
     inv = inverse(m)
     one = rf(1)
-    assert inv[0, 0] == one / A and inv[3, 3] == one / B
+    assert inv.entries[0][0] == one / A and inv.entries[3][3] == one / B
     assert m * inv == FieldMatrix.identity(4)
 
 
 def test_inverse_block_entries():
     inv = inverse(metric_1_1_1())
     one = rf(1)
-    assert inv[0, 2] == one / A
+    assert inv.entries[0][2] == one / A
     denom = B * D - C * C
-    assert inv[1, 1] == D / denom
-    assert inv[1, 3] == -C / denom
-    assert inv[3, 3] == B / denom
+    assert inv.entries[1][1] == D / denom
+    assert inv.entries[1][3] == -C / denom
+    assert inv.entries[3][3] == B / denom
 
 
 def test_inverse_singular():

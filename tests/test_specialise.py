@@ -1,42 +1,81 @@
-"""The connection solve decides a parameterised equivariance system at one
-specialised point when that point leaves no solution.
+"""linalg.kernel_linear_in decides a parameterised system at one specialised
+point when that point leaves no solution, for both systems linear in the
+isotropy matrices: metric invariance and connection equivariance.
 
 Specialising the case parameters can only lower the rank where every entry
 is defined, so an empty kernel at such a point means an empty kernel over
-Q(params); otherwise the staged RatFunc solve runs as before.  These tests
-check the shortcut against the staged solve (forced by switching the
-shortcut off) and against one nullspace of the whole system.
+Q(params); otherwise the routine takes one nullspace of all rows stacked.
+These tests check each route against that one nullspace, built here, and
+count which solver ran.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from eymsym import conn
-from eymsym.exact import PoleAtPoint, RatFunc, rf
-from eymsym.linalg import FieldMatrix, integer_entries
+from eymsym import linalg
+from eymsym.cli import main
+from eymsym.conn import (_N_UNKNOWNS, _cut, _equivariance_rows,
+                         _solve_connections)
+from eymsym.exact import RF_ONE, RF_ZERO, PoleAtPoint, RatFunc, rf
+from eymsym.geom import (NoInvariantMetric, _UPPER, _invariance_rows,
+                         solve_invariant_metric)
+from eymsym.liecat import catalog_load, isotropy_rep
+from eymsym.linalg import (FieldMatrix, integer_entries, kernel_linear_in,
+                           nonzero_entries, nullspace)
 
 from test_conn import _one_shot_family
 
 LAM_CASES = ["1.1^3(1)", "1.1^4(1)", "3.2^2(2)"]
 LAM = RatFunc.var("lam")
+EQUIVARIANCE = (_equivariance_rows, _N_UNKNOWNS)
+INVARIANCE = (_invariance_rows, len(_UPPER))
 
 
-def _staged(monkeypatch, rhos, g):
+def _stacked(mats, rows_of, cols) -> list:
+    """One nullspace of the rows of every matrix stacked, as sparse vectors."""
+    rows = [[row.get(c, RF_ZERO) for c in range(cols)]
+            for m in mats for row in rows_of(nonzero_entries(m))]
+    rows = [r for r in rows if any(not x.is_zero() for x in r)]
+    if not rows:
+        return [{c: RF_ONE} for c in range(cols)]
+    return [{c: x for c, x in enumerate(vec) if not x.is_zero()}
+            for vec in nullspace(FieldMatrix(len(rows), cols, rows))]
+
+
+def _staged(rhos) -> list:
+    """The equivariance kernel cut one generator at a time."""
+    kernel = [{c: RF_ONE} for c in range(_N_UNKNOWNS)]
+    for rho in rhos:
+        kernel = _cut(kernel, _equivariance_rows(nonzero_entries(rho)))
+    return kernel
+
+
+def _solve(monkeypatch, mats, rows_of, cols) -> tuple:
+    """kernel_linear_in's kernel, and how often each solver ran."""
+    calls = {"int_nullspace": 0, "nullspace": 0}
     with monkeypatch.context() as m:
-        m.setattr(conn, "_empty_when_specialised", lambda rhos: False)
-        return conn._solve_connections(rhos, g)
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(linalg, name)):
+                calls[_name] += 1
+                return _f(*args)
+            m.setattr(linalg, name, counted)
+        kernel = kernel_linear_in(mats, rows_of, cols)
+    return kernel, calls
 
 
-def _same_family(a, b) -> bool:
-    return (a.maps, a.free_params, a.basis) == (b.maps, b.free_params, b.basis)
+def _same_family(family, rhos, g) -> bool:
+    params, maps = _one_shot_family(rhos, g)
+    return family.free_params == params and family.maps == maps
 
 
-def _rotation(c) -> FieldMatrix:
-    """c times the rotation generator of the (u1, u2) plane."""
-    z = rf(0)
-    return FieldMatrix(4, 4, [[z, c, z, z], [-c, z, z, z],
-                              [z, z, z, z], [z, z, z, z]])
+def _rotation(c, p: int = 0, q: int = 1) -> FieldMatrix:
+    """c times the rotation generator of the (u_p+1, u_q+1) plane."""
+    rows = [[rf(0)] * 4 for _ in range(4)]
+    rows[p][q], rows[q][p] = c, -c
+    return FieldMatrix(4, 4, rows)
 
 
 def test_only_the_lam_cases_have_parameterised_isotropy(reports):
@@ -47,33 +86,36 @@ def test_only_the_lam_cases_have_parameterised_isotropy(reports):
 @pytest.mark.parametrize("cid", LAM_CASES)
 def test_shortcut_equals_the_staged_solve_on_the_lam_cases(reports,
                                                            monkeypatch, cid):
+    """Equivariance has no solution at lam = 1; the empty kernel is that of
+    one nullspace of the stacked rows and of a per-generator staged solve."""
     r = reports[cid]
-    assert conn._empty_when_specialised(r.rhos)
-    fast = conn._solve_connections(r.rhos, r.family.g)
-    assert fast.free_params == [] and fast.basis == []
-    assert _same_family(fast, _staged(monkeypatch, r.rhos, r.family.g))
-    assert _same_family(r.conn, fast)
+    kernel, calls = _solve(monkeypatch, r.rhos, *EQUIVARIANCE)
+    assert kernel == [] and calls == {"int_nullspace": 1, "nullspace": 0}
+    assert _stacked(r.rhos, *EQUIVARIANCE) == [] == _staged(r.rhos)
+    assert r.conn.basis == [] and _same_family(r.conn, r.rhos, r.family.g)
 
 
-def test_nonempty_specialised_kernel_reaches_the_staged_solve(monkeypatch):
-    """lam times a plane rotation has solutions at every lam != 0: the
-    shortcut declines, and the staged solve gives the one-shot basis."""
+@pytest.mark.parametrize("cid", LAM_CASES)
+def test_lam_invariance_reaches_one_nullspace_of_the_stacked_rows(
+        reports, monkeypatch, cid):
+    """Invariant metrics exist at lam = 1, so the shortcut declines."""
+    rhos = reports[cid].rhos
+    kernel, calls = _solve(monkeypatch, rhos, *INVARIANCE)
+    assert kernel and calls == {"int_nullspace": 1, "nullspace": 1}
+    assert kernel == _stacked(rhos, *INVARIANCE)
+
+
+def test_nonempty_specialised_kernel_reaches_one_nullspace(monkeypatch):
+    """lam times a plane rotation has solutions at every lam != 0, in both
+    systems: the shortcut declines, and the kernel is the one-shot one."""
     rhos = [_rotation(LAM)]
+    for rows_of, cols in (EQUIVARIANCE, INVARIANCE):
+        kernel, calls = _solve(monkeypatch, rhos, rows_of, cols)
+        assert kernel and calls == {"int_nullspace": 1, "nullspace": 1}
+        assert kernel == _stacked(rhos, rows_of, cols)
     g = FieldMatrix.identity(4)
-    assert not conn._empty_when_specialised(rhos)
-    cuts = []
-    original = conn._cut
-
-    def counted(kernel, rows):
-        cuts.append(rows)
-        return original(kernel, rows)
-
-    monkeypatch.setattr(conn, "_cut", counted)
-    family = conn._solve_connections(rhos, g)
-    assert len(cuts) == 2       # the rotation's rows, then g-skewness
-    params, maps = _one_shot_family(rhos, g)
-    assert family.free_params == params and family.dim > 0
-    assert family.maps == maps
+    family = _solve_connections(rhos, g)
+    assert family.dim > 0 and _same_family(family, rhos, g)
 
 
 def test_a_pole_at_the_first_point_is_skipped(reports, monkeypatch):
@@ -84,26 +126,68 @@ def test_a_pole_at_the_first_point_is_skipped(reports, monkeypatch):
     rhos = [r.rhos[0].scale(pole)] + r.rhos[1:]
     with pytest.raises(PoleAtPoint):
         rhos[0].subs({"lam": 1})
-    assert conn._empty_when_specialised(rhos)
-    fast = conn._solve_connections(rhos, r.family.g)
-    assert fast.free_params == []
-    assert _same_family(fast, _staged(monkeypatch, rhos, r.family.g))
+    kernel, calls = _solve(monkeypatch, rhos, *EQUIVARIANCE)
+    assert kernel == [] and calls == {"int_nullspace": 1, "nullspace": 0}
+    assert _stacked(rhos, *EQUIVARIANCE) == []
+    assert _solve_connections(rhos, r.family.g).free_params == []
 
-    rotation = [_rotation(LAM * pole)]
-    g = FieldMatrix.identity(4)
-    assert not conn._empty_when_specialised(rotation)
-    params, maps = _one_shot_family(rotation, g)
-    family = conn._solve_connections(rotation, g)
-    assert family.free_params == params and family.maps == maps
+    for mats, (rows_of, cols) in (([_rotation(LAM * pole)], EQUIVARIANCE),
+                                  ([_rotation(LAM * pole)], INVARIANCE),
+                                  (rhos, INVARIANCE)):
+        kernel, calls = _solve(monkeypatch, mats, rows_of, cols)
+        assert kernel and calls == {"int_nullspace": 1, "nullspace": 1}
+        assert kernel == _stacked(mats, rows_of, cols)
 
 
-def test_no_pole_free_point_falls_back_to_the_staged_solve():
+def test_no_pole_free_point_falls_back_to_one_nullspace(monkeypatch):
     """An entry 1/(lam - mu) has a pole wherever lam = mu, so every point
-    tried is skipped, and the staged solve decides."""
+    tried is skipped, and one nullspace of the rows of both rotations
+    decides."""
     mu = RatFunc.var("mu")
-    rhos = [_rotation(RatFunc.const(1) / (LAM - mu))]
-    assert not conn._empty_when_specialised(rhos)
+    rhos = [_rotation(RatFunc.const(1) / (LAM - mu)), _rotation(rf(1), 1, 2)]
+    for rows_of, cols in (EQUIVARIANCE, INVARIANCE):
+        kernel, calls = _solve(monkeypatch, rhos, rows_of, cols)
+        assert kernel and calls == {"int_nullspace": 0, "nullspace": 1}
+        assert kernel == _stacked(rhos, rows_of, cols)
     g = FieldMatrix.identity(4)
-    params, maps = _one_shot_family(rhos, g)
-    family = conn._solve_connections(rhos, g)
-    assert family.free_params == params and family.maps == maps
+    assert _same_family(_solve_connections(rhos, g), rhos, g)
+
+
+def test_metric_solve_takes_the_shortcut(monkeypatch, tmp_path, capsys):
+    """[e1, u_i] = i*lam*u_i gives rho = lam*diag(1, 2, 3, 4): row (i, j) of
+    the invariance system is (i + j)*lam*G_ij, so no form is invariant, and
+    the integer solve at lam = 1 says so."""
+    path = tmp_path / "catalog.txt"
+    path.write_text('case "x(lam)" dim_h 1\nparam lam range ">0"\n' + "".join(
+        f"bracket e1 u{i} = {i}*lam*u{i}\n" for i in range(1, 5)))
+    pair = catalog_load(str(path)).get("x(lam)").pair
+    rhos = isotropy_rep(pair)
+    kernel, calls = _solve(monkeypatch, rhos, *INVARIANCE)
+    assert kernel == [] and calls == {"int_nullspace": 1, "nullspace": 0}
+    assert _stacked(rhos, *INVARIANCE) == []
+    with pytest.raises(NoInvariantMetric, match=r"^x\(lam\): "):
+        solve_invariant_metric(pair, rhos)
+    code = main(["--catalog", str(path), "report", "x(lam)"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (5, "")
+    assert err == ("error: case cannot be analysed: x(lam): only the zero "
+                   "bilinear form is invariant\n")
+
+
+def _random_matrix(rng) -> FieldMatrix:
+    return FieldMatrix.from_rows([[rng.choice((0, 0, 0, 1, -1, 2))
+                                   for _ in range(4)] for _ in range(4)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_systems_equal_one_nullspace_of_the_stacked_rows(seed):
+    """Small seeded constant matrices, then the same with some scaled by lam,
+    which leaves the kernel over Q(lam) unchanged, in both systems."""
+    rng = random.Random(seed)
+    for rows_of, cols in (EQUIVARIANCE, INVARIANCE):
+        consts = [_random_matrix(rng) for _ in range(rng.randint(1, 3))]
+        scaled = [m.scale(LAM) if k == 0 or rng.random() < 0.5 else m
+                  for k, m in enumerate(consts)]
+        expected = _stacked(consts, rows_of, cols)
+        assert kernel_linear_in(consts, rows_of, cols) == expected, seed
+        assert kernel_linear_in(scaled, rows_of, cols) == expected, seed
