@@ -32,8 +32,6 @@ from .liecat import (Catalog, CatalogParseError, NotReductive, NotSymmetric,
                      UnknownCase, catalog_load, isotropy_rep, rep_is_faithful,
                      rep_is_homomorphism, validate_pair)
 from .linalg import FieldMatrix
-from .report import (json_dumps, report_markdown, report_to_dict,
-                     tables_data, tables_markdown)
 
 # A case whose data the pipeline cannot analyse (exit code 5).
 _UNANALYSABLE = (NotReductive, NotSymmetric, NoInvariantMetric,
@@ -240,6 +238,8 @@ def _cmd_validate(catalog: Catalog, args) -> int:
 
 
 def _cmd_report(catalog: Catalog, args) -> int:
+    # imported here and in `tables` only, as `list` and `solve` render no report
+    from .report import json_dumps, report_markdown, report_to_dict
     entry = catalog.get(args.case)
     report = run_case(entry, _parse_holonomy(args.g_holonomy))
     if args.format == "json":
@@ -250,6 +250,7 @@ def _cmd_report(catalog: Catalog, args) -> int:
 
 
 def _cmd_tables(catalog: Catalog, args) -> int:
+    from .report import json_dumps, tables_data, tables_markdown
     hm = _parse_holonomy(args.g_holonomy)
     data = tables_data(catalog, [run_case(e, hm) for e in catalog.entries])
     if args.format == "json":

@@ -7,9 +7,12 @@ Fraction arithmetic and index loops (no Poly/RatFunc, no FieldMatrix), at
 concrete rational parameter values.  Comparing it with the symbolic pipeline
 evaluated at the same point gives an end-to-end exactness check.
 
-The index loops test each factor for zero before they multiply: the metrics,
-brackets and curvatures here are sparse, and a term that is 0 leaves a
-Fraction sum unchanged.  The symbolic side of the comparison is read from the
+The index loops test each factor for zero before they multiply, and each term
+for zero before they add it: the metrics, brackets and curvatures here are
+sparse, and a term that is 0 leaves a Fraction sum unchanged, so it costs no
+new Fraction.  `_gauss_solve` eliminates a matrix once for all its right-hand
+sides: once for g^-1 ([g | I]) and once for the six curvature components in
+the holonomy basis.  The symbolic side of the comparison is read from the
 `CaseReport` that `run_case` built and only evaluated at the sample.  `star`
 and `second_residual` are the references of `hodge_star_2form` and
 `second_eym_residual` at members where the second equation can fail.
@@ -42,16 +45,19 @@ def _zeros(n: int, m: int) -> list:
     return [[_ZERO] * m for _ in range(n)]
 
 
+def _add(x: Fraction, y: Fraction) -> Fraction:
+    """x + y for a nonzero y; y itself when x is 0."""
+    return x + y if x else y
+
+
 def _mat_mul(a: list, b: list) -> list:
-    n, k, m = len(a), len(b), len(b[0])
-    out = _zeros(n, m)
-    for i in range(n):
-        for p in range(k):
-            x = a[i][p]
+    out = _zeros(len(a), len(b[0]))
+    for row, out_row in zip(a, out):
+        for x, b_row in zip(row, b):
             if x:
-                for j in range(m):
-                    if b[p][j]:
-                        out[i][j] += x * b[p][j]
+                for j, y in enumerate(b_row):
+                    if y:
+                        out_row[j] = _add(out_row[j], x * y)
     return out
 
 
@@ -67,7 +73,7 @@ def _mat_add_into(acc: list, a: list) -> None:
     for i, row in enumerate(a):
         for j, x in enumerate(row):
             if x:
-                acc[i][j] += x
+                acc[i][j] = _add(acc[i][j], x)
 
 
 def _mat_add_scaled_into(acc: list, a: list, c: Fraction) -> None:
@@ -75,13 +81,24 @@ def _mat_add_scaled_into(acc: list, a: list, c: Fraction) -> None:
     for i, row in enumerate(a):
         for j, x in enumerate(row):
             if x:
-                acc[i][j] += c * x
+                acc[i][j] = _add(acc[i][j], c * x)
 
 
-def _gauss_solve(a: list, rhs: list) -> list | None:
-    """Solve a x = rhs over Fractions; None when inconsistent/deficient."""
+def _sum(terms) -> Fraction:
+    """Sum of the nonzero terms; no Fraction is built for a zero term."""
+    total = _ZERO
+    for x in terms:
+        if x:
+            total = _add(total, x)
+    return total
+
+
+def _gauss_solve(a: list, rhss: list) -> list | None:
+    """Solve a x = b over Fractions for each b in `rhss`, with one
+    elimination of [a | b_1 ... b_r]; None when any b is inconsistent or a
+    has dependent columns."""
     n, m = len(a), len(a[0])
-    aug = [list(row) + [r] for row, r in zip(a, rhs)]
+    aug = [list(row) + [b[i] for b in rhss] for i, row in enumerate(a)]
     pivots = []
     r = 0
     for c in range(m):
@@ -97,26 +114,17 @@ def _gauss_solve(a: list, rhs: list) -> list | None:
                 aug[i] = [x - f * y if y else x for x, y in zip(aug[i], aug[r])]
         pivots.append(c)
         r += 1
-    for i in range(r, n):
-        if aug[i][m]:
-            return None
-    if len(pivots) != m:
+    if len(pivots) != m or any(any(row[m:]) for row in aug[r:]):
         return None
-    x = [_ZERO] * m
-    for k, c in enumerate(pivots):
-        x[c] = aug[k][m]
-    return x
+    return [[aug[k][m + s] for k in range(m)] for s in range(len(rhss))]
 
 
 def _inverse(mat: list) -> list | None:
     n = len(mat)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else _ZERO for i in range(n)]
-        x = _gauss_solve(mat, e)
-        if x is None:
-            return None
-        cols.append(x)
+    cols = _gauss_solve(mat, [[Fraction(1) if i == j else _ZERO
+                               for i in range(n)] for j in range(n)])
+    if cols is None:
+        return None
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -166,17 +174,27 @@ class NumericCase:
     def _koszul(self) -> None:
         g, ginv, mps = self.g, self.ginv, self.m_parts
         # gb[i][j][k] = g([u_i, u_j]_m, u_k)
-        gb = [[[sum((vec[p] * g[p][k] for p in range(4) if vec[p] and g[p][k]),
-                    _ZERO) for k in range(4)] for vec in row] for row in mps]
+        gb = [[[_sum(x * g[p][k] for p, x in enumerate(vec) if x and g[p][k])
+                for k in range(4)] if any(vec) else [_ZERO] * 4
+               for vec in row] for row in mps]
 
         self.alpha = []
         for i in range(4):
             mat = _zeros(4, 4)
             for j in range(4):
-                rhs = [gb[i][j][k] - gb[j][k][i] + gb[k][i][j] for k in range(4)]
+                # g(alpha(u_i) u_j, u_k) = (gb[i][j][k] - gb[j][k][i]
+                # + gb[k][i][j]) / 2
+                rhs = [_sum((gb[i][j][k], gb[k][i][j])) for k in range(4)]
+                for k in range(4):
+                    if gb[j][k][i]:
+                        rhs[k] = rhs[k] - gb[j][k][i]
+                nonzero = [k for k in range(4) if rhs[k]]
+                if not nonzero:
+                    continue
                 for r in range(4):
-                    mat[r][j] = sum((ginv[r][k] * rhs[k] for k in range(4)
-                                     if ginv[r][k] and rhs[k]), _ZERO) / 2
+                    x = _sum(ginv[r][k] * rhs[k] for k in nonzero if ginv[r][k])
+                    if x:
+                        mat[r][j] = x / 2
             self.alpha.append(mat)
 
     def curvature_ops(self, maps: list) -> dict:
@@ -201,18 +219,21 @@ class NumericCase:
 
         def op_entry(k: int, i: int, j: int) -> Fraction:
             """Entry (k, j) of R(u_k, u_i), k != i."""
-            return ops[(k, i)][k][j] if k < i else -ops[(i, k)][k][j]
+            if k < i:
+                return ops[(k, i)][k][j]
+            x = ops[(i, k)][k][j]
+            return -x if x else x
 
         self.lc_ops = ops
         self.ricci = _zeros(4, 4)
         for i in range(4):
             for j in range(4):
-                self.ricci[i][j] = sum(
-                    (op_entry(k, i, j) for k in range(4) if k != i), _ZERO)
-        self.scalar = sum(
-            (self.ginv[i][j] * self.ricci[i][j]
-             for i in range(4) for j in range(4)
-             if self.ginv[i][j] and self.ricci[i][j]), _ZERO)
+                self.ricci[i][j] = _sum(
+                    op_entry(k, i, j) for k in range(4) if k != i)
+        self.scalar = _sum(
+            self.ginv[i][j] * self.ricci[i][j]
+            for i in range(4) for j in range(4)
+            if self.ginv[i][j] and self.ricci[i][j])
 
     # -- energy-momentum ----------------------------------------------------
 
@@ -224,14 +245,9 @@ class NumericCase:
                 else None
         a = [[basis[b][i][j] for b in range(len(basis))]
              for i in range(4) for j in range(4)]
-        out = {}
-        for key, m in ops.items():
-            rhs = [m[i][j] for i in range(4) for j in range(4)]
-            sol = _gauss_solve(a, rhs)
-            if sol is None:
-                return None
-            out[key] = sol
-        return out
+        sols = _gauss_solve(a, [[m[i][j] for i in range(4) for j in range(4)]
+                                for m in ops.values()])
+        return None if sols is None else dict(zip(ops, sols))
 
     def stress(self, structure: dict, weights: list) -> list:
         dim = len(weights)
@@ -239,7 +255,7 @@ class NumericCase:
         for (i, j), coeffs in structure.items():
             for a, c in enumerate(coeffs):
                 rc[a][i][j] = c
-                rc[a][j][i] = -c
+                rc[a][j][i] = -c if c else c
         ginv = self.ginv
         s_total = _ZERO
         for a in range(dim):
@@ -253,8 +269,8 @@ class NumericCase:
                             continue
                         for m in range(4):
                             if r[h][m] and ginv[l][m]:
-                                s_total += (w * r[k][l] * r[h][m]
-                                            * ginv[k][h] * ginv[l][m])
+                                s_total = _add(s_total, w * r[k][l] * r[h][m]
+                                               * ginv[k][h] * ginv[l][m])
         t = _zeros(4, 4)
         for i in range(4):
             for j in range(4):
@@ -266,17 +282,22 @@ class NumericCase:
                             continue
                         for l in range(4):
                             if r[j][l] and ginv[k][l]:
-                                first += w * r[i][k] * r[j][l] * ginv[k][l]
-                t[i][j] = first / 2 - self.g[i][j] * s_total / 8
+                                first = _add(first, w * r[i][k] * r[j][l]
+                                             * ginv[k][l])
+                g_ij = self.g[i][j]
+                t[i][j] = _sum((first / 2 if first else first,
+                                -g_ij * s_total / 8 if g_ij and s_total
+                                else _ZERO))
         return t
 
     def first_residual(self, lam: Fraction, kap: Fraction, t: list) -> list:
-        out = _zeros(4, 4)
+        shift, out = lam - self.scalar / 2, _zeros(4, 4)
         for i in range(4):
             for j in range(4):
-                out[i][j] = (self.ricci[i][j]
-                             + (lam - self.scalar / 2) * self.g[i][j]
-                             - kap * t[i][j])
+                g_ij, t_ij = self.g[i][j], t[i][j]
+                out[i][j] = _sum((self.ricci[i][j],
+                                  shift * g_ij if g_ij else g_ij,
+                                  -kap * t_ij if t_ij else t_ij))
         return out
 
     def star(self, ops: dict) -> dict:

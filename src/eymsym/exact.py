@@ -634,6 +634,11 @@ class RatFunc:
     # -- evaluation ----------------------------------------------------------------
 
     def evaluate(self, assignment: dict) -> Fraction:
+        if not self.num.terms:
+            return Fraction(0)
+        const = _const_parts(self)
+        if const is not None:
+            return Fraction(*const)
         if self.den == _P_ONE:
             return self.num.evaluate(assignment)
         den = self.den.evaluate(assignment)

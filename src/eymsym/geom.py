@@ -28,13 +28,14 @@ connection maps and its curvature is conn.curvature of the zero maps:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .conn import curvature
-from .exact import RF_ZERO, RatFunc, linear_parts, parse_ratfunc, rf
+from .exact import RF_ZERO, RatFunc, linear_parts, parse_ratfunc
 from .linalg import (FieldMatrix, det, inverse, kernel_linear_in, matrices_key,
                      rref)
 from .liecat import LiePair
@@ -206,19 +207,29 @@ def _verify_shape(pair: LiePair, shape: FieldMatrix, basis: list,
 
 
 def _charpoly_coefficients(g: FieldMatrix, sample: dict) -> list:
-    """Fraction coefficients of det(x - g(sample)), constant term first."""
+    """Fraction coefficients of det(x - g(sample)), constant term first.
+
+    Faddeev-LeVerrier over the integers.  With d the lcm of the entry
+    denominators, B = d * g(sample) is an integer matrix, so its
+    characteristic polynomial sum_k c_k x^k has integer coefficients; the
+    recurrence M_k = B M_(k-1) + c_(n-k+1) I, c_(n-k) = -tr(B M_k) / k then
+    stays in the integers and each division by k is exact.  As
+    det(x - B/d) = det(d x - B) / d^n, the coefficient of x^k of g(sample)
+    is c_k / d^(n-k).
+    """
     values = g.evaluate(sample)
-    x = RatFunc.var("_x")
-    xm = FieldMatrix(4, 4, [[
-        (x if i == j else RF_ZERO) - rf(values[i][j]) for j in range(4)]
-        for i in range(4)])
-    charpoly = det(xm)
-    coeffs = [Fraction(0)] * 5
-    den = charpoly.den.constant_value()
-    for mono, c in charpoly.num.terms.items():
-        deg = mono[0][1] if mono else 0
-        coeffs[deg] = Fraction(c) / den
-    return coeffs
+    n = len(values)
+    d = math.lcm(*(x.denominator for row in values for x in row))
+    b = [[x.numerator * (d // x.denominator) for x in row] for row in values]
+    coeffs = [0] * n + [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        c = coeffs[n - k + 1]
+        m = [[sum(b[i][p] * m[p][j] for p in range(n)) + (c if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        trace = sum(b[i][p] * m[p][i] for i in range(n) for p in range(n))
+        coeffs[n - k] = -(trace // k)
+    return [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)]
 
 
 def signature_at(g: FieldMatrix, sample: dict) -> tuple:

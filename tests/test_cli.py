@@ -177,6 +177,25 @@ def test_only_validate_imports_the_crosscheck():
     assert "1/1 pass" in done.stdout
 
 
+
+def test_only_report_and_tables_import_the_report_module():
+    """`list` and `solve` never load eymsym.report; `report` does."""
+    script = ("import sys\n"
+              "from eymsym.cli import main\n"
+              "def loaded(code):\n"
+              "    seen = 'eymsym.report' in sys.modules\n"
+              "    print(code, seen, file=sys.stderr)\n"
+              "loaded(main(['list']))\n"
+              "loaded(main(['solve', '2.5^2(4)']))\n"
+              "loaded(main(['report', '2.5^2(4)', '--format', 'json']))\n")
+    src = str(Path(eymsym.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert done.stderr.splitlines() == ["0 False", "0 False", "0 True"]
+    assert "case 2.5^2(4)" in done.stdout
+
 def test_validate_crosscheck_fail_line_replays(capsys, monkeypatch):
     monkeypatch.setattr(eymsym.crosscheck, "crosscheck_case",
                         lambda entry, report, sample: ["ricci"])

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
 from eymsym import geom
 from eymsym.conn import CurvatureForm, curvature
-from eymsym.crosscheck import NumericCase, crosscheck_case, sample_point
+from eymsym.crosscheck import (NumericCase, _gauss_solve, _inverse,
+                               crosscheck_case, sample_point)
 from eymsym.eym import (HolonomyMetric, hodge_star_2form, residual_is_zero,
                         run_case, second_eym_residual)
 from eymsym.exact import rf
-from eymsym.linalg import FieldMatrix
+from eymsym.linalg import FieldMatrix, det
 
 
 def _bumped(m: FieldMatrix, i: int, j: int) -> FieldMatrix:
@@ -159,3 +161,111 @@ def test_holonomy_metric_describe():
     assert hm.describe(3) == "g_55 = 3, g_77 = -1, g_aa = 2 otherwise"
     assert hm.describe(8) == ("g_55 = 3, g_77 = -1, g_(12,12) = 5, "
                               "g_aa = 2 otherwise")
+
+
+# -- the one-elimination solve ----------------------------------------------
+
+
+def _random_matrix(rng: random.Random, n: int, m: int) -> list:
+    return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
+            for _ in range(n)]
+
+
+def _product(a: list, b: list) -> list:
+    return [[sum((a[i][p] * b[p][j] for p in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+_IDENTITY = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+
+
+def test_inverse_of_seeded_random_matrices():
+    rng = random.Random(41)
+    for _ in range(30):
+        g = _random_matrix(rng, 4, 4)
+        inv = _inverse(g)
+        if det(FieldMatrix.from_rows(g)).is_zero():
+            assert inv is None
+            continue
+        assert _product(inv, g) == _IDENTITY
+        assert _product(g, inv) == _IDENTITY
+
+
+def test_inverse_of_a_singular_matrix_is_none():
+    rng = random.Random(42)
+    for _ in range(10):
+        g = _random_matrix(rng, 4, 4)
+        g[3] = [x + 2 * y for x, y in zip(g[0], g[1])]
+        assert _inverse(g) is None
+
+
+def _components(rng: random.Random, basis: list) -> tuple:
+    """Six components in the span of `basis`, with their coefficients."""
+    coeffs = {(i, j): [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                       for _ in basis]
+              for i in range(4) for j in range(i + 1, 4)}
+    ops = {key: [[sum((c * b[i][j] for c, b in zip(cs, basis)), Fraction(0))
+                  for j in range(4)] for i in range(4)]
+           for key, cs in coeffs.items()}
+    return ops, coeffs
+
+
+def _supported_basis(rng: random.Random, k: int) -> list:
+    """k random independent 4x4 matrices supported on the first k entries."""
+    while True:
+        square = _random_matrix(rng, k, k)
+        if not det(FieldMatrix.from_rows(square)).is_zero():
+            break
+    return [[[row[4 * i + j] if 4 * i + j < k else Fraction(0)
+              for j in range(4)] for i in range(4)] for row in square]
+
+
+def _one_solve_per_component(ops: dict, basis: list) -> dict | None:
+    a = [[b[i][j] for b in basis] for i in range(4) for j in range(4)]
+    out = {}
+    for key, m in ops.items():
+        sol = _gauss_solve(a, [[m[i][j] for i in range(4) for j in range(4)]])
+        if sol is None:
+            return None
+        out[key] = sol[0]
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_structure_is_one_solve_per_component(catalog, k):
+    rng = random.Random(50 + k)
+    num = NumericCase(catalog.get("1.1^1(7)"), {n: Fraction(i + 1) for i, n
+                                                in enumerate("abcd")})
+    basis = _supported_basis(rng, k)
+    ops, coeffs = _components(rng, basis)
+    structure = num.structure(ops, basis)
+    assert structure == coeffs
+    assert structure == _one_solve_per_component(ops, basis)
+
+    # one component outside the span (an entry no basis matrix touches)
+    outside = dict(ops)
+    outside[(1, 2)] = [row[:] for row in ops[(1, 2)]]
+    outside[(1, 2)][3][3] += 1
+    assert num.structure(outside, basis) is None
+    assert _one_solve_per_component(outside, basis) is None
+
+    # a dependent basis, with every component still in its span
+    dependent = basis + [[[x + y for x, y in zip(r0, r1)] for r0, r1
+                          in zip(basis[0], basis[-1])]]
+    assert num.structure(ops, dependent) is None
+    assert _one_solve_per_component(ops, dependent) is None
+
+
+def test_structure_at_catalog_samples_is_one_solve_per_component(catalog,
+                                                                 reports):
+    rng = random.Random(60)
+    for entry in catalog.entries:
+        r = reports[entry.pair.case_id]
+        if not r.hol_basis:
+            continue
+        sample = sample_point(entry, rng, avoid=list(r.verdict.conditions))
+        num = NumericCase(entry, sample, r.family)
+        ops = num.curvature_ops([[[0] * 4 for _ in range(4)]] * 4)
+        basis = [b.evaluate(sample) for b in r.hol_basis]
+        assert num.structure(ops, basis) \
+            == _one_solve_per_component(ops, basis), entry.pair.case_id

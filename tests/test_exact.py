@@ -74,6 +74,23 @@ def test_eval_missing_param():
         (A + B).evaluate({"a": 1})
 
 
+def test_eval_zero_and_constant_return_fractions():
+    for x, value in [(RF_ZERO, 0), (A - A, 0), (rf(5), 5),
+                     (rf(Fraction(-3, 4)), Fraction(-3, 4)),
+                     ((rf(2) * A) / (rf(4) * A), Fraction(1, 2))]:
+        got = x.evaluate({})
+        assert type(got) is Fraction and got == value, x
+
+
+def test_eval_nonconstant_still_reads_its_names():
+    with pytest.raises(MissingParam):
+        (rf(2) * A).evaluate({})
+    with pytest.raises(MissingParam):
+        (rf(3) / (A + B)).evaluate({"a": 1})
+    with pytest.raises(PoleAtPoint):
+        (rf(3) / (A - rf(1))).evaluate({"a": 1})
+
+
 def test_is_zero_exact():
     assert ((A + B) - (B + A)).is_zero()
     assert not (RF_ONE / A).is_zero()

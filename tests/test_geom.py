@@ -9,10 +9,12 @@ import pytest
 
 from eymsym.crosscheck import NumericCase, sample_point
 from eymsym.exact import RatFunc, rf
-from eymsym.geom import (BadMetricShape, SignatureVerdict, lorentz_check,
-                         lorentz_condition_holds, solve_invariant_metric)
+from eymsym.geom import (BadMetricShape, MetricFamily, SignatureVerdict,
+                         _charpoly_coefficients, lorentz_check,
+                         lorentz_condition_holds, signature_at,
+                         solve_invariant_metric)
 from eymsym.liecat import LiePair, isotropy_rep
-from eymsym.linalg import FieldMatrix, inverse
+from eymsym.linalg import FieldMatrix, det, inverse
 
 A, B = RatFunc.var("a"), RatFunc.var("b")
 
@@ -133,6 +135,92 @@ def test_recorded_lorentz_condition_matches_signature(catalog):
             true_side += expect
             got = lorentz_check(fam, sample) is SignatureVerdict.LORENTZIAN
             assert got == expect, (entry.pair.case_id, sample)
+
+
+def _charpoly_by_determinant(g: FieldMatrix, sample: dict) -> list:
+    """Reference: coefficients of det(x - g(sample)), constant term first,
+    from the symbolic determinant of x I - g(sample) in a variable x."""
+    x = RatFunc.var("x")
+    values = g.evaluate(sample)
+    n = len(values)
+    xm = FieldMatrix(n, n, [[(x if i == j else rf(0)) - rf(values[i][j])
+                             for j in range(n)] for i in range(n)])
+    p = det(xm)
+    den = p.den.constant_value()
+    coeffs = [Fraction(0)] * (n + 1)
+    for mono, c in p.num.terms.items():
+        coeffs[mono[0][1] if mono else 0] = Fraction(c) / den
+    return coeffs
+
+
+def test_charpoly_matches_the_determinant_on_every_case(catalog, reports):
+    """The integer Faddeev-LeVerrier coefficients equal those of the symbolic
+    determinant at 4 seeded points of every case."""
+    rng = random.Random(303)
+    for entry in catalog.entries:
+        family = reports[entry.pair.case_id].family
+        for _ in range(4):
+            sample = sample_point(entry, rng, family=family)
+            coeffs = _charpoly_coefficients(family.g, sample)
+            assert coeffs == _charpoly_by_determinant(family.g, sample), \
+                (entry.pair.case_id, sample)
+            assert all(type(c) is Fraction for c in coeffs)
+
+
+def _constant_family(rows: list) -> MetricFamily:
+    g = FieldMatrix.from_rows(rows)
+    return MetricFamily(g=g, free_params=[], det_g=det(g))
+
+
+@pytest.mark.parametrize("rows, signature, verdict", [
+    # mixed denominators: two 2x2 blocks of negative determinant
+    ([[Fraction(1, 3), Fraction(-5, 4), 0, 0],
+      [Fraction(-5, 4), 2, 0, 0],
+      [0, 0, Fraction(-7, 6), Fraction(1, 2)],
+      [0, 0, Fraction(1, 2), Fraction(3, 5)]],
+     (2, 2, 0), SignatureVerdict.NEUTRAL),
+    # singular: the first block has rank 1
+    ([[Fraction(1, 3), Fraction(2, 3), 0, 0],
+      [Fraction(2, 3), Fraction(4, 3), 0, 0],
+      [0, 0, Fraction(-5, 4), 0],
+      [0, 0, 0, 1]],
+     (2, 1, 1), SignatureVerdict.DEGENERATE),
+    # negative definite: both blocks have negative trace, positive det
+    ([[Fraction(-1, 3), Fraction(1, 5), 0, 0],
+      [Fraction(1, 5), Fraction(-5, 4), 0, 0],
+      [0, 0, -2, 1],
+      [0, 0, 1, -7]],
+     (0, 4, 0), SignatureVerdict.RIEMANNIAN),
+    # one negative direction against a positive definite 3x3 block
+    ([[Fraction(-5, 4), 0, 0, 0],
+      [0, Fraction(1, 3), Fraction(1, 7), 0],
+      [0, Fraction(1, 7), 2, 0],
+      [0, 0, 0, 3]],
+     (3, 1, 0), SignatureVerdict.LORENTZIAN),
+    ([[Fraction(5, 4), 0, 0, 0],
+      [0, Fraction(-1, 3), Fraction(-1, 7), 0],
+      [0, Fraction(-1, 7), -2, 0],
+      [0, 0, 0, -3]],
+     (1, 3, 0), SignatureVerdict.LORENTZIAN),
+])
+def test_charpoly_and_signature_of_built_matrices(rows, signature, verdict):
+    family = _constant_family(rows)
+    assert _charpoly_coefficients(family.g, {}) \
+        == _charpoly_by_determinant(family.g, {})
+    assert signature_at(family.g, {}) == signature
+    assert lorentz_check(family, {}) is verdict
+
+
+def test_charpoly_of_a_diagonal_matrix_is_the_product_of_its_factors():
+    diagonal = [Fraction(1, 3), Fraction(-5, 4), Fraction(2), Fraction(1, 6)]
+    expected = [Fraction(1)]    # prod (x - d_i), constant term first
+    for d_i in diagonal:
+        expected = [(expected[k - 1] if k else 0)
+                    - d_i * (expected[k] if k < len(expected) else 0)
+                    for k in range(len(expected) + 1)]
+    family = _constant_family([[d_i if i == j else 0 for j in range(4)]
+                               for i, d_i in enumerate(diagonal)])
+    assert _charpoly_coefficients(family.g, {}) == expected
 
 
 def test_ricci_and_scalar_goldens(catalog, reports):

@@ -38,6 +38,34 @@ print(json.dumps({"same": traced == plain, "calls": calls}))
 """
 
 
+# A numeric check of a numeric sample point: crosscheck_case and lorentz_check
+# at seeded points, traced after an untraced run on the same points.
+_TRACED_CROSSCHECK = """
+import json, random, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import eymsym.cli
+from eymsym import crosscheck, eym, geom, liecat
+import spans
+
+entry = liecat.catalog_load().get(sys.argv[3])
+rep = eym.run_case(entry)
+rng = random.Random(7)
+samples = [crosscheck.sample_point(entry, rng, avoid=list(rep.verdict.conditions))
+           for _ in range(4)]
+
+def check():
+    return [[crosscheck.crosscheck_case(entry, rep, s),
+             geom.lorentz_check(rep.family, s).value] for s in samples]
+
+plain = check()
+tracer = spans.Tracer()
+tracer.install()
+traced = check()
+calls = {name: row["calls_all"]
+         for name, row in spans.summarize(tracer.document()).items()}
+print(json.dumps({"same": traced == plain, "plain": plain, "calls": calls}))
+"""
+
 def _load_spans():
     spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
@@ -79,3 +107,23 @@ def test_traced_run_case_records_spans_and_keeps_the_report():
     assert calls["conn.holonomy"] == 1
     assert calls["conn.expand_in_basis"] == 1
     assert calls["linalg.rref"] > 0
+
+
+def test_traced_crosscheck_builds_no_symbolic_determinant():
+    """A sample point costs Fraction arithmetic only: no polynomial gcd and
+    no symbolic determinant in the cross-check or the signature."""
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACED_CROSSCHECK, str(ROOT / "src"),
+         str(SPANS.parent), "1.1^1(7)"],
+        capture_output=True, text=True, check=True, timeout=120)
+    result = json.loads(out.stdout)
+    assert result["same"]
+    assert [verdict for _, verdict in result["plain"]].count("lorentzian") >= 1
+    assert all(problems == [] for problems, _ in result["plain"])
+    calls = result["calls"]
+    assert calls["crosscheck.crosscheck_case"] == 4
+    assert calls["crosscheck.NumericCase"] == 4
+    assert calls["geom.signature_at"] == 4
+    assert calls["exact.evaluate"] > 0
+    assert calls["exact.poly_gcd"] == 0
+    assert calls["linalg.det"] == 0
