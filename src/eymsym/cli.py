@@ -91,6 +91,9 @@ def _parse_holonomy(text: str | None) -> HolonomyMetric:
         key, _, value = piece.partition("=")
         if not _ or not key.strip().isdigit():
             raise _ArgumentError(f"bad --g-holonomy entry {piece!r}")
+        if int(key) < 5:
+            raise _ArgumentError(f"--g-holonomy entry {piece!r}: holonomy "
+                                 "indices start at 5")
         try:
             hm.overrides[int(key)] = parse_ratfunc(value.strip())
         except ParseError as exc:

@@ -1,29 +1,29 @@
 """Invariant metric connections, their curvature, and holonomy.
 
-solve_connections returns the general solution of the combined linear system
+solve_connections returns the general solution of
 
     Lambda(ad(e) u) = [rho(e), Lambda(u)]        (equivariance)
     t(Lambda(u)) g + g Lambda(u) = 0             (values skew w.r.t. g)
 
-over the rational-function field.  The unknowns are the 64 entries
-L_s[i][j] = Lambda(u_s)[i][j], numbered 16s + 4i + j, and the coefficient
-rows are assembled straight from rho(e_a) and g.  The solve has two stages.
-The equivariance rows carry no metric parameter and are linear in the
-isotropy matrices, so linalg.kernel_linear_in solves them, over the integers
-whenever it can, and returns their nullspace() basis.  The g-skewness rows,
-the only ones with metric parameters, are then solved on the few kernel
-vectors left.
+over the rational-function field, solved as one system that holds no metric
+parameter.  Each Lambda_s = Lambda(u_s) lies in so(g), so A_s = g Lambda_s
+is skew; every metric of the family is invariant (t(rho) g + g rho = 0, so
+g rho g^-1 = -t(rho)), and equivariance multiplied by g reads
+
+    t(rho) A_s + A_s rho + sum_t rho[t][s] A_t = 0
+
+(Kobayashi-Nomizu II, ch. X).  Its unknowns are the 24 upper entries of
+A_1..A_4, and linalg.kernel_linear_in solves it: over the integers when
+every isotropy matrix is constant, at a specialised point otherwise.  Each
+kernel vector gives Lambda = g^-1 A, 64 entries L_s[i][j] numbered
+16s + 4i + j.
 
 The free parameters v1, v2, ... belong to the basis that one nullspace of
-the whole system gives (free variables set to 1 in column order), and the
-two stages yield exactly that basis.  A vector of the equivariance basis has
-its last nonzero entry, a 1, at its own free column, and 0 at the other free
-columns; a vector of the second stage combines such vectors whose free
-columns lie at or left of its own, with coefficient 1 on its own.  So every
-final vector again ends in a 1 at its free column, with 0 at the others.
-The set of such last positions depends on the solution space alone: it is
-the free-column set of the one-shot system, and a basis that is the identity
-on those columns is unique.
+the whole 64-unknown system gives: free variables set to 1 in column order,
+so each basis vector ends in a 1 at its own free column and is 0 at the
+others.  The reduced echelon form of the Lambda vectors, columns reversed,
+is that basis: it is unique for their span, and its rows, read back, are
+the identity on the free columns.
 
 solve_connections solves each distinct system once per process.  The
 system reads only the values of the isotropy matrices and of g, never the
@@ -50,11 +50,14 @@ expand_in_basis find it and its coefficients with linalg.rref.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .exact import RF_ZERO, RatFunc
-from .linalg import (FieldMatrix, kernel_linear_in, matrices_key, nullspace,
-                     rref)
+from .linalg import FieldMatrix, kernel_linear_in, matrices_key, rref
 from .liecat import LiePair, U_LABELS
+
+if TYPE_CHECKING:
+    from .geom import MetricFamily
 
 
 class NonClosing(RuntimeError):
@@ -98,117 +101,87 @@ class CurvatureForm:
         return out
 
 
-_N_UNKNOWNS = 64   # L_s[i][j] is unknown 16*s + 4*i + j
+_PAIRS = [(p, q) for p in range(4) for q in range(p + 1, 4)]
+_COLS = {pq: k for k, pq in enumerate(_PAIRS)}   # A_s[p][q] is 6*s + _COLS[p, q]
 
 
-def _add_coeff(row: dict, col: int, c) -> None:
-    """Add the nonzero c (an int or a RatFunc) to row[col]."""
+def _add_entry(row: dict, s: int, p: int, q: int, c) -> None:
+    """Add c * A_s[p][q] to row, A_s skew."""
+    if p == q:
+        return
+    col = 6 * s + (_COLS[p, q] if p < q else _COLS[q, p])
+    c = c if p < q else -c
     x = row.get(col)
     row[col] = c if x is None else x + c
 
 
 def _equivariance_rows(entries: list) -> list:
-    """Rows of [rho, L_s] - L(rho u_s), entry (s, p, q), as {unknown: coeff}.
+    """Rows of t(rho) A_s + A_s rho + sum_t rho[t][s] A_t, entry (s, p < q),
+    as {unknown: coeff} over the 24 upper entries of the skew A_s.
 
-    `entries` are the nonzero (i, j, rho[i][j]), ints or RatFuncs.  Row
-    (s, p, q) has +rho[p][k] on (s, k, q), -rho[k][q] on (s, p, k) and
-    -rho[t][s] on (t, p, q); rows and unknowns are numbered 16s + 4i + j.
+    `entries` are the nonzero (i, j, rho[i][j]), ints or RatFuncs; rho[i][j]
+    multiplies A_s[i][q] in entry (j, q), A_s[p][i] in entry (p, j) and
+    A_i[p][q] in every entry of slot j.
     """
-    rows = [{} for _ in range(_N_UNKNOWNS)]
+    rows = {(s, p, q): {} for s in range(4) for p, q in _PAIRS}
     for i, j, x in entries:
-        neg = -x
-        for a in range(4):
-            for b in range(4):
-                _add_coeff(rows[16 * a + 4 * i + b], 16 * a + 4 * j + b, x)
-                _add_coeff(rows[16 * a + 4 * b + j], 16 * a + 4 * b + i, neg)
-                _add_coeff(rows[16 * j + 4 * a + b], 16 * i + 4 * a + b, neg)
-    return rows
-
-
-def _skewness_rows(g: FieldMatrix) -> list:
-    """Rows of t(L_s) g + g L_s, entry (p <= q), as {unknown: coeff}."""
-    ge = g.entries
-    rows = []
-    for s in range(4):
-        for p in range(4):
-            for q in range(p, 4):
-                row: dict = {}
-                for k in range(4):
-                    for col, c in ((16 * s + 4 * k + p, ge[k][q]),
-                                   (16 * s + 4 * k + q, ge[p][k])):
-                        if not c.is_zero():
-                            _add_coeff(row, col, c)
-                rows.append(row)
-    return rows
-
-
-def _restrict(rows: list, kernel: list) -> list:
-    """The rows in the coordinates of `kernel`, all-zero rows dropped."""
-    coords: dict = {}     # unknown -> [(i, its coordinate in kernel[i])]
-    for i, vec in enumerate(kernel):
-        for col, x in vec.items():
-            coords.setdefault(col, []).append((i, x))
-    mat = []
-    for row in rows:
-        vals = [RF_ZERO] * len(kernel)
-        for col, c in row.items():
-            for i, x in coords.get(col, ()):
-                vals[i] = vals[i] + c * x
-        mat.append(vals)
-    return [vals for vals in mat if any(not x.is_zero() for x in vals)]
-
-
-def _cut(kernel: list, rows: list) -> list:
-    """Basis of the vectors in span(kernel) that `rows` annihilate, as sparse
-    {unknown: coeff} vectors."""
-    mat = _restrict(rows, kernel)
-    if not mat:
-        return kernel
-    out = []
-    for coeffs in nullspace(FieldMatrix(len(mat), len(mat[0]), mat)):
-        vec: dict = {}
-        for i, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            # kernel vectors hold nonzero entries only
-            for col, x in kernel[i].items():
-                _add_coeff(vec, col, c * x)
-        out.append({col: x for col, x in vec.items() if not x.is_zero()})
-    return out
+        for s in range(4):
+            for q in range(j + 1, 4):
+                _add_entry(rows[s, j, q], s, i, q, x)
+            for p in range(j):
+                _add_entry(rows[s, p, j], s, p, i, x)
+        for p, q in _PAIRS:
+            _add_entry(rows[j, p, q], i, p, q, x)
+    return list(rows.values())
 
 
 _FAMILIES: dict = {}    # (isotropy matrices, g) by value -> ConnectionFamily
 
 
-def solve_connections(rhos: list, g: FieldMatrix) -> ConnectionFamily:
+def solve_connections(rhos: list, family: MetricFamily) -> ConnectionFamily:
     """General solution of equivariance + g-skewness, parameters v1..vd.
 
-    `rhos` are the isotropy matrices (liecat.isotropy_rep).  Solved once per
-    distinct (rho, g) in a process; the family returned is shared and
-    read-only (module docstring).
+    `rhos` are the isotropy matrices (liecat.isotropy_rep) and `family` an
+    invariant metric family for them.  Solved once per distinct (rho, g) in
+    a process; the family returned is shared and read-only (module
+    docstring).
     """
-    key = (matrices_key(rhos), matrices_key([g]))
-    family = _FAMILIES.get(key)
-    if family is None:
-        family = _FAMILIES[key] = _solve_connections(rhos, g)
-    return family
+    key = (matrices_key(rhos), matrices_key([family.g]))
+    conn = _FAMILIES.get(key)
+    if conn is None:
+        conn = _FAMILIES[key] = _solve_connections(rhos, family)
+    return conn
 
 
-def _solve_connections(rhos: list, g: FieldMatrix) -> ConnectionFamily:
-    kernel = _cut(kernel_linear_in(rhos, _equivariance_rows, _N_UNKNOWNS),
-                  _skewness_rows(g))
+def _solve_connections(rhos: list, family: MetricFamily) -> ConnectionFamily:
+    vecs = []
+    kernel = kernel_linear_in(rhos, _equivariance_rows, 24)
+    if kernel:
+        # det(g) g^-1 has polynomial entries and spans the same rows as g^-1
+        adj = family.g_inverse().scale(family.det_g)
+        for vec in kernel:
+            a = [[[RF_ZERO] * 4 for _ in range(4)] for _ in range(4)]
+            for col, c in vec.items():
+                (p, q), s = _PAIRS[col % 6], col // 6
+                a[s][p][q], a[s][q][p] = c, -c
+            vecs.append([x for rows in a
+                         for row in (adj * FieldMatrix(4, 4, rows)).entries
+                         for x in row])
+        # columns reversed, each echelon row ends in a 1 at its free column
+        red, _ = rref(FieldMatrix(len(vecs), 64, [v[::-1] for v in vecs]))
+        vecs = [row[::-1] for row in reversed(red.entries)]
 
-    params = [f"v{k + 1}" for k in range(len(kernel))]
+    params = [f"v{k + 1}" for k in range(len(vecs))]
     acc = [[[RF_ZERO] * 4 for _ in range(4)] for _ in range(4)]
     basis = []
-    for name, vec in zip(params, kernel):
+    for name, vec in zip(params, vecs):
         p = RatFunc.var(name)
-        b = [[[RF_ZERO] * 4 for _ in range(4)] for _ in range(4)]
-        for col, c in vec.items():
-            s, i, j = col // 16, col // 4 % 4, col % 4
-            b[s][i][j] = c
-            acc[s][i][j] = acc[s][i][j] + p * c
-        basis.append([FieldMatrix(4, 4, rows) for rows in b])
+        for col, c in enumerate(vec):
+            if not c.is_zero():
+                s, i, j = col // 16, col // 4 % 4, col % 4
+                acc[s][i][j] = acc[s][i][j] + p * c
+        basis.append([FieldMatrix(4, 4, [vec[16 * s + 4 * i:16 * s + 4 * i + 4]
+                                         for i in range(4)]) for s in range(4)])
     maps = [FieldMatrix(4, 4, rows) for rows in acc]
     return ConnectionFamily(maps=maps, free_params=params, basis=basis)
 

@@ -333,7 +333,7 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
     family = solve_invariant_metric(pair, rhos, shape=golden.metric,
                                     lorentz=golden.lorentz)
     lc = levi_civita(pair, rhos, family)
-    conn = solve_connections(rhos, family.g)
+    conn = solve_connections(rhos, family)
     param_dep = depends_on_connection_params(conn)
     # the curvature of the canonical member, and of the whole family when it
     # does not depend on the parameters

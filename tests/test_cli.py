@@ -397,6 +397,17 @@ def test_zero_holonomy_metric_entry_exit_4(capsys):
     assert err == "error: --g-holonomy entry '5=0' is zero\n"
 
 
+def test_holonomy_index_below_5_exit_4(capsys):
+    """Holonomy indices start at alpha = 5; a lower one would be ignored."""
+    for entry in ("4=3", "0=1", "5=4,1=2"):
+        code, out, err = run_cli(capsys, "report", "1.1^1(7)",
+                                 "--g-holonomy", entry)
+        bad = entry.split(",")[-1]
+        assert (code, out) == (4, "")
+        assert err == (f"error: --g-holonomy entry '{bad}': holonomy indices "
+                       "start at 5\n")
+
+
 def test_report_header_names_holonomy_metric(capsys):
     code, out, _ = run_cli(capsys, "report", "1.1^1(7)")
     assert "## Energy-momentum tensor (g_aa = 2)\n" in out

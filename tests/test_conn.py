@@ -9,10 +9,13 @@ import pytest
 
 from eymsym.exact import RF_ZERO, RatFunc, rf
 from eymsym.liecat import U_LABELS, isotropy_rep
-from eymsym.linalg import FieldMatrix, nullspace, rank
-from eymsym.conn import (ConnectionFamily, CurvatureForm, NonClosing, curvature,
+from eymsym.linalg import (FieldMatrix, det, integer_entries, inverse,
+                           nullspace, rank)
+from eymsym.conn import (ConnectionFamily, CurvatureForm, NonClosing,
+                         _solve_connections, curvature,
                          depends_on_connection_params, expand_in_basis,
                          holonomy)
+from eymsym.geom import MetricFamily
 from eymsym.crosscheck import NumericCase, sample_point
 
 
@@ -141,13 +144,59 @@ def _one_shot_family(rhos, g) -> tuple:
 
 
 def test_family_basis_is_the_one_shot_nullspace(catalog, reports):
-    """The two-stage solve keeps the basis of one nullspace of the whole
-    system: same parameters v1..vd, same maps entry by entry."""
+    """The solve in g-free coordinates gives the basis of one nullspace of
+    the whole 64-unknown system: same parameters v1..vd, same maps entry by
+    entry."""
     for entry in catalog.entries:
         r = reports[entry.pair.case_id]
         params, maps = _one_shot_family(isotropy_rep(entry.pair), r.family.g)
         assert r.conn.free_params == params, entry.pair.case_id
         assert r.conn.maps == maps, entry.pair.case_id
+
+
+def _random_metric(rng, off_diagonal: bool) -> FieldMatrix:
+    rows = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        rows[i][i] = rng.choice((1, -1, 2, -3))
+    if off_diagonal:
+        i, j = rng.sample(range(4), 2)
+        rows[i][j] = rows[j][i] = rng.choice((1, -1, 2))
+    return FieldMatrix.from_rows(rows)
+
+
+def _random_skew(rng) -> FieldMatrix:
+    rows = [[0] * 4 for _ in range(4)]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(4), 2)
+        c = rng.choice((1, -1, 2))
+        rows[i][j] += c
+        rows[j][i] -= c
+    return FieldMatrix.from_rows(rows)
+
+
+def test_random_so_g_inputs_give_the_one_shot_family():
+    """rho = g^-1 S with S integer skew lies in so(g), for seeded constant
+    metrics, diagonal and with one off-diagonal pair, some rho scaled by lam:
+    the solve gives the parameters and maps of one nullspace of the whole
+    64-unknown system.  The seeds cover nonempty families in each kind."""
+    lam = RatFunc.var("lam")
+    seen = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        off = seed % 3 == 0
+        g = _random_metric(rng, off)
+        g_inv = inverse(g)
+        rhos = [g_inv * _random_skew(rng) for _ in range(rng.randint(1, 2))]
+        rhos = [m.scale(lam) if rng.random() < 0.5 else m for m in rhos]
+        family = _solve_connections(
+            rhos, MetricFamily(g=g, free_params=[], det_g=det(g)))
+        params, maps = _one_shot_family(rhos, g)
+        assert (family.free_params, family.maps) == (params, maps), seed
+        if family.dim:
+            seen.add("off" if off else "diagonal")
+            if integer_entries(rhos) is None:
+                seen.add("lam")
+    assert seen == {"off", "diagonal", "lam"}
 
 
 def test_hand_derived_family_dimensions(reports):

@@ -20,8 +20,9 @@ import pytest
 
 from eymsym import conn, geom
 from eymsym.eym import run_case
-from eymsym.geom import BadMetricShape
+from eymsym.geom import BadMetricShape, MetricFamily
 from eymsym.liecat import CaseParam, LiePair, catalog_load, isotropy_rep
+from eymsym.linalg import det
 from eymsym.report import json_dumps, report_markdown, report_to_dict
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -37,7 +38,7 @@ def test_memoized_families_equal_fresh_solves(catalog, reports):
         assert (r.family.g, r.family.det_g, r.family.free_params,
                 r.family.lorentz) == (fresh.g, fresh.det_g, fresh.free_params,
                                       fresh.lorentz), entry.pair.case_id
-        fresh_conn = conn._solve_connections(rhos, fresh.g)
+        fresh_conn = conn._solve_connections(rhos, fresh)
         assert r.conn.maps == fresh_conn.maps, entry.pair.case_id
         assert r.conn.free_params == fresh_conn.free_params
         assert r.conn.basis == fresh_conn.basis
@@ -48,13 +49,15 @@ def test_memo_keys_separate_what_the_solves_read(catalog):
     parameters a shapeless solve skips get results of their own."""
     entry = catalog.get("1.1^1(7)")
     pair, g = entry.pair, entry.golden.metric
-    g0 = g.subs({"c": 0})
     rhos = isotropy_rep(pair)
-    for metric in (g, g0):
+    family = geom.solve_invariant_metric(pair, rhos, shape=g)
+    g0 = g.subs({"c": 0})
+    family0 = MetricFamily(g=g0, free_params=["a", "b", "d"], det_g=det(g0))
+    for metric in (family, family0):
         assert (conn.solve_connections(rhos, metric).maps
                 == conn._solve_connections(rhos, metric).maps)
-    assert (conn.solve_connections(rhos, g).maps
-            != conn.solve_connections(rhos, g0).maps)
+    assert (conn.solve_connections(rhos, family).maps
+            != conn.solve_connections(rhos, family0).maps)
     for lorentz in ("b*d > c^2", None):
         assert geom.solve_invariant_metric(
             pair, rhos, shape=g, lorentz=lorentz).lorentz == lorentz

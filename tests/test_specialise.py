@@ -15,13 +15,13 @@ import random
 
 import pytest
 
-from eymsym import linalg
+from eymsym import conn, geom, linalg
 from eymsym.cli import main
-from eymsym.conn import (_N_UNKNOWNS, _cut, _equivariance_rows,
-                         _solve_connections)
+from eymsym.conn import _equivariance_rows, _solve_connections
+from eymsym.eym import run_case
 from eymsym.exact import RF_ONE, RF_ZERO, PoleAtPoint, RatFunc, rf
-from eymsym.geom import (NoInvariantMetric, _UPPER, _invariance_rows,
-                         solve_invariant_metric)
+from eymsym.geom import (MetricFamily, NoInvariantMetric, _UPPER,
+                         _invariance_rows, solve_invariant_metric)
 from eymsym.liecat import catalog_load, isotropy_rep
 from eymsym.linalg import (FieldMatrix, integer_entries, kernel_linear_in,
                            nonzero_entries, nullspace)
@@ -30,7 +30,7 @@ from test_conn import _one_shot_family
 
 LAM_CASES = ["1.1^3(1)", "1.1^4(1)", "3.2^2(2)"]
 LAM = RatFunc.var("lam")
-EQUIVARIANCE = (_equivariance_rows, _N_UNKNOWNS)
+EQUIVARIANCE = (_equivariance_rows, 24)
 INVARIANCE = (_invariance_rows, len(_UPPER))
 
 
@@ -43,14 +43,6 @@ def _stacked(mats, rows_of, cols) -> list:
         return [{c: RF_ONE} for c in range(cols)]
     return [{c: x for c, x in enumerate(vec) if not x.is_zero()}
             for vec in nullspace(FieldMatrix(len(rows), cols, rows))]
-
-
-def _staged(rhos) -> list:
-    """The equivariance kernel cut one generator at a time."""
-    kernel = [{c: RF_ONE} for c in range(_N_UNKNOWNS)]
-    for rho in rhos:
-        kernel = _cut(kernel, _equivariance_rows(nonzero_entries(rho)))
-    return kernel
 
 
 def _solve(monkeypatch, mats, rows_of, cols) -> tuple:
@@ -71,6 +63,10 @@ def _same_family(family, rhos, g) -> bool:
     return family.free_params == params and family.maps == maps
 
 
+IDENTITY = MetricFamily(g=FieldMatrix.identity(4), free_params=[],
+                        det_g=RF_ONE)
+
+
 def _rotation(c, p: int = 0, q: int = 1) -> FieldMatrix:
     """c times the rotation generator of the (u_p+1, u_q+1) plane."""
     rows = [[rf(0)] * 4 for _ in range(4)]
@@ -84,14 +80,15 @@ def test_only_the_lam_cases_have_parameterised_isotropy(reports):
 
 
 @pytest.mark.parametrize("cid", LAM_CASES)
-def test_shortcut_equals_the_staged_solve_on_the_lam_cases(reports,
-                                                           monkeypatch, cid):
+def test_shortcut_equals_one_nullspace_on_the_lam_cases(reports,
+                                                        monkeypatch, cid):
     """Equivariance has no solution at lam = 1; the empty kernel is that of
-    one nullspace of the stacked rows and of a per-generator staged solve."""
+    one nullspace of the stacked rows, and the family is that of one
+    nullspace of the whole 64-unknown system."""
     r = reports[cid]
     kernel, calls = _solve(monkeypatch, r.rhos, *EQUIVARIANCE)
     assert kernel == [] and calls == {"int_nullspace": 1, "nullspace": 0}
-    assert _stacked(r.rhos, *EQUIVARIANCE) == [] == _staged(r.rhos)
+    assert _stacked(r.rhos, *EQUIVARIANCE) == []
     assert r.conn.basis == [] and _same_family(r.conn, r.rhos, r.family.g)
 
 
@@ -113,9 +110,8 @@ def test_nonempty_specialised_kernel_reaches_one_nullspace(monkeypatch):
         kernel, calls = _solve(monkeypatch, rhos, rows_of, cols)
         assert kernel and calls == {"int_nullspace": 1, "nullspace": 1}
         assert kernel == _stacked(rhos, rows_of, cols)
-    g = FieldMatrix.identity(4)
-    family = _solve_connections(rhos, g)
-    assert family.dim > 0 and _same_family(family, rhos, g)
+    family = _solve_connections(rhos, IDENTITY)
+    assert family.dim > 0 and _same_family(family, rhos, IDENTITY.g)
 
 
 def test_a_pole_at_the_first_point_is_skipped(reports, monkeypatch):
@@ -129,7 +125,7 @@ def test_a_pole_at_the_first_point_is_skipped(reports, monkeypatch):
     kernel, calls = _solve(monkeypatch, rhos, *EQUIVARIANCE)
     assert kernel == [] and calls == {"int_nullspace": 1, "nullspace": 0}
     assert _stacked(rhos, *EQUIVARIANCE) == []
-    assert _solve_connections(rhos, r.family.g).free_params == []
+    assert _solve_connections(rhos, r.family).free_params == []
 
     for mats, (rows_of, cols) in (([_rotation(LAM * pole)], EQUIVARIANCE),
                                   ([_rotation(LAM * pole)], INVARIANCE),
@@ -149,8 +145,7 @@ def test_no_pole_free_point_falls_back_to_one_nullspace(monkeypatch):
         kernel, calls = _solve(monkeypatch, rhos, rows_of, cols)
         assert kernel and calls == {"int_nullspace": 0, "nullspace": 1}
         assert kernel == _stacked(rhos, rows_of, cols)
-    g = FieldMatrix.identity(4)
-    assert _same_family(_solve_connections(rhos, g), rhos, g)
+    assert _same_family(_solve_connections(rhos, IDENTITY), rhos, IDENTITY.g)
 
 
 def test_metric_solve_takes_the_shortcut(monkeypatch, tmp_path, capsys):
@@ -191,3 +186,22 @@ def test_random_systems_equal_one_nullspace_of_the_stacked_rows(seed):
         expected = _stacked(consts, rows_of, cols)
         assert kernel_linear_in(consts, rows_of, cols) == expected, seed
         assert kernel_linear_in(scaled, rows_of, cols) == expected, seed
+
+
+def test_a_fresh_pass_reaches_nullspace_only_for_the_lam_metrics(
+        catalog, monkeypatch):
+    """Over the 35 cases with empty memos, linalg.nullspace runs three times:
+    the invariance systems (10 unknowns) of the three lam cases.  No
+    connection solve reaches it."""
+    monkeypatch.setattr(conn, "_FAMILIES", {})
+    monkeypatch.setattr(geom, "_FAMILIES", {})
+    widths = []
+
+    def counted(m, _f=linalg.nullspace):
+        widths.append(m.cols)
+        return _f(m)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    for entry in catalog.entries:
+        run_case(entry)
+    assert widths == [len(_UPPER)] * 3
