@@ -103,6 +103,18 @@ def _parse_holonomy(text: str | None) -> HolonomyMetric:
     return hm
 
 
+def _warn_ignored_holonomy(report) -> None:
+    """One stderr line per --g-holonomy index beyond the case's holonomy
+    algebra, whose indices run 5..4+dim; the run goes on without it."""
+    dim = report.hol_dim
+    indices = f"indices 5..{4 + dim}" if dim else "no indices"
+    for a in sorted(report.hm.overrides):
+        if a >= 5 + dim:
+            print(f"warning: --g-holonomy index {a} ignored: the holonomy "
+                  f"algebra of {report.case_id} has dimension {dim} "
+                  f"({indices})", file=sys.stderr)
+
+
 def _parse_sample(text: str | None) -> dict:
     out = {}
     if not text:
@@ -245,6 +257,7 @@ def _cmd_report(catalog: Catalog, args) -> int:
     from .report import json_dumps, report_markdown, report_to_dict
     entry = catalog.get(args.case)
     report = run_case(entry, _parse_holonomy(args.g_holonomy))
+    _warn_ignored_holonomy(report)
     if args.format == "json":
         _emit(json_dumps(report_to_dict(report)), args.out)
     else:
@@ -266,6 +279,7 @@ def _cmd_tables(catalog: Catalog, args) -> int:
 def _cmd_solve(catalog: Catalog, args) -> int:
     entry = catalog.get(args.case)
     report = run_case(entry, _parse_holonomy(args.g_holonomy))
+    _warn_ignored_holonomy(report)
     lines = [f"case {report.case_id}"]
     v = report.verdict
     if v.is_solution:

@@ -49,7 +49,6 @@ expand_in_basis find it and its coefficients with linalg.rref.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .exact import RF_ZERO, RatFunc
@@ -65,24 +64,24 @@ class NonClosing(RuntimeError):
     implementation bugs)."""
 
 
-@dataclass
 class ConnectionFamily:
-    maps: list            # Lambda(u_1..u_4), entries linear in free_params
-    free_params: list
-    basis: list           # basis[k][s] = B^k(u_s); maps = sum_k v_k basis[k]
-    _depends: bool | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+    def __init__(self, maps: list, free_params: list, basis: list):
+        self.maps = maps    # Lambda(u_1..u_4), entries linear in free_params
+        self.free_params = free_params
+        self.basis = basis  # basis[k][s] = B^k(u_s); maps = sum_k v_k basis[k]
+        self._depends: bool | None = None
 
     @property
     def dim(self) -> int:
         return len(self.free_params)
 
 
-@dataclass
 class CurvatureForm:
-    components: dict      # (i, j) with i < j  ->  FieldMatrix
-    holonomy_basis: list | None = None
-    structure: dict | None = None   # (i, j) -> coefficients in holonomy_basis
+    def __init__(self, components: dict, holonomy_basis: list | None = None,
+                 structure: dict | None = None):
+        self.components = components  # (i, j) with i < j  ->  FieldMatrix
+        self.holonomy_basis = holonomy_basis
+        self.structure = structure  # (i, j) -> coefficients in holonomy_basis
 
     def component(self, i: int, j: int) -> FieldMatrix:
         if i == j:

@@ -34,7 +34,6 @@ again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations
@@ -50,12 +49,14 @@ from .conn import (ConnectionFamily, CurvatureForm,
                    solve_connections)
 
 
-@dataclass
 class HolonomyMetric:
     """Diagonal metric g_aa on the holonomy algebra, alpha = 5 .. 4 + dim."""
 
-    default: RatFunc = field(default_factory=lambda: rf(2))
-    overrides: dict = field(default_factory=dict)  # alpha index -> RatFunc
+    def __init__(self, default: RatFunc | None = None,
+                 overrides: dict | None = None):
+        self.default = rf(2) if default is None else default
+        # alpha index -> RatFunc
+        self.overrides = {} if overrides is None else overrides
 
     def value(self, basis_index: int) -> RatFunc:
         v = self.overrides.get(basis_index + 5, self.default)
@@ -83,13 +84,15 @@ class EymOutcome(Enum):
     FLAT_CURVATURE = "no_solution:flat_curvature"
 
 
-@dataclass
 class EymVerdict:
-    outcome: EymOutcome
-    lambda_: RatFunc | None = None
-    kappa: RatFunc | None = None
-    conditions: list = field(default_factory=list)
-    detail: str = ""
+    def __init__(self, outcome: EymOutcome, lambda_: RatFunc | None = None,
+                 kappa: RatFunc | None = None, conditions: list | None = None,
+                 detail: str = ""):
+        self.outcome = outcome
+        self.lambda_ = lambda_
+        self.kappa = kappa
+        self.conditions = [] if conditions is None else conditions
+        self.detail = detail
 
     @property
     def is_solution(self) -> bool:
@@ -287,22 +290,26 @@ def residual_is_zero(residual: dict) -> bool:
 # -- per-case pipeline ---------------------------------------------------------------
 
 
-@dataclass
 class CaseReport:
-    case_id: str
-    pair: LiePair
-    rhos: list                # isotropy_rep(pair), built once per case
-    golden: CaseGolden
-    family: MetricFamily
-    lc: CurvatureReport
-    conn: ConnectionFamily
-    curvature_param_dependent: bool
-    form: CurvatureForm       # canonical-member curvature with structure filled
-    hol_basis: list
-    T: FieldMatrix
-    verdict: EymVerdict
-    flags: dict               # golden comparison results, name -> bool
-    hm: HolonomyMetric        # the holonomy metric `T` was built with
+    def __init__(self, case_id: str, pair: LiePair, rhos: list,
+                 golden: CaseGolden, family: MetricFamily, lc: CurvatureReport,
+                 conn: ConnectionFamily, curvature_param_dependent: bool,
+                 form: CurvatureForm, hol_basis: list, T: FieldMatrix,
+                 verdict: EymVerdict, flags: dict, hm: HolonomyMetric):
+        self.case_id = case_id
+        self.pair = pair
+        self.rhos = rhos          # isotropy_rep(pair), built once per case
+        self.golden = golden
+        self.family = family
+        self.lc = lc
+        self.conn = conn
+        self.curvature_param_dependent = curvature_param_dependent
+        self.form = form          # canonical-member curvature, structure filled
+        self.hol_basis = hol_basis
+        self.T = T
+        self.verdict = verdict
+        self.flags = flags        # golden comparison results, name -> bool
+        self.hm = hm              # the holonomy metric `T` was built with
 
     @property
     def golden_ok(self) -> bool:

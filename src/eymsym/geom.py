@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -60,14 +59,14 @@ class SignatureVerdict(Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass
 class MetricFamily:
-    g: FieldMatrix
-    free_params: list
-    det_g: RatFunc
-    lorentz: str | None = None
-    _g_inv: FieldMatrix | None = field(default=None, init=False, repr=False,
-                                       compare=False)
+    def __init__(self, g: FieldMatrix, free_params: list, det_g: RatFunc,
+                 lorentz: str | None = None):
+        self.g = g
+        self.free_params = free_params
+        self.det_g = det_g
+        self.lorentz = lorentz
+        self._g_inv: FieldMatrix | None = None
 
     def g_inverse(self) -> FieldMatrix:
         """Inverse of g, computed on the first call and kept."""
@@ -78,11 +77,11 @@ class MetricFamily:
         return self._g_inv
 
 
-@dataclass
 class CurvatureReport:
-    operators: dict       # (i, j) i<j -> R(u_i, u_j) as FieldMatrix
-    ricci: FieldMatrix
-    scalar: RatFunc
+    def __init__(self, operators: dict, ricci: FieldMatrix, scalar: RatFunc):
+        self.operators = operators  # (i, j) i<j -> R(u_i, u_j) as FieldMatrix
+        self.ricci = ricci
+        self.scalar = scalar
 
 
 _UPPER = [(i, j) for i in range(4) for j in range(i, 4)]

@@ -8,13 +8,20 @@ carrying, per case, the brackets plus reference data used by the regression
 and report machinery: the invariant-metric shape in its conventional
 parameter letters, the Lorentz condition, Ricci/scalar values, the expected
 first-equation outcome, and the global space name where one is recorded.
+
+parse_catalog parses each distinct expression text once per load: the
+bundled catalog has 85 distinct texts among about 1,500 expressions, most
+of them the "0" entries of matrices.  The memo maps text to the immutable
+RatFunc and lives only as long as that one call, so every load still
+parses and checks every entry, and a malformed text raises a
+CatalogParseError naming the first line it appears on.  Bracket dicts and
+matrices are built fresh per line, as they are mutable.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import re
-from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations
 
@@ -40,20 +47,22 @@ class NotSymmetric(ValueError):
     """[m, m] does not stay inside h."""
 
 
-@dataclass(frozen=True)
 class CaseParam:
-    name: str
-    range_text: str
+    def __init__(self, name: str, range_text: str):
+        self.name = name
+        self.range_text = range_text
 
 
-@dataclass
 class LiePair:
     """A reductive pair given by structure constants over e_1..e_n, u_1..u_4."""
 
-    case_id: str
-    dim_h: int
-    brackets: dict  # (x, y) -> {label: RatFunc}, stored once per unordered pair
-    params: list = field(default_factory=list)
+    def __init__(self, case_id: str, dim_h: int, brackets: dict,
+                 params: list | None = None):
+        self.case_id = case_id
+        self.dim_h = dim_h
+        # (x, y) -> {label: RatFunc}, stored once per unordered pair
+        self.brackets = brackets
+        self.params = [] if params is None else params
 
     @property
     def e_labels(self) -> tuple:
@@ -87,41 +96,47 @@ class LiePair:
         return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-@dataclass
 class CaseGolden:
     """Per-case reference data for regression checks and reports."""
 
-    metric: FieldMatrix | None = None
-    det: RatFunc | None = None
-    lorentz: str | None = None
-    ricci: FieldMatrix | None = None
-    scalar: RatFunc | None = None
-    hol_dim: int | None = None
-    verdict: str | None = None  # "solution" or "no_solution:<reason>"
-    lambda_: RatFunc | None = None
-    kappa: RatFunc | None = None
-    conditions: list = field(default_factory=list)
-    space: str | None = None
-    notes: list = field(default_factory=list)
+    def __init__(self, metric: FieldMatrix | None = None,
+                 det: RatFunc | None = None, lorentz: str | None = None,
+                 ricci: FieldMatrix | None = None,
+                 scalar: RatFunc | None = None, hol_dim: int | None = None,
+                 verdict: str | None = None, lambda_: RatFunc | None = None,
+                 kappa: RatFunc | None = None, conditions: list | None = None,
+                 space: str | None = None, notes: list | None = None):
+        self.metric = metric
+        self.det = det
+        self.lorentz = lorentz
+        self.ricci = ricci
+        self.scalar = scalar
+        self.hol_dim = hol_dim
+        self.verdict = verdict  # "solution" or "no_solution:<reason>"
+        self.lambda_ = lambda_
+        self.kappa = kappa
+        self.conditions = [] if conditions is None else conditions
+        self.space = space
+        self.notes = [] if notes is None else notes
 
 
-@dataclass
 class CatalogEntry:
-    pair: LiePair
-    golden: CaseGolden
+    def __init__(self, pair: LiePair, golden: CaseGolden):
+        self.pair = pair
+        self.golden = golden
 
 
-@dataclass(frozen=True)
 class Table1Row:
-    family: str
-    cases_text: str
-    lorentz: str
+    def __init__(self, family: str, cases_text: str, lorentz: str):
+        self.family = family
+        self.cases_text = cases_text
+        self.lorentz = lorentz
 
 
-@dataclass
 class Catalog:
-    entries: list
-    table1: list
+    def __init__(self, entries: list, table1: list):
+        self.entries = entries
+        self.table1 = table1
 
     def case_ids(self) -> list:
         return [e.pair.case_id for e in self.entries]
@@ -139,10 +154,11 @@ class Catalog:
                 if fnmatch.fnmatchcase(e.pair.case_id, pattern)]
 
 
-@dataclass
 class ValidationReport:
-    case_id: str
-    checks: dict = field(default_factory=dict)  # name -> (ok, witness text)
+    def __init__(self, case_id: str, checks: dict | None = None):
+        self.case_id = case_id
+        # name -> (ok, witness text)
+        self.checks = {} if checks is None else checks
 
     def record(self, name: str, ok: bool, witness: str = "") -> None:
         self.checks[name] = (ok, witness)
@@ -161,7 +177,7 @@ class ValidationReport:
 _QUOTED = re.compile(r'"([^"]*)"')
 
 
-def _parse_matrix(text: str, where: str) -> FieldMatrix:
+def _parse_matrix(text: str, where: str, parse) -> FieldMatrix:
     body = text.strip()
     if not body.startswith("[") or not body.endswith("]"):
         raise CatalogParseError(f"{where}: matrix literal must be [r1; r2; ...]")
@@ -169,7 +185,7 @@ def _parse_matrix(text: str, where: str) -> FieldMatrix:
     for row_text in body[1:-1].split(";"):
         cells = [c.strip() for c in _split_top_level(row_text)]
         try:
-            rows.append([parse_ratfunc(c) for c in cells])
+            rows.append([parse(c) for c in cells])
         except ParseError as exc:
             raise CatalogParseError(f"{where}: {exc}") from exc
     if any(len(r) != len(rows[0]) for r in rows):
@@ -202,6 +218,13 @@ def parse_catalog(text: str, source: str = "<catalog>") -> Catalog:
     table1: list = []
     current_pair: LiePair | None = None
     current_golden: CaseGolden | None = None
+    parsed: dict = {}   # text -> RatFunc, for this load only
+
+    def parse(expr: str) -> RatFunc:
+        value = parsed.get(expr)
+        if value is None:
+            value = parsed[expr] = parse_ratfunc(expr)
+        return value
 
     def flush():
         if current_pair is not None:
@@ -252,14 +275,14 @@ def parse_catalog(text: str, source: str = "<catalog>") -> Catalog:
             if (x, y) in current_pair.brackets or (y, x) in current_pair.brackets:
                 raise CatalogParseError(f"{where}: duplicate bracket [{x},{y}]")
             try:
-                parts = linear_parts(parse_ratfunc(rhs), set(basis))
+                parts = linear_parts(parse(rhs), set(basis))
             except ValueError as exc:   # ParseError included
                 raise CatalogParseError(f"{where}: {exc}") from exc
             if None in parts:
                 raise CatalogParseError(f"{where}: constant term in a bracket")
             current_pair.brackets[(x, y)] = parts
         elif head == "golden":
-            _parse_golden(rest, current_golden, where)
+            _parse_golden(rest, current_golden, where, parse)
         elif head == "space":
             m = _QUOTED.match(rest)
             if not m:
@@ -271,20 +294,21 @@ def parse_catalog(text: str, source: str = "<catalog>") -> Catalog:
     return Catalog(entries, table1)
 
 
-def _parse_golden(rest: str, golden: CaseGolden, where: str) -> None:
+def _parse_golden(rest: str, golden: CaseGolden, where: str,
+                  parse) -> None:
     m = re.match(r'(\w+)\s*=\s*(.+)$', rest)
     if not m:
         raise CatalogParseError(f"{where}: bad golden line")
     key, value = m.group(1), m.group(2).strip()
     try:
         if key == "metric":
-            golden.metric = _parse_matrix(value, where)
+            golden.metric = _parse_matrix(value, where, parse)
         elif key == "ricci":
-            golden.ricci = _parse_matrix(value, where)
+            golden.ricci = _parse_matrix(value, where, parse)
         elif key == "det":
-            golden.det = parse_ratfunc(value)
+            golden.det = parse(value)
         elif key == "scalar":
-            golden.scalar = parse_ratfunc(value)
+            golden.scalar = parse(value)
         elif key == "lorentz":
             mq = _QUOTED.match(value)
             if not mq:
@@ -299,11 +323,11 @@ def _parse_golden(rest: str, golden: CaseGolden, where: str) -> None:
                     raise CatalogParseError(f"{where}: bad verdict {value!r}")
             golden.verdict = value
         elif key == "lambda":
-            golden.lambda_ = parse_ratfunc(value)
+            golden.lambda_ = parse(value)
         elif key == "kappa":
-            golden.kappa = parse_ratfunc(value)
+            golden.kappa = parse(value)
         elif key == "conditions":
-            golden.conditions = [parse_ratfunc(c) for c in _split_top_level(value)]
+            golden.conditions = [parse(c) for c in _split_top_level(value)]
         else:
             raise CatalogParseError(f"{where}: unknown golden key {key!r}")
     except ParseError as exc:

@@ -11,6 +11,8 @@ import zlib
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 import eymsym
 import eymsym.cli
 import eymsym.crosscheck
@@ -195,6 +197,25 @@ def test_only_report_and_tables_import_the_report_module():
                           capture_output=True, text=True, check=True)
     assert done.stderr.splitlines() == ["0 False", "0 False", "0 True"]
     assert "case 2.5^2(4)" in done.stdout
+
+
+def test_report_imports_neither_dataclasses_nor_inspect():
+    """The CLI's classes are plain, so a report pays for neither module."""
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "from eymsym.cli import main\n"
+              "code = main(['report', '2.5^2(4)', '--format', 'json'])\n"
+              "added = set(sys.modules) - before\n"
+              "print(code, sorted(added & {'dataclasses', 'inspect'}),\n"
+              "      file=sys.stderr)\n")
+    src = str(Path(eymsym.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert done.stderr == "0 []\n"
+    assert json.loads(done.stdout)["case"] == "2.5^2(4)"
+
 
 def test_validate_crosscheck_fail_line_replays(capsys, monkeypatch):
     monkeypatch.setattr(eymsym.crosscheck, "crosscheck_case",
@@ -406,6 +427,32 @@ def test_holonomy_index_below_5_exit_4(capsys):
         assert (code, out) == (4, "")
         assert err == (f"error: --g-holonomy entry '{bad}': holonomy indices "
                        "start at 5\n")
+
+
+@pytest.mark.parametrize("verb", ["report", "solve"])
+def test_holonomy_index_beyond_the_algebra_warns(capsys, verb):
+    # 1.1^1(7) has a holonomy algebra of dimension 1: only index 5 exists
+    code, out, err = run_cli(capsys, verb, "1.1^1(7)", "--g-holonomy", "9=3")
+    assert err == ("warning: --g-holonomy index 9 ignored: the holonomy "
+                   "algebra of 1.1^1(7) has dimension 1 (indices 5..5)\n")
+    # stdout and the exit code are those of the default metric
+    assert (code, out) == run_cli(capsys, verb, "1.1^1(7)")[:2]
+
+
+@pytest.mark.parametrize("verb", ["report", "solve"])
+def test_holonomy_index_inside_the_algebra_does_not_warn(capsys, verb):
+    code, _, err = run_cli(capsys, verb, "1.1^1(7)", "--g-holonomy", "5=3")
+    assert err == ""
+    assert code == (1 if verb == "report" else 0)
+
+
+def test_holonomy_warning_without_holonomy(capsys):
+    code, out, err = run_cli(capsys, "solve", "1.1^1(10)(t=0)",
+                             "--g-holonomy", "6=4,5=3")
+    assert code == 0 and out.startswith("case 1.1^1(10)(t=0)\n")
+    assert err.splitlines() == [
+        f"warning: --g-holonomy index {a} ignored: the holonomy algebra of "
+        "1.1^1(10)(t=0) has dimension 0 (no indices)" for a in (5, 6)]
 
 
 def test_report_header_names_holonomy_metric(capsys):

@@ -6,11 +6,12 @@ import copy
 
 import pytest
 
+from eymsym import liecat
 from eymsym.exact import rf
 from eymsym.liecat import (CatalogParseError, LiePair, NotReductive,
-                           UnknownCase, isotropy_rep, parse_catalog,
-                           rep_is_faithful, rep_is_homomorphism,
-                           validate_pair)
+                           UnknownCase, catalog_load, isotropy_rep,
+                           parse_catalog, rep_is_faithful,
+                           rep_is_homomorphism, validate_pair)
 from eymsym.linalg import FieldMatrix
 
 
@@ -147,3 +148,45 @@ def test_parse_rejects_bad_bracket(rhs, reason):
     with pytest.raises(CatalogParseError) as err:
         parse_catalog(text, "f.txt")
     assert str(err.value) == f"f.txt:2: {reason}"
+
+
+def _count_parses(monkeypatch) -> list:
+    """The texts liecat hands to parse_ratfunc from now on."""
+    texts = []
+    parse = liecat.parse_ratfunc
+
+    def counting(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(liecat, "parse_ratfunc", counting)
+    return texts
+
+
+def test_catalog_parses_each_distinct_text_once_per_load(monkeypatch):
+    # 1,531 expressions in the bundled catalog, 935 of them "0"
+    texts = _count_parses(monkeypatch)
+    catalog = catalog_load()
+    assert len(texts) == len(set(texts)) == 85
+    # the memo lasts one load: a second load parses every text again
+    catalog_load()
+    assert texts[85:] == texts[:85]
+    # only the immutable RatFuncs are shared: every bracket dict and every
+    # matrix row is built for its own line
+    mutable = [d for e in catalog.entries for d in e.pair.brackets.values()]
+    mutable += [row for e in catalog.entries
+                for m in (e.golden.metric, e.golden.ricci) if m is not None
+                for row in m.entries]
+    assert len({id(x) for x in mutable}) == len(mutable)
+
+
+def test_repeated_bad_expression_fails_at_its_first_line(monkeypatch):
+    texts = _count_parses(monkeypatch)
+    text = ('case "x" dim_h 1\n'
+            'golden det = 2*a\n'
+            'golden scalar = 3*/a\n'
+            'golden kappa = 3*/a\n')
+    with pytest.raises(CatalogParseError) as err:
+        parse_catalog(text, "f.txt")
+    assert str(err.value).startswith("f.txt:3: ")
+    assert texts == ["2*a", "3*/a"]
