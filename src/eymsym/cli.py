@@ -5,7 +5,7 @@ Verbs: list, validate, report <case>, tables, solve <case>.
 Exit codes (stable contract for CI):
   0  success
   1  reference-data or invariant mismatch
-  2  catalog parse failure
+  2  a catalog that fails to parse or fails a load-time check
   3  unknown case
   4  bad arguments, a --sample point at a pole of lambda or kappa included
   5  a case cannot be analysed (not reductive, not symmetric, no invariant
@@ -103,16 +103,14 @@ def _parse_holonomy(text: str | None) -> HolonomyMetric:
     return hm
 
 
-def _warn_ignored_holonomy(report) -> None:
-    """One stderr line per --g-holonomy index beyond the case's holonomy
-    algebra, whose indices run 5..4+dim; the run goes on without it."""
-    dim = report.hol_dim
+def _warn_ignored_holonomy(hm: HolonomyMetric, dim: int, algebra: str) -> None:
+    """One stderr line per --g-holonomy index beyond a holonomy algebra of
+    dimension `dim`, whose indices run 5..4+dim; the run goes on without it."""
     indices = f"indices 5..{4 + dim}" if dim else "no indices"
-    for a in sorted(report.hm.overrides):
+    for a in sorted(hm.overrides):
         if a >= 5 + dim:
-            print(f"warning: --g-holonomy index {a} ignored: the holonomy "
-                  f"algebra of {report.case_id} has dimension {dim} "
-                  f"({indices})", file=sys.stderr)
+            print(f"warning: --g-holonomy index {a} ignored: {algebra} has "
+                  f"dimension {dim} ({indices})", file=sys.stderr)
 
 
 def _parse_sample(text: str | None) -> dict:
@@ -257,7 +255,8 @@ def _cmd_report(catalog: Catalog, args) -> int:
     from .report import json_dumps, report_markdown, report_to_dict
     entry = catalog.get(args.case)
     report = run_case(entry, _parse_holonomy(args.g_holonomy))
-    _warn_ignored_holonomy(report)
+    _warn_ignored_holonomy(report.hm, report.hol_dim,
+                           f"the holonomy algebra of {report.case_id}")
     if args.format == "json":
         _emit(json_dumps(report_to_dict(report)), args.out)
     else:
@@ -268,7 +267,10 @@ def _cmd_report(catalog: Catalog, args) -> int:
 def _cmd_tables(catalog: Catalog, args) -> int:
     from .report import json_dumps, tables_data, tables_markdown
     hm = _parse_holonomy(args.g_holonomy)
-    data = tables_data(catalog, [run_case(e, hm) for e in catalog.entries])
+    reports = [run_case(e, hm) for e in catalog.entries]
+    _warn_ignored_holonomy(hm, max((r.hol_dim for r in reports), default=0),
+                           "the largest holonomy algebra in the catalog")
+    data = tables_data(catalog, reports)
     if args.format == "json":
         _emit(json_dumps(data), args.out)
     else:
@@ -279,7 +281,8 @@ def _cmd_tables(catalog: Catalog, args) -> int:
 def _cmd_solve(catalog: Catalog, args) -> int:
     entry = catalog.get(args.case)
     report = run_case(entry, _parse_holonomy(args.g_holonomy))
-    _warn_ignored_holonomy(report)
+    _warn_ignored_holonomy(report.hm, report.hol_dim,
+                           f"the holonomy algebra of {report.case_id}")
     lines = [f"case {report.case_id}"]
     v = report.verdict
     if v.is_solution:

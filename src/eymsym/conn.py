@@ -25,14 +25,9 @@ others.  The reduced echelon form of the Lambda vectors, columns reversed,
 is that basis: it is unique for their span, and its rows, read back, are
 the identity on the free columns.
 
-solve_connections solves each distinct system once per process.  The
-system reads only the values of the isotropy matrices and of g, never the
-[m, m] brackets or the case name, so the memo key is those values as tuples
-of canonical RatFuncs, which hash and compare by value (the 35 catalog
-cases give 14 keys).  Only a returned family is stored.  Cases with equal
-keys share one ConnectionFamily, so callers treat it as read-only; the one
-field set after construction, the cached answer of
-depends_on_connection_params, is a function of the family itself.
+The system reads only the isotropy matrices and g, never the [m, m]
+brackets or the case name, so eym.run_case shares one ConnectionFamily among
+cases whose metric solves share theirs.
 
 Every pair reaching this module is symmetric ([m, m] in h; eym.run_case
 checks it first), so curvature has no L([u_i, u_j]_m) term.  Whether the
@@ -52,7 +47,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .exact import RF_ZERO, RatFunc
-from .linalg import FieldMatrix, kernel_linear_in, matrices_key, rref
+from .linalg import FieldMatrix, kernel_linear_in, rref
 from .liecat import LiePair, U_LABELS
 
 if TYPE_CHECKING:
@@ -69,7 +64,6 @@ class ConnectionFamily:
         self.maps = maps    # Lambda(u_1..u_4), entries linear in free_params
         self.free_params = free_params
         self.basis = basis  # basis[k][s] = B^k(u_s); maps = sum_k v_k basis[k]
-        self._depends: bool | None = None
 
     @property
     def dim(self) -> int:
@@ -134,25 +128,12 @@ def _equivariance_rows(entries: list) -> list:
     return list(rows.values())
 
 
-_FAMILIES: dict = {}    # (isotropy matrices, g) by value -> ConnectionFamily
-
-
 def solve_connections(rhos: list, family: MetricFamily) -> ConnectionFamily:
     """General solution of equivariance + g-skewness, parameters v1..vd.
 
     `rhos` are the isotropy matrices (liecat.isotropy_rep) and `family` an
-    invariant metric family for them.  Solved once per distinct (rho, g) in
-    a process; the family returned is shared and read-only (module
-    docstring).
+    invariant metric family for them.
     """
-    key = (matrices_key(rhos), matrices_key([family.g]))
-    conn = _FAMILIES.get(key)
-    if conn is None:
-        conn = _FAMILIES[key] = _solve_connections(rhos, family)
-    return conn
-
-
-def _solve_connections(rhos: list, family: MetricFamily) -> ConnectionFamily:
     vecs = []
     kernel = kernel_linear_in(rhos, _equivariance_rows, 24)
     if kernel:
@@ -204,13 +185,9 @@ def depends_on_connection_params(conn: ConnectionFamily) -> bool:
     With L_s = sum_k v_k B_s^k, R_ij = sum_{k,l} v_k v_l [B_i^k, B_j^l] -
     rho([u_i, u_j]) is a quadratic form in v plus a constant, so it depends
     on v iff a coefficient of one of its monomials is nonzero: [B_i^k, B_j^k]
-    for v_k^2, [B_i^k, B_j^l] + [B_i^l, B_j^k] for v_k v_l with k < l.  The
-    answer is kept on the family, so each family is decided once.
+    for v_k^2, [B_i^k, B_j^l] + [B_i^l, B_j^k] for v_k v_l with k < l.
     """
-    if conn._depends is None:
-        conn._depends = any(not m.is_zero()
-                            for m in _quadratic_coefficients(conn.basis))
-    return conn._depends
+    return any(not m.is_zero() for m in _quadratic_coefficients(conn.basis))
 
 
 def _quadratic_coefficients(basis: list):

@@ -30,6 +30,13 @@ canonical member (all parameters zero), which always belongs to the family;
 reports carry a flag saying so.  The canonical member's curvature is the
 Levi-Civita curvature, so the pipeline reuses it instead of building it
 again.
+
+run_case keeps the metric solve, the connection solve and the dependence
+decision in one dict per process, keyed on what the metric solve reads
+(_solve_key; 14 keys over the 35 catalog cases): the connection solve reads
+only the isotropy matrices and that metric.  Cases with equal keys share the
+families, so callers treat them as read-only.  A failed solve is not
+stored, so its error always names the case that raised it.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .exact import RF_ZERO, RatFunc, rf
-from .linalg import FieldMatrix, rref
+from .linalg import FieldMatrix, matrices_key, rref
 from .liecat import (CaseGolden, CatalogEntry, LiePair, NotSymmetric,
                      isotropy_rep, symmetric_witness)
 from .geom import (CurvatureReport, MetricFamily, levi_civita,
@@ -166,10 +173,10 @@ def stress_tensor(form: CurvatureForm, family: MetricFamily,
 
 
 def solve_first_eym(lc: CurvatureReport, family: MetricFamily,
-                    T: FieldMatrix,
-                    form: CurvatureForm | None = None) -> EymVerdict:
-    """Solve  r_ij + (lambda - s/2) g_ij = kappa T_ij  for the two constants."""
-    if form is not None and form.is_zero():
+                    T: FieldMatrix, form: CurvatureForm) -> EymVerdict:
+    """Solve  r_ij + (lambda - s/2) g_ij = kappa T_ij  for the two constants;
+    `form` is the curvature T was built from."""
+    if form.is_zero():
         return EymVerdict(EymOutcome.FLAT_CURVATURE,
                           detail="all curvature components vanish")
     if T.is_zero():
@@ -326,8 +333,24 @@ class CaseReport:
         return True
 
 
+# _solve_key -> (MetricFamily, ConnectionFamily, curvature_param_dependent)
+_SOLVED: dict = {}
+
+
+def _solve_key(pair: LiePair, rhos: list, shape: FieldMatrix | None,
+               lorentz: str | None) -> tuple:
+    """The values solve_invariant_metric reads (geom module docstring), with
+    matrices as tuples of canonical RatFuncs that hash and compare by value."""
+    params = {p.name for p in pair.params}
+    if shape is not None:
+        params &= {v for row in shape.entries for x in row
+                   for v in x.variables()}
+        shape = matrices_key([shape])
+    return (matrices_key(rhos), shape, lorentz, tuple(sorted(params)))
+
+
 def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseReport:
-    """Full pipeline: metric -> curvature -> connections -> T -> verdicts."""
+    """Full pipeline: metric -> connections -> curvature -> T -> verdicts."""
     hm = hm if hm is not None else HolonomyMetric()
     pair = entry.pair
     golden = entry.golden
@@ -337,11 +360,16 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
         raise NotSymmetric(
             f"{pair.case_id}: bracket of {witness} has a component in m")
     rhos = isotropy_rep(pair)
-    family = solve_invariant_metric(pair, rhos, shape=golden.metric,
-                                    lorentz=golden.lorentz)
+    key = _solve_key(pair, rhos, golden.metric, golden.lorentz)
+    solved = _SOLVED.get(key)
+    if solved is None:
+        family = solve_invariant_metric(pair, rhos, shape=golden.metric,
+                                        lorentz=golden.lorentz)
+        conn = solve_connections(rhos, family)
+        solved = _SOLVED[key] = (family, conn,
+                                 depends_on_connection_params(conn))
+    family, conn, param_dep = solved
     lc = levi_civita(pair, rhos, family)
-    conn = solve_connections(rhos, family)
-    param_dep = depends_on_connection_params(conn)
     # the curvature of the canonical member, and of the whole family when it
     # does not depend on the parameters
     form = CurvatureForm(components=lc.operators)

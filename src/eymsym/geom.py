@@ -7,16 +7,14 @@ parameterization is verified to span the same solution space and is then
 used for all downstream output, so the engine's formulas come out in the
 familiar letters (a, b, c, d).
 
-solve_invariant_metric solves each distinct input once per process.  The
-result reads the isotropy matrices, the shape, the Lorentz condition it
+The solve reads the isotropy matrices, the shape, the Lorentz condition it
 carries and the case-parameter names (all of them without a shape, where
 the default letters skip them; those in the shape otherwise, where they are
-not metric parameters), never the [m, m] brackets; the memo key is those
-values, matrices as tuples of canonical RatFuncs that hash and compare by
-value (14 keys over the 35 catalog cases).  Failures are not stored, so
-NoInvariantMetric and BadMetricShape always name the case that raised them.
-Cases with equal keys share one MetricFamily, its det_g and its lazily
-computed inverse, so callers treat it as read-only.
+not metric parameters), never the [m, m] brackets, which is what lets
+eym.run_case share one MetricFamily, its det_g and its lazily computed
+inverse among cases with equal inputs.  A family whose det g vanishes
+identically is refused here (SingularMetric), so every family returned has
+an inverse.
 
 Curvature conventions, pinned once and checked by the golden tests.  The
 pair is symmetric ([m, m] in h), so the Levi-Civita connection has zero
@@ -29,15 +27,13 @@ connection maps and its curvature is conn.curvature of the zero maps:
 from __future__ import annotations
 
 import math
-import re
 from enum import Enum
 from fractions import Fraction
 
 from .conn import curvature
-from .exact import RF_ZERO, RatFunc, linear_parts, parse_ratfunc
-from .linalg import (FieldMatrix, det, inverse, kernel_linear_in, matrices_key,
-                     rref)
-from .liecat import LiePair
+from .exact import RF_ZERO, RatFunc, linear_parts
+from .linalg import FieldMatrix, det, inverse, kernel_linear_in, rref
+from .liecat import LiePair, parse_condition
 
 
 class NoInvariantMetric(ValueError):
@@ -107,9 +103,6 @@ def _invariance_rows(entries: list) -> list:
     return [row for row in rows.values() if row]
 
 
-_FAMILIES: dict = {}    # (rho, shape, lorentz, case parameters) -> MetricFamily
-
-
 def solve_invariant_metric(pair: LiePair, rhos: list,
                            shape: FieldMatrix | None = None,
                            lorentz: str | None = None) -> MetricFamily:
@@ -119,27 +112,9 @@ def solve_invariant_metric(pair: LiePair, rhos: list,
     When `shape` is given (the family written in its conventional letters) it
     is verified against the computed solution space and then adopted, so
     parameter names match the published tables.  Without a shape, free
-    parameters are named a, b, c, ... in unknown order.  Solved once per
-    distinct input in a process; the family returned is shared and read-only
-    (module docstring).
+    parameters are named a, b, c, ... in unknown order.
     """
     case_params = {p.name for p in pair.params}
-    if shape is None:
-        key = (matrices_key(rhos), None, lorentz, tuple(sorted(case_params)))
-    else:   # only the case parameters in the shape change the result
-        names = {v for row in shape.entries for x in row for v in x.variables()}
-        key = (matrices_key(rhos), matrices_key([shape]), lorentz,
-               tuple(sorted(case_params & names)))
-    family = _FAMILIES.get(key)
-    if family is None:
-        family = _FAMILIES[key] = _solve_invariant_metric(
-            pair, rhos, shape, lorentz, case_params)
-    return family
-
-
-def _solve_invariant_metric(pair: LiePair, rhos: list,
-                            shape: FieldMatrix | None, lorentz: str | None,
-                            case_params: set) -> MetricFamily:
     n = len(_UPPER)
     basis = [[vec.get(c, RF_ZERO) for c in range(n)]
              for vec in kernel_linear_in(rhos, _invariance_rows, n)]
@@ -162,7 +137,11 @@ def _solve_invariant_metric(pair: LiePair, rhos: list,
                     if i != j:
                         acc[j][i] = acc[i][j]
         g = FieldMatrix(4, 4, acc)
-    return MetricFamily(g=g, free_params=list(params), det_g=det(g),
+    det_g = det(g)
+    if det_g.is_zero():
+        raise SingularMetric(
+            f"{pair.case_id}: det g vanishes identically on the metric family")
+    return MetricFamily(g=g, free_params=list(params), det_g=det_g,
                         lorentz=lorentz)
 
 
@@ -263,17 +242,10 @@ def lorentz_check(family: MetricFamily, sample: dict) -> SignatureVerdict:
     return SignatureVerdict.NEUTRAL
 
 
-_COND_RE = re.compile(r"^\s*(.+?)\s*(!=|<|>)\s*(.+?)\s*$")
-
-
 def lorentz_condition_holds(condition: str, sample: dict) -> bool:
     """Evaluate a recorded condition like 'b*d > c^2' at a rational sample."""
-    m = _COND_RE.match(condition)
-    if not m:
-        raise ValueError(f"cannot parse condition {condition!r}")
-    lhs = parse_ratfunc(m.group(1)).evaluate(sample)
-    rhs = parse_ratfunc(m.group(3)).evaluate(sample)
-    op = m.group(2)
+    lhs, op, rhs = parse_condition(condition)
+    lhs, rhs = lhs.evaluate(sample), rhs.evaluate(sample)
     if op == "!=":
         return lhs != rhs
     return lhs < rhs if op == "<" else lhs > rhs
@@ -286,9 +258,6 @@ def levi_civita(pair: LiePair, rhos: list,
                 family: MetricFamily) -> CurvatureReport:
     """Curvature, Ricci and scalar of the Levi-Civita connection; `rhos`
     are the isotropy matrices of the pair (liecat.isotropy_rep)."""
-    if family.det_g.is_zero():
-        raise SingularMetric(
-            f"{pair.case_id}: det g vanishes identically on the metric family")
     g_inv = family.g_inverse()
     # on a symmetric pair the Levi-Civita connection maps are zero
     form = curvature(pair, rhos, [FieldMatrix.zeros(4, 4)] * 4)

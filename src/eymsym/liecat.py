@@ -10,12 +10,18 @@ parameter letters, the Lorentz condition, Ricci/scalar values, the expected
 first-equation outcome, and the global space name where one is recorded.
 
 parse_catalog parses each distinct expression text once per load: the
-bundled catalog has 85 distinct texts among about 1,500 expressions, most
+bundled catalog has 90 distinct texts among about 1,500 expressions, most
 of them the "0" entries of matrices.  The memo maps text to the immutable
 RatFunc and lives only as long as that one call, so every load still
 parses and checks every entry, and a malformed text raises a
 CatalogParseError naming the first line it appears on.  Bracket dicts and
 matrices are built fresh per line, as they are mutable.
+
+A load also checks what would otherwise fail only when a verb reaches the
+case: case ids are unique, `golden hol_dim` is an integer, `golden det` is
+not identically zero, `golden lorentz` is a condition `lhs op rhs`
+(parse_condition), and every variable of a bracket or of a golden
+expression is a metric-shape variable or a declared `param`.
 """
 
 from __future__ import annotations
@@ -138,9 +144,6 @@ class Catalog:
         self.entries = entries
         self.table1 = table1
 
-    def case_ids(self) -> list:
-        return [e.pair.case_id for e in self.entries]
-
     def get(self, case_id: str) -> CatalogEntry:
         for e in self.entries:
             if e.pair.case_id == case_id:
@@ -218,21 +221,28 @@ def parse_catalog(text: str, source: str = "<catalog>") -> Catalog:
     table1: list = []
     current_pair: LiePair | None = None
     current_golden: CaseGolden | None = None
-    parsed: dict = {}   # text -> RatFunc, for this load only
+    parsed: dict = {}   # text -> (RatFunc, its variables), for this load only
+    case_ids: set = set()
+    used: list = []     # (where, variables) of the current case's lines
+    line_vars: set = set()  # variables of what the current line parsed
 
     def parse(expr: str) -> RatFunc:
-        value = parsed.get(expr)
-        if value is None:
-            value = parsed[expr] = parse_ratfunc(expr)
-        return value
+        got = parsed.get(expr)
+        if got is None:
+            value = parse_ratfunc(expr)
+            got = parsed[expr] = (value, value.variables())
+        line_vars.update(got[1])
+        return got[0]
 
     def flush():
         if current_pair is not None:
+            _check_variables(current_pair, current_golden, used)
             entries.append(CatalogEntry(current_pair, current_golden))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         where = f"{source}:{lineno}"
+        line_vars.clear()
         if not line or line.startswith("#"):
             continue
         head, _, rest = line.partition(" ")
@@ -248,6 +258,11 @@ def parse_catalog(text: str, source: str = "<catalog>") -> Catalog:
             m = re.match(r'"([^"]+)"\s+dim_h\s+(\d+)$', rest)
             if not m:
                 raise CatalogParseError(f"{where}: bad case header")
+            if m.group(1) in case_ids:
+                raise CatalogParseError(
+                    f"{where}: duplicate case id {m.group(1)!r}")
+            case_ids.add(m.group(1))
+            used.clear()
             current_pair = LiePair(case_id=m.group(1), dim_h=int(m.group(2)),
                                    brackets={})
             current_golden = CaseGolden()
@@ -281,8 +296,10 @@ def parse_catalog(text: str, source: str = "<catalog>") -> Catalog:
             if None in parts:
                 raise CatalogParseError(f"{where}: constant term in a bracket")
             current_pair.brackets[(x, y)] = parts
+            used.append((where, line_vars - set(basis)))
         elif head == "golden":
             _parse_golden(rest, current_golden, where, parse)
+            used.append((where, set(line_vars)))
         elif head == "space":
             m = _QUOTED.match(rest)
             if not m:
@@ -292,6 +309,35 @@ def parse_catalog(text: str, source: str = "<catalog>") -> Catalog:
             raise CatalogParseError(f"{where}: unknown directive {head!r}")
     flush()
     return Catalog(entries, table1)
+
+
+def _check_variables(pair: LiePair, golden: CaseGolden, used: list) -> None:
+    """Every variable `used` names is a declared param or a metric-shape
+    variable: of the golden metric, or without one of the letters the
+    solved family may take (geom.solve_invariant_metric)."""
+    allowed = {p.name for p in pair.params}
+    if golden.metric is not None:
+        allowed.update(v for row in golden.metric.entries for x in row
+                       if not x.is_zero() for v in x.variables())
+    else:
+        allowed |= set("abcdefghij")
+    for where, names in used:
+        if not names <= allowed:
+            raise CatalogParseError(
+                f"{where}: {min(names - allowed)!r} is neither a metric-shape "
+                "variable nor a declared param")
+
+
+_CONDITION = re.compile(r"^\s*(.+?)\s*(!=|<|>)\s*(.+?)\s*$")
+
+
+def parse_condition(text: str, parse=parse_ratfunc) -> tuple:
+    """(lhs, op, rhs) of a condition like 'b*d > c^2', op one of !=, <, >;
+    `parse` reads each side."""
+    m = _CONDITION.match(text)
+    if not m:
+        raise ParseError(f"cannot parse condition {text!r}")
+    return parse(m.group(1)), m.group(2), parse(m.group(3))
 
 
 def _parse_golden(rest: str, golden: CaseGolden, where: str,
@@ -307,14 +353,19 @@ def _parse_golden(rest: str, golden: CaseGolden, where: str,
             golden.ricci = _parse_matrix(value, where, parse)
         elif key == "det":
             golden.det = parse(value)
+            if golden.det.is_zero():
+                raise CatalogParseError(f"{where}: det g is identically zero")
         elif key == "scalar":
             golden.scalar = parse(value)
         elif key == "lorentz":
             mq = _QUOTED.match(value)
             if not mq:
                 raise CatalogParseError(f"{where}: lorentz needs a quoted string")
+            parse_condition(mq.group(1), parse)
             golden.lorentz = mq.group(1)
         elif key == "hol_dim":
+            if not re.fullmatch(r"[0-9]+", value):
+                raise CatalogParseError(f"{where}: hol_dim must be an integer")
             golden.hol_dim = int(value)
         elif key == "verdict":
             if value != "solution":
@@ -410,13 +461,15 @@ def symmetric_witness(pair: LiePair) -> str:
     return ""
 
 
-def rep_is_homomorphism(pair: LiePair, mats: list | None = None) -> bool:
-    """rho([e_i, e_j]) equals the matrix commutator for all generator pairs."""
-    mats = mats if mats is not None else isotropy_rep(pair)
+def rep_is_homomorphism(pair: LiePair, mats: list) -> bool:
+    """rho([e_i, e_j]) equals the matrix commutator for all generator pairs,
+    with `mats` the isotropy matrices of the pair (isotropy_rep)."""
     e_labels = pair.e_labels
     for i in range(pair.dim_h):
         for j in range(i + 1, pair.dim_h):
             coeffs = pair.bracket(e_labels[i], e_labels[j])
+            if any(lbl not in e_labels for lbl in coeffs):
+                return False    # [h, h] leaves h: rho([e_i, e_j]) is undefined
             expect = FieldMatrix.zeros(4, 4)
             for lbl, c in coeffs.items():
                 expect = expect + mats[e_labels.index(lbl)].scale(c)
@@ -425,9 +478,8 @@ def rep_is_homomorphism(pair: LiePair, mats: list | None = None) -> bool:
     return True
 
 
-def rep_is_faithful(pair: LiePair, mats: list | None = None) -> bool:
-    """The isotropy matrices are linearly independent."""
-    mats = mats if mats is not None else isotropy_rep(pair)
+def rep_is_faithful(pair: LiePair, mats: list) -> bool:
+    """The isotropy matrices `mats` of the pair are linearly independent."""
     stacked = FieldMatrix(len(mats), 16, [
         [m.entries[i][j] for i in range(4) for j in range(4)] for m in mats])
     return rank(stacked) == len(mats)

@@ -446,6 +446,16 @@ def test_holonomy_index_inside_the_algebra_does_not_warn(capsys, verb):
     assert code == (1 if verb == "report" else 0)
 
 
+def test_tables_warns_for_an_index_no_case_reaches(capsys):
+    # the largest holonomy algebra of the catalog has dimension 6
+    code, out, err = run_cli(capsys, "tables", "--g-holonomy", "20=3")
+    assert err == ("warning: --g-holonomy index 20 ignored: the largest "
+                   "holonomy algebra in the catalog has dimension 6 "
+                   "(indices 5..10)\n")
+    assert (code, out) == run_cli(capsys, "tables")[:2]
+    assert run_cli(capsys, "tables", "--g-holonomy", "10=3")[2] == ""
+
+
 def test_holonomy_warning_without_holonomy(capsys):
     code, out, err = run_cli(capsys, "solve", "1.1^1(10)(t=0)",
                              "--g-holonomy", "6=4,5=3")

@@ -12,9 +12,8 @@ from eymsym.liecat import U_LABELS, isotropy_rep
 from eymsym.linalg import (FieldMatrix, det, integer_entries, inverse,
                            nullspace, rank)
 from eymsym.conn import (ConnectionFamily, CurvatureForm, NonClosing,
-                         _solve_connections, curvature,
-                         depends_on_connection_params, expand_in_basis,
-                         holonomy)
+                         curvature, depends_on_connection_params,
+                         expand_in_basis, holonomy, solve_connections)
 from eymsym.geom import MetricFamily
 from eymsym.crosscheck import NumericCase, sample_point
 
@@ -188,7 +187,7 @@ def test_random_so_g_inputs_give_the_one_shot_family():
         g_inv = inverse(g)
         rhos = [g_inv * _random_skew(rng) for _ in range(rng.randint(1, 2))]
         rhos = [m.scale(lam) if rng.random() < 0.5 else m for m in rhos]
-        family = _solve_connections(
+        family = solve_connections(
             rhos, MetricFamily(g=g, free_params=[], det_g=det(g)))
         params, maps = _one_shot_family(rhos, g)
         assert (family.free_params, family.maps) == (params, maps), seed

@@ -95,6 +95,14 @@ def test_rep_homomorphism_and_faithfulness(catalog):
         assert rep_is_faithful(entry.pair, mats), entry.pair.case_id
 
 
+def test_bracket_leaving_h_is_no_homomorphism(catalog):
+    """[e2, e3] = u1 in 3.5^1(4): h is not closed, so rho([e2, e3]) has no
+    meaning and the check fails instead of looking u1 up among the e's."""
+    pair = copy.deepcopy(catalog.get("3.5^1(4)").pair)
+    pair.brackets[("e2", "e3")] = {"u1": rf(1)}
+    assert not rep_is_homomorphism(pair, isotropy_rep(pair))
+
+
 def test_symmetric_pairs_have_no_m_component(catalog):
     for entry in catalog.entries:
         pair = entry.pair
@@ -131,7 +139,8 @@ def test_parse_rejects_bad_verdict():
 
 
 def test_parse_bracket_with_coefficients():
-    text = 'case "x" dim_h 2\nbracket u2 u3 = (1 + t)*e1 - 2*e2\n'
+    text = ('case "x" dim_h 2\nparam t range ">=0"\n'
+            'bracket u2 u3 = (1 + t)*e1 - 2*e2\n')
     cat = parse_catalog(text, "f.txt")
     coeffs = cat.entries[0].pair.bracket("u2", "u3")
     assert str(coeffs["e1"]) == "t + 1"
@@ -150,6 +159,47 @@ def test_parse_rejects_bad_bracket(rhs, reason):
     assert str(err.value) == f"f.txt:2: {reason}"
 
 
+_CASE = 'case "x" dim_h 1\nbracket e1 u1 = u2\n'
+
+
+@pytest.mark.parametrize("extra, line, reason", [
+    ('golden hol_dim = x\n', 3, "hol_dim must be an integer"),
+    ('golden hol_dim = -1\n', 3, "hol_dim must be an integer"),
+    ('case "x" dim_h 1\n', 3, "duplicate case id 'x'"),
+    ('golden lorentz = "a*b"\n', 3, "cannot parse condition 'a*b'"),
+    ('golden lorentz = "d^2)> b*c"\n', 3, "trailing tokens in 'd^2)'"),
+    ('golden lorentz = "a <= b"\n', 3, ""),
+    ('golden det = a - a\n', 3, "det g is identically zero"),
+    ('golden det = u1 - a^4\n', 3,
+     "'u1' is neither a metric-shape variable nor a declared param"),
+    ('bracket e1 u2 = lam*u1\n', 3,
+     "'lam' is neither a metric-shape variable nor a declared param"),
+    ('golden metric = [a,0,0,0; 0,a,0,0; 0,0,a,0; 0,0,0,a]\n'
+     'golden scalar = 2/b\n', 4,
+     "'b' is neither a metric-shape variable nor a declared param"),
+], ids=["hol-dim-word", "hol-dim-negative", "duplicate-case", "no-operator",
+        "bad-side", "two-operators", "zero-det", "basis-label-in-golden",
+        "undeclared-param", "not-in-shape"])
+def test_load_rejects_what_a_verb_would_trip_on(extra, line, reason):
+    with pytest.raises(CatalogParseError) as err:
+        parse_catalog(_CASE + extra, "f.txt")
+    assert str(err.value).startswith(f"f.txt:{line}: ")
+    assert reason in str(err.value)
+
+
+def test_load_accepts_declared_and_default_variables():
+    """A declared param anywhere in the block, a letter the shapeless solve
+    may use, and the letters of a recorded shape all pass."""
+    text = ('case "x" dim_h 1\nbracket e1 u2 = lam*u1\n'
+            'golden det = -j*lam\ngolden lorentz = "a*lam > 0"\n'
+            'param lam range ">0"\n'
+            'case "y" dim_h 1\nbracket e1 u1 = u2\n'
+            'golden lorentz = "p != 0"\n'
+            'golden metric = [p,0,0,0; 0,p,0,0; 0,0,p,0; 0,0,0,p]\n')
+    cat = parse_catalog(text, "f.txt")
+    assert [e.golden.lorentz for e in cat.entries] == ["a*lam > 0", "p != 0"]
+
+
 def _count_parses(monkeypatch) -> list:
     """The texts liecat hands to parse_ratfunc from now on."""
     texts = []
@@ -164,13 +214,14 @@ def _count_parses(monkeypatch) -> list:
 
 
 def test_catalog_parses_each_distinct_text_once_per_load(monkeypatch):
-    # 1,531 expressions in the bundled catalog, 935 of them "0"
+    # 1,531 expressions in the bundled catalog, 935 of them "0", plus the
+    # two sides of each golden lorentz condition
     texts = _count_parses(monkeypatch)
     catalog = catalog_load()
-    assert len(texts) == len(set(texts)) == 85
+    assert len(texts) == len(set(texts)) == 90
     # the memo lasts one load: a second load parses every text again
     catalog_load()
-    assert texts[85:] == texts[:85]
+    assert texts[90:] == texts[:90]
     # only the immutable RatFuncs are shared: every bracket dict and every
     # matrix row is built for its own line
     mutable = [d for e in catalog.entries for d in e.pair.brackets.values()]

@@ -1,10 +1,11 @@
 """One metric and one connection solve per distinct input in a process.
 
-`geom.solve_invariant_metric` and `conn.solve_connections` keep their
-results keyed on the values they read; these tests pin that the shared
-results equal fresh solves, that the catalog has 14 distinct inputs of
-each, that a failure still names its own case, and that the order in which
-cases run does not change a report byte.
+`eym.run_case` keeps the metric solve, the connection solve and the
+dependence decision in one dict keyed on the values the metric solve reads;
+these tests pin that the shared results equal fresh solves, that the
+catalog has 14 distinct inputs, that the key separates shape, Lorentz text
+and case parameters, that a failure still names its own case, and that the
+order in which cases run does not change a report byte.
 """
 
 from __future__ import annotations
@@ -18,74 +19,96 @@ from pathlib import Path
 
 import pytest
 
-from eymsym import conn, geom
+from eymsym import eym
+from eymsym.conn import depends_on_connection_params, solve_connections
 from eymsym.eym import run_case
-from eymsym.geom import BadMetricShape, MetricFamily
-from eymsym.liecat import CaseParam, LiePair, catalog_load, isotropy_rep
-from eymsym.linalg import det
+from eymsym.exact import RatFunc, parse_ratfunc
+from eymsym.geom import BadMetricShape, SingularMetric, solve_invariant_metric
+from eymsym.liecat import (CaseGolden, CaseParam, CatalogEntry, LiePair,
+                           catalog_load, isotropy_rep)
+from eymsym.linalg import FieldMatrix
 from eymsym.report import json_dumps, report_markdown, report_to_dict
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _fresh(entry) -> tuple:
+    """The metric family, connection family and dependence decision of an
+    entry, solved without the memo."""
+    rhos = isotropy_rep(entry.pair)
+    family = solve_invariant_metric(entry.pair, rhos, entry.golden.metric,
+                                    entry.golden.lorentz)
+    conn = solve_connections(rhos, family)
+    return family, conn, depends_on_connection_params(conn)
+
+
+def _same(r, fresh) -> bool:
+    family, conn, dep = fresh
+    return ((r.family.g, r.family.det_g, r.family.free_params,
+             r.family.lorentz) == (family.g, family.det_g,
+                                   family.free_params, family.lorentz)
+            and (r.conn.maps, r.conn.free_params, r.conn.basis)
+            == (conn.maps, conn.free_params, conn.basis)
+            and r.curvature_param_dependent == dep)
+
+
 def test_memoized_families_equal_fresh_solves(catalog, reports):
     for entry in catalog.entries:
-        r = reports[entry.pair.case_id]
-        rhos = isotropy_rep(entry.pair)
-        fresh = geom._solve_invariant_metric(
-            entry.pair, rhos, entry.golden.metric, entry.golden.lorentz,
-            {p.name for p in entry.pair.params})
-        assert (r.family.g, r.family.det_g, r.family.free_params,
-                r.family.lorentz) == (fresh.g, fresh.det_g, fresh.free_params,
-                                      fresh.lorentz), entry.pair.case_id
-        fresh_conn = conn._solve_connections(rhos, fresh)
-        assert r.conn.maps == fresh_conn.maps, entry.pair.case_id
-        assert r.conn.free_params == fresh_conn.free_params
-        assert r.conn.basis == fresh_conn.basis
+        assert _same(reports[entry.pair.case_id], _fresh(entry)), \
+            entry.pair.case_id
 
 
-def test_memo_keys_separate_what_the_solves_read(catalog):
-    """Inputs that differ only in g, in the Lorentz condition, or in the case
-    parameters a shapeless solve skips get results of their own."""
+def _variant(entry, metric=None, lorentz=None, params=()) -> CatalogEntry:
+    pair = LiePair(case_id=entry.pair.case_id, dim_h=entry.pair.dim_h,
+                   brackets=entry.pair.brackets, params=list(params))
+    return CatalogEntry(pair, CaseGolden(metric=metric, lorentz=lorentz))
+
+
+def test_memo_keys_separate_what_the_solves_read(catalog, monkeypatch):
+    """Inputs that differ only in the shape, in the Lorentz condition, or in
+    the case parameters a shapeless solve skips get results of their own,
+    each equal to a fresh solve."""
+    memo = {}
+    monkeypatch.setattr(eym, "_SOLVED", memo)
     entry = catalog.get("1.1^1(7)")
-    pair, g = entry.pair, entry.golden.metric
-    rhos = isotropy_rep(pair)
-    family = geom.solve_invariant_metric(pair, rhos, shape=g)
-    g0 = g.subs({"c": 0})
-    family0 = MetricFamily(g=g0, free_params=["a", "b", "d"], det_g=det(g0))
-    for metric in (family, family0):
-        assert (conn.solve_connections(rhos, metric).maps
-                == conn._solve_connections(rhos, metric).maps)
-    assert (conn.solve_connections(rhos, family).maps
-            != conn.solve_connections(rhos, family0).maps)
-    for lorentz in ("b*d > c^2", None):
-        assert geom.solve_invariant_metric(
-            pair, rhos, shape=g, lorentz=lorentz).lorentz == lorentz
-    plain = LiePair(case_id="free", dim_h=1, brackets={})
-    with_a = LiePair(case_id="free-a", dim_h=1, brackets={},
-                     params=[CaseParam("a", "a != 0")])
-    for lie, letter in ((plain, "a"), (with_a, "b")):
-        assert geom.solve_invariant_metric(
-            lie, isotropy_rep(lie)).free_params[0] == letter
+    g = entry.golden.metric
+    # the same invariant forms, with the letters b and d swapped
+    swapped = FieldMatrix(4, 4, [[parse_ratfunc(x) for x in row.split(",")]
+                                 for row in "0,0,a,0 0,d,0,c a,0,0,0 0,c,0,b"
+                                 .split()])
+    variants = [_variant(entry, g), _variant(entry, swapped),
+                _variant(entry, g, "b*d > c^2"), _variant(entry),
+                _variant(entry, params=[CaseParam("a", "a != 0")])]
+    reports = [run_case(v) for v in variants]
+    assert len(memo) == len(variants)
+    for v, r in zip(variants, reports):
+        assert _same(r, _fresh(v)), v.pair.case_id
+    assert reports[0].family.g != reports[1].family.g
+    assert reports[0].conn.maps != reports[1].conn.maps
+    assert [r.family.lorentz for r in reports[:3]] == [None, None, "b*d > c^2"]
+    assert reports[3].family.free_params == ["a", "b", "c", "d"]
+    assert reports[4].family.free_params == ["b", "c", "d", "e"]
+    # a case parameter the shape does not name leaves the key as it is
+    run_case(_variant(entry, g, params=[CaseParam("t", ">=0")]))
+    assert len(memo) == len(variants)
 
 
 def _counting(monkeypatch, module, name: str) -> list:
     calls = []
     original = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_one_solve_per_distinct_input(catalog, monkeypatch):
-    monkeypatch.setattr(conn, "_FAMILIES", {})
-    monkeypatch.setattr(geom, "_FAMILIES", {})
-    conn_solves = _counting(monkeypatch, conn, "_solve_connections")
-    metric_solves = _counting(monkeypatch, geom, "_solve_invariant_metric")
+    monkeypatch.setattr(eym, "_SOLVED", {})
+    conn_solves = _counting(monkeypatch, eym, "solve_connections")
+    metric_solves = _counting(monkeypatch, eym, "solve_invariant_metric")
     reports = [run_case(entry) for entry in catalog.entries]
     assert len(conn_solves) == 14
     assert len(metric_solves) == 14
@@ -98,7 +121,8 @@ def test_one_solve_per_distinct_input(catalog, monkeypatch):
 
 
 def test_failed_metric_solve_names_its_own_case(tmp_path, monkeypatch):
-    monkeypatch.setattr(geom, "_FAMILIES", {})
+    memo = {}
+    monkeypatch.setattr(eym, "_SOLVED", memo)
     text = (resources.files("eymsym") / "data" / "catalog.txt").read_text()
     line = "golden metric = [0,0,a,0; 0,b,0,0; a,0,0,0; 0,0,0,b]\n"
     start = text.index('case "2.1^2(4)"')
@@ -110,12 +134,28 @@ def test_failed_metric_solve_names_its_own_case(tmp_path, monkeypatch):
     bad = catalog_load(str(path))
     for k in (1, 2, 3, 5, 6):
         run_case(bad.get(f"2.1^2({k})"))
-    assert len(geom._FAMILIES) == 1
+    assert len(memo) == 1
     for _ in range(2):      # the failure is not stored
         with pytest.raises(BadMetricShape,
                            match=r"^2\.1\^2\(4\): shape is not invariant$"):
             run_case(bad.get("2.1^2(4)"))
-    assert len(geom._FAMILIES) == 1
+    assert len(memo) == 1
+
+
+def test_singular_metric_fails_before_the_connection_solve(monkeypatch):
+    """e1 scales u1 alone, so every invariant form vanishes on u1: the metric
+    solve refuses the family, naming the case, and nothing is stored."""
+    memo = {}
+    monkeypatch.setattr(eym, "_SOLVED", memo)
+    conn_solves = _counting(monkeypatch, eym, "solve_connections")
+    one = RatFunc.const(1)
+    pair = LiePair(case_id="x(1)", dim_h=1,
+                   brackets={("e1", "u1"): {"u1": one}})
+    for _ in range(2):
+        with pytest.raises(SingularMetric,
+                           match=r"^x\(1\): det g vanishes identically"):
+            run_case(CatalogEntry(pair, CaseGolden()))
+    assert (memo, conn_solves) == ({}, [])
 
 
 # Runs in a fresh interpreter, so the memo starts empty.

@@ -99,10 +99,12 @@ def test_traced_run_case_records_spans_and_keeps_the_report():
     # run_case builds the isotropy matrices once, and the report reads them
     # off the CaseReport
     assert calls["liecat.isotropy_rep"] == 1
-    # the untraced run already solved this case: the memo answers, and the
-    # only curvature built is the Levi-Civita one
-    assert calls["conn.solve_connections"] == 1
-    assert calls["conn.depends_on_connection_params"] == 1
+    # the untraced run already solved this case: run_case's memo answers
+    # without a metric or connection solve, and the only curvature built is
+    # the Levi-Civita one
+    assert calls["geom.solve_invariant_metric"] == 0
+    assert calls["conn.solve_connections"] == 0
+    assert calls["conn.depends_on_connection_params"] == 0
     assert calls["conn.curvature"] == 1
     assert calls["conn.holonomy"] == 1
     assert calls["conn.expand_in_basis"] == 1

@@ -15,9 +15,9 @@ import random
 
 import pytest
 
-from eymsym import conn, geom, linalg
+from eymsym import eym, linalg
 from eymsym.cli import main
-from eymsym.conn import _equivariance_rows, _solve_connections
+from eymsym.conn import _equivariance_rows, solve_connections
 from eymsym.eym import run_case
 from eymsym.exact import RF_ONE, RF_ZERO, PoleAtPoint, RatFunc, rf
 from eymsym.geom import (MetricFamily, NoInvariantMetric, _UPPER,
@@ -110,7 +110,7 @@ def test_nonempty_specialised_kernel_reaches_one_nullspace(monkeypatch):
         kernel, calls = _solve(monkeypatch, rhos, rows_of, cols)
         assert kernel and calls == {"int_nullspace": 1, "nullspace": 1}
         assert kernel == _stacked(rhos, rows_of, cols)
-    family = _solve_connections(rhos, IDENTITY)
+    family = solve_connections(rhos, IDENTITY)
     assert family.dim > 0 and _same_family(family, rhos, IDENTITY.g)
 
 
@@ -125,7 +125,7 @@ def test_a_pole_at_the_first_point_is_skipped(reports, monkeypatch):
     kernel, calls = _solve(monkeypatch, rhos, *EQUIVARIANCE)
     assert kernel == [] and calls == {"int_nullspace": 1, "nullspace": 0}
     assert _stacked(rhos, *EQUIVARIANCE) == []
-    assert _solve_connections(rhos, r.family).free_params == []
+    assert solve_connections(rhos, r.family).free_params == []
 
     for mats, (rows_of, cols) in (([_rotation(LAM * pole)], EQUIVARIANCE),
                                   ([_rotation(LAM * pole)], INVARIANCE),
@@ -145,7 +145,7 @@ def test_no_pole_free_point_falls_back_to_one_nullspace(monkeypatch):
         kernel, calls = _solve(monkeypatch, rhos, rows_of, cols)
         assert kernel and calls == {"int_nullspace": 0, "nullspace": 1}
         assert kernel == _stacked(rhos, rows_of, cols)
-    assert _same_family(_solve_connections(rhos, IDENTITY), rhos, IDENTITY.g)
+    assert _same_family(solve_connections(rhos, IDENTITY), rhos, IDENTITY.g)
 
 
 def test_metric_solve_takes_the_shortcut(monkeypatch, tmp_path, capsys):
@@ -190,11 +190,10 @@ def test_random_systems_equal_one_nullspace_of_the_stacked_rows(seed):
 
 def test_a_fresh_pass_reaches_nullspace_only_for_the_lam_metrics(
         catalog, monkeypatch):
-    """Over the 35 cases with empty memos, linalg.nullspace runs three times:
+    """Over the 35 cases with an empty memo, linalg.nullspace runs three times:
     the invariance systems (10 unknowns) of the three lam cases.  No
     connection solve reaches it."""
-    monkeypatch.setattr(conn, "_FAMILIES", {})
-    monkeypatch.setattr(geom, "_FAMILIES", {})
+    monkeypatch.setattr(eym, "_SOLVED", {})
     widths = []
 
     def counted(m, _f=linalg.nullspace):
