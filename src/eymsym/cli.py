@@ -8,9 +8,9 @@ Exit codes (stable contract for CI):
   2  a catalog that fails to parse or fails a load-time check
   3  unknown case
   4  bad arguments, a --sample point at a pole of lambda or kappa included
-  5  a case cannot be analysed (not reductive, not symmetric, no invariant
-     metric, a bad metric shape, a degenerate metric, or a curvature
-     component outside the holonomy span);
+  5  a case cannot be analysed (not reductive, not symmetric, an isotropy
+     that acts trivially, no invariant metric, a bad metric shape, a
+     degenerate metric, or a curvature component outside the holonomy span);
      `validate` prints such a case as FAIL, goes on, and exits 5 at the end
 """
 
@@ -29,13 +29,13 @@ from .eym import HolonomyMetric, run_case
 from .geom import (BadMetricShape, NoInvariantMetric, SingularMetric,
                    lorentz_check, lorentz_condition_holds)
 from .liecat import (Catalog, CatalogParseError, NotReductive, NotSymmetric,
-                     UnknownCase, catalog_load, isotropy_rep, rep_is_faithful,
-                     rep_is_homomorphism, validate_pair)
+                     TrivialIsotropy, UnknownCase, catalog_load, isotropy_rep,
+                     rep_is_faithful, rep_is_homomorphism, validate_pair)
 from .linalg import FieldMatrix
 
 # A case whose data the pipeline cannot analyse (exit code 5).
-_UNANALYSABLE = (NotReductive, NotSymmetric, NoInvariantMetric,
-                 BadMetricShape, SingularMetric, NonClosing)
+_UNANALYSABLE = (NotReductive, NotSymmetric, TrivialIsotropy,
+                 NoInvariantMetric, BadMetricShape, SingularMetric, NonClosing)
 
 
 class _ArgumentError(Exception):

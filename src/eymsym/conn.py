@@ -12,11 +12,13 @@ g rho g^-1 = -t(rho)), and equivariance multiplied by g reads
 
     t(rho) A_s + A_s rho + sum_t rho[t][s] A_t = 0
 
-(Kobayashi-Nomizu II, ch. X).  Its unknowns are the 24 upper entries of
-A_1..A_4, and linalg.kernel_linear_in solves it: over the integers when
-every isotropy matrix is constant, at a specialised point otherwise.  Each
-kernel vector gives Lambda = g^-1 A, 64 entries L_s[i][j] numbered
-16s + 4i + j.
+(Kobayashi-Nomizu II, ch. X).  That is rho.A = 0 for the tensor
+A(u_s; x, y) = g(Lambda(u_s) x, y) in m* (x) Lambda^2 m*, so this module
+declares only its index symmetry, a linalg.TensorLayout skew in the last two
+indices: 24 unknowns A_s[p][q] (p < q), numbered 6s + the index of (p, q)
+among the six pairs.  linalg.kernel_linear_in builds the rows and solves
+them.  Each kernel vector, read back into A_1..A_4 through the layout, gives
+Lambda = g^-1 A, 64 entries L_s[i][j] numbered 16s + 4i + j.
 
 The free parameters v1, v2, ... belong to the basis that one nullspace of
 the whole 64-unknown system gives: free variables set to 1 in column order,
@@ -47,7 +49,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .exact import RF_ZERO, RatFunc
-from .linalg import FieldMatrix, kernel_linear_in, rref
+from .linalg import FieldMatrix, TensorLayout, kernel_linear_in, rref
 from .liecat import LiePair, U_LABELS
 
 if TYPE_CHECKING:
@@ -94,38 +96,8 @@ class CurvatureForm:
         return out
 
 
-_PAIRS = [(p, q) for p in range(4) for q in range(p + 1, 4)]
-_COLS = {pq: k for k, pq in enumerate(_PAIRS)}   # A_s[p][q] is 6*s + _COLS[p, q]
-
-
-def _add_entry(row: dict, s: int, p: int, q: int, c) -> None:
-    """Add c * A_s[p][q] to row, A_s skew."""
-    if p == q:
-        return
-    col = 6 * s + (_COLS[p, q] if p < q else _COLS[q, p])
-    c = c if p < q else -c
-    x = row.get(col)
-    row[col] = c if x is None else x + c
-
-
-def _equivariance_rows(entries: list) -> list:
-    """Rows of t(rho) A_s + A_s rho + sum_t rho[t][s] A_t, entry (s, p < q),
-    as {unknown: coeff} over the 24 upper entries of the skew A_s.
-
-    `entries` are the nonzero (i, j, rho[i][j]), ints or RatFuncs; rho[i][j]
-    multiplies A_s[i][q] in entry (j, q), A_s[p][i] in entry (p, j) and
-    A_i[p][q] in every entry of slot j.
-    """
-    rows = {(s, p, q): {} for s in range(4) for p, q in _PAIRS}
-    for i, j, x in entries:
-        for s in range(4):
-            for q in range(j + 1, 4):
-                _add_entry(rows[s, j, q], s, i, q, x)
-            for p in range(j):
-                _add_entry(rows[s, p, j], s, p, i, x)
-        for p, q in _PAIRS:
-            _add_entry(rows[j, p, q], i, p, q, x)
-    return list(rows.values())
+# A(u_s; x, y) = g(Lambda(u_s) x, y), skew in x, y (module docstring)
+_CONNECTION = TensorLayout(rank=3, sign=-1)
 
 
 def solve_connections(rhos: list, family: MetricFamily) -> ConnectionFamily:
@@ -135,18 +107,13 @@ def solve_connections(rhos: list, family: MetricFamily) -> ConnectionFamily:
     invariant metric family for them.
     """
     vecs = []
-    kernel = kernel_linear_in(rhos, _equivariance_rows, 24)
+    kernel = kernel_linear_in(rhos, _CONNECTION)
     if kernel:
         # det(g) g^-1 has polynomial entries and spans the same rows as g^-1
         adj = family.g_inverse().scale(family.det_g)
-        for vec in kernel:
-            a = [[[RF_ZERO] * 4 for _ in range(4)] for _ in range(4)]
-            for col, c in vec.items():
-                (p, q), s = _PAIRS[col % 6], col // 6
-                a[s][p][q], a[s][q][p] = c, -c
-            vecs.append([x for rows in a
-                         for row in (adj * FieldMatrix(4, 4, rows)).entries
-                         for x in row])
+        vecs = [[x for rows in _CONNECTION.unpack(vec)
+                 for row in (adj * FieldMatrix(4, 4, rows)).entries for x in row]
+                for vec in kernel]
         # columns reversed, each echelon row ends in a 1 at its free column
         red, _ = rref(FieldMatrix(len(vecs), 64, [v[::-1] for v in vecs]))
         vecs = [row[::-1] for row in reversed(red.entries)]
@@ -231,8 +198,8 @@ def holonomy(form: CurvatureForm, isotropy_mats: list) -> list:
     cands += [FieldMatrix(4, 4, [row[4 * i:4 * i + 4] for i in range(4)])
               for row in rows]
     # pivot columns pick the first independent candidates, left to right
-    _, chosen = rref(FieldMatrix(16, len(cands),
-                                 [list(r) for r in zip(*map(_vec, cands))]))
+    _, chosen = rref(FieldMatrix(len(cands), 16,
+                                 list(map(_vec, cands))).transpose())
     return [cands[c] for c in chosen]
 
 
@@ -242,7 +209,7 @@ def expand_in_basis(form: CurvatureForm, basis: list) -> dict:
     keys = list(form.components)
     cols = [_vec(b) for b in basis] + [_vec(form.components[k]) for k in keys]
     n = len(basis)
-    red, pivots = rref(FieldMatrix(16, len(cols), [list(r) for r in zip(*cols)]))
+    red, pivots = rref(FieldMatrix(len(cols), 16, cols).transpose())
     if pivots != list(range(n)):
         raise NonClosing("curvature component outside the holonomy span")
     return {key: [red.entries[k][n + t] for k in range(n)]

@@ -48,7 +48,7 @@ from itertools import permutations
 from .exact import RF_ZERO, RatFunc, rf
 from .linalg import FieldMatrix, matrices_key, rref
 from .liecat import (CaseGolden, CatalogEntry, LiePair, NotSymmetric,
-                     isotropy_rep, symmetric_witness)
+                     TrivialIsotropy, isotropy_rep, symmetric_witness)
 from .geom import (CurvatureReport, MetricFamily, levi_civita,
                    solve_invariant_metric)
 from .conn import (ConnectionFamily, CurvatureForm,
@@ -360,6 +360,9 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
         raise NotSymmetric(
             f"{pair.case_id}: bracket of {witness} has a component in m")
     rhos = isotropy_rep(pair)
+    # every form would be invariant; the paper's spaces have none of these
+    if all(m.is_zero() for m in rhos):
+        raise TrivialIsotropy(f"{pair.case_id}: h acts trivially on m")
     key = _solve_key(pair, rhos, golden.metric, golden.lorentz)
     solved = _SOLVED.get(key)
     if solved is None:

@@ -1,11 +1,14 @@
 """Invariant metrics, Lorentz signature checks, and Levi-Civita curvature.
 
-The invariant-metric equations for a pair are linear in its isotropy
-matrices and solved exactly by linalg.kernel_linear_in; when the catalog
-records the family in its conventional parameter letters, that
-parameterization is verified to span the same solution space and is then
-used for all downstream output, so the engine's formulas come out in the
-familiar letters (a, b, c, d).
+The invariant-metric equations for a pair are rho.g = 0, that is
+t(rho) G + G rho = 0, for each isotropy matrix rho.  This module declares
+only the index symmetry of g, a symmetric linalg.TensorLayout of rank 2 with
+unknowns G_ij (i <= j) in _UPPER order; linalg.kernel_linear_in builds the
+rows and solves them exactly, and the kernel vectors are read back into G
+through the same layout.  When the catalog records the family in its
+conventional parameter letters, that parameterization is verified to span
+the same solution space and is then used for all downstream output, so the
+engine's formulas come out in the familiar letters (a, b, c, d).
 
 The solve reads the isotropy matrices, the shape, the Lorentz condition it
 carries and the case-parameter names (all of them without a shape, where
@@ -32,7 +35,8 @@ from fractions import Fraction
 
 from .conn import curvature
 from .exact import RF_ZERO, RatFunc, linear_parts
-from .linalg import FieldMatrix, det, inverse, kernel_linear_in, rref
+from .linalg import (FieldMatrix, TensorLayout, det, inverse, kernel_linear_in,
+                     rref)
 from .liecat import LiePair, parse_condition
 
 
@@ -80,27 +84,8 @@ class CurvatureReport:
         self.scalar = scalar
 
 
-_UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
-
-
-def _sym_index(i: int, j: int) -> int:
-    return _UPPER.index((i, j) if i <= j else (j, i))
-
-
-def _invariance_rows(entries: list) -> list:
-    """Rows of t(rho) G + G rho, entry (p <= q), as {unknown: coeff} over
-    the unknowns G_ij (i <= j) in `_UPPER` order.
-
-    `entries` are the nonzero (k, c, rho[k][c]), ints or RatFuncs: rho[k][c]
-    multiplies G_kq in entry (c, q) and G_pk in entry (p, c).
-    """
-    rows = {key: {} for key in _UPPER}
-    for k, c, x in entries:
-        for key, col in ([((c, q), _sym_index(k, q)) for q in range(c, 4)]
-                         + [((p, c), _sym_index(p, k)) for p in range(c + 1)]):
-            row = rows[key]
-            row[col] = row[col] + x if col in row else x
-    return [row for row in rows.values() if row]
+_METRIC = TensorLayout(rank=2, sign=1)
+_UPPER = _METRIC.keys
 
 
 def solve_invariant_metric(pair: LiePair, rhos: list,
@@ -115,28 +100,23 @@ def solve_invariant_metric(pair: LiePair, rhos: list,
     parameters are named a, b, c, ... in unknown order.
     """
     case_params = {p.name for p in pair.params}
-    n = len(_UPPER)
-    basis = [[vec.get(c, RF_ZERO) for c in range(n)]
-             for vec in kernel_linear_in(rhos, _invariance_rows, n)]
-    if not basis:
+    kernel = kernel_linear_in(rhos, _METRIC)
+    if not kernel:
         raise NoInvariantMetric(
             f"{pair.case_id}: only the zero bilinear form is invariant")
 
     if shape is not None:
-        params = _verify_shape(pair, shape, basis, case_params)
+        params = _verify_shape(pair, shape, kernel, case_params)
         g = shape
     else:
         letters = [c for c in "abcdefghij" if c not in case_params]
-        params = letters[:len(basis)]
-        acc = [[RF_ZERO] * 4 for _ in range(4)]
-        for name, vec in zip(params, basis):
+        params = letters[:len(kernel)]
+        acc = {}
+        for name, vec in zip(params, kernel):
             p = RatFunc.var(name)
-            for idx, (i, j) in enumerate(_UPPER):
-                if not vec[idx].is_zero():
-                    acc[i][j] = acc[i][j] + p * vec[idx]
-                    if i != j:
-                        acc[j][i] = acc[i][j]
-        g = FieldMatrix(4, 4, acc)
+            for col, x in vec.items():
+                acc[col] = acc[col] + p * x if col in acc else p * x
+        g = FieldMatrix(4, 4, _METRIC.unpack(acc))
     det_g = det(g)
     if det_g.is_zero():
         raise SingularMetric(
@@ -145,7 +125,7 @@ def solve_invariant_metric(pair: LiePair, rhos: list,
                         lorentz=lorentz)
 
 
-def _verify_shape(pair: LiePair, shape: FieldMatrix, basis: list,
+def _verify_shape(pair: LiePair, shape: FieldMatrix, kernel: list,
                   case_params: set) -> list:
     if not shape.is_symmetric():
         raise BadMetricShape(f"{pair.case_id}: shape is not symmetric")
@@ -163,18 +143,18 @@ def _verify_shape(pair: LiePair, shape: FieldMatrix, basis: list,
             raise BadMetricShape(f"{pair.case_id}: shape has a constant part")
         entries.append(parts)
     coeffs = [[e.get(p, RF_ZERO) for e in entries] for p in params]
-    # one reduced echelon form of the columns [coefficient rows | basis]
-    cols = coeffs + basis
-    _, pivots = rref(FieldMatrix(len(_UPPER), len(cols),
-                                 [list(r) for r in zip(*cols)]))
+    # one reduced echelon form of the columns [coefficient rows | kernel]
+    cols = coeffs + [[vec.get(c, RF_ZERO) for c in range(_METRIC.cols)]
+                     for vec in kernel]
+    _, pivots = rref(FieldMatrix(len(cols), len(_UPPER), cols).transpose())
     # invariant iff every coefficient row lies in the solution space, which
-    # the independent basis spans
-    if len(pivots) != len(basis):
+    # the independent kernel vectors span
+    if len(pivots) != len(kernel):
         raise BadMetricShape(f"{pair.case_id}: shape is not invariant")
-    if len(params) != len(basis):
+    if len(params) != len(kernel):
         raise BadMetricShape(
             f"{pair.case_id}: shape has {len(params)} parameters, "
-            f"solution space has dimension {len(basis)}")
+            f"solution space has dimension {len(kernel)}")
     # the coefficient rows are independent iff each is a pivot column
     if pivots[:len(params)] != list(range(len(params))):
         raise BadMetricShape(f"{pair.case_id}: shape parameters are dependent")

@@ -53,6 +53,10 @@ class NotSymmetric(ValueError):
     """[m, m] does not stay inside h."""
 
 
+class TrivialIsotropy(ValueError):
+    """h acts trivially on m: every isotropy matrix is zero."""
+
+
 class CaseParam:
     def __init__(self, name: str, range_text: str):
         self.name = name
@@ -479,7 +483,10 @@ def rep_is_homomorphism(pair: LiePair, mats: list) -> bool:
 
 
 def rep_is_faithful(pair: LiePair, mats: list) -> bool:
-    """The isotropy matrices `mats` of the pair are linearly independent."""
+    """The isotropy matrices `mats` of the pair are linearly independent
+    (vacuously so when h = 0)."""
+    if not mats:
+        return True
     stacked = FieldMatrix(len(mats), 16, [
         [m.entries[i][j] for i in range(4) for j in range(4)] for m in mats])
     return rank(stacked) == len(mats)

@@ -7,34 +7,37 @@ in column order.  Matrices in this engine stay small (at most 64 columns), so
 FieldMatrix stores them dense; elimination walks only the nonzero entries of
 the pivot row.
 
-kernel_linear_in solves a homogeneous system linear in a list of matrices
-(the isotropy matrices, in the metric invariance and connection equivariance
-systems) and returns the nullspace() basis.  When every entry is constant
-(all catalog cases but the three whose isotropy carries `lam`), each matrix
-is scaled to integers and the rows are solved by int_nullspace: sparse
-{col: int} rows, Gauss-Jordan over Z with each row divided by its content,
-and Fractions only where the basis is read off.  Its rows are kept fully
-reduced (zero at every pivot column but their own) and each starts at its
-own pivot, so they are the rows of the reduced echelon form up to scaling.
-That form is unique for the row space, so the pivot columns, and the basis
-that is the identity on the other columns, are exactly those of nullspace().
+Both systems linear in the isotropy matrices, metric invariance and
+connection equivariance, are rho.T = 0 for a covariant tensor T on m; a
+TensorLayout builds their rows from the index symmetry of T.
+kernel_linear_in returns the nullspace() basis of those rows over a list of
+matrices.  It evaluates every nonzero entry at one point: the empty point
+when every entry is constant (all catalog cases but the three whose
+isotropy carries `lam`), otherwise every parameter set to c = 1, then 2,
+..., 8, skipping each point where an entry has a pole.  Each matrix's
+values are scaled to integers and all rows are solved by int_nullspace:
+sparse {col: int} rows, Gauss-Jordan over Z with each row divided by its
+content, and Fractions only where the basis is read off.  Its rows are kept
+fully reduced (zero at every pivot column but their own) and each starts at
+its own pivot, so they are the rows of the reduced echelon form up to
+scaling.  That form is unique for the row space, so the pivot columns, and
+the basis that is the identity on the other columns, are exactly those of
+nullspace().
 
-When the matrices carry case parameters, every parameter is first set to
-c = 1, then 2, ..., 8, up to the first point where every entry is defined
-(a point where subs meets a pole is skipped), and the specialised rows are
-solved over the integers.  Specialising can only lower the rank where every
-entry is defined: a nonzero minor at the point is the value of the same
-minor over Q(params), which is then nonzero too.  So the kernel at the point
-is at least as large as the generic one, and when it is empty the kernel
-over Q(params) is empty as well.  Otherwise, or when no point tried is free
-of poles, the rows of all matrices are stacked and solved by one nullspace()
-over RatFunc.
+Without parameters that kernel is the answer.  With them, specialising can
+only lower the rank where every entry is defined: a nonzero minor at the
+point is the value of the same minor over Q(params), which is then nonzero
+too.  So the kernel at the point is at least as large as the generic one,
+and when it is empty the kernel over Q(params) is empty as well.
+Otherwise, or when no point tried is free of poles, the rows of all
+matrices are stacked and solved by one nullspace() over RatFunc.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from .exact import RF_ONE, RF_ZERO, PoleAtPoint, RatFunc, rf
 
@@ -294,23 +297,6 @@ def nonzero_entries(m: FieldMatrix) -> list:
             for j, x in enumerate(row) if not x.is_zero()]
 
 
-def integer_entries(mats: list) -> list | None:
-    """Per matrix, its nonzero entries (i, j, x) times the lcm of that
-    matrix's denominators, x an int; None when some entry is not constant.
-
-    Scaling a matrix leaves the kernel of a system linear in it unchanged.
-    """
-    out = []
-    for m in mats:
-        ents = nonzero_entries(m)
-        if not all(x.is_constant() for _, _, x in ents):
-            return None
-        ents = [(i, j, x.constant_value()) for i, j, x in ents]
-        d = math.lcm(*(x.denominator for _, _, x in ents))
-        out.append([(i, j, (x * d).numerator) for i, j, x in ents])
-    return out
-
-
 def _eliminate(r: dict, p: dict, c: int) -> dict:
     """r with column c cleared by the pivot row p, divided by its content."""
     a, b = p[c], r[c]
@@ -357,33 +343,86 @@ def int_nullspace(rows: list, cols: int) -> list:
     return basis
 
 
-def kernel_linear_in(mats: list, rows_of, cols: int) -> list:
-    """nullspace() basis of the rows that rows_of builds from every matrix in
-    `mats`, as sparse {col: RatFunc} vectors (module docstring).
+class TensorLayout:
+    """A covariant tensor T on m of the given rank, symmetric (sign 1) or
+    skew (sign -1) in its last two indices, and the rows of rho.T = 0.
 
-    rows_of takes the nonzero entries (i, j, x) of one matrix, x an int or a
-    RatFunc, and returns rows {col: coeff} linear in them.
+    keys are the canonical index tuples (last two ascending, strictly when
+    skew), one unknown each, in lexicographic column order.  read[t] maps a
+    full tuple to (column, sign), or to None where T(t) is forced to 0.
+    With rho u_c = sum_k rho[k][c] u_k, row t of sum_p T(.., rho u_(t_p), ..)
+    holds rho[i][j] T(t with t_p = i) for each slot p with t_p = j; _enters
+    lists those (row, column, sign) per (i, j).
     """
-    def int_kernel(scaled: list) -> list:
-        return int_nullspace([row for ents in scaled for row in rows_of(ents)],
-                             cols)
 
-    scaled = integer_entries(mats)
-    if scaled is not None:
-        return [{c: RatFunc.const(x) for c, x in vec.items()}
-                for vec in int_kernel(scaled)]
-    names = sorted({v for m in mats for row in m.entries for x in row
-                    for v in x.variables()})
-    for c in range(1, 9):
+    def __init__(self, rank: int, sign: int):
+        full = list(product(range(4), repeat=rank))
+        self.keys = [t for t in full if t[-2] < t[-1] or
+                     (t[-2] == t[-1] and sign > 0)]
+        self.cols = len(self.keys)
+        col = {t: k for k, t in enumerate(self.keys)}
+        self.read = {t: (col[t], 1) if t in col
+                      else None if t[-2] == t[-1]
+                      else (col[t[:-2] + (t[-1], t[-2])], sign) for t in full}
+        self._enters = {(i, j): [] for i in range(4) for j in range(4)}
+        for r, t in enumerate(self.keys):
+            for p, j in enumerate(t):
+                for i in range(4):
+                    hit = self.read[t[:p] + (i,) + t[p + 1:]]
+                    if hit is not None:
+                        self._enters[i, j].append((r, *hit))
+
+    def rows(self, entries: list) -> list:
+        """The nonempty rows {column: coeff} of rho.T = 0, from the nonzero
+        entries (i, j, rho[i][j]) of rho, ints or RatFuncs."""
+        rows = [{} for _ in self.keys]
+        for i, j, x in entries:
+            for r, c, sign in self._enters[i, j]:
+                row = rows[r]
+                y = x if sign > 0 else -x
+                row[c] = row[c] + y if c in row else y
+        return [row for row in rows if row]
+
+    def unpack(self, vec: dict) -> list:
+        """T as nested lists of RatFuncs, indexed T[t_1][t_2]..., from the
+        sparse vector {column: RatFunc}."""
+        flat = []
+        for hit in self.read.values():     # full tuples, lexicographic
+            if hit is None or hit[0] not in vec:
+                flat.append(RF_ZERO)
+            else:
+                flat.append(vec[hit[0]] if hit[1] > 0 else -vec[hit[0]])
+        # the last index runs fastest: group by 4 until one list of 4 is left
+        while len(flat) > 4:
+            flat = [flat[k:k + 4] for k in range(0, len(flat), 4)]
+        return flat
+
+
+def kernel_linear_in(mats: list, layout: TensorLayout) -> list:
+    """nullspace() basis of the rows of rho.T = 0 over `layout`, for every
+    rho in `mats`, as sparse {col: RatFunc} vectors (module docstring)."""
+    ents = [nonzero_entries(m) for m in mats]
+    names = sorted({v for es in ents for _, _, x in es for v in x.variables()})
+    points = [dict.fromkeys(names, c) for c in range(1, 9)] if names else [{}]
+    for point in points:
         try:
-            spec = [m.subs(dict.fromkeys(names, c)) for m in mats]
+            values = [[(i, j, x.evaluate(point)) for i, j, x in es]
+                      for es in ents]
         except PoleAtPoint:
             continue
-        if not int_kernel(integer_entries(spec)):
-            return []
+        rows = []
+        for vs in values:
+            # scaling a matrix leaves the kernel of rho.T = 0 unchanged
+            d = math.lcm(*(x.denominator for _, _, x in vs))
+            rows += layout.rows([(i, j, (x * d).numerator) for i, j, x in vs])
+        kernel = int_nullspace(rows, layout.cols)
+        if not names or not kernel:
+            return [{c: RatFunc.const(x) for c, x in vec.items()}
+                    for vec in kernel]
         break
+    cols = layout.cols
     rows = [[row.get(c, RF_ZERO) for c in range(cols)]
-            for m in mats for row in rows_of(nonzero_entries(m))]
+            for es in ents for row in layout.rows(es)]
     rows = [r for r in rows if any(not x.is_zero() for x in r)]
     return [{c: x for c, x in enumerate(vec) if not x.is_zero()}
             for vec in nullspace(FieldMatrix(len(rows), cols, rows)

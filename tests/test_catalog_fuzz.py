@@ -3,7 +3,10 @@
 Each seeded mutation changes one token of a `case`, `param`, `bracket` or
 `golden` line of the bundled catalog, or drops or repeats the line, and runs
 `list`, `report <case>` and `validate --filter <case>` through `cli.main`
-on the result, with <case> the block the line belongs to.  Every run must
+on the result, with <case> the block the line belongs to.  One more
+mutation drops every `bracket e_i u_j` line of a seeded block, so that h
+acts trivially on m there, and its `golden metric` line, which would
+otherwise be refused as not the general invariant form before any solve.  Every run must
 return an exit code of the contract (0..5) without raising, and an exit of
 2, 3 or 4 must come with exactly one stderr line.
 """
@@ -57,6 +60,11 @@ def _mutations(seed: int, count: int) -> list:
             new = rng.choice(POOL + [t.group() for t in tokens])
             lines[i] = lines[i][:tok.start()] + new + lines[i][tok.end():]
         out.append((f"{kind} line {i + 1}", case, "".join(lines)))
+    case = rng.choice(sorted({case for _, case in targets}))
+    drop = {i for i, c in targets if c == case and re.match(
+        r"bracket e\d+ u\d+ |golden metric ", LINES[i])}
+    lines = [line for i, line in enumerate(LINES) if i not in drop]
+    out.append((f"isolate block {case}", case, "".join(lines)))
     return out
 
 
@@ -79,5 +87,5 @@ def test_mutated_catalogs_end_in_a_defined_exit_code(tmp_path, capsys,
             codes.add(code)
     # the seed changes, drops and repeats lines, and reaches a clean run, a
     # mismatch, a catalog error and an unanalysable case
-    assert kinds == {"change", "drop", "repeat"}
+    assert kinds == {"change", "drop", "repeat", "isolate"}
     assert {0, 1, 2, 5} <= codes

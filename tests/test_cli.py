@@ -510,3 +510,21 @@ def test_nonlinear_metric_shape_exit_5(capsys, tmp_path):
     assert out == ""
     assert err == ("error: case cannot be analysed: 6.1^3(1): term -a^2 is "
                    "not linear\n")
+
+
+@pytest.mark.parametrize("text, faithful", [
+    ('case "z" dim_h 1\n', False),
+    ('case "z" dim_h 1\nbracket u1 u2 = e1\n', False),
+    ('case "z" dim_h 0\n', True)])
+def test_trivial_isotropy_exit_5(capsys, tmp_path, text, faithful):
+    """h acting trivially leaves every symmetric form invariant (10 metric
+    parameters); the case is refused up front instead of being solved."""
+    path = _catalog_file(tmp_path, text)
+    code, out, err = run_cli(capsys, "--catalog", path, "report", "z")
+    assert (code, out) == (5, "")
+    assert err == "error: case cannot be analysed: z: h acts trivially on m\n"
+    code, out, err = run_cli(capsys, "--catalog", path, "validate")
+    assert (code, err) == (5, "")
+    assert out == ("FAIL z: " + ("" if faithful else "isotropy faithfulness; ")
+                   + "cannot be analysed: z: h acts trivially on m\n"
+                   "0/1 pass\n")

@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from eymsym.exact import RatFunc, rf
-from eymsym.linalg import (FieldMatrix, NonSquare, Singular, det,
-                           int_nullspace, integer_entries, inverse, nullspace,
-                           rank, rref)
+from eymsym.linalg import (FieldMatrix, NonSquare, Singular, TensorLayout,
+                           det, int_nullspace, inverse, kernel_linear_in,
+                           nonzero_entries, nullspace, rank, rref)
 
 A, B, C, D = (RatFunc.var(x) for x in "abcd")
 Z = rf(0)
@@ -131,11 +131,25 @@ def test_int_nullspace_edge_systems():
     assert int_nullspace([{0: 2, 1: 3}], 2) == [{0: Fraction(-3, 2), 1: 1}]
 
 
-def test_integer_entries_scale_each_matrix():
-    half = FieldMatrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(-1, 3)]])
-    assert integer_entries([half, FieldMatrix.identity(2)]) == [
-        [(0, 0, 3), (1, 1, -2)], [(0, 0, 1), (1, 1, 1)]]
-    assert integer_entries([FieldMatrix.from_rows([[A, 0], [0, 1]])]) is None
+def test_kernel_linear_in_scales_each_matrix_to_integers():
+    """Each matrix's values are scaled to integers by the lcm of its own
+    denominators, which leaves the kernel unchanged: a matrix with Fraction
+    entries, alone or next to an integer one, gives the kernel of its
+    integer multiple, and that kernel is the stacked nullspace."""
+    layout = TensorLayout(rank=2, sign=1)
+    frac = FieldMatrix.from_rows([[Fraction(1, 2), 0, 0, Fraction(-1, 3)],
+                                  [0, 0, 0, 0], [0, 0, 0, 0],
+                                  [Fraction(1, 3), 0, 0, 0]])
+    ints = frac.scale(rf(6))
+    other = FieldMatrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0],
+                                   [0, 0, 0, 0], [0, 0, 0, 0]])
+    for mats in ([frac], [frac, other]):
+        kernel = kernel_linear_in(mats, layout)
+        assert kernel == kernel_linear_in([ints] + mats[1:], layout)
+        rows = [[row.get(c, Z) for c in range(layout.cols)]
+                for m in mats for row in layout.rows(nonzero_entries(m))]
+        assert [[vec.get(c, Z) for c in range(layout.cols)]
+                for vec in kernel] == nullspace(FieldMatrix.from_rows(rows))
 
 
 def test_det_metric_families():

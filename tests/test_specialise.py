@@ -17,27 +17,26 @@ import pytest
 
 from eymsym import eym, linalg
 from eymsym.cli import main
-from eymsym.conn import _equivariance_rows, solve_connections
+from eymsym.conn import _CONNECTION, solve_connections
 from eymsym.eym import run_case
 from eymsym.exact import RF_ONE, RF_ZERO, PoleAtPoint, RatFunc, rf
-from eymsym.geom import (MetricFamily, NoInvariantMetric, _UPPER,
-                         _invariance_rows, solve_invariant_metric)
+from eymsym.geom import (MetricFamily, NoInvariantMetric, _METRIC,
+                         solve_invariant_metric)
 from eymsym.liecat import catalog_load, isotropy_rep
-from eymsym.linalg import (FieldMatrix, integer_entries, kernel_linear_in,
-                           nonzero_entries, nullspace)
+from eymsym.linalg import (FieldMatrix, kernel_linear_in, nonzero_entries,
+                           nullspace)
 
-from test_conn import _one_shot_family
+from test_conn import _one_shot_family, is_parameterised
 
 LAM_CASES = ["1.1^3(1)", "1.1^4(1)", "3.2^2(2)"]
 LAM = RatFunc.var("lam")
-EQUIVARIANCE = (_equivariance_rows, 24)
-INVARIANCE = (_invariance_rows, len(_UPPER))
 
 
-def _stacked(mats, rows_of, cols) -> list:
+def _stacked(mats, layout) -> list:
     """One nullspace of the rows of every matrix stacked, as sparse vectors."""
+    cols = layout.cols
     rows = [[row.get(c, RF_ZERO) for c in range(cols)]
-            for m in mats for row in rows_of(nonzero_entries(m))]
+            for m in mats for row in layout.rows(nonzero_entries(m))]
     rows = [r for r in rows if any(not x.is_zero() for x in r)]
     if not rows:
         return [{c: RF_ONE} for c in range(cols)]
@@ -45,7 +44,7 @@ def _stacked(mats, rows_of, cols) -> list:
             for vec in nullspace(FieldMatrix(len(rows), cols, rows))]
 
 
-def _solve(monkeypatch, mats, rows_of, cols) -> tuple:
+def _solve(monkeypatch, mats, layout) -> tuple:
     """kernel_linear_in's kernel, and how often each solver ran."""
     calls = {"int_nullspace": 0, "nullspace": 0}
     with monkeypatch.context() as m:
@@ -54,7 +53,7 @@ def _solve(monkeypatch, mats, rows_of, cols) -> tuple:
                 calls[_name] += 1
                 return _f(*args)
             m.setattr(linalg, name, counted)
-        kernel = kernel_linear_in(mats, rows_of, cols)
+        kernel = kernel_linear_in(mats, layout)
     return kernel, calls
 
 
@@ -76,7 +75,7 @@ def _rotation(c, p: int = 0, q: int = 1) -> FieldMatrix:
 
 def test_only_the_lam_cases_have_parameterised_isotropy(reports):
     assert sorted(cid for cid, r in reports.items()
-                  if integer_entries(r.rhos) is None) == sorted(LAM_CASES)
+                  if is_parameterised(r.rhos)) == sorted(LAM_CASES)
 
 
 @pytest.mark.parametrize("cid", LAM_CASES)
@@ -86,9 +85,9 @@ def test_shortcut_equals_one_nullspace_on_the_lam_cases(reports,
     one nullspace of the stacked rows, and the family is that of one
     nullspace of the whole 64-unknown system."""
     r = reports[cid]
-    kernel, calls = _solve(monkeypatch, r.rhos, *EQUIVARIANCE)
+    kernel, calls = _solve(monkeypatch, r.rhos, _CONNECTION)
     assert kernel == [] and calls == {"int_nullspace": 1, "nullspace": 0}
-    assert _stacked(r.rhos, *EQUIVARIANCE) == []
+    assert _stacked(r.rhos, _CONNECTION) == []
     assert r.conn.basis == [] and _same_family(r.conn, r.rhos, r.family.g)
 
 
@@ -97,19 +96,19 @@ def test_lam_invariance_reaches_one_nullspace_of_the_stacked_rows(
         reports, monkeypatch, cid):
     """Invariant metrics exist at lam = 1, so the shortcut declines."""
     rhos = reports[cid].rhos
-    kernel, calls = _solve(monkeypatch, rhos, *INVARIANCE)
+    kernel, calls = _solve(monkeypatch, rhos, _METRIC)
     assert kernel and calls == {"int_nullspace": 1, "nullspace": 1}
-    assert kernel == _stacked(rhos, *INVARIANCE)
+    assert kernel == _stacked(rhos, _METRIC)
 
 
 def test_nonempty_specialised_kernel_reaches_one_nullspace(monkeypatch):
     """lam times a plane rotation has solutions at every lam != 0, in both
     systems: the shortcut declines, and the kernel is the one-shot one."""
     rhos = [_rotation(LAM)]
-    for rows_of, cols in (EQUIVARIANCE, INVARIANCE):
-        kernel, calls = _solve(monkeypatch, rhos, rows_of, cols)
+    for layout in (_CONNECTION, _METRIC):
+        kernel, calls = _solve(monkeypatch, rhos, layout)
         assert kernel and calls == {"int_nullspace": 1, "nullspace": 1}
-        assert kernel == _stacked(rhos, rows_of, cols)
+        assert kernel == _stacked(rhos, layout)
     family = solve_connections(rhos, IDENTITY)
     assert family.dim > 0 and _same_family(family, rhos, IDENTITY.g)
 
@@ -121,18 +120,18 @@ def test_a_pole_at_the_first_point_is_skipped(reports, monkeypatch):
     pole = RatFunc.const(1) / (LAM - rf(1))
     rhos = [r.rhos[0].scale(pole)] + r.rhos[1:]
     with pytest.raises(PoleAtPoint):
-        rhos[0].subs({"lam": 1})
-    kernel, calls = _solve(monkeypatch, rhos, *EQUIVARIANCE)
+        rhos[0].evaluate({"lam": 1})
+    kernel, calls = _solve(monkeypatch, rhos, _CONNECTION)
     assert kernel == [] and calls == {"int_nullspace": 1, "nullspace": 0}
-    assert _stacked(rhos, *EQUIVARIANCE) == []
+    assert _stacked(rhos, _CONNECTION) == []
     assert solve_connections(rhos, r.family).free_params == []
 
-    for mats, (rows_of, cols) in (([_rotation(LAM * pole)], EQUIVARIANCE),
-                                  ([_rotation(LAM * pole)], INVARIANCE),
-                                  (rhos, INVARIANCE)):
-        kernel, calls = _solve(monkeypatch, mats, rows_of, cols)
+    for mats, layout in (([_rotation(LAM * pole)], _CONNECTION),
+                         ([_rotation(LAM * pole)], _METRIC),
+                         (rhos, _METRIC)):
+        kernel, calls = _solve(monkeypatch, mats, layout)
         assert kernel and calls == {"int_nullspace": 1, "nullspace": 1}
-        assert kernel == _stacked(mats, rows_of, cols)
+        assert kernel == _stacked(mats, layout)
 
 
 def test_no_pole_free_point_falls_back_to_one_nullspace(monkeypatch):
@@ -141,10 +140,10 @@ def test_no_pole_free_point_falls_back_to_one_nullspace(monkeypatch):
     decides."""
     mu = RatFunc.var("mu")
     rhos = [_rotation(RatFunc.const(1) / (LAM - mu)), _rotation(rf(1), 1, 2)]
-    for rows_of, cols in (EQUIVARIANCE, INVARIANCE):
-        kernel, calls = _solve(monkeypatch, rhos, rows_of, cols)
+    for layout in (_CONNECTION, _METRIC):
+        kernel, calls = _solve(monkeypatch, rhos, layout)
         assert kernel and calls == {"int_nullspace": 0, "nullspace": 1}
-        assert kernel == _stacked(rhos, rows_of, cols)
+        assert kernel == _stacked(rhos, layout)
     assert _same_family(solve_connections(rhos, IDENTITY), rhos, IDENTITY.g)
 
 
@@ -157,9 +156,9 @@ def test_metric_solve_takes_the_shortcut(monkeypatch, tmp_path, capsys):
         f"bracket e1 u{i} = {i}*lam*u{i}\n" for i in range(1, 5)))
     pair = catalog_load(str(path)).get("x(lam)").pair
     rhos = isotropy_rep(pair)
-    kernel, calls = _solve(monkeypatch, rhos, *INVARIANCE)
+    kernel, calls = _solve(monkeypatch, rhos, _METRIC)
     assert kernel == [] and calls == {"int_nullspace": 1, "nullspace": 0}
-    assert _stacked(rhos, *INVARIANCE) == []
+    assert _stacked(rhos, _METRIC) == []
     with pytest.raises(NoInvariantMetric, match=r"^x\(lam\): "):
         solve_invariant_metric(pair, rhos)
     code = main(["--catalog", str(path), "report", "x(lam)"])
@@ -174,18 +173,27 @@ def _random_matrix(rng) -> FieldMatrix:
                                    for _ in range(4)] for _ in range(4)])
 
 
+def random_systems(seed: int) -> list:
+    """(layout, constant matrices, the same with some scaled by lam) for the
+    connection and the metric layout, from one seeded generator."""
+    rng = random.Random(seed)
+    out = []
+    for layout in (_CONNECTION, _METRIC):
+        consts = [_random_matrix(rng) for _ in range(rng.randint(1, 3))]
+        scaled = [m.scale(LAM) if k == 0 or rng.random() < 0.5 else m
+                  for k, m in enumerate(consts)]
+        out.append((layout, consts, scaled))
+    return out
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_random_systems_equal_one_nullspace_of_the_stacked_rows(seed):
     """Small seeded constant matrices, then the same with some scaled by lam,
     which leaves the kernel over Q(lam) unchanged, in both systems."""
-    rng = random.Random(seed)
-    for rows_of, cols in (EQUIVARIANCE, INVARIANCE):
-        consts = [_random_matrix(rng) for _ in range(rng.randint(1, 3))]
-        scaled = [m.scale(LAM) if k == 0 or rng.random() < 0.5 else m
-                  for k, m in enumerate(consts)]
-        expected = _stacked(consts, rows_of, cols)
-        assert kernel_linear_in(consts, rows_of, cols) == expected, seed
-        assert kernel_linear_in(scaled, rows_of, cols) == expected, seed
+    for layout, consts, scaled in random_systems(seed):
+        expected = _stacked(consts, layout)
+        assert kernel_linear_in(consts, layout) == expected, seed
+        assert kernel_linear_in(scaled, layout) == expected, seed
 
 
 def test_a_fresh_pass_reaches_nullspace_only_for_the_lam_metrics(
@@ -203,4 +211,4 @@ def test_a_fresh_pass_reaches_nullspace_only_for_the_lam_metrics(
     monkeypatch.setattr(linalg, "nullspace", counted)
     for entry in catalog.entries:
         run_case(entry)
-    assert widths == [len(_UPPER)] * 3
+    assert widths == [_METRIC.cols] * 3
