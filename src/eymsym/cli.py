@@ -5,9 +5,11 @@ Verbs: list, validate, report <case>, tables, solve <case>.
 Exit codes (stable contract for CI):
   0  success
   1  reference-data or invariant mismatch
-  2  a catalog that fails to parse or fails a load-time check
+  2  a catalog that fails to parse, is not UTF-8 text, or fails a load-time
+     check
   3  unknown case
-  4  bad arguments, a --sample point at a pole of lambda or kappa included
+  4  bad arguments, a --sample point at a pole of lambda or kappa included,
+     or an --out file that cannot be written
   5  a case cannot be analysed (not reductive, not symmetric, an isotropy
      that acts trivially, no invariant metric, a bad metric shape, a
      degenerate metric, or a curvature component outside the holonomy span);
@@ -129,11 +131,15 @@ def _parse_sample(text: str | None) -> dict:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _ArgumentError(f"cannot write --out {out_path}: "
+                             f"{exc.strerror or exc}") from None
 
 
 def _cmd_list(catalog: Catalog, args) -> int:

@@ -4,15 +4,12 @@ Every symbolic quantity in the engine is a RatFunc: a reduced fraction of
 multivariate polynomials in named parameters (a, b, c, d, t, v1, ...).
 All arithmetic is exact; there is no floating point anywhere.
 
-Inside the kernel every coefficient is a plain int: a value of Q(params) is a
-ratio of two polynomials in Z[params]. Rational numbers appear only at the
-boundaries, as Fractions: a rational constant (Poly.const, RatFunc.const), a
-Poly that a caller builds with Fraction coefficients, subs() with rational
-values, and the results of evaluate() and constant_value(). Building a
-RatFunc from such polynomials clears their denominators once; after that, by
-Gauss's lemma (a primitive integer polynomial that divides an integer
-polynomial over Q leaves an integer quotient), every exact division in the
-reduction and in poly_gcd stays in Z.
+Every Poly coefficient is a plain int: a value of Q(params) is a ratio of two
+polynomials in Z[params]. Rational numbers appear only as Fractions at the
+boundaries: the argument of RatFunc.const, and what evaluate() and
+constant_value() return. By Gauss's lemma (a primitive integer polynomial
+that divides an integer polynomial over Q leaves an integer quotient), every
+exact division in the reduction and in poly_gcd stays in Z.
 
 Canonical form (unique representation per mathematical value):
   * polynomials store no zero coefficients; monomials are compared in graded
@@ -79,21 +76,16 @@ def _mono_cmp(m1: Monomial, m2: Monomial) -> int:
 _mono_key = cmp_to_key(_mono_cmp)
 
 
-def _quo(a, b):
-    """a / b as an int when b divides a, else as a Fraction (never a float)."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return Fraction(a) / b
+def _quo(a: int, b: int) -> int:
+    """a / b; raises ValueError when b does not divide a in Z."""
+    q, r = divmod(a, b)
+    if r:
+        raise ValueError("not an exact polynomial division")
+    return q
 
 
 class Poly:
-    """Immutable sparse multivariate polynomial: {monomial: coefficient}.
-
-    Coefficients are ints everywhere inside the kernel. A caller may build a
-    Poly with Fraction coefficients; arithmetic on it stays exact, and
-    RatFunc(num, den) and primitive() bring it back to integer coefficients.
-    """
+    """Immutable sparse multivariate polynomial over Z: {monomial: int}."""
 
     __slots__ = ("terms", "_hash")
 
@@ -106,13 +98,6 @@ class Poly:
     @staticmethod
     def zero() -> "Poly":
         return _P_ZERO
-
-    @staticmethod
-    def const(value) -> "Poly":
-        c = Fraction(value)
-        if c == 0:
-            return _P_ZERO
-        return Poly({_ONE_MONO: c.numerator if c.denominator == 1 else c})
 
     @staticmethod
     def var(name: str) -> "Poly":
@@ -219,7 +204,7 @@ class Poly:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
-    # -- evaluation / substitution ------------------------------------------
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, assignment: dict) -> Fraction:
         total = Fraction(0)
@@ -236,41 +221,22 @@ class Poly:
             total += v
         return total
 
-    def subs(self, assignment: dict) -> "Poly":
-        """Substitute Fractions for a subset of the variables."""
-        out = _P_ZERO
-        for mono, c in self.terms.items():
-            coeff = c
-            rest = []
-            for name, e in mono:
-                if name in assignment:
-                    coeff = coeff * Fraction(assignment[name]) ** e
-                else:
-                    rest.append((name, e))
-            if coeff:
-                out = out + Poly({tuple(rest): coeff})
-        return out
-
     # -- content / division ---------------------------------------------------
 
     def primitive(self) -> "Poly":
         """Integer-primitive part with positive leading coefficient."""
         if not self.terms:
             return self
-        terms = _integral_terms(self.terms, _denominator_lcm(self.terms))
-        g = math.gcd(*terms.values())
+        g = math.gcd(*self.terms.values())
         if self.leading()[1] < 0:
             g = -g
         if g == 1:
-            return self if terms is self.terms else Poly(terms)
-        return Poly({m: c // g for m, c in terms.items()})
+            return self
+        return Poly({m: c // g for m, c in self.terms.items()})
 
     def divexact(self, divisor: "Poly") -> "Poly":
-        """Exact polynomial division; raises ValueError if not divisible.
-
-        Integer coefficients stay ints; a quotient coefficient becomes a
-        Fraction only when the division is inexact over Z.
-        """
+        """Exact division over Z; raises ValueError unless the quotient
+        is a polynomial with integer coefficients."""
         if divisor.is_zero():
             raise DivisionByZero("polynomial division by zero")
         if len(divisor.terms) == 1:
@@ -298,14 +264,7 @@ class Poly:
             factors = []
             for name, e in mono:
                 factors.append(name if e == 1 else f"{name}^{e}")
-            if not factors:
-                coef_txt = str(abs(c))
-            elif abs(c) == 1:
-                coef_txt = ""
-            elif abs(c).denominator == 1:
-                coef_txt = str(abs(c))
-            else:
-                coef_txt = f"({abs(c)})"
+            coef_txt = str(abs(c)) if not factors or abs(c) != 1 else ""
             body = "*".join(([coef_txt] if coef_txt else []) + factors)
             parts.append(("- " if c < 0 else "+ ") + body)
         first = parts[0]
@@ -336,22 +295,6 @@ def _mono_div(m: Monomial, d: Monomial) -> Monomial:
         else:
             del exps[name]
     return tuple(exps.items())
-
-
-def _denominator_lcm(terms: dict) -> int:
-    """lcm of the coefficient denominators; 0 when every coefficient is an int."""
-    den = 0
-    for c in terms.values():
-        if type(c) is not int:
-            den = math.lcm(den or 1, c.denominator)
-    return den
-
-
-def _integral_terms(terms: dict, den: int) -> dict:
-    """terms times den (from _denominator_lcm), with int coefficients."""
-    if not den:
-        return terms
-    return {m: (c * den).numerator for m, c in terms.items()}
 
 
 # -- polynomial gcd ----------------------------------------------------------
@@ -447,7 +390,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
     Subresultant pseudo-remainder sequence (controlled coefficient growth,
     no per-step content extraction); inputs in this engine stay small.
-    On integer inputs every division below is exact in Z.
+    Every division below is exact in Z.
     """
     if f.is_zero():
         return g.primitive()
@@ -474,8 +417,10 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     if max(a) < max(b):
         a, b = b, a
 
-    # trial division settles the common fully-cancelling cases cheaply
-    pp_b = _join_by_var(b, x)
+    # trial division settles the common fully-cancelling cases cheaply; b may
+    # still carry integer content, and its primitive part divides a over Z
+    # exactly when b divides a over Q (Gauss's lemma)
+    pp_b = _join_by_var(b, x).primitive()
     try:
         _join_by_var(a, x).divexact(pp_b)
     except ValueError:
@@ -484,7 +429,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         cb = _view_content(b)
         if not cb.is_constant():
             pp_b = pp_b.divexact(cb)
-        return (c * pp_b.primitive()).primitive()
+        return c * pp_b  # primitive with positive lead, as c and pp_b are
 
     gg, hh = _P_ONE, _P_ONE
     while True:
@@ -516,15 +461,15 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 class RatFunc:
     """Reduced fraction of two Polys; the universal scalar of the engine.
 
-    RatFunc(num, den) accepts any Polys and clears Fraction coefficients
-    once; arithmetic between canonical RatFuncs is integer in, integer out.
+    RatFunc(num, den) reduces num/den to the canonical form; both are
+    polynomials over Z, so every RatFunc holds only integer coefficients.
     """
 
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: Poly, den: Poly = _P_ONE, _canonical: bool = False):
         if not _canonical:
-            num, den = _reduce(*_integral(num, den))
+            num, den = _reduce(num, den)
         self.num, self.den = num, den
         self._hash = None
 
@@ -577,7 +522,7 @@ class RatFunc:
             den = self.den * other.den
         if self.den.is_constant() or other.den.is_constant():
             return _from_coprime(num, den)
-        return _from_ints(num, den)
+        return RatFunc(num, den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         if not other.num.terms:
@@ -592,7 +537,7 @@ class RatFunc:
             den = self.den * other.den
         if self.den.is_constant() or other.den.is_constant():
             return _from_coprime(num, den)
-        return _from_ints(num, den)
+        return RatFunc(num, den)
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den, _canonical=True)
@@ -606,7 +551,7 @@ class RatFunc:
         num, den = self.num * other.num, self.den * other.den
         if a or b or (self.den.is_constant() and other.den.is_constant()):
             return _from_coprime(num, den)
-        return _from_ints(num, den)
+        return RatFunc(num, den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
@@ -619,7 +564,7 @@ class RatFunc:
         num, den = self.num * other.den, self.den * other.num
         if a or b:
             return _from_coprime(num, den)
-        return _from_ints(num, den)
+        return RatFunc(num, den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatFunc)
@@ -646,13 +591,6 @@ class RatFunc:
             raise PoleAtPoint(f"denominator {self.den} vanishes at "
                               f"{format_point(assignment)}")
         return self.num.evaluate(assignment) / den
-
-    def subs(self, assignment: dict) -> "RatFunc":
-        den = self.den.subs(assignment)
-        if den.is_zero():
-            raise PoleAtPoint(f"denominator {self.den} vanishes under "
-                              f"{format_point(assignment)}")
-        return RatFunc(self.num.subs(assignment), den)
 
     # -- rendering ------------------------------------------------------------------
 
@@ -682,18 +620,8 @@ def _simple_denominator(p: Poly) -> bool:
         return False
     mono, c = next(iter(p.terms.items()))
     if not mono:
-        return c.denominator == 1 and c >= 0
+        return c >= 0
     return c == 1 and len(mono) == 1
-
-
-def _integral(num: Poly, den: Poly) -> tuple:
-    """num and den times one common integer so every coefficient is an int."""
-    dn, dd = _denominator_lcm(num.terms), _denominator_lcm(den.terms)
-    if not dn and not dd:
-        return (num, den)
-    d = math.lcm(dn or 1, dd or 1)
-    return (Poly(_integral_terms(num.terms, d)),
-            Poly(_integral_terms(den.terms, d)))
 
 
 def _reduce(num: Poly, den: Poly) -> tuple:
@@ -724,15 +652,10 @@ def _unit_normal(num: Poly, den: Poly) -> tuple:
             Poly({m: v // c for m, v in den.terms.items()}))
 
 
-def _from_ints(num: Poly, den: Poly) -> RatFunc:
-    """RatFunc of integer-coefficient num/den, skipping the Fraction scan."""
-    return RatFunc(*_reduce(num, den), _canonical=True)
-
-
 def _from_coprime(num: Poly, den: Poly) -> RatFunc:
-    """What _from_ints gives when gcd(num, den) over Q[params] is a constant:
-    only the integer content and the sign of den's leading coefficient are
-    fixed, with no polynomial gcd.
+    """What RatFunc(num, den) gives when gcd(num, den) over Q[params] is a
+    constant: only the integer content and the sign of den's leading
+    coefficient are fixed, with no polynomial gcd.
 
     For canonical operands (each numerator coprime to its denominator) that
     holds when
@@ -757,7 +680,7 @@ def _const_parts(x: RatFunc) -> tuple | None:
 
 
 def _const(n: int, d: int) -> RatFunc:
-    """Canonical n/d of two ints, d nonzero: what _from_ints gives, without
+    """Canonical n/d of two ints, d nonzero: what RatFunc gives, without
     its polynomial gcd."""
     if not n:
         return RF_ZERO

@@ -396,7 +396,11 @@ def catalog_load(path: str | None = None) -> Catalog:
         source = "catalog.txt"
     else:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise CatalogParseError(
+                    f"{path}: not UTF-8 text (byte {exc.start})") from None
         source = path
     return parse_catalog(text, source)
 

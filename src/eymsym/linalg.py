@@ -140,10 +140,6 @@ class FieldMatrix:
     def commutator(self, other: "FieldMatrix") -> "FieldMatrix":
         return self * other - other * self
 
-    def subs(self, assignment: dict) -> "FieldMatrix":
-        return FieldMatrix(self.rows, self.cols,
-                           [[a.subs(assignment) for a in r] for r in self.entries])
-
     def evaluate(self, assignment: dict) -> list:
         """Evaluate every entry to a Fraction; returns a list-of-lists."""
         return [[a.evaluate(assignment) for a in r] for r in self.entries]

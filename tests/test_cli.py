@@ -66,6 +66,26 @@ def test_bad_catalog_exit_2(capsys, tmp_path):
     assert "catalog error" in err
 
 
+def test_catalog_that_is_not_utf8_exit_2(capsys, tmp_path):
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(b"\xff\xfe" + 'case "x" dim_h 1\n'.encode("utf-16-le"))
+    code, out, err = run_cli(capsys, "--catalog", str(bad), "list")
+    assert (code, out) == (2, "")
+    assert err == f"catalog error: {bad}: not UTF-8 text (byte 0)\n"
+
+
+@pytest.mark.parametrize("verb", [["report", "1.1^1(7)"], ["tables"],
+                                  ["solve", "1.1^1(7)"]])
+def test_unwritable_out_exit_4(capsys, tmp_path, verb):
+    missing = tmp_path / "no" / "such" / "f"
+    for target, reason in ((missing, "No such file or directory"),
+                           (tmp_path, "Is a directory")):
+        code, out, err = run_cli(capsys, *verb, "--out", str(target))
+        assert (code, out) == (4, "")
+        assert err == f"error: cannot write --out {target}: {reason}\n"
+    assert not missing.parent.exists()
+
+
 def test_report_markdown(capsys):
     code, out, _ = run_cli(capsys, "report", "1.1^1(7)")
     assert code == 0

@@ -224,8 +224,9 @@ def test_zero_maps_are_the_canonical_member(catalog, reports):
         r = reports[entry.pair.case_id]
         for where, res in _defining_residuals(entry.pair, zero, r.family.g):
             assert res.is_zero(), (entry.pair.case_id, where)
-        origin = dict.fromkeys(r.conn.free_params, 0)
-        assert [m.subs(origin) for m in r.conn.maps] == zero, r.case_id
+        symbolic = {p: RatFunc.var(p) for p in r.conn.free_params}
+        assert member(r.conn, symbolic) == r.conn.maps, r.case_id
+        assert member(r.conn, {}) == zero, r.case_id
 
 
 def test_curvature_examples_at_canonical_member(catalog, reports):
@@ -391,14 +392,21 @@ def test_dependence_through_a_cross_term_alone():
     assert maps[0].commutator(maps[1]).entries[0][0] == v1 * v2
 
 
+def member(conn, values: dict) -> list:
+    """The maps sum_k v_k B^k at v_k = values[v_k], and v_k = 0 elsewhere."""
+    out = [FieldMatrix.zeros(4, 4)] * 4
+    for p, b in zip(conn.free_params, conn.basis):
+        if p in values:
+            out = [o + m.scale(values[p]) for o, m in zip(out, b)]
+    return out
+
+
 def u2_u4_subfamily(report):
     """Members supported on the h-fixed slots u2, u4 (symbolic parameters)."""
     conn = report.conn
-    keep = [p for p in conn.free_params
-            if all(conn.basis[conn.free_params.index(p)][s].is_zero()
-                   for s in (0, 2))]
-    drop = {p: 0 for p in conn.free_params if p not in keep}
-    return [m.subs(drop) for m in conn.maps], keep
+    keep = [p for p, b in zip(conn.free_params, conn.basis)
+            if b[0].is_zero() and b[2].is_zero()]
+    return member(conn, {p: RatFunc.var(p) for p in keep}), keep
 
 
 def test_u2_u4_subfamily_preserves_curvature(catalog, reports):

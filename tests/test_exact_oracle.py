@@ -1,7 +1,7 @@
 """sympy as an independent oracle for the canonical form of the exact kernel.
 
-Test-only: sympy is never a dependency of eymsym, and this module is skipped
-when it is not installed.
+sympy is in the `test` extra and never a runtime dependency of eymsym; this
+module is skipped when it is not installed.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from eymsym.exact import Poly, RatFunc, _monomial_gcd, poly_gcd
+from eymsym.exact import (Poly, RatFunc, RF_ONE, RF_ZERO, _monomial_gcd,
+                          poly_gcd, rf)
 
 sympy = pytest.importorskip("sympy")
 
@@ -20,19 +21,22 @@ NAMES = "abc"
 SYMBOLS = {name: sympy.Symbol(name) for name in NAMES}
 
 
-def to_sympy(p: Poly):
+def to_sympy(x):
+    """A Poly or a RatFunc as a sympy expression."""
+    if isinstance(x, RatFunc):
+        return to_sympy(x.num) / to_sympy(x.den)
     out = sympy.Integer(0)
-    for mono, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
+    for mono, c in x.terms.items():
+        term = sympy.Integer(c)
         for name, e in mono:
             term *= SYMBOLS[name] ** e
         out += term
     return out
 
 
-def rand_coeff(rng: random.Random):
+def rand_coeff(rng: random.Random) -> Fraction:
     c = Fraction(rng.choice([x for x in range(-7, 8) if x]), rng.randint(1, 5))
-    return c if rng.random() < 0.5 else c.numerator
+    return c if rng.random() < 0.5 else Fraction(c.numerator)
 
 
 def rand_mono(rng: random.Random, max_deg=2) -> tuple:
@@ -40,12 +44,16 @@ def rand_mono(rng: random.Random, max_deg=2) -> tuple:
                  if (e := rng.randint(0, max_deg)))
 
 
-def rand_poly(rng: random.Random, max_terms=3) -> Poly:
-    """A nonzero polynomial in a, b, c."""
-    out = Poly.zero()
+def rand_poly(rng: random.Random, max_terms=3) -> RatFunc:
+    """A nonzero polynomial in a, b, c, some coefficients rational."""
+    out = RF_ZERO
     while out.is_zero():
         for _ in range(rng.randint(1, max_terms)):
-            out = out + Poly({rand_mono(rng): rand_coeff(rng)})
+            term = RF_ONE
+            for name, e in rand_mono(rng):
+                for _ in range(e):
+                    term = term * RatFunc.var(name)
+            out = out + rf(rand_coeff(rng)) * term
     return out
 
 
@@ -55,8 +63,9 @@ def rand_pair(rng: random.Random) -> tuple:
     return rand_poly(rng) * common, rand_poly(rng, max_terms=2) * common
 
 
-def canonical_form_problems(x: RatFunc, num: Poly, den: Poly) -> list:
-    """How x fails to be the canonical form of num/den, judged by sympy."""
+def canonical_form_problems(x: RatFunc, num, den) -> list:
+    """How x fails to be the canonical form of num/den (Polys or RatFuncs),
+    judged by sympy."""
     problems = []
     xn, xd = to_sympy(x.num), to_sympy(x.den)
     if sympy.expand(xn * to_sympy(den) - xd * to_sympy(num)) != 0:
@@ -80,14 +89,14 @@ def test_ratfunc_matches_sympy_cancel():
     rng = random.Random(101)
     for _ in range(60):
         num, den = rand_pair(rng)
-        x = RatFunc(num, den)
+        x = num / den
         assert canonical_form_problems(x, num, den) == [], (num, den, x)
 
 
 def test_arithmetic_results_are_canonical():
     rng = random.Random(103)
     for _ in range(15):
-        x, y = (RatFunc(*rand_pair(rng)) for _ in range(2))
+        x, y = (num / den for num, den in (rand_pair(rng), rand_pair(rng)))
         for z in (x + y, x - y, x * y):
             assert canonical_form_problems(z, z.num, z.den) == []
         if not y.is_zero():
@@ -97,7 +106,7 @@ def test_arithmetic_results_are_canonical():
 
 def test_oracle_flags_non_reduced_pairs():
     a, b = Poly.var("a"), Poly.var("b")
-    two = Poly.const(2)
+    two = Poly({(): 2})
     # a common polynomial factor left in place
     num, den = (a + b) * (a - b), a + b
     bad = RatFunc(num, den, _canonical=True)
@@ -107,7 +116,7 @@ def test_oracle_flags_non_reduced_pairs():
     bad = RatFunc(num, den, _canonical=True)
     assert canonical_form_problems(bad, num, den) == ["common integer content"]
     # a wrong value
-    bad = RatFunc(a, b + Poly.const(1), _canonical=True)
+    bad = RatFunc(a, b + Poly({(): 1}), _canonical=True)
     assert "value differs from num/den" in canonical_form_problems(bad, a, b)
 
 
@@ -115,8 +124,8 @@ def test_monomial_gcd_agrees_with_poly_gcd():
     rng = random.Random(107)
     checked = 0
     while checked < 120:
-        f = Poly({rand_mono(rng, max_deg=3): rand_coeff(rng)})
-        g = rand_poly(rng, max_terms=4)
+        f = Poly({rand_mono(rng, max_deg=3): rand_coeff(rng).numerator})
+        g = rand_poly(rng, max_terms=4).num
         if rng.random() < 0.5:
             f, g = g, f
         expected = poly_gcd(f, g)

@@ -9,8 +9,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
+from eymsym import exact
 from eymsym.crosscheck import sample_point
-from eymsym.exact import Poly, RatFunc, rf
+from eymsym.exact import Poly, RatFunc, poly_gcd, rf
 from eymsym.geom import _charpoly_coefficients
 from eymsym.linalg import FieldMatrix
 
@@ -71,16 +74,39 @@ def test_arithmetic_on_rational_constants_stays_integral():
     x = (rf(Fraction(3, 4)) * a - rf(Fraction(1, 6)) * b) / (rf(Fraction(5, 2)) * b)
     assert str(x) == "(9*a - 2*b)/(30*b)"
     assert not _non_int_coefficients(x)
-    # a caller's Fraction-coefficient Poly is cleared once on construction
-    y = RatFunc(Poly({(("a", 1),): Fraction(1, 2)}), Poly({(): Fraction(3)}))
-    assert str(y) == "a/6"
-    assert not _non_int_coefficients(y)
+
+
+def test_gcd_trial_division_by_a_polynomial_with_content(monkeypatch):
+    """poly_gcd(a^3, 2a) settles in the trial division, which divides by the
+    primitive part of 2a, and builds no Fraction coefficient on the way."""
+    built = []
+    init = Poly.__init__
+
+    def checked_init(self, terms):
+        built.extend(c for c in terms.values() if type(c) is not int)
+        init(self, terms)
+
+    def no_prs(*args):
+        raise AssertionError("subresultant sequence entered")
+
+    monkeypatch.setattr(Poly, "__init__", checked_init)
+    monkeypatch.setattr(exact, "_pseudo_rem", no_prs)
+    a = Poly.var("a")
+    assert poly_gcd(a * a * a, Poly({(): 2}) * a) == a
+    assert not built
+
+
+def test_divexact_is_exact_over_the_integers():
+    a, two = Poly.var("a"), Poly({(): 2})
+    with pytest.raises(ValueError):
+        a.divexact(two)
+    assert (two * a * a * a).divexact(two * a) == a * a
 
 
 def test_boundaries_return_fractions(reports, catalog):
     assert type(rf(Fraction(3, 4)).constant_value()) is Fraction
     assert type(rf(6).constant_value()) is Fraction
-    assert type(Poly.const(6).constant_value()) is Fraction
+    assert type(Poly({(): 6}).constant_value()) is Fraction
     assert type(rf(0).constant_value()) is Fraction
     rng = random.Random(5)
     for entry in catalog.entries:
