@@ -7,19 +7,29 @@ Fraction arithmetic and index loops (no Poly/RatFunc, no FieldMatrix), at
 concrete rational parameter values.  Comparing it with the symbolic pipeline
 evaluated at the same point gives an end-to-end exactness check.
 
-The index loops test each factor for zero before they multiply, and each term
+The zero of the numeric path is the int 0, whose truth test runs in C, and
+the index loops test each factor for zero before they multiply, and each term
 for zero before they add it: the metrics, brackets and curvatures here are
-sparse, and a term that is 0 leaves a Fraction sum unchanged, so it costs no
-new Fraction.  `_gauss_solve` eliminates a matrix once for all its right-hand
-sides: once for g^-1 ([g | I]) and once for the six curvature components in
-the holonomy basis.  The symbolic side of the comparison is read from the
-`CaseReport` that `run_case` built and only evaluated at the sample.  `star`
-and `second_residual` are the references of `hodge_star_2form` and
-`second_eym_residual` at members where the second equation can fail.
+sparse, and a term that is 0 leaves a sum unchanged, so it costs no new
+Fraction.  `_gauss_solve` eliminates a matrix once for all its right-hand
+sides (once for g^-1, [g | I], and once for the six curvature components in
+the holonomy basis), over ints, without division.  The energy-momentum tensor
+is read off F = sum_a w_a R_a g^-1 R_a^T.
+
+The symbolic side of the comparison is read from the `CaseReport` that
+`run_case` built and compared entry by entry: only its nonzero entries are
+evaluated at the sample, and where a symbolic entry is identically zero the
+numeric entry must be 0.  No identically zero RatFunc is evaluated here.  The
+canonical member's curvature (zero connection maps) is the Levi-Civita one
+whenever the Koszul maps are all zero, as they are on a symmetric pair, and is
+then not built twice.  `star` and `second_residual` are the references of
+`hodge_star_2form` and `second_eym_residual` at members where the second
+equation can fail.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -28,6 +38,7 @@ from .exact import PoleAtPoint
 from .geom import MetricFamily
 from .liecat import CatalogEntry, U_LABELS
 
+_NONE: dict = {}  # the bracket of a pair with no recorded bracket
 _EPS = {}
 for _p in permutations(range(4)):
     _s = 1
@@ -38,11 +49,40 @@ for _p in permutations(range(4)):
     _EPS[_p] = _s
 
 
-_ZERO = Fraction(0)
+# 0 == Fraction(0), so dense lists with int zeros compare equal to evaluated
+# FieldMatrices
+_ZERO = 0
 
 
 def _zeros(n: int, m: int) -> list:
     return [[_ZERO] * m for _ in range(n)]
+
+
+def _value(x, sample: dict):
+    """x evaluated at the sample; the int 0 for an identically zero x, which
+    is never evaluated."""
+    return x.evaluate(sample) if not x.is_zero() else _ZERO
+
+
+def _values(m, sample: dict) -> list:
+    """A FieldMatrix as a dense list at the sample, zero entries as 0."""
+    return [[x.evaluate(sample) if not x.is_zero() else _ZERO for x in row]
+            for row in m.entries]
+
+
+def _differs(sym, num: list, sample: dict) -> bool:
+    """Whether a symbolic FieldMatrix and a numeric dense list differ at the
+    sample.  Only the nonzero symbolic entries are evaluated (all of them);
+    where the symbolic entry is zero the numeric one must be 0."""
+    differs = False
+    for sym_row, num_row in zip(sym.entries, num):
+        for x, y in zip(sym_row, num_row):
+            if x.is_zero():
+                if y:
+                    differs = True
+            elif x.evaluate(sample) != y:
+                differs = True
+    return differs
 
 
 def _add(x: Fraction, y: Fraction) -> Fraction:
@@ -96,32 +136,42 @@ def _sum(terms) -> Fraction:
 def _gauss_solve(a: list, rhss: list) -> list | None:
     """Solve a x = b over Fractions for each b in `rhss`, with one
     elimination of [a | b_1 ... b_r]; None when any b is inconsistent or a
-    has dependent columns."""
+    has dependent columns.
+
+    Each row is scaled to ints and eliminated without division
+    (row_i <- p row_i - f row_r, then divided by its content), so the only
+    Fractions built are the nonzero entries of the solutions."""
     n, m = len(a), len(a[0])
-    aug = [list(row) + [b[i] for b in rhss] for i, row in enumerate(a)]
-    pivots = []
+    aug = []
+    for i, row in enumerate(a):
+        row = list(row) + [b[i] for b in rhss]
+        d = math.lcm(*(x.denominator for x in row if x))
+        aug.append([x.numerator * (d // x.denominator) if x else 0
+                    for x in row])
     r = 0
     for c in range(m):
         pr = next((i for i in range(r, n) if aug[i][c]), None)
         if pr is None:
-            continue
+            return None  # a has dependent columns
         aug[r], aug[pr] = aug[pr], aug[r]
-        piv = aug[r][c]
-        aug[r] = [x / piv if x else x for x in aug[r]]
+        prow = aug[r]
+        p = prow[c]
         for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y if y else x for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
+            f = aug[i][c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(aug[i], prow)]
+                g = math.gcd(*row)
+                aug[i] = [x // g for x in row] if g > 1 else row
         r += 1
-    if len(pivots) != m or any(any(row[m:]) for row in aug[r:]):
+    if any(any(row[m:]) for row in aug[m:]):
         return None
-    return [[aug[k][m + s] for k in range(m)] for s in range(len(rhss))]
+    return [[Fraction(aug[k][m + s], aug[k][k]) if aug[k][m + s] else _ZERO
+             for k in range(m)] for s in range(len(rhss))]
 
 
 def _inverse(mat: list) -> list | None:
     n = len(mat)
-    cols = _gauss_solve(mat, [[Fraction(1) if i == j else _ZERO
+    cols = _gauss_solve(mat, [[1 if i == j else _ZERO
                                for i in range(n)] for j in range(n)])
     if cols is None:
         return None
@@ -139,23 +189,27 @@ class NumericCase:
         pair = entry.pair
         self.e_labels = pair.e_labels
 
+        # each recorded bracket is evaluated once; [y, x] = -[x, y]
         self.brackets = {}
-        for x in pair.basis:
-            for y in pair.basis:
-                coeffs = pair.bracket(x, y)
-                self.brackets[(x, y)] = {
-                    lbl: v.evaluate(sample) for lbl, v in coeffs.items()}
+        for (x, y), coeffs in pair.brackets.items():
+            if x == y:
+                continue
+            vals = {lbl: v.evaluate(sample) for lbl, v in coeffs.items()
+                    if not v.is_zero()}
+            self.brackets[(x, y)] = vals
+            if (y, x) not in pair.brackets:
+                self.brackets[(y, x)] = {lbl: -v for lbl, v in vals.items()}
         self.m_parts = [[self.m_part(x, y) for y in U_LABELS] for x in U_LABELS]
 
         self.rho = []
         for e in self.e_labels:
             mat = _zeros(4, 4)
             for j, u in enumerate(U_LABELS):
-                for lbl, v in self.brackets[(e, u)].items():
+                for lbl, v in self.brackets.get((e, u), _NONE).items():
                     mat[U_LABELS.index(lbl)][j] = v
             self.rho.append(mat)
 
-        self.g = _metric_and_det(entry, family)[0].evaluate(sample)
+        self.g = _values(_metric_and_det(entry, family)[0], sample)
         self.ginv = _inverse(self.g)
         if self.ginv is None:
             raise ZeroDivisionError("degenerate metric sample")
@@ -164,11 +218,11 @@ class NumericCase:
         self._ricci()
 
     def m_part(self, x: str, y: str) -> list:
-        br = self.brackets[(x, y)]
+        br = self.brackets.get((x, y), _NONE)
         return [br.get(lbl, _ZERO) for lbl in U_LABELS]
 
     def h_part(self, x: str, y: str) -> list:
-        br = self.brackets[(x, y)]
+        br = self.brackets.get((x, y), _NONE)
         return [br.get(lbl, _ZERO) for lbl in self.e_labels]
 
     def _koszul(self) -> None:
@@ -178,9 +232,10 @@ class NumericCase:
                 for k in range(4)] if any(vec) else [_ZERO] * 4
                for vec in row] for row in mps]
 
-        self.alpha = []
-        for i in range(4):
-            mat = _zeros(4, 4)
+        self.alpha = [_zeros(4, 4) for _ in range(4)]
+        if not any(x for row in gb for vec in row for x in vec):
+            return  # no [m, m] part: every Koszul term is 0
+        for i, mat in enumerate(self.alpha):
             for j in range(4):
                 # g(alpha(u_i) u_j, u_k) = (gb[i][j][k] - gb[j][k][i]
                 # + gb[k][i][j]) / 2
@@ -195,15 +250,16 @@ class NumericCase:
                     x = _sum(ginv[r][k] * rhs[k] for k in nonzero if ginv[r][k])
                     if x:
                         mat[r][j] = x / 2
-            self.alpha.append(mat)
 
     def curvature_ops(self, maps: list) -> dict:
         """R(u_i,u_j) for the connection given by numeric maps."""
+        live = [any(x for row in m for x in row) for m in maps]
         ops = {}
         for i in range(4):
             for j in range(i + 1, 4):
-                op = _mat_sub(_mat_mul(maps[i], maps[j]),
-                              _mat_mul(maps[j], maps[i]))
+                op = (_mat_sub(_mat_mul(maps[i], maps[j]),
+                               _mat_mul(maps[j], maps[i]))
+                      if live[i] and live[j] else _zeros(4, 4))
                 for k, c in enumerate(self.m_parts[i][j]):
                     if c:
                         _mat_add_scaled_into(op, maps[k], -c)
@@ -216,20 +272,17 @@ class NumericCase:
 
     def _ricci(self) -> None:
         ops = self.curvature_ops(self.alpha)
-
-        def op_entry(k: int, i: int, j: int) -> Fraction:
-            """Entry (k, j) of R(u_k, u_i), k != i."""
-            if k < i:
-                return ops[(k, i)][k][j]
-            x = ops[(i, k)][k][j]
-            return -x if x else x
-
         self.lc_ops = ops
-        self.ricci = _zeros(4, 4)
-        for i in range(4):
-            for j in range(4):
-                self.ricci[i][j] = _sum(
-                    op_entry(k, i, j) for k in range(4) if k != i)
+        # ricci[i][j] = sum over k != i of entry (k, j) of R(u_k, u_i);
+        # each op R(u_k, u_i), k < i, adds its row k to ricci row i and,
+        # as R(u_i, u_k) = -R(u_k, u_i), subtracts its row i from row k
+        ricci = self.ricci = _zeros(4, 4)
+        for (k, i), op in ops.items():
+            for j, (x, y) in enumerate(zip(op[k], op[i])):
+                if x:
+                    ricci[i][j] = _add(ricci[i][j], x)
+                if y:
+                    ricci[k][j] = ricci[k][j] - y if ricci[k][j] else -y
         self.scalar = _sum(
             self.ginv[i][j] * self.ricci[i][j]
             for i in range(4) for j in range(4)
@@ -256,42 +309,29 @@ class NumericCase:
             for a, c in enumerate(coeffs):
                 rc[a][i][j] = c
                 rc[a][j][i] = -c if c else c
+        # F = sum_a w_a R_a g^-1 R_a^T gives both terms: T_ij = F_ij / 2
+        # - g_ij (sum_kh g^kh F_kh) / 8
         ginv = self.ginv
-        s_total = _ZERO
-        for a in range(dim):
-            w, r = weights[a], rc[a]
-            for k in range(4):
-                for l in range(4):
-                    if not r[k][l]:
-                        continue
-                    for h in range(4):
-                        if not ginv[k][h]:
-                            continue
-                        for m in range(4):
-                            if r[h][m] and ginv[l][m]:
-                                s_total = _add(s_total, w * r[k][l] * r[h][m]
-                                               * ginv[k][h] * ginv[l][m])
+        f = _zeros(4, 4)
+        for w, r in zip(weights, rc):
+            if w and any(any(row) for row in r):
+                r_t = [list(col) for col in zip(*r)]
+                _mat_add_scaled_into(f, _mat_mul(_mat_mul(r, ginv), r_t), w)
+        s_total = _sum(ginv[k][h] * f[k][h] for k in range(4) for h in range(4)
+                       if ginv[k][h] and f[k][h])
+        s_eighth = s_total / 8 if s_total else _ZERO
         t = _zeros(4, 4)
         for i in range(4):
             for j in range(4):
-                first = _ZERO
-                for a in range(dim):
-                    w, r = weights[a], rc[a]
-                    for k in range(4):
-                        if not r[i][k]:
-                            continue
-                        for l in range(4):
-                            if r[j][l] and ginv[k][l]:
-                                first = _add(first, w * r[i][k] * r[j][l]
-                                             * ginv[k][l])
-                g_ij = self.g[i][j]
-                t[i][j] = _sum((first / 2 if first else first,
-                                -g_ij * s_total / 8 if g_ij and s_total
+                f_ij, g_ij = f[i][j], self.g[i][j]
+                t[i][j] = _sum((f_ij / 2 if f_ij else f_ij,
+                                -g_ij * s_eighth if g_ij and s_eighth
                                 else _ZERO))
         return t
 
     def first_residual(self, lam: Fraction, kap: Fraction, t: list) -> list:
-        shift, out = lam - self.scalar / 2, _zeros(4, 4)
+        shift = lam - self.scalar / 2 if self.scalar else lam
+        out = _zeros(4, 4)
         for i in range(4):
             for j in range(4):
                 g_ij, t_ij = self.g[i][j], t[i][j]
@@ -379,6 +419,9 @@ def _metric_and_det(entry: CatalogEntry, family: MetricFamily | None) -> tuple:
     return family.g, family.det_g
 
 
+_NUMERATORS = [x for x in range(-9, 10) if x]
+
+
 def sample_point(entry: CatalogEntry, rng: random.Random,
                  avoid: list | None = None,
                  family: MetricFamily | None = None) -> dict:
@@ -392,8 +435,8 @@ def sample_point(entry: CatalogEntry, rng: random.Random,
                     for v in x.variables()})
     names += [p.name for p in entry.pair.params if p.name not in names]
     for _ in range(200):
-        sample = {n: Fraction(rng.choice([x for x in range(-9, 10) if x]),
-                              rng.randint(1, 4)) for n in names}
+        sample = {n: Fraction(rng.choice(_NUMERATORS), rng.randint(1, 4))
+                  for n in names}
         try:
             if det is not None and det.evaluate(sample) == 0:
                 continue
@@ -417,30 +460,35 @@ def crosscheck_case(entry: CatalogEntry, report, sample: dict) -> list:
     problems = []
     num = NumericCase(entry, sample, report.family)
 
-    if report.lc.ricci.evaluate(sample) != num.ricci:
+    if _differs(report.lc.ricci, num.ricci, sample):
         problems.append("ricci")
-    if report.lc.scalar.evaluate(sample) != num.scalar:
+    if _value(report.lc.scalar, sample) != num.scalar:
         problems.append("scalar")
 
-    # canonical member: maps are zero, curvature comes from the brackets alone
-    ops = num.curvature_ops([_zeros(4, 4) for _ in range(4)])
-    if any(c.evaluate(sample) != ops[key]
+    # canonical member: maps are zero, curvature comes from the brackets
+    # alone; with zero Koszul maps that is the Levi-Civita curvature again
+    if any(x for m in num.alpha for row in m for x in row):
+        ops = num.curvature_ops([_zeros(4, 4) for _ in range(4)])
+    else:
+        ops = num.lc_ops
+    if any(_differs(c, ops[key], sample)
            for key, c in report.form.components.items()):
         problems.append("curvature")
-    basis_num = [b.evaluate(sample) for b in report.hol_basis]
+    basis_num = [_values(b, sample) for b in report.hol_basis]
     structure = num.structure(ops, basis_num)
     if structure is None:
         problems.append("holonomy expansion degenerates at sample")
         return problems
-    weights = [report.hm.value(a).evaluate(sample) for a in range(len(basis_num))]
+    weights = [_value(report.hm.value(a), sample)
+               for a in range(len(basis_num))]
     t_num = num.stress(structure, weights)
-    if report.T.evaluate(sample) != t_num:
+    if _differs(report.T, t_num, sample):
         problems.append("stress tensor")
 
     if report.verdict.is_solution:
-        lam = report.verdict.lambda_.evaluate(sample)
-        kap = report.verdict.kappa.evaluate(sample)
+        lam = _value(report.verdict.lambda_, sample)
+        kap = _value(report.verdict.kappa, sample)
         res = num.first_residual(lam, kap, t_num)
-        if any(x != 0 for row in res for x in row):
+        if any(x for row in res for x in row):
             problems.append("first-equation residual")
     return problems

@@ -33,6 +33,7 @@ from functools import cmp_to_key
 Monomial = tuple
 
 _ONE_MONO: Monomial = ()
+_F_ZERO = Fraction(0)
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -206,20 +207,35 @@ class Poly:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, assignment: dict) -> Fraction:
-        total = Fraction(0)
+    def _ratio(self, assignment: dict) -> tuple:
+        """(n, d) ints with n/d the value at `assignment`, d > 0, unreduced.
+
+        Each term is an int ratio and the terms add over a common
+        denominator, so no Fraction (and no gcd) is built along the way;
+        RatFunc.evaluate builds the one Fraction of the result.
+        """
+        n, d = 0, 1
         for mono, c in self.terms.items():
-            v = c
+            tn, td = c, 1
             for name, e in mono:
                 try:
                     x = assignment[name]
                 except KeyError:
                     raise MissingParam(name) from None
-                if not isinstance(x, Fraction):
+                try:
+                    p, q = x.numerator, x.denominator
+                except AttributeError:
                     x = Fraction(x)
-                v = v * (x if e == 1 else x ** e)
-            total += v
-        return total
+                    p, q = x.numerator, x.denominator
+                if e == 1:
+                    tn, td = tn * p, td * q
+                else:
+                    tn, td = tn * p ** e, td * q ** e
+            if td == d:
+                n += tn
+            else:
+                n, d = n * td + tn * d, d * td
+        return n, d
 
     # -- content / division ---------------------------------------------------
 
@@ -465,13 +481,14 @@ class RatFunc:
     polynomials over Z, so every RatFunc holds only integer coefficients.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash", "_value")
 
     def __init__(self, num: Poly, den: Poly = _P_ONE, _canonical: bool = False):
         if not _canonical:
             num, den = _reduce(num, den)
         self.num, self.den = num, den
         self._hash = None
+        self._value = None  # the Fraction of a constant, kept by evaluate()
 
     # -- constructors --------------------------------------------------------
 
@@ -579,18 +596,25 @@ class RatFunc:
     # -- evaluation ----------------------------------------------------------------
 
     def evaluate(self, assignment: dict) -> Fraction:
+        """The value at `assignment`.  Zero and constants return a Fraction
+        built once per RatFunc; otherwise numerator and denominator are
+        evaluated as int ratios and one Fraction is built from them."""
+        value = self._value
+        if value is not None:
+            return value
         if not self.num.terms:
-            return Fraction(0)
+            self._value = _F_ZERO
+            return _F_ZERO
         const = _const_parts(self)
         if const is not None:
-            return Fraction(*const)
-        if self.den == _P_ONE:
-            return self.num.evaluate(assignment)
-        den = self.den.evaluate(assignment)
-        if den == 0:
+            self._value = Fraction(*const)
+            return self._value
+        dn, dd = self.den._ratio(assignment)
+        if not dn:
             raise PoleAtPoint(f"denominator {self.den} vanishes at "
                               f"{format_point(assignment)}")
-        return self.num.evaluate(assignment) / den
+        nn, nd = self.num._ratio(assignment)
+        return Fraction(nn * dd, nd * dn)
 
     # -- rendering ------------------------------------------------------------------
 

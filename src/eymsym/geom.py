@@ -177,15 +177,25 @@ def _charpoly_coefficients(g: FieldMatrix, sample: dict) -> list:
     """
     values = g.evaluate(sample)
     n = len(values)
-    d = math.lcm(*(x.denominator for row in values for x in row))
-    b = [[x.numerator * (d // x.denominator) for x in row] for row in values]
+    d = math.lcm(*(x.denominator for row in values for x in row if x))
+    # the nonzero entries of each row of B, as (column, int value)
+    b = [[(p, x.numerator * (d // x.denominator)) for p, x in enumerate(row)
+          if x] for row in values]
     coeffs = [0] * n + [1]
     m = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
         c = coeffs[n - k + 1]
-        m = [[sum(b[i][p] * m[p][j] for p in range(n)) + (c if i == j else 0)
-              for j in range(n)] for i in range(n)]
-        trace = sum(b[i][p] * m[p][i] for i in range(n) for p in range(n))
+        new = []
+        for i, row in enumerate(b):
+            acc = [0] * n
+            for p, x in row:
+                for j, y in enumerate(m[p]):
+                    if y:
+                        acc[j] += x * y
+            acc[i] += c
+            new.append(acc)
+        m = new
+        trace = sum(x * m[p][i] for i, row in enumerate(b) for p, x in row)
         coeffs[n - k] = -(trace // k)
     return [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)]
 
@@ -196,7 +206,8 @@ def signature_at(g: FieldMatrix, sample: dict) -> tuple:
     Uses Descartes' rule on the characteristic polynomial; exact because a
     real symmetric matrix has only real eigenvalues.
     """
-    coeffs = _charpoly_coefficients(g, sample)
+    # only signs matter, and a Fraction has the sign of its numerator
+    coeffs = [c.numerator for c in _charpoly_coefficients(g, sample)]
     n_zero = 0
     for c in coeffs:
         if c == 0:
@@ -222,9 +233,16 @@ def lorentz_check(family: MetricFamily, sample: dict) -> SignatureVerdict:
     return SignatureVerdict.NEUTRAL
 
 
+_CONDITIONS: dict = {}  # condition text -> parse_condition(text)
+
+
 def lorentz_condition_holds(condition: str, sample: dict) -> bool:
-    """Evaluate a recorded condition like 'b*d > c^2' at a rational sample."""
-    lhs, op, rhs = parse_condition(condition)
+    """Evaluate a recorded condition like 'b*d > c^2' at a rational sample.
+    Each distinct text is parsed once per process."""
+    parsed = _CONDITIONS.get(condition)
+    if parsed is None:
+        parsed = _CONDITIONS[condition] = parse_condition(condition)
+    lhs, op, rhs = parsed
     lhs, rhs = lhs.evaluate(sample), rhs.evaluate(sample)
     if op == "!=":
         return lhs != rhs

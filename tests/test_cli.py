@@ -16,6 +16,7 @@ import pytest
 import eymsym
 import eymsym.cli
 import eymsym.crosscheck
+from eymsym import geom
 from eymsym.cli import main
 from eymsym.exact import format_point
 from eymsym.report import json_dumps
@@ -178,6 +179,40 @@ def test_validate_seed_is_stable_across_hash_seeds():
         outs.append(done.stdout)
     assert outs[0] == outs[1]
     assert outs[0].split()[0] == str(zlib.crc32(b"2.1^2(1)"))
+
+
+def test_validate_stdout_is_stable_across_hash_seeds():
+    """The whole `validate` report, sample points included, is the same
+    under two hash seeds."""
+    src = str(Path(eymsym.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-m", "eymsym.cli", "validate"],
+                              env=env, capture_output=True, text=True,
+                              check=True, timeout=300)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert "35/35 pass" in outs[0]
+
+
+def test_validate_parses_each_lorentz_condition_once(capsys, monkeypatch,
+                                                     catalog):
+    """lorentz_condition_holds parses a condition text once per process,
+    however many samples `validate` checks it at."""
+    monkeypatch.setattr(geom, "_CONDITIONS", {})
+    parse, calls = geom.parse_condition, []
+
+    def counting(text, *args):
+        calls.append(text)
+        return parse(text, *args)
+
+    monkeypatch.setattr(geom, "parse_condition", counting)
+    code, out, _ = run_cli(capsys, "validate")
+    assert code == 0 and "35/35 pass" in out
+    # 35 cases, 5 samples each, and 7 distinct condition texts
+    assert sorted(calls) == sorted({e.golden.lorentz for e in catalog.entries})
 
 
 def test_only_validate_imports_the_crosscheck():

@@ -14,7 +14,7 @@ from eymsym.crosscheck import (NumericCase, _gauss_solve, _inverse,
                                crosscheck_case, sample_point)
 from eymsym.eym import (HolonomyMetric, hodge_star_2form, residual_is_zero,
                         run_case, second_eym_residual)
-from eymsym.exact import rf
+from eymsym.exact import RF_ZERO, RatFunc, rf
 from eymsym.linalg import FieldMatrix, det
 
 
@@ -33,10 +33,11 @@ def _bumped(m: FieldMatrix, i: int, j: int) -> FieldMatrix:
     return FieldMatrix(m.rows, m.cols, rows)
 
 
-def _clean_sample(entry, report, seed: int) -> dict:
+def _clean_sample(entry, report, seed: int, avoid: list = ()) -> dict:
     """A sample where the report cross-checks clean and no holonomy structure
-    coefficient vanishes, so a dropped basis element shows."""
-    avoid = list(report.verdict.conditions) + [
+    coefficient vanishes, so a dropped basis element shows; the RatFuncs in
+    `avoid` are nonzero there too."""
+    avoid = list(avoid) + list(report.verdict.conditions) + [
         c for coeffs in report.form.structure.values() for c in coeffs
         if not c.is_zero()]
     sample = sample_point(entry, random.Random(seed), avoid=avoid)
@@ -104,6 +105,81 @@ def test_corrupted_stress_tensor_is_caught(catalog, reports, cid):
     sample = _clean_sample(entry, r, 13)
     bad = _replace(r, T=_bumped(r.T, 1, 3))
     assert "stress tensor" in crosscheck_case(entry, bad, sample)
+
+
+def _set(m: FieldMatrix, i: int, j: int, value) -> FieldMatrix:
+    rows = [list(r) for r in m.entries]
+    rows[i][j] = value
+    return FieldMatrix(m.rows, m.cols, rows)
+
+
+def _first_entry(m: FieldMatrix, zero: bool) -> tuple:
+    """(i, j) of the first entry of m that is (or is not) identically 0."""
+    return next((i, j) for i, row in enumerate(m.entries)
+                for j, x in enumerate(row) if x.is_zero() == zero)
+
+
+def _mixed(m: FieldMatrix) -> bool:
+    """m has both identically zero and nonzero entries."""
+    zeros = {x.is_zero() for row in m.entries for x in row}
+    return zeros == {True, False}
+
+
+def _edited(report, target: str, edit):
+    """A copy of the report with `edit` applied to the compared matrix that
+    `target` names: Ricci, one curvature component, or T."""
+    if target == "ricci":
+        return _replace(report, lc=_replace(report.lc,
+                                            ricci=edit(report.lc.ricci)))
+    if target == "stress tensor":
+        return _replace(report, T=edit(report.T))
+    comps = dict(report.form.components)
+    key = next(k for k, m in comps.items() if _mixed(m))
+    comps[key] = edit(comps[key])
+    return _replace(report, form=_replace(report.form, components=comps))
+
+
+@pytest.mark.parametrize("cid", ["1.1^1(7)", "2.5^2(4)", "3.5^2(2)",
+                                 "6.1^3(1)"])
+@pytest.mark.parametrize("target", ["ricci", "curvature", "stress tensor"])
+@pytest.mark.parametrize("to_zero", [False, True],
+                         ids=["zero-to-nonzero", "nonzero-to-zero"])
+def test_zero_skipping_comparison_is_checked_both_ways(catalog, reports, cid,
+                                                       target, to_zero):
+    """The comparison evaluates only the nonzero symbolic entries; a symbolic
+    0 must still meet a numeric 0, so both corruptions are flagged."""
+    entry, r = catalog.get(cid), reports[cid]
+    # every nonzero entry is nonzero at the sample, so zeroing one shows
+    mats = [r.lc.ricci, r.T, *r.form.components.values()]
+    sample = _clean_sample(entry, r, 17, avoid=[
+        x for m in mats for row in m.entries for x in row if not x.is_zero()])
+
+    def edit(m: FieldMatrix) -> FieldMatrix:
+        i, j = _first_entry(m, zero=not to_zero)
+        return _set(m, i, j, RF_ZERO if to_zero else rf(1))
+
+    assert crosscheck_case(entry, _edited(r, target, edit), sample) == [target]
+
+
+def test_crosscheck_never_evaluates_a_zero_ratfunc(catalog, reports,
+                                                   monkeypatch):
+    """A count guard: identically zero RatFuncs are recognised, never
+    evaluated, anywhere inside crosscheck_case."""
+    evaluate = RatFunc.evaluate
+    calls, zero_calls = [], []
+
+    def counted(self, assignment):
+        (zero_calls if self.is_zero() else calls).append(self)
+        return evaluate(self, assignment)
+
+    for entry in catalog.entries:
+        r = reports[entry.pair.case_id]
+        sample = sample_point(entry, random.Random(19),
+                              avoid=list(r.verdict.conditions))
+        with monkeypatch.context() as m:
+            m.setattr(RatFunc, "evaluate", counted)
+            assert crosscheck_case(entry, r, sample) == [], entry.pair.case_id
+    assert calls and not zero_calls
 
 
 def test_flipped_levi_civita_curvature_is_caught(catalog, reports, monkeypatch):
