@@ -1,44 +1,58 @@
-"""Independent numeric recomputation of the pipeline over plain Fractions.
+"""Independent numeric recomputation of the pipeline over plain numbers.
 
 This is a deliberately separate code path: structure constants, isotropy
 matrices, the Koszul construction, curvature, Ricci, the energy-momentum
-tensor, and both field-equation residuals are recomputed with ordinary
-Fraction arithmetic and index loops (no Poly/RatFunc, no FieldMatrix), at
-concrete rational parameter values.  Comparing it with the symbolic pipeline
+tensor, and both field-equation residuals are recomputed with ints,
+Fractions and index loops (no Poly/RatFunc, no FieldMatrix), at concrete
+rational parameter values.  Comparing it with the symbolic pipeline
 evaluated at the same point gives an end-to-end exactness check.
 
 The zero of the numeric path is the int 0, whose truth test runs in C, and
-the index loops test each factor for zero before they multiply, and each term
-for zero before they add it: the metrics, brackets and curvatures here are
-sparse, and a term that is 0 leaves a sum unchanged, so it costs no new
-Fraction.  `_gauss_solve` eliminates a matrix once for all its right-hand
-sides (once for g^-1, [g | I], and once for the six curvature components in
-the holonomy basis), over ints, without division.  The energy-momentum tensor
-is read off F = sum_a w_a R_a g^-1 R_a^T.
+the index loops skip zero factors and zero terms: the metrics, brackets and
+curvatures here are sparse.  `_eliminate` solves over ints without
+division, once for all right-hand sides: [g | I] for g^-1 and the six
+curvature components in the holonomy basis.  What a point computes, g,
+g^-1, T and the first-equation residual, is computed over ints with one
+denominator per matrix; the energy-momentum tensor is read off
+F = sum_a w_a R_a g^-1 R_a^T, kept as a linear form in g^-1.
 
-The symbolic side of the comparison is read from the `CaseReport` that
-`run_case` built and compared entry by entry: only its nonzero entries are
-evaluated at the sample, and where a symbolic entry is identically zero the
-numeric entry must be 0.  No identically zero RatFunc is evaluated here.  The
-canonical member's curvature (zero connection maps) is the Levi-Civita one
-whenever the Koszul maps are all zero, as they are on a symmetric pair, and is
-then not built twice.  `star` and `second_residual` are the references of
-`hodge_star_2form` and `second_eym_residual` at members where the second
-equation can fail.
+A case's plan is built the first time it is sampled or cross-checked and
+reused for every later point.  Per entry (`_EntryPlan`): the sorted sample
+names, the metric's nonzero entries, the bracket coefficients, and, when no
+bracket coefficient has a variable, the numeric brackets, `rho` and the
+parts of [u_i, u_j]; when moreover [m, m] has no m part (a symmetric pair),
+the Koszul maps (all 0), the Levi-Civita curvature and Ricci, which then
+also serve as the canonical member's.  Per report (`_Plan`): the zero and
+nonzero entries of Ricci, the six canonical curvature components, the
+holonomy basis and `T`; the scalar, the holonomy weights, lambda and kappa;
+and every comparison, holonomy solve and stress form whose inputs do not
+depend on the point, made once.  A point then draws the sample, evaluates g
+and inverts it, and computes the scalar, T and the first-equation residual.
+
+A plan reads each symbolic RatFunc once, off `Poly.terms`: a constant as a
+number, anything else as the int terms of its numerator and denominator,
+which the plan evaluates itself; it calls no arithmetic of `exact`.  Only
+nonzero symbolic entries are evaluated, and where a symbolic entry is
+identically zero the numeric one must be 0.  Plans live in weak
+dictionaries keyed on the entry and on the report, and rely on both being
+read-only: a report edited through a copy is another key.  `star` and
+`second_residual` are the references of `hodge_star_2form` and
+`second_eym_residual` at members where the second equation can fail.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import weakref
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 
 from .exact import PoleAtPoint
 from .geom import MetricFamily
 from .liecat import CatalogEntry, U_LABELS
 
-_NONE: dict = {}  # the bracket of a pair with no recorded bracket
 _EPS = {}
 for _p in permutations(range(4)):
     _s = 1
@@ -58,31 +72,109 @@ def _zeros(n: int, m: int) -> list:
     return [[_ZERO] * m for _ in range(n)]
 
 
-def _value(x, sample: dict):
-    """x evaluated at the sample; the int 0 for an identically zero x, which
-    is never evaluated."""
-    return x.evaluate(sample) if not x.is_zero() else _ZERO
+# -- what a plan reads from the symbolic side ---------------------------------
 
 
-def _values(m, sample: dict) -> list:
-    """A FieldMatrix as a dense list at the sample, zero entries as 0."""
-    return [[x.evaluate(sample) if not x.is_zero() else _ZERO for x in row]
-            for row in m.entries]
+def _planned(x):
+    """A RatFunc as a plan keeps it: a constant as an int (0 when it is
+    identically zero) or a Fraction, and otherwise the int terms
+    ((coefficient, ((name, exponent), ...)), ...) of its numerator and
+    denominator, read off `Poly.terms`."""
+    num, den = x.num.terms, x.den.terms
+    if not num:
+        return _ZERO
+    if len(num) == len(den) == 1 and () in num and () in den:
+        n, d = num[()], den[()]  # coprime, d > 0
+        return n if d == 1 else Fraction(n, d)
+    return tuple(num.items()), tuple(den.items())
 
 
-def _differs(sym, num: list, sample: dict) -> bool:
-    """Whether a symbolic FieldMatrix and a numeric dense list differ at the
-    sample.  Only the nonzero symbolic entries are evaluated (all of them);
-    where the symbolic entry is zero the numeric one must be 0."""
-    differs = False
-    for sym_row, num_row in zip(sym.entries, num):
-        for x, y in zip(sym_row, num_row):
-            if x.is_zero():
-                if y:
-                    differs = True
-            elif x.evaluate(sample) != y:
-                differs = True
+_CELLS = [(i, j) for i in range(4) for j in range(4)]  # shared by all plans
+
+
+def _planned_matrix(m) -> tuple:
+    """A 4x4 FieldMatrix as a plan keeps it: the (i, j) of its identically
+    zero entries, and its other entries as (i, j, planned value)."""
+    flat = [x for row in m.entries for x in row]
+    return ([c for c, x in zip(_CELLS, flat) if not x.num.terms],
+            [(*c, _planned(x)) for c, x in zip(_CELLS, flat) if x.num.terms])
+
+
+def _varies(planned_matrix: tuple) -> bool:
+    return any(type(x) is tuple for _, _, x in planned_matrix[1])
+
+
+def _point(sample: dict) -> dict:
+    """The sample as name -> (numerator, denominator)."""
+    return {n: (x.numerator, x.denominator) for n, x in sample.items()}
+
+
+def _poly_ratio(terms: tuple, point: dict) -> tuple:
+    """(n, d) ints, d > 0, with n/d the value of a polynomial's terms at the
+    point; no Fraction is built."""
+    n, d = 0, 1
+    for mono, c in terms:
+        tn, td = c, 1
+        for name, e in mono:
+            p, q = point[name]
+            if e == 1:
+                tn, td = tn * p, td * q
+            else:
+                tn, td = tn * p ** e, td * q ** e
+        if td == d:
+            n += tn
+        else:
+            n, d = n * td + tn * d, d * td
+    return n, d
+
+
+def _ratio(x, point: dict) -> tuple:
+    """(n, d) ints, d != 0, with n/d a planned value at the point;
+    PoleAtPoint where its denominator vanishes."""
+    if type(x) is not tuple:
+        return x.numerator, x.denominator
+    num, den = x
+    dn, dd = _poly_ratio(den, point)
+    if not dn:
+        raise PoleAtPoint("a denominator vanishes at the sample point")
+    nn, nd = _poly_ratio(num, point)
+    return nn * dd, nd * dn
+
+
+def _value(x, point: dict):
+    """A planned value at the point: a number as it is, terms evaluated."""
+    return Fraction(*_ratio(x, point)) if type(x) is tuple else x
+
+
+def _same(x, y, point: dict) -> bool:
+    """Whether the planned value x equals the number y at the point."""
+    n, d = _ratio(x, point)
+    return n * y.denominator == d * y.numerator
+
+
+def _mismatch(planned_matrix: tuple, num: tuple, point: dict | None) -> bool:
+    """Whether a planned symbolic matrix and a numeric one, (rows, d) for
+    rows / d, differ at the point.  Every nonzero symbolic entry is
+    evaluated (so a pole raises); where the symbolic entry is zero the
+    numeric one must be 0."""
+    zeros, nonzero = planned_matrix
+    rows, d = num
+    differs = any(rows[i][j] for i, j in zeros)
+    for i, j, x in nonzero:
+        n, q = _ratio(x, point)
+        if n * d != rows[i][j] * q:
+            differs = True
     return differs
+
+
+def _dense(planned_matrix: tuple, point: dict | None) -> list:
+    out = _zeros(4, 4)
+    for i, j, x in planned_matrix[1]:
+        out[i][j] = _value(x, point)
+    return out
+
+
+# -- Fraction and int linear algebra --------------------------------------------
 
 
 def _add(x: Fraction, y: Fraction) -> Fraction:
@@ -133,97 +225,282 @@ def _sum(terms) -> Fraction:
     return total
 
 
-def _gauss_solve(a: list, rhss: list) -> list | None:
-    """Solve a x = b over Fractions for each b in `rhss`, with one
-    elimination of [a | b_1 ... b_r]; None when any b is inconsistent or a
-    has dependent columns.
-
-    Each row is scaled to ints and eliminated without division
-    (row_i <- p row_i - f row_r, then divided by its content), so the only
-    Fractions built are the nonzero entries of the solutions."""
-    n, m = len(a), len(a[0])
-    aug = []
-    for i, row in enumerate(a):
-        row = list(row) + [b[i] for b in rhss]
-        d = math.lcm(*(x.denominator for x in row if x))
-        aug.append([x.numerator * (d // x.denominator) if x else 0
-                    for x in row])
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, n) if aug[i][c]), None)
+def _eliminate(aug: list, m: int) -> list | None:
+    """Gauss-Jordan elimination of int rows [a | b_1 ... b_r], a with m
+    columns, without division (row_i <- p row_i - f row_r, then divided by
+    its content).  Returns the m rows whose a part is diagonal, or None when
+    a has dependent columns or some b is inconsistent."""
+    n = len(aug)
+    for r in range(m):
+        pr = next((i for i in range(r, n) if aug[i][r]), None)
         if pr is None:
             return None  # a has dependent columns
         aug[r], aug[pr] = aug[pr], aug[r]
         prow = aug[r]
-        p = prow[c]
+        p = prow[r]
         for i in range(n):
-            f = aug[i][c]
+            f = aug[i][r]
             if f and i != r:
                 row = [p * x - f * y for x, y in zip(aug[i], prow)]
                 g = math.gcd(*row)
                 aug[i] = [x // g for x in row] if g > 1 else row
-        r += 1
     if any(any(row[m:]) for row in aug[m:]):
         return None
-    return [[Fraction(aug[k][m + s], aug[k][k]) if aug[k][m + s] else _ZERO
-             for k in range(m)] for s in range(len(rhss))]
+    return aug[:m]
+
+
+def _gauss_solve(a: list, rhss: list) -> list | None:
+    """Solve a x = b over Fractions for each b in `rhss`, with one
+    elimination of [a | b_1 ... b_r]; None when any b is inconsistent or a
+    has dependent columns.  Each row is scaled to ints, so the only
+    Fractions built are the nonzero entries of the solutions."""
+    m = len(a[0])
+    aug = []
+    for i, row in enumerate(a):
+        row = list(row) + [b[i] for b in rhss]
+        if not any(row):
+            continue  # a zero row of [a | b] says nothing
+        d = math.lcm(*(x.denominator for x in row if x))
+        aug.append([x.numerator * (d // x.denominator) if x else 0
+                    for x in row])
+    aug = _eliminate(aug, m)
+    if aug is None:
+        return None
+    return [[Fraction(row[m + s], row[k]) if row[m + s] else _ZERO
+             for k, row in enumerate(aug)] for s in range(len(rhss))]
+
+
+# A matrix with a denominator is a pair (rows, d), d > 0, standing for
+# rows / d; "over ints" when the rows hold ints.
+
+
+def _scaled(mat: list) -> tuple:
+    """A dense list of Fractions and ints over ints, d the lcm of its
+    denominators."""
+    d = math.lcm(*(x.denominator for row in mat for x in row if x))
+    return [[x.numerator * (d // x.denominator) if x else 0 for x in row]
+            for row in mat], d
+
+
+def _unscaled(ints: list, d: int) -> list:
+    return [[Fraction(x, d) if x else _ZERO for x in row] for row in ints]
+
+
+def _inverse_scaled(gs: list, d: int) -> tuple | None:
+    """The inverse of gs / d over ints, or None when it is singular: one
+    elimination of [gs | I], and (gs / d)^-1 = d gs^-1."""
+    n = len(gs)
+    aug = _eliminate([row + [int(i == j) for j in range(n)]
+                      for i, row in enumerate(gs)], n)
+    if aug is None:
+        return None
+    den = math.lcm(*(row[k] for k, row in enumerate(aug)))
+    return [[d * x * (den // row[k]) for x in row[n:]]
+            for k, row in enumerate(aug)], den
 
 
 def _inverse(mat: list) -> list | None:
-    n = len(mat)
-    cols = _gauss_solve(mat, [[1 if i == j else _ZERO
-                               for i in range(n)] for j in range(n)])
-    if cols is None:
-        return None
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    inv = _inverse_scaled(*_scaled(mat))
+    return None if inv is None else _unscaled(*inv)
+
+
+def _stress_form(structure: dict, weights: list) -> tuple:
+    """F = sum_a w_a R_a g^-1 R_a^T as a linear form in g^-1: (terms, d)
+    with F_ij = sum of c g^kh / d over the terms (i, j, k, h, c), c and d
+    ints.  R_a is antisymmetric, R_a[i][j] the a-th coefficient of
+    structure[(i, j)]."""
+    dr = math.lcm(*(c.denominator for cs in structure.values() for c in cs
+                    if c))
+    dw = math.lcm(*(w.denominator for w in weights if w))
+    # the nonzero entries (i, k, int) of each R_a, scaled by dr
+    entries = [[] for _ in weights]
+    for (i, j), coeffs in structure.items():
+        for a, c in enumerate(coeffs):
+            if c:
+                c = c.numerator * (dr // c.denominator)
+                entries[a] += [(i, j, c), (j, i, -c)]
+    acc = {}
+    for w, nonzero in zip(weights, entries):
+        if not w:
+            continue
+        w = w.numerator * (dw // w.denominator)
+        for i, k, x in nonzero:
+            for j, h, y in nonzero:
+                key = (i, j, k, h)
+                acc[key] = acc.get(key, 0) + w * x * y
+    return [key + (c,) for key, c in acc.items() if c], dw * dr * dr
+
+
+_U_INDEX = {u: k for k, u in enumerate(U_LABELS)}
+
+
+def _bracket_parts(brackets: dict, e_labels: tuple) -> tuple:
+    """(m_parts, h_parts, rho) of numeric brackets: m_parts[i][j] and
+    h_parts[i][j] are the u- and e-coefficients of [u_i, u_j], rho[a] the
+    matrix of ad(e_a) on m."""
+    e_index = {e: a for a, e in enumerate(e_labels)}
+    m_parts = [[[_ZERO] * 4 for _ in range(4)] for _ in range(4)]
+    h_parts = [[[_ZERO] * len(e_labels) for _ in range(4)] for _ in range(4)]
+    rho = [_zeros(4, 4) for _ in e_labels]
+    for (x, y), vals in brackets.items():
+        j = _U_INDEX.get(y)
+        if j is None:
+            continue
+        i = _U_INDEX.get(x)
+        for lbl, v in vals.items():
+            if i is None:
+                rho[e_index[x]][_U_INDEX[lbl]][j] = v
+            elif lbl in _U_INDEX:
+                m_parts[i][j][_U_INDEX[lbl]] = v
+            else:
+                h_parts[i][j][e_index[lbl]] = v
+    return m_parts, h_parts, rho
+
+
+def _curvature_ops(maps: list, m_parts: list, h_parts: list,
+                   rho: list) -> dict:
+    """R(u_i,u_j), i < j, for the connection given by numeric maps."""
+    live = [any(map(any, m)) for m in maps]
+    ops = {}
+    for i in range(4):
+        for j in range(i + 1, 4):
+            op = (_mat_sub(_mat_mul(maps[i], maps[j]),
+                           _mat_mul(maps[j], maps[i]))
+                  if live[i] and live[j] else _zeros(4, 4))
+            for k, c in enumerate(m_parts[i][j]):
+                if c:
+                    _mat_add_scaled_into(op, maps[k], -c)
+            for k, c in enumerate(h_parts[i][j]):
+                if c:
+                    _mat_add_scaled_into(op, rho[k], -c)
+            ops[(i, j)] = op
+    return ops
+
+
+def _ricci_of(ops: dict) -> list:
+    # ricci[i][j] = sum over k != i of entry (k, j) of R(u_k, u_i); each op
+    # R(u_k, u_i), k < i, adds its row k to ricci row i and, as
+    # R(u_i, u_k) = -R(u_k, u_i), subtracts its row i from row k
+    ricci = _zeros(4, 4)
+    for (k, i), op in ops.items():
+        for j, (x, y) in enumerate(zip(op[k], op[i])):
+            if x:
+                ricci[i][j] = _add(ricci[i][j], x)
+            if y:
+                ricci[k][j] = ricci[k][j] - y if ricci[k][j] else -y
+    return ricci
+
+
+class _EntryPlan:
+    """What every point of one entry shares, read once: the sample names,
+    the metric's nonzero entries and the brackets as planned values, and,
+    when no bracket coefficient has a variable, the numeric brackets with
+    their parts; when moreover [m, m] has no m part, the Koszul maps (all
+    0), the Levi-Civita curvature and the Ricci tensor."""
+
+    def __init__(self, entry: CatalogEntry, metric, det):
+        self.metric, self.det = metric, det
+        self.g = [(i, j, _planned(x)) for i, row in enumerate(metric.entries)
+                  for j, x in enumerate(row) if x.num.terms]
+        names = sorted({name for _, _, x in self.g if type(x) is tuple
+                        for terms in x for mono, _ in terms
+                        for name, _ in mono})
+        names += [p.name for p in entry.pair.params if p.name not in names]
+        self.names = names
+        self.e_labels = entry.pair.e_labels
+        self.brackets = {(x, y): {lbl: _planned(v) for lbl, v in coeffs.items()
+                                  if v.num.terms}
+                         for (x, y), coeffs in entry.pair.brackets.items()
+                         if x != y}
+        self.parts = self.lc = None
+        if any(type(v) is tuple for coeffs in self.brackets.values()
+               for v in coeffs.values()):
+            return
+        self.parts = self.parts_at(None)
+        if any(lbl in _U_INDEX for (x, y), coeffs in self.brackets.items()
+               if x in _U_INDEX and y in _U_INDEX for lbl in coeffs):
+            return  # [m, m] has an m part
+        alpha = [_zeros(4, 4) for _ in range(4)]
+        ops = _curvature_ops(alpha, *self.parts[1:])
+        self.lc = alpha, ops, _ricci_of(ops)
+
+    def metric_at(self, point: dict) -> tuple:
+        """g at the point, over ints."""
+        vals = [(i, j, _ratio(x, point)) for i, j, x in self.g]
+        d = math.lcm(*(q for _, _, (_, q) in vals))
+        gs = _zeros(4, 4)
+        for i, j, (n, q) in vals:
+            gs[i][j] = n * (d // q)
+        return gs, d
+
+    def parts_at(self, point: dict | None) -> tuple:
+        """(brackets, m_parts, h_parts, rho) at the point; each recorded
+        bracket is evaluated once, and [y, x] = -[x, y]."""
+        brackets = {}
+        for (x, y), coeffs in self.brackets.items():
+            vals = coeffs if point is None else {
+                lbl: _value(v, point) for lbl, v in coeffs.items()}
+            brackets[(x, y)] = vals
+            if (y, x) not in self.brackets:
+                brackets[(y, x)] = {lbl: -v for lbl, v in vals.items()}
+        return (brackets,) + _bracket_parts(brackets, self.e_labels)
+
+
+# CatalogEntry -> _EntryPlan; entries are read-only
+_ENTRY_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _entry_plan(entry: CatalogEntry, family: MetricFamily | None):
+    metric, det = _metric_and_det(entry, family)
+    plan = _ENTRY_PLANS.get(entry)
+    if plan is None or plan.metric is not metric or plan.det is not det:
+        plan = _ENTRY_PLANS[entry] = _EntryPlan(entry, metric, det)
+    return plan
 
 
 class NumericCase:
-    """All pipeline quantities recomputed numerically from the brackets."""
+    """All pipeline quantities recomputed numerically from the brackets.
+
+    g and g^-1 are computed over ints (`g_scaled`, `ginv_scaled`); `g` and
+    `ginv`, their dense lists of Fractions, are built on first use.  The
+    dense lists that do not depend on the sample (brackets, their parts,
+    and with constant brackets the Levi-Civita quantities) come from the
+    entry's plan, are shared by every NumericCase of the entry and are
+    read-only."""
 
     def __init__(self, entry: CatalogEntry, sample: dict,
                  family: MetricFamily | None = None):
         """`family` is read only when the entry has no `golden metric`."""
+        plan = _entry_plan(entry, family)
+        point = _point(sample)
         self.entry = entry
         self.sample = sample
-        pair = entry.pair
-        self.e_labels = pair.e_labels
-
-        # each recorded bracket is evaluated once; [y, x] = -[x, y]
-        self.brackets = {}
-        for (x, y), coeffs in pair.brackets.items():
-            if x == y:
-                continue
-            vals = {lbl: v.evaluate(sample) for lbl, v in coeffs.items()
-                    if not v.is_zero()}
-            self.brackets[(x, y)] = vals
-            if (y, x) not in pair.brackets:
-                self.brackets[(y, x)] = {lbl: -v for lbl, v in vals.items()}
-        self.m_parts = [[self.m_part(x, y) for y in U_LABELS] for x in U_LABELS]
-
-        self.rho = []
-        for e in self.e_labels:
-            mat = _zeros(4, 4)
-            for j, u in enumerate(U_LABELS):
-                for lbl, v in self.brackets.get((e, u), _NONE).items():
-                    mat[U_LABELS.index(lbl)][j] = v
-            self.rho.append(mat)
-
-        self.g = _values(_metric_and_det(entry, family)[0], sample)
-        self.ginv = _inverse(self.g)
-        if self.ginv is None:
+        self.e_labels = plan.e_labels
+        self.g_scaled = plan.metric_at(point)
+        self.ginv_scaled = _inverse_scaled(*self.g_scaled)
+        if self.ginv_scaled is None:
             raise ZeroDivisionError("degenerate metric sample")
 
-        self._koszul()
-        self._ricci()
+        self.brackets, self.m_parts, self.h_parts, self.rho = (
+            plan.parts or plan.parts_at(point))
+        if plan.lc is None:
+            self._koszul()
+            self.lc_ops = self.curvature_ops(self.alpha)
+            self.ricci = _ricci_of(self.lc_ops)
+        else:
+            self.alpha, self.lc_ops, self.ricci = plan.lc
+        gi, d = self.ginv_scaled
+        n = sum(x * y for gi_row, r_row in zip(gi, self.ricci)
+                for x, y in zip(gi_row, r_row) if y)
+        self.scalar = Fraction(n, d) if n else _ZERO
 
-    def m_part(self, x: str, y: str) -> list:
-        br = self.brackets.get((x, y), _NONE)
-        return [br.get(lbl, _ZERO) for lbl in U_LABELS]
+    @cached_property
+    def g(self) -> list:
+        return _unscaled(*self.g_scaled)
 
-    def h_part(self, x: str, y: str) -> list:
-        br = self.brackets.get((x, y), _NONE)
-        return [br.get(lbl, _ZERO) for lbl in self.e_labels]
+    @cached_property
+    def ginv(self) -> list:
+        return _unscaled(*self.ginv_scaled)
 
     def _koszul(self) -> None:
         g, ginv, mps = self.g, self.ginv, self.m_parts
@@ -253,44 +530,12 @@ class NumericCase:
 
     def curvature_ops(self, maps: list) -> dict:
         """R(u_i,u_j) for the connection given by numeric maps."""
-        live = [any(x for row in m for x in row) for m in maps]
-        ops = {}
-        for i in range(4):
-            for j in range(i + 1, 4):
-                op = (_mat_sub(_mat_mul(maps[i], maps[j]),
-                               _mat_mul(maps[j], maps[i]))
-                      if live[i] and live[j] else _zeros(4, 4))
-                for k, c in enumerate(self.m_parts[i][j]):
-                    if c:
-                        _mat_add_scaled_into(op, maps[k], -c)
-                hp = self.h_part(U_LABELS[i], U_LABELS[j])
-                for k, c in enumerate(hp):
-                    if c:
-                        _mat_add_scaled_into(op, self.rho[k], -c)
-                ops[(i, j)] = op
-        return ops
-
-    def _ricci(self) -> None:
-        ops = self.curvature_ops(self.alpha)
-        self.lc_ops = ops
-        # ricci[i][j] = sum over k != i of entry (k, j) of R(u_k, u_i);
-        # each op R(u_k, u_i), k < i, adds its row k to ricci row i and,
-        # as R(u_i, u_k) = -R(u_k, u_i), subtracts its row i from row k
-        ricci = self.ricci = _zeros(4, 4)
-        for (k, i), op in ops.items():
-            for j, (x, y) in enumerate(zip(op[k], op[i])):
-                if x:
-                    ricci[i][j] = _add(ricci[i][j], x)
-                if y:
-                    ricci[k][j] = ricci[k][j] - y if ricci[k][j] else -y
-        self.scalar = _sum(
-            self.ginv[i][j] * self.ricci[i][j]
-            for i in range(4) for j in range(4)
-            if self.ginv[i][j] and self.ricci[i][j])
+        return _curvature_ops(maps, self.m_parts, self.h_parts, self.rho)
 
     # -- energy-momentum ----------------------------------------------------
 
-    def structure(self, ops: dict, basis: list) -> dict | None:
+    @staticmethod
+    def structure(ops: dict, basis: list) -> dict | None:
         """Expand numeric curvature components in a numeric holonomy basis."""
         if not basis:
             return {} if all(
@@ -302,43 +547,34 @@ class NumericCase:
                                 for m in ops.values()])
         return None if sols is None else dict(zip(ops, sols))
 
-    def stress(self, structure: dict, weights: list) -> list:
-        dim = len(weights)
-        rc = [[[_ZERO] * 4 for _ in range(4)] for _ in range(dim)]
-        for (i, j), coeffs in structure.items():
-            for a, c in enumerate(coeffs):
-                rc[a][i][j] = c
-                rc[a][j][i] = -c if c else c
-        # F = sum_a w_a R_a g^-1 R_a^T gives both terms: T_ij = F_ij / 2
-        # - g_ij (sum_kh g^kh F_kh) / 8
-        ginv = self.ginv
+    def stress(self, form: tuple) -> tuple:
+        """T_ij = F_ij / 2 - g_ij (sum_kh g^kh F_kh) / 8 over ints, with F
+        given as a linear form in g^-1 (`_stress_form`)."""
+        terms, d = form
+        gi, dgi = self.ginv_scaled
         f = _zeros(4, 4)
-        for w, r in zip(weights, rc):
-            if w and any(any(row) for row in r):
-                r_t = [list(col) for col in zip(*r)]
-                _mat_add_scaled_into(f, _mat_mul(_mat_mul(r, ginv), r_t), w)
-        s_total = _sum(ginv[k][h] * f[k][h] for k in range(4) for h in range(4)
-                       if ginv[k][h] and f[k][h])
-        s_eighth = s_total / 8 if s_total else _ZERO
-        t = _zeros(4, 4)
-        for i in range(4):
-            for j in range(4):
-                f_ij, g_ij = f[i][j], self.g[i][j]
-                t[i][j] = _sum((f_ij / 2 if f_ij else f_ij,
-                                -g_ij * s_eighth if g_ij and s_eighth
-                                else _ZERO))
-        return t
+        for i, j, k, h, c in terms:
+            if gi[k][h]:
+                f[i][j] += c * gi[k][h]
+        # F = f / (d dgi), sum_kh g^kh F_kh = tr / (d dgi^2), g = gs / dg
+        tr = sum(x * y for gi_row, f_row in zip(gi, f)
+                 for x, y in zip(gi_row, f_row))
+        gs, dg = self.g_scaled
+        scale = 4 * dg * dgi
+        return ([[scale * x - y * tr for x, y in zip(f_row, g_row)]
+                 for f_row, g_row in zip(f, gs)], 8 * dg * d * dgi * dgi)
 
-    def first_residual(self, lam: Fraction, kap: Fraction, t: list) -> list:
+    def first_residual(self, lam: Fraction, kap: Fraction, t: tuple) -> tuple:
+        """Ricci + (lam - scalar / 2) g - kap T over ints, for T over ints."""
         shift = lam - self.scalar / 2 if self.scalar else lam
-        out = _zeros(4, 4)
-        for i in range(4):
-            for j in range(4):
-                g_ij, t_ij = self.g[i][j], t[i][j]
-                out[i][j] = _sum((self.ricci[i][j],
-                                  shift * g_ij if g_ij else g_ij,
-                                  -kap * t_ij if t_ij else t_ij))
-        return out
+        (rs, dr), (gs, dg), (ts, dt) = _scaled(self.ricci), self.g_scaled, t
+        sn, sd = shift.numerator, shift.denominator
+        kn, kd = kap.numerator, kap.denominator
+        # rs / dr + (sn / sd) gs / dg - (kn / kd) ts / dt
+        a, b, c = sd * dg * kd * dt, sn * dr * kd * dt, kn * dr * sd * dg
+        return ([[a * x + b * y - c * z for x, y, z in zip(r_row, g_row, t_row)]
+                 for r_row, g_row, t_row in zip(rs, gs, ts)],
+                dr * sd * dg * kd * dt)
 
     def star(self, ops: dict) -> dict:
         def comp(i: int, j: int) -> list:
@@ -425,20 +661,24 @@ _NUMERATORS = [x for x in range(-9, 10) if x]
 def sample_point(entry: CatalogEntry, rng: random.Random,
                  avoid: list | None = None,
                  family: MetricFamily | None = None) -> dict:
-    """Random rational parameter values keeping det g and `avoid` nonzero.
+    """Random rational parameter values keeping g invertible and `avoid`
+    nonzero.
 
     The parameters are those of the metric (see `_metric_and_det`; `family`
-    is read only when the entry has no `golden metric`) and of the pair.
+    is read only when the entry has no `golden metric`) and of the pair.  A
+    recorded determinant is kept nonzero; without one, g at the sample must
+    have an inverse.
     """
-    metric, det = _metric_and_det(entry, family)
-    names = sorted({v for row in metric.entries for x in row
-                    for v in x.variables()})
-    names += [p.name for p in entry.pair.params if p.name not in names]
+    plan = _entry_plan(entry, family)
+    det = plan.det
     for _ in range(200):
         sample = {n: Fraction(rng.choice(_NUMERATORS), rng.randint(1, 4))
-                  for n in names}
+                  for n in plan.names}
         try:
-            if det is not None and det.evaluate(sample) == 0:
+            if det is not None:
+                if det.evaluate(sample) == 0:
+                    continue
+            elif _inverse_scaled(*plan.metric_at(_point(sample))) is None:
                 continue
             if any(x.evaluate(sample) == 0 for x in (avoid or [])):
                 continue
@@ -446,6 +686,59 @@ def sample_point(entry: CatalogEntry, rng: random.Random,
             continue
         return sample
     raise RuntimeError("could not draw a nondegenerate sample")
+
+
+class _Plan:
+    """What every point of one report's cross-check shares, read once: the
+    compared report matrices as planned zero and nonzero entries, the
+    scalar, holonomy basis and weights, lambda and kappa as planned values,
+    and each comparison, solve and stress form whose inputs do not depend
+    on the point, already made (None where they do depend on it)."""
+
+    def __init__(self, report, base: _EntryPlan):
+        self.base = base
+        self.ricci = _planned_matrix(report.lc.ricci)
+        self.scalar = _planned(report.lc.scalar)
+        self.curvature = [(key, _planned_matrix(c))
+                          for key, c in report.form.components.items()]
+        self.basis = [_planned_matrix(b) for b in report.hol_basis]
+        self.weights = [_planned(report.hm.value(a))
+                        for a in range(len(self.basis))]
+        self.T = _planned_matrix(report.T)
+        self.solution = report.verdict.is_solution
+        if self.solution:
+            self.lam = _planned(report.verdict.lambda_)
+            self.kap = _planned(report.verdict.kappa)
+
+        self.ricci_differs = self.curvature_differs = self.form = None
+        self.basis_num = None if any(_varies(b) for b in self.basis) else [
+            _dense(b, None) for b in self.basis]
+        if base.lc is None:
+            return
+        _, ops, ricci = base.lc
+        if not _varies(self.ricci):
+            self.ricci_differs = _mismatch(self.ricci, (ricci, 1), None)
+        if not any(_varies(c) for _, c in self.curvature):
+            self.curvature_differs = any(_mismatch(c, (ops[key], 1), None)
+                                         for key, c in self.curvature)
+        if self.basis_num is not None and not any(type(w) is tuple
+                                                  for w in self.weights):
+            structure = NumericCase.structure(ops, self.basis_num)
+            if structure is not None:
+                self.form = _stress_form(structure, self.weights)
+
+
+# CaseReport -> _Plan; reports are read-only.  A report edited by copying
+# is a new key, so it never meets the plan of the report it was copied from.
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _report_plan(entry: CatalogEntry, report) -> _Plan:
+    base = _entry_plan(entry, report.family)
+    plan = _PLANS.get(report)
+    if plan is None or plan.base is not base:
+        plan = _PLANS[report] = _Plan(report, base)
+    return plan
 
 
 def crosscheck_case(entry: CatalogEntry, report, sample: dict) -> list:
@@ -457,38 +750,50 @@ def crosscheck_case(entry: CatalogEntry, report, sample: dict) -> list:
     evaluated there too.  Returns a list of mismatch descriptions
     (empty = everything agrees).
     """
-    problems = []
+    plan = _report_plan(entry, report)
     num = NumericCase(entry, sample, report.family)
+    point = _point(sample)
+    problems = []
 
-    if _differs(report.lc.ricci, num.ricci, sample):
+    differs = plan.ricci_differs
+    if differs is None:
+        differs = _mismatch(plan.ricci, (num.ricci, 1), point)
+    if differs:
         problems.append("ricci")
-    if _value(report.lc.scalar, sample) != num.scalar:
+    if not _same(plan.scalar, num.scalar, point):
         problems.append("scalar")
 
     # canonical member: maps are zero, curvature comes from the brackets
     # alone; with zero Koszul maps that is the Levi-Civita curvature again
-    if any(x for m in num.alpha for row in m for x in row):
+    if plan.base.lc is None and any(map(any, (row for m in num.alpha
+                                              for row in m))):
         ops = num.curvature_ops([_zeros(4, 4) for _ in range(4)])
     else:
         ops = num.lc_ops
-    if any(_differs(c, ops[key], sample)
-           for key, c in report.form.components.items()):
+    differs = plan.curvature_differs
+    if differs is None:
+        differs = any(_mismatch(c, (ops[key], 1), point)
+                      for key, c in plan.curvature)
+    if differs:
         problems.append("curvature")
-    basis_num = [_values(b, sample) for b in report.hol_basis]
-    structure = num.structure(ops, basis_num)
-    if structure is None:
-        problems.append("holonomy expansion degenerates at sample")
-        return problems
-    weights = [_value(report.hm.value(a), sample)
-               for a in range(len(basis_num))]
-    t_num = num.stress(structure, weights)
-    if _differs(report.T, t_num, sample):
+    form = plan.form
+    if form is None:
+        basis = plan.basis_num
+        if basis is None:
+            basis = [_dense(b, point) for b in plan.basis]
+        structure = num.structure(ops, basis)
+        if structure is None:
+            problems.append("holonomy expansion degenerates at sample")
+            return problems
+        form = _stress_form(structure,
+                            [_value(w, point) for w in plan.weights])
+    t_num = num.stress(form)
+    if _mismatch(plan.T, t_num, point):
         problems.append("stress tensor")
 
-    if report.verdict.is_solution:
-        lam = _value(report.verdict.lambda_, sample)
-        kap = _value(report.verdict.kappa, sample)
-        res = num.first_residual(lam, kap, t_num)
-        if any(x for row in res for x in row):
+    if plan.solution:
+        res, _ = num.first_residual(_value(plan.lam, point),
+                                    _value(plan.kap, point), t_num)
+        if any(map(any, res)):
             problems.append("first-equation residual")
     return problems

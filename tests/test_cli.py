@@ -369,6 +369,23 @@ def test_validate_entry_without_golden_metric(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_validate_entry_without_golden_det(capsys, tmp_path):
+    """Without a `golden det`, sample_point redraws where g is singular: at
+    seed 167 the first draw of 1.1^1(7) has c^2 = b*d."""
+    text = (resources.files("eymsym") / "data" / "catalog.txt").read_text()
+    start = text.index('case "1.1^1(7)"')
+    block = text[start:text.index('case "', start + 1)]
+    line = "golden det = a^2*(c^2 - b*d)\n"
+    assert line in block
+    path = tmp_path / "catalog.txt"
+    path.write_text(block.replace(line, ""))
+    code, out, err = run_cli(capsys, "--catalog", str(path), "validate",
+                             "--seed", "167")
+    assert code == 0, out
+    assert out == "ok   1.1^1(7)\n1/1 pass\n"
+    assert "Traceback" not in err
+
+
 def _catalog_file(tmp_path, text: str) -> str:
     path = tmp_path / "catalog.txt"
     path.write_text(text)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from eymsym.crosscheck import (NumericCase, _gauss_solve, _inverse,
                                crosscheck_case, sample_point)
 from eymsym.eym import (HolonomyMetric, hodge_star_2form, residual_is_zero,
                         run_case, second_eym_residual)
-from eymsym.exact import RF_ZERO, RatFunc, rf
+from eymsym.exact import RF_ZERO, Poly, RatFunc, rf
 from eymsym.linalg import FieldMatrix, det
 
 
@@ -161,25 +162,107 @@ def test_zero_skipping_comparison_is_checked_both_ways(catalog, reports, cid,
     assert crosscheck_case(entry, _edited(r, target, edit), sample) == [target]
 
 
-def test_crosscheck_never_evaluates_a_zero_ratfunc(catalog, reports,
-                                                   monkeypatch):
-    """A count guard: identically zero RatFuncs are recognised, never
-    evaluated, anywhere inside crosscheck_case."""
-    evaluate = RatFunc.evaluate
-    calls, zero_calls = [], []
+def test_crosscheck_reads_the_report_once(catalog, reports, monkeypatch):
+    """A count guard: crosscheck_case never evaluates an identically zero
+    RatFunc, and from a case's second point on it calls no RatFunc.is_zero,
+    RatFunc.evaluate or Poly._ratio at all; what it reads from the entry
+    and the report is planned at the first point."""
+    calls = []
 
-    def counted(self, assignment):
-        (zero_calls if self.is_zero() else calls).append(self)
-        return evaluate(self, assignment)
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(self, *args):
+            calls.append((name, self))
+            return original(self, *args)
+        return wrapper
 
     for entry in catalog.entries:
         r = reports[entry.pair.case_id]
-        sample = sample_point(entry, random.Random(19),
-                              avoid=list(r.verdict.conditions))
-        with monkeypatch.context() as m:
-            m.setattr(RatFunc, "evaluate", counted)
-            assert crosscheck_case(entry, r, sample) == [], entry.pair.case_id
-    assert calls and not zero_calls
+        # fresh copies, so that the first point here builds the plans
+        entry, r = _replace(entry), _replace(r)
+        rng = random.Random(19)
+        samples = [sample_point(entry, rng, avoid=list(r.verdict.conditions))
+                   for _ in range(3)]
+        for k, sample in enumerate(samples):
+            calls.clear()
+            with monkeypatch.context() as m:
+                for cls, name in ((RatFunc, "is_zero"), (RatFunc, "evaluate"),
+                                  (Poly, "_ratio")):
+                    m.setattr(cls, name, counted(cls, name))
+                assert crosscheck_case(entry, r, sample) == [], \
+                    entry.pair.case_id
+            assert not [x for name, x in calls
+                        if name == "evaluate" and x.is_zero()]
+            if k:
+                assert calls == [], (entry.pair.case_id, k)
+
+
+def test_an_edited_copy_is_checked_against_its_own_plan(catalog, reports):
+    """The plan of a report is built at its first point and kept for later
+    points; a `_replace`d copy with one part edited is flagged even after
+    the original was checked clean, and so is a different holonomy metric.
+    An entry other than the plan's (here without `golden metric`) gets a
+    plan of its own."""
+    cid = "2.1^2(1)"
+    entry, r = catalog.get(cid), reports[cid]
+    avoid = [c for coeffs in r.form.structure.values() for c in coeffs
+             if not c.is_zero()]
+    rng = random.Random(23)
+    samples = [sample_point(entry, rng, avoid=avoid + list(r.verdict.conditions))
+               for _ in range(3)]
+    for sample in samples:
+        assert crosscheck_case(entry, r, sample) == []
+
+    def bump(m: FieldMatrix) -> FieldMatrix:
+        return _bumped(m, *_first_entry(m, zero=False))
+
+    doubled = [r.hol_basis[0].scale(rf(2))] + r.hol_basis[1:]
+    edited = [(_edited(r, "ricci", bump), "ricci"),
+              (_edited(r, "curvature", bump), "curvature"),
+              (_edited(r, "stress tensor", bump), "stress tensor"),
+              (_replace(r, hol_basis=doubled), "stress tensor"),
+              (_replace(r, hm=HolonomyMetric(default=rf(4))), "stress tensor")]
+    for sample in samples:
+        for bad, problem in edited:
+            assert problem in crosscheck_case(entry, bad, sample), problem
+
+    bare = _replace(entry, golden=_replace(entry.golden, metric=None))
+    for sample in samples:
+        assert crosscheck_case(bare, r, sample) == []
+        assert crosscheck_case(entry, r, sample) == []
+
+
+# the first four points of each case as perfbench/worker.py draws them:
+# random.Random(seed * 2**32 + crc32(case id)) at seed 911, with the
+# verdict conditions avoided
+_PINNED_POINTS = {
+    "1.1^1(7)": [
+        {"a": "3", "b": "-3", "c": "-2", "d": "-3"},
+        {"a": "-3/2", "b": "7/2", "c": "9/2", "d": "-4"},
+        {"a": "1", "b": "2", "c": "9", "d": "4"},
+        {"a": "9/4", "b": "-9/4", "c": "9", "d": "-3"}],
+    "2.5^2(4)": [
+        {"a": "-6", "b": "1", "t": "7/3"},
+        {"a": "7/4", "b": "7", "t": "1"},
+        {"a": "-1/4", "b": "3/2", "t": "9/4"},
+        {"a": "7/3", "b": "2/3", "t": "9"}],
+    "3.2^2(2)": [
+        {"a": "-2", "lam": "-1/2"},
+        {"a": "-9/2", "lam": "9/2"},
+        {"a": "-9/4", "lam": "7"},
+        {"a": "1", "lam": "1"}],
+}
+
+
+@pytest.mark.parametrize("cid", sorted(_PINNED_POINTS))
+def test_sample_stream_is_pinned(catalog, reports, cid):
+    entry, r = catalog.get(cid), reports[cid]
+    rng = random.Random(911 * 2**32 + zlib.crc32(cid.encode()))
+    points = [sample_point(entry, rng, avoid=list(r.verdict.conditions))
+              for _ in range(4)]
+    assert [{name: str(v) for name, v in p.items()} for p in points] \
+        == _PINNED_POINTS[cid]
 
 
 def test_flipped_levi_civita_curvature_is_caught(catalog, reports, monkeypatch):
