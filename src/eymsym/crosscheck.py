@@ -398,8 +398,8 @@ class _EntryPlan:
     their parts; when moreover [m, m] has no m part, the Koszul maps (all
     0), the Levi-Civita curvature and the Ricci tensor."""
 
-    def __init__(self, entry: CatalogEntry, metric, det):
-        self.metric, self.det = metric, det
+    def __init__(self, entry: CatalogEntry, metric):
+        self.metric = metric
         self.g = [(i, j, _planned(x)) for i, row in enumerate(metric.entries)
                   for j, x in enumerate(row) if x.num.terms]
         names = sorted({name for _, _, x in self.g if type(x) is tuple
@@ -451,10 +451,18 @@ _ENTRY_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _entry_plan(entry: CatalogEntry, family: MetricFamily | None):
-    metric, det = _metric_and_det(entry, family)
+    """The plan of the metric the cross-check samples: the entry's `golden
+    metric`, or for an entry without one the metric of `family`, which
+    `run_case` solved for it (`report.family`)."""
+    metric = entry.golden.metric
+    if metric is None:
+        if family is None:
+            raise ValueError(f"{entry.pair.case_id} has no golden metric; "
+                             "pass the solved metric family")
+        metric = family.g
     plan = _ENTRY_PLANS.get(entry)
-    if plan is None or plan.metric is not metric or plan.det is not det:
-        plan = _ENTRY_PLANS[entry] = _EntryPlan(entry, metric, det)
+    if plan is None or plan.metric is not metric:
+        plan = _ENTRY_PLANS[entry] = _EntryPlan(entry, metric)
     return plan
 
 
@@ -640,21 +648,6 @@ class NumericCase:
         return res
 
 
-def _metric_and_det(entry: CatalogEntry, family: MetricFamily | None) -> tuple:
-    """The metric the cross-check samples, with its determinant (or None).
-
-    These are the entry's `golden metric` and `golden det`.  An entry without
-    a `golden metric` falls back to `family`, the metric family that
-    `run_case` solved for it (`report.family`).
-    """
-    if entry.golden.metric is not None:
-        return entry.golden.metric, entry.golden.det
-    if family is None:
-        raise ValueError(f"{entry.pair.case_id} has no golden metric; "
-                         "pass the solved metric family")
-    return family.g, family.det_g
-
-
 _NUMERATORS = [x for x in range(-9, 10) if x]
 
 
@@ -664,21 +657,18 @@ def sample_point(entry: CatalogEntry, rng: random.Random,
     """Random rational parameter values keeping g invertible and `avoid`
     nonzero.
 
-    The parameters are those of the metric (see `_metric_and_det`; `family`
-    is read only when the entry has no `golden metric`) and of the pair.  A
-    recorded determinant is kept nonzero; without one, g at the sample must
-    have an inverse.
+    The parameters are those of the metric (see `_entry_plan`; `family` is
+    read only when the entry has no `golden metric`) and of the pair.  g at
+    the sample must have an inverse; a recorded `golden det` is not trusted
+    for that.
     """
     plan = _entry_plan(entry, family)
-    det = plan.det
     for _ in range(200):
         sample = {n: Fraction(rng.choice(_NUMERATORS), rng.randint(1, 4))
                   for n in plan.names}
         try:
-            if det is not None:
-                if det.evaluate(sample) == 0:
-                    continue
-            elif _inverse_scaled(*plan.metric_at(_point(sample))) is None:
+            # no inverse is needed here, only whether g is singular
+            if _eliminate(plan.metric_at(_point(sample))[0], 4) is None:
                 continue
             if any(x.evaluate(sample) == 0 for x in (avoid or [])):
                 continue

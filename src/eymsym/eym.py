@@ -1,5 +1,13 @@
 """Energy-momentum tensor, the two field equations, and the case pipeline.
 
+The Yang-Mills energy-momentum tensor is read off one matrix product.  With
+R_a the antisymmetric matrix of the a-th coefficients of the curvature in
+the holonomy basis and w_a the diagonal holonomy metric,
+
+  F = sum_a w_a R_a g^-1 R_a^T,   s = sum_kh g^kh F_kh,   T = F/2 - (s/8) g,
+
+so g^ij T_ij = s/2 - 4 s/8 = 0: T is traceless.
+
 The first equation,  r + (lambda - s/2) g = kappa T,  is linear in the two
 constants once everything else is fixed; it is solved exactly over the
 rational-function field and classified:
@@ -109,67 +117,28 @@ class EymVerdict:
         return self.outcome.value
 
 
-def _structure_array(form: CurvatureForm) -> list:
-    """Full antisymmetric coefficient arrays Rc[alpha][i][j]."""
-    dim = len(form.holonomy_basis or [])
-    arrays = [[[RF_ZERO] * 4 for _ in range(4)] for _ in range(dim)]
-    for (i, j), coeffs in (form.structure or {}).items():
-        for a, c in enumerate(coeffs):
-            arrays[a][i][j] = c
-            arrays[a][j][i] = -c
-    return arrays
-
-
 def stress_tensor(form: CurvatureForm, family: MetricFamily,
                   hm: HolonomyMetric) -> FieldMatrix:
-    """Exact Yang-Mills energy-momentum tensor (beta = alpha contraction)."""
+    """Exact Yang-Mills energy-momentum tensor T = F/2 - (s/8) g, where
+    F = sum_a w_a R_a g^-1 R_a^T and s = sum_kh g^kh F_kh; R_a is the
+    antisymmetric matrix of the a-th holonomy coefficients of the curvature,
+    R_a[i][j] = form.structure[(i, j)][a], and w_a = hm.value(a)."""
     if form.structure is None:
         raise ValueError("curvature form lacks holonomy structure coefficients")
-    arrays = _structure_array(form)
-    g = family.g
     ginv = family.g_inverse()
-    half = rf(Fraction(1, 2))
-    eighth = rf(Fraction(1, 8))
-
-    s_total = RF_ZERO
-    for a, rc in enumerate(arrays):
-        w = hm.value(a)
-        acc = RF_ZERO
-        for k in range(4):
-            for l in range(4):
-                if rc[k][l].is_zero():
-                    continue
-                for h in range(4):
-                    gkh = ginv.entries[k][h]
-                    if gkh.is_zero():
-                        continue
-                    for m in range(4):
-                        if rc[h][m].is_zero():
-                            continue
-                        glm = ginv.entries[l][m]
-                        if not glm.is_zero():
-                            acc = acc + rc[k][l] * rc[h][m] * gkh * glm
-        s_total = s_total + w * acc
-
-    rows = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            first = RF_ZERO
-            for a, rc in enumerate(arrays):
-                w = hm.value(a)
-                acc = RF_ZERO
-                for k in range(4):
-                    if rc[i][k].is_zero():
-                        continue
-                    for l in range(4):
-                        gkl = ginv.entries[k][l]
-                        if not gkl.is_zero() and not rc[j][l].is_zero():
-                            acc = acc + rc[i][k] * rc[j][l] * gkl
-                first = first + w * acc
-            row.append(half * first - eighth * g.entries[i][j] * s_total)
-        rows.append(row)
-    return FieldMatrix(4, 4, rows)
+    f = FieldMatrix.zeros(4, 4)
+    for a in range(len(form.holonomy_basis or [])):
+        r = FieldMatrix.zeros(4, 4)
+        for (i, j), coeffs in form.structure.items():
+            r.entries[i][j], r.entries[j][i] = coeffs[a], -coeffs[a]
+        f = f + (r * ginv * r.transpose()).scale(hm.value(a))
+    s = RF_ZERO
+    for ginv_row, f_row in zip(ginv.entries, f.entries):
+        for x, y in zip(ginv_row, f_row):
+            if not x.is_zero() and not y.is_zero():
+                s = s + x * y
+    return (f.scale(rf(Fraction(1, 2)))
+            - family.g.scale(s * rf(Fraction(1, 8))))
 
 
 def solve_first_eym(lc: CurvatureReport, family: MetricFamily,
@@ -198,10 +167,10 @@ def solve_first_eym(lc: CurvatureReport, family: MetricFamily,
         return EymVerdict(EymOutcome.INCONSISTENT,
                           detail="component equations have no common solution")
     if pivots != [0, 1]:
-        # T is traceless by construction (stress_tensor: g^ij T_ij =
-        # s_total/2 - 4 s_total/8 = 0) and g is nondegenerate (g^ij g_ij = 4),
-        # so a nonzero T is never a multiple of g and columns 0 and 1 are
-        # independent
+        # T is traceless by construction (stress_tensor: T = F/2 - (s/8) g
+        # with s = g^ij F_ij, so g^ij T_ij = s/2 - 4 s/8 = 0) and g is
+        # nondegenerate (g^ij g_ij = 4), so a nonzero T is never a multiple
+        # of g and columns 0 and 1 are independent
         raise AssertionError("first-equation system is rank deficient")
     lam = red.entries[0][2]
     kap = red.entries[1][2]

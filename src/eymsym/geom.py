@@ -164,23 +164,29 @@ def _verify_shape(pair: LiePair, shape: FieldMatrix, kernel: list,
 # -- signature ---------------------------------------------------------------------
 
 
+def _scaled_at(g: FieldMatrix, sample: dict) -> tuple:
+    """(B, d): the int rows of B = d * g(sample), d > 0 the lcm of the entry
+    denominators."""
+    values = g.evaluate(sample)
+    d = math.lcm(*(x.denominator for row in values for x in row if x))
+    return [[x.numerator * (d // x.denominator) for x in row]
+            for row in values], d
+
+
 def _charpoly_coefficients(g: FieldMatrix, sample: dict) -> list:
     """Fraction coefficients of det(x - g(sample)), constant term first.
 
-    Faddeev-LeVerrier over the integers.  With d the lcm of the entry
-    denominators, B = d * g(sample) is an integer matrix, so its
-    characteristic polynomial sum_k c_k x^k has integer coefficients; the
-    recurrence M_k = B M_(k-1) + c_(n-k+1) I, c_(n-k) = -tr(B M_k) / k then
-    stays in the integers and each division by k is exact.  As
-    det(x - B/d) = det(d x - B) / d^n, the coefficient of x^k of g(sample)
-    is c_k / d^(n-k).
+    Faddeev-LeVerrier over the integers.  With B = d * g(sample) from
+    _scaled_at, the characteristic polynomial sum_k c_k x^k of B has integer
+    coefficients; the recurrence M_k = B M_(k-1) + c_(n-k+1) I,
+    c_(n-k) = -tr(B M_k) / k then stays in the integers and each division by
+    k is exact.  As det(x - B/d) = det(d x - B) / d^n, the coefficient of x^k
+    of g(sample) is c_k / d^(n-k).
     """
-    values = g.evaluate(sample)
-    n = len(values)
-    d = math.lcm(*(x.denominator for row in values for x in row if x))
+    rows, d = _scaled_at(g, sample)
+    n = len(rows)
     # the nonzero entries of each row of B, as (column, int value)
-    b = [[(p, x.numerator * (d // x.denominator)) for p, x in enumerate(row)
-          if x] for row in values]
+    b = [[(p, x) for p, x in enumerate(row) if x] for row in rows]
     coeffs = [0] * n + [1]
     m = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
@@ -223,12 +229,39 @@ def signature_at(g: FieldMatrix, sample: dict) -> tuple:
 
 
 def lorentz_check(family: MetricFamily, sample: dict) -> SignatureVerdict:
-    n_pos, n_neg, n_zero = signature_at(family.g, sample)
-    if n_zero:
-        return SignatureVerdict.DEGENERATE
-    if {n_pos, n_neg} == {1, 3}:
+    """Signature class of the 4x4 metric at a sample, from the sign of its
+    determinant: one fraction-free (Bareiss) elimination of B = d * g(sample)
+    over ints, whose pivots are the leading principal minors of B until a
+    zero pivot forces a row swap.
+
+    det B < 0 (one or three negative eigenvalues) is Lorentzian and det B = 0
+    degenerate.  For det B > 0, B is definite, so Riemannian, exactly when
+    its leading minors are all positive or alternate in sign starting
+    negative (Sylvester's criterion); otherwise it is neutral.  signature_at
+    is the reference this is tested against.
+    """
+    b, _ = _scaled_at(family.g, sample)
+    n = len(b)
+    minors = []     # the leading minors; None once a row swap was needed
+    sign = prev = 1
+    for k in range(n):
+        if not b[k][k]:
+            swap = next((i for i in range(k + 1, n) if b[i][k]), None)
+            if swap is None:
+                return SignatureVerdict.DEGENERATE
+            b[k], b[swap] = b[swap], b[k]
+            sign, minors = -sign, None
+        if minors is not None:
+            minors.append(b[k][k])
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                b[i][j] = (b[k][k] * b[i][j] - b[i][k] * b[k][j]) // prev
+        prev = b[k][k]
+    if sign * prev < 0:
         return SignatureVerdict.LORENTZIAN
-    if n_pos == 4 or n_neg == 4:
+    if minors and (all(m > 0 for m in minors)
+                   or all((m < 0) == (k % 2 == 0)
+                          for k, m in enumerate(minors))):
         return SignatureVerdict.RIEMANNIAN
     return SignatureVerdict.NEUTRAL
 

@@ -369,20 +369,27 @@ def test_validate_entry_without_golden_metric(capsys, tmp_path):
     assert "Traceback" not in err
 
 
-def test_validate_entry_without_golden_det(capsys, tmp_path):
-    """Without a `golden det`, sample_point redraws where g is singular: at
-    seed 167 the first draw of 1.1^1(7) has c^2 = b*d."""
+@pytest.mark.parametrize("det_line, code_out", [
+    ("", (0, "ok   1.1^1(7)\n1/1 pass\n")),
+    ("golden det = a^2\n",
+     (1, "FAIL 1.1^1(7): golden:det (expected a^2, computed -a^2*b*d "
+         "+ a^2*c^2)\n0/1 pass\n")),
+], ids=["missing", "wrong"])
+def test_validate_entry_without_golden_det(capsys, tmp_path, det_line,
+                                           code_out):
+    """sample_point redraws where g is singular, whatever `golden det` says:
+    at seed 167 the first draw of 1.1^1(7) has c^2 = b*d, where a recorded
+    `a^2` is nonzero."""
     text = (resources.files("eymsym") / "data" / "catalog.txt").read_text()
     start = text.index('case "1.1^1(7)"')
     block = text[start:text.index('case "', start + 1)]
     line = "golden det = a^2*(c^2 - b*d)\n"
     assert line in block
     path = tmp_path / "catalog.txt"
-    path.write_text(block.replace(line, ""))
+    path.write_text(block.replace(line, det_line))
     code, out, err = run_cli(capsys, "--catalog", str(path), "validate",
                              "--seed", "167")
-    assert code == 0, out
-    assert out == "ok   1.1^1(7)\n1/1 pass\n"
+    assert (code, out) == code_out
     assert "Traceback" not in err
 
 

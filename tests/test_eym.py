@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from eymsym.exact import RatFunc, rf
+import pytest
+
+from eymsym.exact import RF_ZERO, RatFunc, rf
 from eymsym.conn import CurvatureForm, curvature
 from eymsym.crosscheck import NumericCase, crosscheck_case, sample_point
 from eymsym.eym import (EymOutcome, HolonomyMetric, hodge_star_2form,
@@ -15,6 +17,87 @@ from eymsym.liecat import isotropy_rep
 from eymsym.linalg import FieldMatrix, inverse
 
 A, B, C, D, W = (RatFunc.var(x) for x in "abcdw")
+
+
+def _structure_array(form: CurvatureForm) -> list:
+    """Full antisymmetric coefficient arrays Rc[alpha][i][j]."""
+    dim = len(form.holonomy_basis or [])
+    arrays = [[[RF_ZERO] * 4 for _ in range(4)] for _ in range(dim)]
+    for (i, j), coeffs in (form.structure or {}).items():
+        for a, c in enumerate(coeffs):
+            arrays[a][i][j] = c
+            arrays[a][j][i] = -c
+    return arrays
+
+
+def _stress_by_contraction(form: CurvatureForm, family,
+                            hm: HolonomyMetric) -> FieldMatrix:
+    """Reference: the energy-momentum tensor as two index contractions,
+    T_ij = 1/2 sum_a w_a R_a[i][k] R_a[j][l] g^kl - 1/8 g_ij s_total with
+    s_total = sum_a w_a R_a[k][l] R_a[h][m] g^kh g^lm."""
+    arrays = _structure_array(form)
+    g = family.g
+    ginv = family.g_inverse()
+    half = rf(Fraction(1, 2))
+    eighth = rf(Fraction(1, 8))
+
+    s_total = RF_ZERO
+    for a, rc in enumerate(arrays):
+        w = hm.value(a)
+        acc = RF_ZERO
+        for k in range(4):
+            for l in range(4):
+                if rc[k][l].is_zero():
+                    continue
+                for h in range(4):
+                    gkh = ginv.entries[k][h]
+                    if gkh.is_zero():
+                        continue
+                    for m in range(4):
+                        if rc[h][m].is_zero():
+                            continue
+                        glm = ginv.entries[l][m]
+                        if not glm.is_zero():
+                            acc = acc + rc[k][l] * rc[h][m] * gkh * glm
+        s_total = s_total + w * acc
+
+    rows = []
+    for i in range(4):
+        row = []
+        for j in range(4):
+            first = RF_ZERO
+            for a, rc in enumerate(arrays):
+                w = hm.value(a)
+                acc = RF_ZERO
+                for k in range(4):
+                    if rc[i][k].is_zero():
+                        continue
+                    for l in range(4):
+                        gkl = ginv.entries[k][l]
+                        if not gkl.is_zero() and not rc[j][l].is_zero():
+                            acc = acc + rc[i][k] * rc[j][l] * gkl
+                first = first + w * acc
+            row.append(half * first - eighth * g.entries[i][j] * s_total)
+        rows.append(row)
+    return FieldMatrix(4, 4, rows)
+
+
+@pytest.mark.parametrize("hm", [
+    HolonomyMetric(), HolonomyMetric(overrides={5: rf(4)}),
+    HolonomyMetric(default=W)], ids=["default", "override_5=4", "symbolic"])
+def test_stress_tensor_equals_the_index_contraction(reports, hm):
+    """T read off F = sum_a w_a R_a g^-1 R_a^T equals the index-loop
+    contraction exactly on every case."""
+    for r in reports.values():
+        assert stress_tensor(r.form, r.family, hm) \
+            == _stress_by_contraction(r.form, r.family, hm), r.case_id
+
+
+def test_stress_tensor_needs_structure(reports):
+    r = reports["1.1^1(7)"]
+    bare = CurvatureForm(components=r.form.components)
+    with pytest.raises(ValueError, match="structure"):
+        stress_tensor(bare, r.family, HolonomyMetric())
 
 
 def test_holonomy_weight_two_is_forced(catalog, reports):

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from eymsym.crosscheck import NumericCase, sample_point
-from eymsym.exact import RatFunc, rf
+from eymsym.exact import Poly, RatFunc, rf
 from eymsym.geom import (BadMetricShape, MetricFamily, SignatureVerdict,
                          _charpoly_coefficients, lorentz_check,
                          lorentz_condition_holds, signature_at,
                          solve_invariant_metric)
-from eymsym.liecat import LiePair, isotropy_rep
+from eymsym.liecat import LiePair, isotropy_rep, parse_condition
 from eymsym.linalg import FieldMatrix, det, inverse
 
 A, B = RatFunc.var("a"), RatFunc.var("b")
@@ -202,6 +203,20 @@ def _constant_family(rows: list) -> MetricFamily:
       [0, Fraction(-1, 7), -2, 0],
       [0, 0, 0, -3]],
      (1, 3, 0), SignatureVerdict.LORENTZIAN),
+    # leading minors that vanish, so lorentz_check swaps rows: a [[0,1],[1,0]]
+    # block first, twice, then beside a negative definite block
+    ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+     (2, 2, 0), SignatureVerdict.NEUTRAL),
+    ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -2]],
+     (1, 3, 0), SignatureVerdict.LORENTZIAN),
+    # the block in the middle, so the second leading minor vanishes
+    ([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]],
+     (2, 2, 0), SignatureVerdict.NEUTRAL),
+    ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+     (2, 1, 1), SignatureVerdict.DEGENERATE),
+    # the 1.1^1(7) metric at a = 1, b = 1, c = 0, d = 1
+    ([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
+     (3, 1, 0), SignatureVerdict.LORENTZIAN),
 ])
 def test_charpoly_and_signature_of_built_matrices(rows, signature, verdict):
     family = _constant_family(rows)
@@ -209,6 +224,69 @@ def test_charpoly_and_signature_of_built_matrices(rows, signature, verdict):
         == _charpoly_by_determinant(family.g, {})
     assert signature_at(family.g, {}) == signature
     assert lorentz_check(family, {}) is verdict
+
+
+def _verdict_of(signature: tuple) -> SignatureVerdict:
+    """Reference: the verdict read off (n_plus, n_minus, n_zero)."""
+    n_pos, n_neg, n_zero = signature
+    if n_zero:
+        return SignatureVerdict.DEGENERATE
+    if {n_pos, n_neg} == {1, 3}:
+        return SignatureVerdict.LORENTZIAN
+    if 4 in (n_pos, n_neg):
+        return SignatureVerdict.RIEMANNIAN
+    return SignatureVerdict.NEUTRAL
+
+
+def test_lorentz_check_agrees_with_the_signature(reports):
+    """The det-sign verdict equals the one read off signature_at at 60
+    seeded points of every case; numerators in -3..3 make all four verdicts
+    occur."""
+    rng = random.Random(707)
+    seen = Counter()
+    for r in reports.values():
+        names = sorted({v for row in r.family.g.entries for x in row
+                        for v in x.variables()})
+        for _ in range(60):
+            sample = {n: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for n in names}
+            verdict = lorentz_check(r.family, sample)
+            assert verdict is _verdict_of(signature_at(r.family.g, sample)), \
+                (r.case_id, sample)
+            seen[verdict] += 1
+    assert set(seen) == set(SignatureVerdict), seen
+
+
+def _even_monomial(p: Poly) -> int | None:
+    """c when p = c m^2 for a monomial m, else None."""
+    if len(p.terms) != 1:
+        return None
+    ((mono, c),) = p.terms.items()
+    return None if any(e % 2 for _, e in mono) else c
+
+
+def test_det_is_a_square_times_the_lorentz_condition(catalog):
+    """Exactly, with no sampling: `golden det` = c m^2 (lhs - rhs) for the
+    case's `golden lorentz`, m a monomial, with c < 0 for `>` and c > 0 for
+    `<`; for `!=` it is c m^2 with c < 0, where m vanishes exactly where
+    lhs - rhs, a monomial in the same variables, does.  So off m = 0, where
+    g is degenerate, det g < 0 holds exactly where the condition does."""
+    for entry in catalog.entries:
+        cid = entry.pair.case_id
+        det_g = entry.golden.det
+        lhs, op, rhs = parse_condition(entry.golden.lorentz)
+        diff = lhs - rhs
+        assert det_g.den == diff.den == rf(1).den, cid
+        if op == "!=":
+            c = _even_monomial(det_g.num)
+            assert c is not None and c < 0, cid
+            assert len(diff.num.terms) == 1, cid
+            assert diff.num.variables() == det_g.num.variables(), cid
+        else:
+            q = det_g.num.divexact(diff.num)
+            assert q * diff.num == det_g.num, cid
+            c = _even_monomial(q)
+            assert c is not None and (c < 0 if op == ">" else c > 0), cid
 
 
 def test_charpoly_of_a_diagonal_matrix_is_the_product_of_its_factors():

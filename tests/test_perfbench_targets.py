@@ -125,7 +125,7 @@ def test_traced_crosscheck_builds_no_symbolic_determinant():
     calls = result["calls"]
     assert calls["crosscheck.crosscheck_case"] == 4
     assert calls["crosscheck.NumericCase"] == 4
-    assert calls["geom.signature_at"] == 4
+    assert calls["geom.signature_at"] == 0
     assert calls["exact.evaluate"] > 0
     assert calls["exact.poly_gcd"] == 0
     assert calls["linalg.det"] == 0
