@@ -1,11 +1,18 @@
 """Independent numeric recomputation of the pipeline over plain numbers.
 
 This is a deliberately separate code path: structure constants, isotropy
-matrices, the Koszul construction, curvature, Ricci, the energy-momentum
-tensor, and both field-equation residuals are recomputed with ints,
-Fractions and index loops (no Poly/RatFunc, no FieldMatrix), at concrete
-rational parameter values.  Comparing it with the symbolic pipeline
-evaluated at the same point gives an end-to-end exactness check.
+matrices, curvature, Ricci, the energy-momentum tensor, and both
+field-equation residuals are recomputed with ints, Fractions and index
+loops (no Poly/RatFunc, no FieldMatrix), at concrete rational parameter
+values.  Comparing it with the symbolic pipeline evaluated at the same point
+gives an end-to-end exactness check.
+
+Only symmetric pairs are read, as `run_case` analyses no other: where a
+bracket [u_i, u_j] has a component in m the numeric reading raises
+NotSymmetric.  The Levi-Civita maps of a symmetric pair are zero (Kobayashi
+and Nomizu II, ch. XI), so the Levi-Civita curvature, and with it the
+canonical member's, is R(u_i, u_j) = -ad([u_i, u_j]) on m, read off the
+brackets alone.
 
 The zero of the numeric path is the int 0, whose truth test runs in C, and
 the index loops skip zero factors and zero terms: the metrics, brackets and
@@ -18,16 +25,15 @@ F = sum_a w_a R_a g^-1 R_a^T, kept as a linear form in g^-1.
 
 A case's plan is built the first time it is sampled or cross-checked and
 reused for every later point.  Per entry (`_EntryPlan`): the sorted sample
-names, the metric's nonzero entries, the bracket coefficients, and, when no
-bracket coefficient has a variable, the numeric brackets, `rho` and the
-parts of [u_i, u_j]; when moreover [m, m] has no m part (a symmetric pair),
-the Koszul maps (all 0), the Levi-Civita curvature and Ricci, which then
-also serve as the canonical member's.  Per report (`_Plan`): the zero and
-nonzero entries of Ricci, the six canonical curvature components, the
-holonomy basis and `T`; the scalar, the holonomy weights, lambda and kappa;
-and every comparison, holonomy solve and stress form whose inputs do not
-depend on the point, made once.  A point then draws the sample, evaluates g
-and inverts it, and computes the scalar, T and the first-equation residual.
+names, the metric's nonzero entries and the bracket coefficients.  Per
+report (`_Plan`): the zero and nonzero entries of Ricci, the six canonical
+curvature components, the holonomy basis and `T`; the scalar, the holonomy
+weights, lambda and kappa.  Each stage runs at the point; where nothing it
+reads has a variable (`fixed`), the first point's result is kept for the
+later ones: the brackets, `rho`, the Levi-Civita curvature and Ricci per
+entry, and the Ricci and curvature comparisons and the stress form per
+report.  A point then draws the sample, evaluates g and inverts it, and
+computes the scalar, T and the first-equation residual.
 
 A plan reads each symbolic RatFunc once, off `Poly.terms`: a constant as a
 number, anything else as the int terms of its numerator and denominator,
@@ -51,7 +57,7 @@ from itertools import permutations
 
 from .exact import PoleAtPoint
 from .geom import MetricFamily
-from .liecat import CatalogEntry, U_LABELS
+from .liecat import CatalogEntry, NotSymmetric, U_LABELS
 
 _EPS = {}
 for _p in permutations(range(4)):
@@ -152,7 +158,7 @@ def _same(x, y, point: dict) -> bool:
     return n * y.denominator == d * y.numerator
 
 
-def _mismatch(planned_matrix: tuple, num: tuple, point: dict | None) -> bool:
+def _mismatch(planned_matrix: tuple, num: tuple, point: dict) -> bool:
     """Whether a planned symbolic matrix and a numeric one, (rows, d) for
     rows / d, differ at the point.  Every nonzero symbolic entry is
     evaluated (so a pole raises); where the symbolic entry is zero the
@@ -167,7 +173,7 @@ def _mismatch(planned_matrix: tuple, num: tuple, point: dict | None) -> bool:
     return differs
 
 
-def _dense(planned_matrix: tuple, point: dict | None) -> list:
+def _dense(planned_matrix: tuple, point: dict) -> list:
     out = _zeros(4, 4)
     for i, j, x in planned_matrix[1]:
         out[i][j] = _value(x, point)
@@ -201,28 +207,12 @@ def _mat_scale(a: list, c: Fraction) -> list:
     return [[c * x if x else x for x in r] for r in a]
 
 
-def _mat_add_into(acc: list, a: list) -> None:
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x:
-                acc[i][j] = _add(acc[i][j], x)
-
-
 def _mat_add_scaled_into(acc: list, a: list, c: Fraction) -> None:
     """acc += c * a, touching only the nonzero entries of a."""
     for i, row in enumerate(a):
         for j, x in enumerate(row):
             if x:
                 acc[i][j] = _add(acc[i][j], c * x)
-
-
-def _sum(terms) -> Fraction:
-    """Sum of the nonzero terms; no Fraction is built for a zero term."""
-    total = _ZERO
-    for x in terms:
-        if x:
-            total = _add(total, x)
-    return total
 
 
 def _eliminate(aug: list, m: int) -> list | None:
@@ -335,11 +325,10 @@ _U_INDEX = {u: k for k, u in enumerate(U_LABELS)}
 
 
 def _bracket_parts(brackets: dict, e_labels: tuple) -> tuple:
-    """(m_parts, h_parts, rho) of numeric brackets: m_parts[i][j] and
-    h_parts[i][j] are the u- and e-coefficients of [u_i, u_j], rho[a] the
-    matrix of ad(e_a) on m."""
+    """(h_parts, rho) of numeric brackets: h_parts[i][j] holds the
+    e-coefficients of [u_i, u_j], rho[a] the matrix of ad(e_a) on m.
+    NotSymmetric where some [u_i, u_j] has a u-coefficient."""
     e_index = {e: a for a, e in enumerate(e_labels)}
-    m_parts = [[[_ZERO] * 4 for _ in range(4)] for _ in range(4)]
     h_parts = [[[_ZERO] * len(e_labels) for _ in range(4)] for _ in range(4)]
     rho = [_zeros(4, 4) for _ in e_labels]
     for (x, y), vals in brackets.items():
@@ -351,30 +340,11 @@ def _bracket_parts(brackets: dict, e_labels: tuple) -> tuple:
             if i is None:
                 rho[e_index[x]][_U_INDEX[lbl]][j] = v
             elif lbl in _U_INDEX:
-                m_parts[i][j][_U_INDEX[lbl]] = v
+                raise NotSymmetric(f"bracket [{x}, {y}] has a component "
+                                   f"in m ({lbl})")
             else:
                 h_parts[i][j][e_index[lbl]] = v
-    return m_parts, h_parts, rho
-
-
-def _curvature_ops(maps: list, m_parts: list, h_parts: list,
-                   rho: list) -> dict:
-    """R(u_i,u_j), i < j, for the connection given by numeric maps."""
-    live = [any(map(any, m)) for m in maps]
-    ops = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            op = (_mat_sub(_mat_mul(maps[i], maps[j]),
-                           _mat_mul(maps[j], maps[i]))
-                  if live[i] and live[j] else _zeros(4, 4))
-            for k, c in enumerate(m_parts[i][j]):
-                if c:
-                    _mat_add_scaled_into(op, maps[k], -c)
-            for k, c in enumerate(h_parts[i][j]):
-                if c:
-                    _mat_add_scaled_into(op, rho[k], -c)
-            ops[(i, j)] = op
-    return ops
+    return h_parts, rho
 
 
 def _ricci_of(ops: dict) -> list:
@@ -393,10 +363,9 @@ def _ricci_of(ops: dict) -> list:
 
 class _EntryPlan:
     """What every point of one entry shares, read once: the sample names,
-    the metric's nonzero entries and the brackets as planned values, and,
-    when no bracket coefficient has a variable, the numeric brackets with
-    their parts; when moreover [m, m] has no m part, the Koszul maps (all
-    0), the Levi-Civita curvature and the Ricci tensor."""
+    the metric's nonzero entries and the brackets as planned values.  When
+    no bracket coefficient has a variable (`fixed`), `kept` holds the first
+    point's (h_parts, rho, Levi-Civita curvature, Ricci)."""
 
     def __init__(self, entry: CatalogEntry, metric):
         self.metric = metric
@@ -412,17 +381,9 @@ class _EntryPlan:
                                   if v.num.terms}
                          for (x, y), coeffs in entry.pair.brackets.items()
                          if x != y}
-        self.parts = self.lc = None
-        if any(type(v) is tuple for coeffs in self.brackets.values()
-               for v in coeffs.values()):
-            return
-        self.parts = self.parts_at(None)
-        if any(lbl in _U_INDEX for (x, y), coeffs in self.brackets.items()
-               if x in _U_INDEX and y in _U_INDEX for lbl in coeffs):
-            return  # [m, m] has an m part
-        alpha = [_zeros(4, 4) for _ in range(4)]
-        ops = _curvature_ops(alpha, *self.parts[1:])
-        self.lc = alpha, ops, _ricci_of(ops)
+        self.fixed = not any(type(v) is tuple for coeffs
+                             in self.brackets.values() for v in coeffs.values())
+        self.kept = None
 
     def metric_at(self, point: dict) -> tuple:
         """g at the point, over ints."""
@@ -433,17 +394,16 @@ class _EntryPlan:
             gs[i][j] = n * (d // q)
         return gs, d
 
-    def parts_at(self, point: dict | None) -> tuple:
-        """(brackets, m_parts, h_parts, rho) at the point; each recorded
-        bracket is evaluated once, and [y, x] = -[x, y]."""
+    def parts_at(self, point: dict) -> tuple:
+        """(h_parts, rho) at the point; each recorded bracket is evaluated
+        once, and [y, x] = -[x, y]."""
         brackets = {}
         for (x, y), coeffs in self.brackets.items():
-            vals = coeffs if point is None else {
-                lbl: _value(v, point) for lbl, v in coeffs.items()}
+            vals = {lbl: _value(v, point) for lbl, v in coeffs.items()}
             brackets[(x, y)] = vals
             if (y, x) not in self.brackets:
                 brackets[(y, x)] = {lbl: -v for lbl, v in vals.items()}
-        return (brackets,) + _bracket_parts(brackets, self.e_labels)
+        return _bracket_parts(brackets, self.e_labels)
 
 
 # CatalogEntry -> _EntryPlan; entries are read-only
@@ -470,33 +430,30 @@ class NumericCase:
     """All pipeline quantities recomputed numerically from the brackets.
 
     g and g^-1 are computed over ints (`g_scaled`, `ginv_scaled`); `g` and
-    `ginv`, their dense lists of Fractions, are built on first use.  The
-    dense lists that do not depend on the sample (brackets, their parts,
-    and with constant brackets the Levi-Civita quantities) come from the
-    entry's plan, are shared by every NumericCase of the entry and are
-    read-only."""
+    `ginv`, their dense lists of Fractions, are built on first use.  With
+    constant brackets, `h_parts`, `rho`, `lc_ops` and `ricci` are the first
+    point's, kept by the entry's plan, shared by every later NumericCase of
+    the entry and read-only."""
 
     def __init__(self, entry: CatalogEntry, sample: dict,
                  family: MetricFamily | None = None):
         """`family` is read only when the entry has no `golden metric`."""
         plan = _entry_plan(entry, family)
         point = _point(sample)
-        self.entry = entry
-        self.sample = sample
-        self.e_labels = plan.e_labels
         self.g_scaled = plan.metric_at(point)
         self.ginv_scaled = _inverse_scaled(*self.g_scaled)
         if self.ginv_scaled is None:
             raise ZeroDivisionError("degenerate metric sample")
 
-        self.brackets, self.m_parts, self.h_parts, self.rho = (
-            plan.parts or plan.parts_at(point))
-        if plan.lc is None:
-            self._koszul()
-            self.lc_ops = self.curvature_ops(self.alpha)
+        if plan.kept is None:
+            self.h_parts, self.rho = plan.parts_at(point)
+            # the Levi-Civita maps of a symmetric pair are zero
+            self.lc_ops = self.curvature_ops([_zeros(4, 4)] * 4)
             self.ricci = _ricci_of(self.lc_ops)
+            if plan.fixed:
+                plan.kept = self.h_parts, self.rho, self.lc_ops, self.ricci
         else:
-            self.alpha, self.lc_ops, self.ricci = plan.lc
+            self.h_parts, self.rho, self.lc_ops, self.ricci = plan.kept
         gi, d = self.ginv_scaled
         n = sum(x * y for gi_row, r_row in zip(gi, self.ricci)
                 for x, y in zip(gi_row, r_row) if y)
@@ -510,35 +467,21 @@ class NumericCase:
     def ginv(self) -> list:
         return _unscaled(*self.ginv_scaled)
 
-    def _koszul(self) -> None:
-        g, ginv, mps = self.g, self.ginv, self.m_parts
-        # gb[i][j][k] = g([u_i, u_j]_m, u_k)
-        gb = [[[_sum(x * g[p][k] for p, x in enumerate(vec) if x and g[p][k])
-                for k in range(4)] if any(vec) else [_ZERO] * 4
-               for vec in row] for row in mps]
-
-        self.alpha = [_zeros(4, 4) for _ in range(4)]
-        if not any(x for row in gb for vec in row for x in vec):
-            return  # no [m, m] part: every Koszul term is 0
-        for i, mat in enumerate(self.alpha):
-            for j in range(4):
-                # g(alpha(u_i) u_j, u_k) = (gb[i][j][k] - gb[j][k][i]
-                # + gb[k][i][j]) / 2
-                rhs = [_sum((gb[i][j][k], gb[k][i][j])) for k in range(4)]
-                for k in range(4):
-                    if gb[j][k][i]:
-                        rhs[k] = rhs[k] - gb[j][k][i]
-                nonzero = [k for k in range(4) if rhs[k]]
-                if not nonzero:
-                    continue
-                for r in range(4):
-                    x = _sum(ginv[r][k] * rhs[k] for k in nonzero if ginv[r][k])
-                    if x:
-                        mat[r][j] = x / 2
-
     def curvature_ops(self, maps: list) -> dict:
-        """R(u_i,u_j) for the connection given by numeric maps."""
-        return _curvature_ops(maps, self.m_parts, self.h_parts, self.rho)
+        """R(u_i,u_j), i < j, for the connection given by numeric maps:
+        [L_i, L_j] - ad([u_i, u_j]) on m, the bracket lying in h."""
+        live = [any(map(any, m)) for m in maps]
+        ops = {}
+        for i in range(4):
+            for j in range(i + 1, 4):
+                op = (_mat_sub(_mat_mul(maps[i], maps[j]),
+                               _mat_mul(maps[j], maps[i]))
+                      if live[i] and live[j] else _zeros(4, 4))
+                for k, c in enumerate(self.h_parts[i][j]):
+                    if c:
+                        _mat_add_scaled_into(op, self.rho[k], -c)
+                ops[(i, j)] = op
+        return ops
 
     # -- energy-momentum ----------------------------------------------------
 
@@ -631,19 +574,16 @@ class NumericCase:
             col_y = [maps[x][r][y] for r in range(4)]
             col_z = [maps[x][r][z] for r in range(4)]
             out = _mat_sub(out, s_vec(col_y, z))
-            _mat_add_into(out, s_vec(col_z, y))
+            _mat_add_scaled_into(out, s_vec(col_z, y), 1)
             return out
 
-        mps = self.m_parts
+        # the [m, m]_m terms vanish on a symmetric pair
         res = {}
         for i in range(4):
             for j in range(i + 1, 4):
                 for k in range(j + 1, 4):
                     acc = _mat_sub(term(i, j, k), term(j, i, k))
-                    _mat_add_into(acc, term(k, i, j))
-                    acc = _mat_sub(acc, s_vec(mps[i][j], k))
-                    _mat_add_into(acc, s_vec(mps[i][k], j))
-                    acc = _mat_sub(acc, s_vec(mps[j][k], i))
+                    _mat_add_scaled_into(acc, term(k, i, j), 1)
                     res[(i, j, k)] = acc
         return res
 
@@ -680,10 +620,12 @@ def sample_point(entry: CatalogEntry, rng: random.Random,
 
 class _Plan:
     """What every point of one report's cross-check shares, read once: the
-    compared report matrices as planned zero and nonzero entries, the
-    scalar, holonomy basis and weights, lambda and kappa as planned values,
-    and each comparison, solve and stress form whose inputs do not depend
-    on the point, already made (None where they do depend on it)."""
+    compared report matrices as planned zero and nonzero entries, and the
+    scalar, holonomy basis and weights, lambda and kappa as planned values.
+    When neither the entry's brackets nor the compared Ricci, curvature and
+    basis entries nor the weights have a variable (`fixed`), `kept` holds
+    the first point's (Ricci differs, curvature differs, stress form), the
+    form None where the holonomy expansion degenerates."""
 
     def __init__(self, report, base: _EntryPlan):
         self.base = base
@@ -699,23 +641,11 @@ class _Plan:
         if self.solution:
             self.lam = _planned(report.verdict.lambda_)
             self.kap = _planned(report.verdict.kappa)
-
-        self.ricci_differs = self.curvature_differs = self.form = None
-        self.basis_num = None if any(_varies(b) for b in self.basis) else [
-            _dense(b, None) for b in self.basis]
-        if base.lc is None:
-            return
-        _, ops, ricci = base.lc
-        if not _varies(self.ricci):
-            self.ricci_differs = _mismatch(self.ricci, (ricci, 1), None)
-        if not any(_varies(c) for _, c in self.curvature):
-            self.curvature_differs = any(_mismatch(c, (ops[key], 1), None)
-                                         for key, c in self.curvature)
-        if self.basis_num is not None and not any(type(w) is tuple
-                                                  for w in self.weights):
-            structure = NumericCase.structure(ops, self.basis_num)
-            if structure is not None:
-                self.form = _stress_form(structure, self.weights)
+        self.fixed = base.fixed and not (
+            any(map(_varies, [self.ricci, *self.basis]))
+            or any(_varies(c) for _, c in self.curvature)
+            or any(type(w) is tuple for w in self.weights))
+        self.kept = None
 
 
 # CaseReport -> _Plan; reports are read-only.  A report edited by copying
@@ -743,40 +673,30 @@ def crosscheck_case(entry: CatalogEntry, report, sample: dict) -> list:
     plan = _report_plan(entry, report)
     num = NumericCase(entry, sample, report.family)
     point = _point(sample)
-    problems = []
+    if plan.kept is None:
+        ricci_differs = _mismatch(plan.ricci, (num.ricci, 1), point)
+        # the canonical member's maps are zero, so its curvature is lc_ops
+        curvature_differs = any(_mismatch(c, (num.lc_ops[key], 1), point)
+                                for key, c in plan.curvature)
+        structure = num.structure(num.lc_ops,
+                                  [_dense(b, point) for b in plan.basis])
+        form = None if structure is None else _stress_form(
+            structure, [_value(w, point) for w in plan.weights])
+        if plan.fixed:
+            plan.kept = ricci_differs, curvature_differs, form
+    else:
+        ricci_differs, curvature_differs, form = plan.kept
 
-    differs = plan.ricci_differs
-    if differs is None:
-        differs = _mismatch(plan.ricci, (num.ricci, 1), point)
-    if differs:
+    problems = []
+    if ricci_differs:
         problems.append("ricci")
     if not _same(plan.scalar, num.scalar, point):
         problems.append("scalar")
-
-    # canonical member: maps are zero, curvature comes from the brackets
-    # alone; with zero Koszul maps that is the Levi-Civita curvature again
-    if plan.base.lc is None and any(map(any, (row for m in num.alpha
-                                              for row in m))):
-        ops = num.curvature_ops([_zeros(4, 4) for _ in range(4)])
-    else:
-        ops = num.lc_ops
-    differs = plan.curvature_differs
-    if differs is None:
-        differs = any(_mismatch(c, (ops[key], 1), point)
-                      for key, c in plan.curvature)
-    if differs:
+    if curvature_differs:
         problems.append("curvature")
-    form = plan.form
     if form is None:
-        basis = plan.basis_num
-        if basis is None:
-            basis = [_dense(b, point) for b in plan.basis]
-        structure = num.structure(ops, basis)
-        if structure is None:
-            problems.append("holonomy expansion degenerates at sample")
-            return problems
-        form = _stress_form(structure,
-                            [_value(w, point) for w in plan.weights])
+        problems.append("holonomy expansion degenerates at sample")
+        return problems
     t_num = num.stress(form)
     if _mismatch(plan.T, t_num, point):
         problems.append("stress tensor")

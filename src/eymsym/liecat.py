@@ -335,12 +335,15 @@ def _check_variables(pair: LiePair, golden: CaseGolden, used: list) -> None:
 _CONDITION = re.compile(r"^\s*(.+?)\s*(!=|<|>)\s*(.+?)\s*$")
 
 
-def parse_condition(text: str, parse=parse_ratfunc) -> tuple:
+def parse_condition(text: str, parse=None) -> tuple:
     """(lhs, op, rhs) of a condition like 'b*d > c^2', op one of !=, <, >;
-    `parse` reads each side."""
+    `parse` reads each side, `parse_ratfunc` (looked up at the call) when
+    None."""
     m = _CONDITION.match(text)
     if not m:
         raise ParseError(f"cannot parse condition {text!r}")
+    if parse is None:
+        parse = parse_ratfunc
     return parse(m.group(1)), m.group(2), parse(m.group(3))
 
 

@@ -380,17 +380,46 @@ def test_validate_entry_without_golden_det(capsys, tmp_path, det_line,
     """sample_point redraws where g is singular, whatever `golden det` says:
     at seed 167 the first draw of 1.1^1(7) has c^2 = b*d, where a recorded
     `a^2` is nonzero."""
-    text = (resources.files("eymsym") / "data" / "catalog.txt").read_text()
-    start = text.index('case "1.1^1(7)"')
-    block = text[start:text.index('case "', start + 1)]
-    line = "golden det = a^2*(c^2 - b*d)\n"
-    assert line in block
-    path = tmp_path / "catalog.txt"
-    path.write_text(block.replace(line, det_line))
-    code, out, err = run_cli(capsys, "--catalog", str(path), "validate",
+    path = _one_case_catalog(tmp_path, "golden det = a^2*(c^2 - b*d)\n",
+                             det_line)
+    code, out, err = run_cli(capsys, "--catalog", path, "validate",
                              "--seed", "167")
     assert (code, out) == code_out
     assert "Traceback" not in err
+
+
+def _one_case_catalog(tmp_path, line: str, edited: str) -> str:
+    """A catalog of 1.1^1(7) alone, with one of its lines edited."""
+    text = (resources.files("eymsym") / "data" / "catalog.txt").read_text()
+    start = text.index('case "1.1^1(7)"')
+    block = text[start:text.index('case "', start + 1)]
+    assert line in block
+    return _catalog_file(tmp_path, block.replace(line, edited))
+
+
+def test_validate_lorentz_fail_line_replays(capsys, tmp_path):
+    """A recorded Lorentz condition that contradicts the signature fails
+    validate with the seed and sample that show it, and the printed seed
+    replays the line."""
+    path = _one_case_catalog(tmp_path, 'golden lorentz = "b*d > c^2"\n',
+                             'golden lorentz = "b*d < c^2"\n')
+    expected = ("FAIL 1.1^1(7): lorentz condition 'b*d < c^2' (seed "
+                "1472125741, sample a=2,b=7/3,c=1/2,d=-7)\n0/1 pass\n")
+    assert run_cli(capsys, "--catalog", path, "validate")[:2] == (1, expected)
+    assert run_cli(capsys, "--catalog", path, "validate",
+                   "--seed", "1472125741")[:2] == (1, expected)
+
+
+def test_tables_lists_reference_mismatches(capsys, tmp_path):
+    path = _one_case_catalog(tmp_path, "golden scalar = -2/a\n",
+                             "golden scalar = 2/a\n")
+    code, out, _ = run_cli(capsys, "--catalog", path, "tables")
+    assert code == 1
+    assert out.endswith("\n# Reference mismatches\n\n- 1.1^1(7): scalar\n")
+    code, out, _ = run_cli(capsys, "--catalog", path, "tables",
+                           "--format", "json")
+    assert code == 1
+    assert json.loads(out)["mismatches"] == ["1.1^1(7): scalar"]
 
 
 def _catalog_file(tmp_path, text: str) -> str:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import random
 import zlib
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import eymsym.crosscheck
 from eymsym import geom
 from eymsym.conn import CurvatureForm, curvature
 from eymsym.crosscheck import (NumericCase, _gauss_solve, _inverse,
@@ -16,6 +20,7 @@ from eymsym.crosscheck import (NumericCase, _gauss_solve, _inverse,
 from eymsym.eym import (HolonomyMetric, hodge_star_2form, residual_is_zero,
                         run_case, second_eym_residual)
 from eymsym.exact import RF_ZERO, Poly, RatFunc, rf
+from eymsym.liecat import NotSymmetric, parse_catalog
 from eymsym.linalg import FieldMatrix, det
 
 
@@ -433,3 +438,53 @@ def test_structure_at_catalog_samples_is_one_solve_per_component(catalog,
         basis = [b.evaluate(sample) for b in r.hol_basis]
         assert num.structure(ops, basis) \
             == _one_solve_per_component(ops, basis), entry.pair.case_id
+
+
+def test_a_non_symmetric_pair_is_refused():
+    """With `bracket u1 u2 = u3` added, [m, m] of 1.1^1(7) has a part in m.
+    A sample is still drawn, but the numeric reading of the brackets refuses
+    the pair, naming the bracket, as run_case does."""
+    text = (resources.files("eymsym") / "data" / "catalog.txt").read_text()
+    start = text.index('case "1.1^1(7)"')
+    broken = text[:start] + text[start:].replace(
+        "bracket u1 u3 = e1\n", "bracket u1 u3 = e1\nbracket u1 u2 = u3\n", 1)
+    assert broken != text
+    entry = parse_catalog(broken).get("1.1^1(7)")
+    sample = sample_point(entry, random.Random(3))
+    with pytest.raises(NotSymmetric, match=r"\[u1, u2\]"):
+        NumericCase(entry, sample)
+
+
+# what the cross-check may import from the package it checks: exceptions,
+# types and labels, no computation
+_ALLOWED_IMPORTS = {("exact", "PoleAtPoint"), ("geom", "MetricFamily"),
+                    ("liecat", "CatalogEntry"), ("liecat", "NotSymmetric"),
+                    ("liecat", "U_LABELS")}
+
+
+def _package_imports(source: str) -> set:
+    """(module, name) of every import from eymsym in the source, at module
+    and at function level, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "eymsym" and not module.startswith("eymsym."):
+                    continue
+                module = module.removeprefix("eymsym").lstrip(".")
+            found |= {(module, a.name) for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {(a.name, "*") for a in node.names
+                      if a.name.split(".")[0] == "eymsym"}
+    return found
+
+
+def test_crosscheck_imports_no_code_it_checks():
+    source = Path(eymsym.crosscheck.__file__).read_text()
+    found = _package_imports(source)
+    assert found and found <= _ALLOWED_IMPORTS, sorted(found - _ALLOWED_IMPORTS)
+    # the guard bites at either level
+    for extra in ("from .linalg import rref\n",
+                  "def f():\n    from .linalg import rref\n"):
+        assert ("linalg", "rref") in _package_imports(source + extra)

@@ -66,6 +66,25 @@ calls = {name: row["calls_all"]
 print(json.dumps({"same": traced == plain, "plain": plain, "calls": calls}))
 """
 
+# Two checks of one Lorentz condition in a traced process: the condition is
+# parsed once, one parse_ratfunc call per side.
+_TRACED_CONDITION = """
+import json, sys
+from fractions import Fraction
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import eymsym.cli
+from eymsym import geom
+import spans
+
+tracer = spans.Tracer()
+tracer.install()
+sample = {"a": Fraction(1), "b": Fraction(2), "c": Fraction(1), "d": Fraction(3)}
+held = [geom.lorentz_condition_holds("b*d > c^2", sample) for _ in range(2)]
+calls = {name: row["calls_all"]
+         for name, row in spans.summarize(tracer.document()).items()}
+print(json.dumps({"held": held, "calls": calls}))
+"""
+
 def _load_spans():
     spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
@@ -129,3 +148,15 @@ def test_traced_crosscheck_builds_no_symbolic_determinant():
     assert calls["exact.evaluate"] > 0
     assert calls["exact.poly_gcd"] == 0
     assert calls["linalg.det"] == 0
+
+
+def test_traced_condition_parses_are_counted():
+    """parse_condition looks parse_ratfunc up when it is called, so the
+    tracer's wrapper sees the parses of a Lorentz condition."""
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACED_CONDITION, str(ROOT / "src"),
+         str(SPANS.parent)],
+        capture_output=True, text=True, check=True, timeout=120)
+    result = json.loads(out.stdout)
+    assert result["held"] == [True, True]
+    assert result["calls"]["exact.parse_ratfunc"] == 2
