@@ -9,7 +9,7 @@ Exit codes (stable contract for CI):
      check
   3  unknown case
   4  bad arguments, a --sample point at a pole of lambda or kappa included,
-     or an --out file that cannot be written
+     an --out file that cannot be written, or a closed stdout
   5  a case cannot be analysed (not reductive, not symmetric, an isotropy
      that acts trivially, no invariant metric, a bad metric shape, a
      degenerate metric, or a curvature component outside the holonomy span);
@@ -19,6 +19,7 @@ Exit codes (stable contract for CI):
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import zlib
@@ -33,7 +34,7 @@ from .geom import (BadMetricShape, NoInvariantMetric, SingularMetric,
 from .liecat import (Catalog, CatalogParseError, NotReductive, NotSymmetric,
                      TrivialIsotropy, UnknownCase, catalog_load, isotropy_rep,
                      rep_is_faithful, rep_is_homomorphism, validate_pair)
-from .linalg import FieldMatrix
+from .linalg import FieldMatrix, contract
 
 # A case whose data the pipeline cannot analyse (exit code 5).
 _UNANALYSABLE = (NotReductive, NotSymmetric, TrivialIsotropy,
@@ -85,19 +86,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _key_values(text: str | None, option: str):
+    """(piece, key, value) of each entry of a `key=value,...` option."""
+    for piece in text.split(",") if text else ():
+        key, eq, value = piece.partition("=")
+        if not eq:
+            raise _ArgumentError(f"bad {option} entry {piece!r}")
+        yield piece, key.strip(), value.strip()
+
+
 def _parse_holonomy(text: str | None) -> HolonomyMetric:
     hm = HolonomyMetric()
-    if not text:
-        return hm
-    for piece in text.split(","):
-        key, _, value = piece.partition("=")
-        if not _ or not key.strip().isdigit():
+    for piece, key, value in _key_values(text, "--g-holonomy"):
+        if not key.isdigit():
             raise _ArgumentError(f"bad --g-holonomy entry {piece!r}")
         if int(key) < 5:
             raise _ArgumentError(f"--g-holonomy entry {piece!r}: holonomy "
                                  "indices start at 5")
         try:
-            hm.overrides[int(key)] = parse_ratfunc(value.strip())
+            hm.overrides[int(key)] = parse_ratfunc(value)
         except ParseError as exc:
             raise _ArgumentError(str(exc))
         if hm.overrides[int(key)].is_zero():
@@ -117,14 +124,9 @@ def _warn_ignored_holonomy(hm: HolonomyMetric, dim: int, algebra: str) -> None:
 
 def _parse_sample(text: str | None) -> dict:
     out = {}
-    if not text:
-        return out
-    for piece in text.split(","):
-        key, _, value = piece.partition("=")
-        if not _:
-            raise _ArgumentError(f"bad --sample entry {piece!r}")
+    for piece, key, value in _key_values(text, "--sample"):
         try:
-            out[key.strip()] = Fraction(value.strip())
+            out[key] = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise _ArgumentError(f"bad rational value in {piece!r}")
     return out
@@ -171,17 +173,9 @@ def _render(x) -> str:
 
 def _golden_failure(report, name: str) -> str:
     """`golden:<name> (expected ..., computed ...)` for a failed flag."""
-    g, v = report.golden, report.verdict
-    values = {"det": (g.det, report.family.det_g),
-              "ricci": (g.ricci, report.lc.ricci),
-              "scalar": (g.scalar, report.lc.scalar),
-              "hol_dim": (g.hol_dim, report.hol_dim),
-              "verdict": (g.verdict, v.verdict_string()),
-              "lambda": (g.lambda_, v.lambda_),
-              "kappa": (g.kappa, v.kappa)}
-    if name not in values:
+    if name not in report.compared:
         return f"golden:{name}"
-    expected, computed = values[name]
+    expected, computed = report.compared[name]
     return (f"golden:{name} (expected {_render(expected)}, "
             f"computed {_render(computed)})")
 
@@ -191,9 +185,8 @@ def _validate_one(entry, failures: list, seed: int | None = None) -> None:
     `seed` overrides validate_seed for the sample points."""
     # imported here, as no other verb needs the numeric cross-check
     from .crosscheck import crosscheck_case, sample_point
-    rep = validate_pair(entry.pair)
     failures += [f"{name} ({witness})" if witness else name
-                 for name, witness in rep.failures()]
+                 for name, witness in validate_pair(entry.pair)]
     mats = isotropy_rep(entry.pair)
     if not rep_is_homomorphism(entry.pair, mats):
         failures.append("isotropy homomorphism")
@@ -203,12 +196,7 @@ def _validate_one(entry, failures: list, seed: int | None = None) -> None:
     failures += [_golden_failure(report, name)
                  for name, ok in report.flags.items() if not ok]
     # invariant suite: tracelessness, trace identity
-    ginv = report.family.g_inverse()
-    trace = rf(0)
-    for i in range(4):
-        for j in range(4):
-            trace = trace + ginv.entries[i][j] * report.T.entries[i][j]
-    if not trace.is_zero():
+    if not contract(report.family.g_inverse(), report.T).is_zero():
         failures.append("stress tensor trace")
     if report.verdict.is_solution:
         if report.verdict.lambda_ * rf(4) != report.lc.scalar:
@@ -296,7 +284,7 @@ def _cmd_solve(catalog: Catalog, args) -> int:
         if v.conditions:
             lines.append("conditions: " + ", ".join(str(c) for c in v.conditions))
     else:
-        lines.append(f"first equation: {v.verdict_string()}"
+        lines.append(f"first equation: {v.outcome.value}"
                      + (f" ({v.detail})" if v.detail else ""))
     lines.append("second equation residual: "
                  + ("0" if report.second_residual_zero else "nonzero"))
@@ -316,6 +304,10 @@ def _cmd_solve(catalog: Catalog, args) -> int:
     return 0
 
 
+_COMMANDS = {"list": _cmd_list, "validate": _cmd_validate,
+             "report": _cmd_report, "tables": _cmd_tables, "solve": _cmd_solve}
+
+
 def main(argv: list | None = None) -> int:
     parser = _build_parser()
     try:
@@ -329,16 +321,16 @@ def main(argv: list | None = None) -> int:
         print(f"catalog error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "list":
-            return _cmd_list(catalog, args)
-        if args.command == "validate":
-            return _cmd_validate(catalog, args)
-        if args.command == "report":
-            return _cmd_report(catalog, args)
-        if args.command == "tables":
-            return _cmd_tables(catalog, args)
-        if args.command == "solve":
-            return _cmd_solve(catalog, args)
+        code = _COMMANDS[args.command](catalog, args)
+        # a closed stdout raises here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # what is still buffered goes nowhere when the interpreter exits
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc.strerror}",
+              file=sys.stderr)
+        return 4
     except UnknownCase as exc:
         print(f"unknown case: {exc}", file=sys.stderr)
         return 3
@@ -348,7 +340,6 @@ def main(argv: list | None = None) -> int:
     except _UNANALYSABLE as exc:
         print(f"error: case cannot be analysed: {exc}", file=sys.stderr)
         return 5
-    return 4
 
 
 if __name__ == "__main__":

@@ -32,16 +32,15 @@ brackets or the case name, so eym.run_case shares one ConnectionFamily among
 cases whose metric solves share theirs.
 
 Every pair reaching this module is symmetric ([m, m] in h; eym.run_case
-checks it first), so curvature has no L([u_i, u_j]_m) term.  Whether the
-curvature of the family depends on its parameters is read off the basis
-maps B^k that the kernel vectors give (depends_on_connection_params),
-without building the curvature in v1..vd.  The canonical member (all
-parameters zero) always belongs to the family, its curvature is that of the
-Levi-Civita connection, and it is what the energy-momentum pipeline
-evaluates when curvature turns out to depend on the connection parameters.
-The canonical member's holonomy algebra is the span of its curvature
-components, rho([m, m]), which Jacobi closes under brackets; holonomy and
-expand_in_basis find it and its coefficients with linalg.rref.
+checks it first).  The canonical member (all parameters zero) always belongs
+to the family, and it is the Levi-Civita connection, whose curvature
+R(u_i, u_j) = -rho([u_i, u_j]) (Kobayashi-Nomizu II, ch. XI) is the only
+one the pipeline builds (curvature).  Whether the curvature of the family
+depends on its parameters is read off the basis maps B^k that the kernel
+vectors give (depends_on_connection_params), without building the
+curvature in v1..vd.  The canonical member's holonomy algebra is the span of
+its curvature components, rho([m, m]), which Jacobi closes under brackets;
+holonomy and expand_in_basis find it and its coefficients with linalg.rref.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from typing import TYPE_CHECKING
 
 from .exact import RF_ZERO, RatFunc
 from .linalg import FieldMatrix, TensorLayout, kernel_linear_in, rref
-from .liecat import LiePair, U_LABELS
+from .liecat import LiePair, U_LABELS, rho_of
 
 if TYPE_CHECKING:
     from .geom import MetricFamily
@@ -119,30 +118,34 @@ def solve_connections(rhos: list, family: MetricFamily) -> ConnectionFamily:
         vecs = [row[::-1] for row in reversed(red.entries)]
 
     params = [f"v{k + 1}" for k in range(len(vecs))]
-    acc = [[[RF_ZERO] * 4 for _ in range(4)] for _ in range(4)]
-    basis = []
+    flat = [RF_ZERO] * 64   # sum_k v_k vecs[k], over the nonzero entries only
     for name, vec in zip(params, vecs):
         p = RatFunc.var(name)
         for col, c in enumerate(vec):
             if not c.is_zero():
-                s, i, j = col // 16, col // 4 % 4, col % 4
-                acc[s][i][j] = acc[s][i][j] + p * c
-        basis.append([FieldMatrix(4, 4, [vec[16 * s + 4 * i:16 * s + 4 * i + 4]
-                                         for i in range(4)]) for s in range(4)])
-    maps = [FieldMatrix(4, 4, rows) for rows in acc]
-    return ConnectionFamily(maps=maps, free_params=params, basis=basis)
+                flat[col] = flat[col] + p * c
+    return ConnectionFamily(maps=_slots(flat), free_params=params,
+                            basis=[_slots(vec) for vec in vecs])
 
 
-def curvature(pair: LiePair, rhos: list, maps: list) -> CurvatureForm:
-    """R(u_i, u_j) = [L_i, L_j] - rho([u_i,u_j]) on a symmetric pair, with
-    `rhos` its isotropy matrices (liecat.isotropy_rep)."""
+def _slots(vec: list) -> list:
+    """Lambda(u_1..u_4) from its 64 entries L_s[i][j], numbered 16s + 4i + j."""
+    return [FieldMatrix(4, 4, [vec[16 * s + 4 * i:16 * s + 4 * i + 4]
+                               for i in range(4)]) for s in range(4)]
+
+
+def curvature(pair: LiePair, rhos: list) -> CurvatureForm:
+    """R(u_i, u_j) = -rho([u_i, u_j]), the curvature of the canonical member
+    on a symmetric pair, with `rhos` its isotropy matrices
+    (liecat.isotropy_rep)."""
     components = {}
     for i in range(4):
         for j in range(i + 1, 4):
-            op = maps[i].commutator(maps[j])
-            for lbl, c in pair.bracket(U_LABELS[i], U_LABELS[j]).items():
-                op = op - rhos[pair.e_labels.index(lbl)].scale(c)
-            components[(i, j)] = op
+            coeffs = pair.bracket(U_LABELS[i], U_LABELS[j])
+            # negate the coefficients, not the entries: zero entries stay
+            # the shared RF_ZERO
+            components[(i, j)] = rho_of(pair, rhos,
+                                        {lbl: -c for lbl, c in coeffs.items()})
     return CurvatureForm(components=components)
 
 

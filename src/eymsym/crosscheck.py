@@ -289,11 +289,6 @@ def _inverse_scaled(gs: list, d: int) -> tuple | None:
             for k, row in enumerate(aug)], den
 
 
-def _inverse(mat: list) -> list | None:
-    inv = _inverse_scaled(*_scaled(mat))
-    return None if inv is None else _unscaled(*inv)
-
-
 def _stress_form(structure: dict, weights: list) -> tuple:
     """F = sum_a w_a R_a g^-1 R_a^T as a linear form in g^-1: (terms, d)
     with F_ij = sum of c g^kh / d over the terms (i, j, k, h, c), c and d

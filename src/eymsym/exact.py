@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import cmp_to_key
 
 # A monomial is a tuple of (name, exponent) pairs, sorted by name, exponents > 0.
 Monomial = tuple
@@ -59,22 +58,12 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def _mono_cmp(m1: Monomial, m2: Monomial) -> int:
-    """Graded lex: compare total degree, then exponents along sorted names."""
-    d1 = sum(e for _, e in m1)
-    d2 = sum(e for _, e in m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    e1, e2 = dict(m1), dict(m2)
-    for name in sorted(set(e1) | set(e2)):
-        a, b = e1.get(name, 0), e2.get(name, 0)
-        if a != b:
-            # larger exponent on the lexicographically earliest name wins
-            return 1 if a > b else -1
-    return 0
-
-
-_mono_key = cmp_to_key(_mono_cmp)
+def _mono_key(m: Monomial) -> tuple:
+    """Graded lex as a sort key, greatest monomial first: higher total degree
+    first, then the larger exponent on the lexicographically earliest name
+    where two monomials differ, that is, the smaller tuple of names each
+    repeated by its exponent."""
+    return (-sum(e for _, e in m), tuple(n for n, e in m for _ in range(e)))
 
 
 def _quo(a: int, b: int) -> int:
@@ -95,10 +84,6 @@ class Poly:
         self._hash = None
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "Poly":
-        return _P_ZERO
 
     @staticmethod
     def var(name: str) -> "Poly":
@@ -130,7 +115,7 @@ class Poly:
             return (_ONE_MONO, 0)
         if len(self.terms) == 1:
             return next(iter(self.terms.items()))
-        mono = max(self.terms, key=_mono_key)
+        mono = min(self.terms, key=_mono_key)
         return (mono, self.terms[mono])
 
     # -- arithmetic ---------------------------------------------------------
@@ -275,7 +260,7 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms, key=_mono_key, reverse=True):
+        for mono in sorted(self.terms, key=_mono_key):
             c = self.terms[mono]
             factors = []
             for name, e in mono:

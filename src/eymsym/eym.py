@@ -35,9 +35,9 @@ the residual at the canonical member (CaseReport.second_residual_zero).
 When the curvature of the general connection family depends on the family's
 free parameters, the pipeline evaluates the energy-momentum stage at the
 canonical member (all parameters zero), which always belongs to the family;
-reports carry a flag saying so.  The canonical member's curvature is the
-Levi-Civita curvature, so the pipeline reuses it instead of building it
-again.
+reports carry a flag saying so.  The canonical member is the Levi-Civita
+connection, so the pipeline reads its curvature off the Levi-Civita report
+(CurvatureReport.form) instead of building it again.
 
 run_case keeps the metric solve, the connection solve and the dependence
 decision in one dict per process, keyed on what the metric solve reads
@@ -53,8 +53,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import permutations
 
-from .exact import RF_ZERO, RatFunc, rf
-from .linalg import FieldMatrix, matrices_key, rref
+from .exact import RatFunc, rf
+from .linalg import FieldMatrix, contract, matrices_key, rref
 from .liecat import (CaseGolden, CatalogEntry, LiePair, NotSymmetric,
                      TrivialIsotropy, isotropy_rep, symmetric_witness)
 from .geom import (CurvatureReport, MetricFamily, levi_civita,
@@ -113,9 +113,6 @@ class EymVerdict:
     def is_solution(self) -> bool:
         return self.outcome is EymOutcome.SOLUTION
 
-    def verdict_string(self) -> str:
-        return self.outcome.value
-
 
 def stress_tensor(form: CurvatureForm, family: MetricFamily,
                   hm: HolonomyMetric) -> FieldMatrix:
@@ -132,20 +129,15 @@ def stress_tensor(form: CurvatureForm, family: MetricFamily,
         for (i, j), coeffs in form.structure.items():
             r.entries[i][j], r.entries[j][i] = coeffs[a], -coeffs[a]
         f = f + (r * ginv * r.transpose()).scale(hm.value(a))
-    s = RF_ZERO
-    for ginv_row, f_row in zip(ginv.entries, f.entries):
-        for x, y in zip(ginv_row, f_row):
-            if not x.is_zero() and not y.is_zero():
-                s = s + x * y
     return (f.scale(rf(Fraction(1, 2)))
-            - family.g.scale(s * rf(Fraction(1, 8))))
+            - family.g.scale(contract(ginv, f) * rf(Fraction(1, 8))))
 
 
 def solve_first_eym(lc: CurvatureReport, family: MetricFamily,
-                    T: FieldMatrix, form: CurvatureForm) -> EymVerdict:
+                    T: FieldMatrix) -> EymVerdict:
     """Solve  r_ij + (lambda - s/2) g_ij = kappa T_ij  for the two constants;
-    `form` is the curvature T was built from."""
-    if form.is_zero():
+    T is built from lc.form, the curvature of the canonical member."""
+    if lc.form.is_zero():
         return EymVerdict(EymOutcome.FLAT_CURVATURE,
                           detail="all curvature components vanish")
     if T.is_zero():
@@ -259,10 +251,6 @@ def second_eym_residual(maps: list, star: CurvatureForm) -> dict:
     return residual
 
 
-def residual_is_zero(residual: dict) -> bool:
-    return all(m.is_zero() for m in residual.values())
-
-
 # -- per-case pipeline ---------------------------------------------------------------
 
 
@@ -271,7 +259,7 @@ class CaseReport:
                  golden: CaseGolden, family: MetricFamily, lc: CurvatureReport,
                  conn: ConnectionFamily, curvature_param_dependent: bool,
                  form: CurvatureForm, hol_basis: list, T: FieldMatrix,
-                 verdict: EymVerdict, flags: dict, hm: HolonomyMetric):
+                 verdict: EymVerdict, compared: dict, hm: HolonomyMetric):
         self.case_id = case_id
         self.pair = pair
         self.rhos = rhos          # isotropy_rep(pair), built once per case
@@ -284,8 +272,13 @@ class CaseReport:
         self.hol_basis = hol_basis
         self.T = T
         self.verdict = verdict
-        self.flags = flags        # golden comparison results, name -> bool
+        self.compared = compared  # golden field -> (golden, computed)
         self.hm = hm              # the holonomy metric `T` was built with
+        # golden comparison results, name -> bool
+        self.flags = {name: expected == computed
+                      for name, (expected, computed) in compared.items()}
+        if verdict.is_solution:
+            self.flags["second_eym"] = self.second_residual_zero
 
     @property
     def golden_ok(self) -> bool:
@@ -344,34 +337,32 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
     lc = levi_civita(pair, rhos, family)
     # the curvature of the canonical member, and of the whole family when it
     # does not depend on the parameters
-    form = CurvatureForm(components=lc.operators)
+    form = lc.form
 
     basis = holonomy(form, rhos)
     form.holonomy_basis = basis
     form.structure = expand_in_basis(form, basis)
 
     T = stress_tensor(form, family, hm)
-    verdict = solve_first_eym(lc, family, T, form=form)
+    verdict = solve_first_eym(lc, family, T)
 
-    flags = {}
+    compared = {}
     if golden.det is not None:
-        flags["det"] = family.det_g == golden.det
+        compared["det"] = (golden.det, family.det_g)
     if golden.ricci is not None:
-        flags["ricci"] = lc.ricci == golden.ricci
+        compared["ricci"] = (golden.ricci, lc.ricci)
     if golden.scalar is not None:
-        flags["scalar"] = lc.scalar == golden.scalar
+        compared["scalar"] = (golden.scalar, lc.scalar)
     if golden.hol_dim is not None:
-        flags["hol_dim"] = len(basis) == golden.hol_dim
+        compared["hol_dim"] = (golden.hol_dim, len(basis))
     if golden.verdict is not None:
-        flags["verdict"] = verdict.verdict_string() == golden.verdict
+        compared["verdict"] = (golden.verdict, verdict.outcome.value)
         if golden.verdict == "solution" and verdict.is_solution:
-            flags["lambda"] = verdict.lambda_ == golden.lambda_
-            flags["kappa"] = verdict.kappa == golden.kappa
+            compared["lambda"] = (golden.lambda_, verdict.lambda_)
+            compared["kappa"] = (golden.kappa, verdict.kappa)
 
-    report = CaseReport(
+    return CaseReport(
         case_id=pair.case_id, pair=pair, rhos=rhos, golden=golden,
         family=family, lc=lc, conn=conn, curvature_param_dependent=param_dep,
-        form=form, hol_basis=basis, T=T, verdict=verdict, flags=flags, hm=hm)
-    if verdict.is_solution:
-        flags["second_eym"] = report.second_residual_zero
-    return report
+        form=form, hol_basis=basis, T=T, verdict=verdict, compared=compared,
+        hm=hm)

@@ -20,8 +20,8 @@ identically is refused here (SingularMetric), so every family returned has
 an inverse.
 
 Curvature conventions, pinned once and checked by the golden tests.  The
-pair is symmetric ([m, m] in h), so the Levi-Civita connection has zero
-connection maps and its curvature is conn.curvature of the zero maps:
+pair is symmetric ([m, m] in h), so the Levi-Civita connection is the
+canonical member and its curvature is conn.curvature:
   R(X, Y) = -ad([X,Y])   restricted to m
   ricci(X, Y) = trace(Z -> R(Z, X) Y)
   scalar = g^{ij} ricci_{ij}
@@ -33,10 +33,10 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .conn import curvature
+from .conn import CurvatureForm, curvature
 from .exact import RF_ZERO, RatFunc, linear_parts
-from .linalg import (FieldMatrix, TensorLayout, det, inverse, kernel_linear_in,
-                     rref)
+from .linalg import (FieldMatrix, TensorLayout, contract, det, inverse,
+                     kernel_linear_in, rref)
 from .liecat import LiePair, parse_condition
 
 
@@ -78,8 +78,9 @@ class MetricFamily:
 
 
 class CurvatureReport:
-    def __init__(self, operators: dict, ricci: FieldMatrix, scalar: RatFunc):
-        self.operators = operators  # (i, j) i<j -> R(u_i, u_j) as FieldMatrix
+    def __init__(self, form: CurvatureForm, ricci: FieldMatrix,
+                 scalar: RatFunc):
+        self.form = form    # R(u_i, u_j), i < j
         self.ricci = ricci
         self.scalar = scalar
 
@@ -289,10 +290,7 @@ def levi_civita(pair: LiePair, rhos: list,
                 family: MetricFamily) -> CurvatureReport:
     """Curvature, Ricci and scalar of the Levi-Civita connection; `rhos`
     are the isotropy matrices of the pair (liecat.isotropy_rep)."""
-    g_inv = family.g_inverse()
-    # on a symmetric pair the Levi-Civita connection maps are zero
-    form = curvature(pair, rhos, [FieldMatrix.zeros(4, 4)] * 4)
-
+    form = curvature(pair, rhos)
     ricci_rows = []
     for i in range(4):
         row = []
@@ -306,12 +304,5 @@ def levi_civita(pair: LiePair, rhos: list,
             row.append(s)
         ricci_rows.append(row)
     ricci = FieldMatrix(4, 4, ricci_rows)
-
-    scalar = RF_ZERO
-    for i in range(4):
-        for j in range(4):
-            x = g_inv.entries[i][j]
-            if not x.is_zero():
-                scalar = scalar + x * ricci.entries[i][j]
-    return CurvatureReport(operators=form.components, ricci=ricci,
-                           scalar=scalar)
+    return CurvatureReport(form=form, ricci=ricci,
+                           scalar=contract(family.g_inverse(), ricci))

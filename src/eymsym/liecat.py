@@ -161,24 +161,6 @@ class Catalog:
                 if fnmatch.fnmatchcase(e.pair.case_id, pattern)]
 
 
-class ValidationReport:
-    def __init__(self, case_id: str, checks: dict | None = None):
-        self.case_id = case_id
-        # name -> (ok, witness text)
-        self.checks = {} if checks is None else checks
-
-    def record(self, name: str, ok: bool, witness: str = "") -> None:
-        self.checks[name] = (ok, witness)
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for ok, _ in self.checks.values())
-
-    def failures(self) -> list:
-        return [(name, witness) for name, (ok, witness) in self.checks.items()
-                if not ok]
-
-
 # -- catalog file parsing ------------------------------------------------------
 
 _QUOTED = re.compile(r'"([^"]*)"')
@@ -428,37 +410,37 @@ def isotropy_rep(pair: LiePair) -> list:
     return mats
 
 
-def validate_pair(pair: LiePair) -> ValidationReport:
-    """Check antisymmetry, Jacobi, reductivity, and the symmetric-pair property."""
-    report = ValidationReport(pair.case_id)
-
+def validate_pair(pair: LiePair) -> list:
+    """(name, witness) of each failed check, in check order: antisymmetry,
+    Jacobi, reductivity, and the symmetric-pair property."""
+    failed = []
     bad = [key for key in pair.brackets if key[0] == key[1]
            and any(not v.is_zero() for v in pair.brackets[key].values())]
     both = [(x, y) for (x, y) in pair.brackets if (y, x) in pair.brackets]
-    report.record("antisymmetry", not bad and not both,
-                  f"bad pairs {bad + both}" if bad or both else "")
+    if bad or both:
+        failed.append(("antisymmetry", f"bad pairs {bad + both}"))
 
-    witness = ""
     for x, y, z in combinations(pair.basis, 3):
         total: dict = {}
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             for lbl, v in pair.bracket_vec(pair.bracket(a, b), c).items():
                 total[lbl] = total.get(lbl, RF_ZERO) + v
         if any(not v.is_zero() for v in total.values()):
-            witness = f"({x},{y},{z})"
+            failed.append(("jacobi", f"({x},{y},{z})"))
             break
-    report.record("jacobi", not witness, witness)
 
-    reductive_ok, witness = True, ""
+    witness = ""
     for e in pair.e_labels:
         for u in U_LABELS:
             if any(lbl not in U_LABELS for lbl in pair.bracket(e, u)):
-                reductive_ok, witness = False, f"[{e},{u}]"
-    report.record("reductive", reductive_ok, witness)
+                witness = f"[{e},{u}]"
+    if witness:
+        failed.append(("reductive", witness))
 
     witness = symmetric_witness(pair)
-    report.record("symmetric", not witness, witness)
-    return report
+    if witness:
+        failed.append(("symmetric", witness))
+    return failed
 
 
 def symmetric_witness(pair: LiePair) -> str:
@@ -472,6 +454,16 @@ def symmetric_witness(pair: LiePair) -> str:
     return ""
 
 
+def rho_of(pair: LiePair, mats: list, coeffs: dict) -> FieldMatrix:
+    """rho(x) = sum_l c_l rho(e_l) for x in h given by its coefficients
+    {e_l: c_l}, with `mats` the isotropy matrices of the pair
+    (isotropy_rep)."""
+    out = FieldMatrix.zeros(4, 4)
+    for lbl, c in coeffs.items():
+        out = out + mats[pair.e_labels.index(lbl)].scale(c)
+    return out
+
+
 def rep_is_homomorphism(pair: LiePair, mats: list) -> bool:
     """rho([e_i, e_j]) equals the matrix commutator for all generator pairs,
     with `mats` the isotropy matrices of the pair (isotropy_rep)."""
@@ -481,10 +473,7 @@ def rep_is_homomorphism(pair: LiePair, mats: list) -> bool:
             coeffs = pair.bracket(e_labels[i], e_labels[j])
             if any(lbl not in e_labels for lbl in coeffs):
                 return False    # [h, h] leaves h: rho([e_i, e_j]) is undefined
-            expect = FieldMatrix.zeros(4, 4)
-            for lbl, c in coeffs.items():
-                expect = expect + mats[e_labels.index(lbl)].scale(c)
-            if mats[i].commutator(mats[j]) != expect:
+            if mats[i].commutator(mats[j]) != rho_of(pair, mats, coeffs):
                 return False
     return True
 

@@ -65,20 +65,8 @@ class FieldMatrix:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows) -> "FieldMatrix":
-        data = [[rf(x) for x in row] for row in rows]
-        return cls(len(data), len(data[0]), data)
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "FieldMatrix":
         return cls(rows, cols, [[RF_ZERO] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "FieldMatrix":
-        data = [[RF_ZERO] * n for _ in range(n)]
-        for i in range(n):
-            data[i][i] = RF_ONE
-        return cls(n, n, data)
 
     # -- structure ----------------------------------------------------------------
 
@@ -162,6 +150,16 @@ def matrices_key(mats: list) -> tuple:
     """The entries of `mats` as nested tuples of canonical RatFuncs, which
     hash and compare by value: a dictionary key for the matrices' values."""
     return tuple(tuple(map(tuple, m.entries)) for m in mats)
+
+
+def contract(a: FieldMatrix, b: FieldMatrix) -> RatFunc:
+    """sum_ij a_ij b_ij, e.g. the trace g^ij T_ij with a = g^-1, b = T."""
+    s = RF_ZERO
+    for a_row, b_row in zip(a.entries, b.entries):
+        for x, y in zip(a_row, b_row):
+            if not x.is_zero() and not y.is_zero():
+                s = s + x * y
+    return s
 
 
 def _nonzero_tail(row: list, c: int) -> list:

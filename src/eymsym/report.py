@@ -23,7 +23,7 @@ def json_dumps(obj) -> str:
 
 def report_to_dict(r: CaseReport) -> dict:
     verdict = {
-        "outcome": r.verdict.verdict_string(),
+        "outcome": r.verdict.outcome.value,
         "lambda": str(r.verdict.lambda_) if r.verdict.lambda_ is not None else None,
         "kappa": str(r.verdict.kappa) if r.verdict.kappa is not None else None,
         "conditions": [str(c) for c in r.verdict.conditions],
@@ -133,7 +133,7 @@ def report_markdown(r: CaseReport) -> str:
             out.append("nonvanishing conditions: "
                        + ", ".join(str(c) for c in v.conditions))
     else:
-        out.append(f"no solution ({v.verdict_string().split(':', 1)[1]})"
+        out.append(f"no solution ({v.outcome.value.split(':', 1)[1]})"
                    + (f": {v.detail}" if v.detail else ""))
     out += ["", "## Second field equation", ""]
     out.append("residual identically zero"

@@ -87,6 +87,27 @@ def test_unwritable_out_exit_4(capsys, tmp_path, verb):
     assert not missing.parent.exists()
 
 
+@pytest.mark.parametrize("verb", [["list"], ["validate"], ["tables"],
+                                  ["report", "1.1^1(7)"],
+                                  ["solve", "1.1^1(7)"]])
+def test_closed_stdout_exit_4(verb):
+    """A stdout whose reader is gone ends in exit 4 and one stderr line,
+    with no traceback, also from the flush at interpreter exit."""
+    src = str(Path(eymsym.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "eymsym.cli", *verb],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=path),
+                              text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 4
+    assert done.stderr == "error: cannot write to stdout: Broken pipe\n"
+
+
 def test_report_markdown(capsys):
     code, out, _ = run_cli(capsys, "report", "1.1^1(7)")
     assert code == 0

@@ -12,10 +12,11 @@ from eymsym.liecat import U_LABELS, isotropy_rep
 from eymsym.linalg import (FieldMatrix, det, inverse, nonzero_entries,
                            nullspace, rank)
 from eymsym.conn import (ConnectionFamily, CurvatureForm, NonClosing,
-                         curvature, depends_on_connection_params,
-                         expand_in_basis, holonomy, solve_connections)
+                         depends_on_connection_params, expand_in_basis,
+                         holonomy, solve_connections)
 from eymsym.geom import MetricFamily
 from eymsym.crosscheck import NumericCase, sample_point
+from helpers import from_rows, member_curvature
 
 
 def is_parameterised(mats) -> bool:
@@ -165,7 +166,7 @@ def _random_metric(rng, off_diagonal: bool) -> FieldMatrix:
     if off_diagonal:
         i, j = rng.sample(range(4), 2)
         rows[i][j] = rows[j][i] = rng.choice((1, -1, 2))
-    return FieldMatrix.from_rows(rows)
+    return from_rows(rows)
 
 
 def _random_skew(rng) -> FieldMatrix:
@@ -175,7 +176,7 @@ def _random_skew(rng) -> FieldMatrix:
         c = rng.choice((1, -1, 2))
         rows[i][j] += c
         rows[j][i] -= c
-    return FieldMatrix.from_rows(rows)
+    return from_rows(rows)
 
 
 def test_random_so_g_inputs_give_the_one_shot_family():
@@ -366,8 +367,8 @@ def test_dependence_decision_matches_symbolic_curvature(reports):
     the curvature built symbolically in v1..vd, on a fresh family too."""
     for r in reports.values():
         conn = r.conn
-        symbolic = bool(curvature(r.pair, r.rhos, conn.maps).variables()
-                        & set(conn.free_params))
+        form = member_curvature(r.pair, r.rhos, conn.maps)
+        symbolic = bool(form.variables() & set(conn.free_params))
         fresh = ConnectionFamily(maps=conn.maps, free_params=conn.free_params,
                                  basis=conn.basis)
         assert depends_on_connection_params(fresh) == symbolic, r.case_id
@@ -416,7 +417,7 @@ def test_u2_u4_subfamily_preserves_curvature(catalog, reports):
         r = reports[cid]
         maps, keep = u2_u4_subfamily(r)
         assert len(keep) >= 2, cid
-        form = curvature(r.pair, r.rhos, maps)
+        form = member_curvature(r.pair, r.rhos, maps)
         assert not (form.variables() & set(keep)), cid
         for key, comp in form.components.items():
             assert comp == r.form.components[key], (cid, key)

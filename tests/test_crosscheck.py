@@ -15,13 +15,15 @@ import pytest
 import eymsym.crosscheck
 from eymsym import geom
 from eymsym.conn import CurvatureForm, curvature
-from eymsym.crosscheck import (NumericCase, _gauss_solve, _inverse,
-                               crosscheck_case, sample_point)
-from eymsym.eym import (HolonomyMetric, hodge_star_2form, residual_is_zero,
-                        run_case, second_eym_residual)
+from eymsym.crosscheck import (NumericCase, _gauss_solve, crosscheck_case,
+                               sample_point)
+from eymsym.eym import (HolonomyMetric, hodge_star_2form, run_case,
+                        second_eym_residual)
 from eymsym.exact import RF_ZERO, Poly, RatFunc, rf
 from eymsym.liecat import NotSymmetric, parse_catalog
 from eymsym.linalg import FieldMatrix, det
+from helpers import (from_rows, inverse_fractions, member_curvature,
+                     residual_is_zero)
 
 
 def _replace(obj, **changes):
@@ -81,7 +83,8 @@ def test_second_residual_oracle_at_a_nonzero_member(catalog, reports, cid):
     entry, r = catalog.get(cid), reports[cid]
     maps = r.conn.basis[r.conn.free_params.index("v2")]  # sum_k v_k B^k at v2 = 1
     residual = second_eym_residual(
-        maps, hodge_star_2form(curvature(r.pair, r.rhos, maps), r.family))
+        maps,
+        hodge_star_2form(member_curvature(r.pair, r.rhos, maps), r.family))
     assert not residual_is_zero(residual)
 
     sample = sample_point(entry, random.Random(5))
@@ -272,9 +275,10 @@ def test_sample_stream_is_pinned(catalog, reports, cid):
 
 def test_flipped_levi_civita_curvature_is_caught(catalog, reports, monkeypatch):
     """levi_civita reads its curvature from conn.curvature; with the sign of
-    rho flipped there, the numeric Koszul path flags Ricci and scalar."""
-    def flipped(pair, rhos, maps):
-        form = curvature(pair, rhos, maps)
+    rho flipped there, the numeric cross-check, which builds -rho([u_i, u_j])
+    from the brackets at the sample point, flags Ricci and scalar."""
+    def flipped(pair, rhos):
+        form = curvature(pair, rhos)
         return CurvatureForm({k: -m for k, m in form.components.items()})
 
     monkeypatch.setattr(geom, "curvature", flipped)
@@ -352,8 +356,8 @@ def test_inverse_of_seeded_random_matrices():
     rng = random.Random(41)
     for _ in range(30):
         g = _random_matrix(rng, 4, 4)
-        inv = _inverse(g)
-        if det(FieldMatrix.from_rows(g)).is_zero():
+        inv = inverse_fractions(g)
+        if det(from_rows(g)).is_zero():
             assert inv is None
             continue
         assert _product(inv, g) == _IDENTITY
@@ -365,7 +369,7 @@ def test_inverse_of_a_singular_matrix_is_none():
     for _ in range(10):
         g = _random_matrix(rng, 4, 4)
         g[3] = [x + 2 * y for x, y in zip(g[0], g[1])]
-        assert _inverse(g) is None
+        assert inverse_fractions(g) is None
 
 
 def _components(rng: random.Random, basis: list) -> tuple:
@@ -383,7 +387,7 @@ def _supported_basis(rng: random.Random, k: int) -> list:
     """k random independent 4x4 matrices supported on the first k entries."""
     while True:
         square = _random_matrix(rng, k, k)
-        if not det(FieldMatrix.from_rows(square)).is_zero():
+        if not det(from_rows(square)).is_zero():
             break
     return [[[row[4 * i + j] if 4 * i + j < k else Fraction(0)
               for j in range(4)] for i in range(4)] for row in square]

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import operator
 import random
+from functools import cmp_to_key
 from fractions import Fraction
 
 import pytest
 
 from eymsym.exact import (DivisionByZero, MissingParam, ParseError,
                           PoleAtPoint, Poly, RatFunc, RF_ONE, RF_ZERO,
-                          parse_ratfunc, poly_gcd, rf)
+                          _mono_key, parse_ratfunc, poly_gcd, rf)
 
 A, B, C, D = (RatFunc.var(x) for x in "abcd")
 
@@ -102,6 +103,37 @@ def test_canonical_rendering():
     assert str(A / (-B)) == "-a/b"
 
 
+def _graded_lex_cmp(m1, m2) -> int:
+    """The order the exact docstring defines: total degree first, then the
+    larger exponent on the lexicographically earliest name that differs."""
+    d1, d2 = sum(e for _, e in m1), sum(e for _, e in m2)
+    if d1 != d2:
+        return -1 if d1 < d2 else 1
+    e1, e2 = dict(m1), dict(m2)
+    for name in sorted(set(e1) | set(e2)):
+        if e1.get(name, 0) != e2.get(name, 0):
+            return 1 if e1.get(name, 0) > e2.get(name, 0) else -1
+    return 0
+
+
+def test_monomial_sort_key_is_graded_lex():
+    """Sort order and leading term against the comparator, on seeded
+    monomial sets whose names include prefixes of each other (v1, v10)."""
+    rng = random.Random(61)
+    names = ["a", "b", "c", "t", "v1", "v10", "v2"]
+    for _ in range(3000):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            picked = rng.sample(names, rng.randint(0, 3))
+            mono = tuple(sorted((n, rng.randint(1, 3)) for n in picked))
+            terms[mono] = rng.choice((-2, -1, 1, 3))
+        expected = sorted(terms, key=cmp_to_key(_graded_lex_cmp),
+                          reverse=True)
+        assert sorted(terms, key=_mono_key) == expected
+        assert Poly(terms).leading() == (expected[0], terms[expected[0]])
+    assert str(A * A + B * B * B + A * B * C) == "a*b*c + b^3 + a^2"
+
+
 def test_denominator_leading_coefficient_positive():
     rng = random.Random(7)
     for _ in range(300):
@@ -170,7 +202,7 @@ def test_constant_fast_path_matches_general_path():
 
 
 def _int_poly(rng: random.Random, max_terms: int) -> Poly:
-    out = Poly.zero()
+    out = Poly({})
     for _ in range(rng.randint(1, max_terms)):
         mono = tuple((name, e) for name in "ab" if (e := rng.randint(0, 2)))
         out = out + Poly({mono: rng.choice((-1, 1)) * rng.randint(1, 6)})

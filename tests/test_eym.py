@@ -8,13 +8,15 @@ from fractions import Fraction
 import pytest
 
 from eymsym.exact import RF_ZERO, RatFunc, rf
-from eymsym.conn import CurvatureForm, curvature
+from eymsym.conn import CurvatureForm
 from eymsym.crosscheck import NumericCase, crosscheck_case, sample_point
 from eymsym.eym import (EymOutcome, HolonomyMetric, hodge_star_2form,
-                        residual_is_zero, run_case, second_eym_residual,
-                        solve_first_eym, stress_tensor)
+                        run_case, second_eym_residual, solve_first_eym,
+                        stress_tensor)
+from eymsym.geom import CurvatureReport
 from eymsym.liecat import isotropy_rep
 from eymsym.linalg import FieldMatrix, inverse
+from helpers import from_rows, member_curvature, residual_is_zero
 
 A, B, C, D, W = (RatFunc.var(x) for x in "abcdw")
 
@@ -153,14 +155,14 @@ def test_stress_tensor_traceless_synthetic():
     from eymsym.linalg import det
     rounds = 0
     while rounds < 10:
-        g = FieldMatrix.from_rows(
+        g = from_rows(
             [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
         g = g + g.transpose()
         if det(g).is_zero():
             continue
         rounds += 1
         dim = rng.randint(1, 3)
-        basis = [FieldMatrix.from_rows(
+        basis = [from_rows(
             [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
             for _ in range(dim)]
         structure = {}
@@ -188,7 +190,7 @@ def test_stress_tensor_traceless_synthetic():
 def test_verdicts_match_reference_for_all_cases(catalog, reports):
     for entry in catalog.entries:
         r = reports[entry.pair.case_id]
-        assert r.verdict.verdict_string() == entry.golden.verdict, r.case_id
+        assert r.verdict.outcome.value == entry.golden.verdict, r.case_id
         if entry.golden.verdict == "solution":
             assert r.verdict.lambda_ == entry.golden.lambda_, r.case_id
             assert r.verdict.kappa == entry.golden.kappa, r.case_id
@@ -234,11 +236,12 @@ def test_genuinely_inconsistent_case(reports):
 def test_flat_beats_trivial_ordering(reports):
     r = reports["1.1^1(7)"]
     zero_T = FieldMatrix.zeros(4, 4)
-    v = solve_first_eym(r.lc, r.family, zero_T, form=r.form)
+    v = solve_first_eym(r.lc, r.family, zero_T)
     assert v.outcome is EymOutcome.TRIVIAL_STRESS_ENERGY
     flat = CurvatureForm(components={(i, j): FieldMatrix.zeros(4, 4)
                                     for i in range(4) for j in range(i + 1, 4)})
-    v = solve_first_eym(r.lc, r.family, zero_T, form=flat)
+    lc = CurvatureReport(form=flat, ricci=r.lc.ricci, scalar=r.lc.scalar)
+    v = solve_first_eym(lc, r.family, zero_T)
     assert v.outcome is EymOutcome.FLAT_CURVATURE
 
 
@@ -320,7 +323,7 @@ def test_second_equation_symbolic_u2_u4_family(catalog, reports):
         r = reports[cid]
         maps, keep = u2_u4_subfamily(r)
         assert keep, cid
-        form = curvature(r.pair, r.rhos, maps)
+        form = member_curvature(r.pair, r.rhos, maps)
         star = hodge_star_2form(form, r.family)
         residual = second_eym_residual(maps, star)
         assert residual_is_zero(residual), cid
@@ -351,7 +354,7 @@ def test_second_equation_first_slot_reduction(catalog, reports):
     for cid in ("1.1^1(7)", "1.1^2(9)"):
         r = reports[cid]
         maps, keep = u2_u4_subfamily(r)
-        form = curvature(r.pair, r.rhos, maps)
+        form = member_curvature(r.pair, r.rhos, maps)
         star = hodge_star_2form(form, r.family)
         assert residual_is_zero(first_slot_only(r.pair, maps, star)), cid
 

@@ -16,6 +16,7 @@ from eymsym.geom import (BadMetricShape, MetricFamily, SignatureVerdict,
                          solve_invariant_metric)
 from eymsym.liecat import LiePair, isotropy_rep, parse_condition
 from eymsym.linalg import FieldMatrix, det, inverse
+from helpers import from_rows, identity
 
 A, B = RatFunc.var("a"), RatFunc.var("b")
 
@@ -70,7 +71,7 @@ def test_trivial_pair_full_family():
 
 def test_shape_rejected_when_not_general():
     pair = LiePair(case_id="free", dim_h=1, brackets={})
-    too_small = FieldMatrix.from_rows(
+    too_small = from_rows(
         [[A, 0, 0, 0], [0, A, 0, 0], [0, 0, A, 0], [0, 0, 0, A]])
     with pytest.raises(BadMetricShape):
         solve_invariant_metric(pair, isotropy_rep(pair), shape=too_small)
@@ -83,7 +84,7 @@ def test_lorentz_check_examples(catalog):
     fam35 = family_of(catalog, "3.5^2(2)")
     assert lorentz_check(fam35, {"a": 1, "b": 1}) is SignatureVerdict.RIEMANNIAN
     assert lorentz_check(fam35, {"a": 1, "b": -1}) is SignatureVerdict.LORENTZIAN
-    euclid = FieldMatrix.identity(4)
+    euclid = identity(4)
     from eymsym.geom import MetricFamily
     from eymsym.linalg import det
     flat = MetricFamily(g=euclid, free_params=[], det_g=det(euclid))
@@ -169,7 +170,7 @@ def test_charpoly_matches_the_determinant_on_every_case(catalog, reports):
 
 
 def _constant_family(rows: list) -> MetricFamily:
-    g = FieldMatrix.from_rows(rows)
+    g = from_rows(rows)
     return MetricFamily(g=g, free_params=[], det_g=det(g))
 
 
@@ -316,7 +317,7 @@ def test_sign_convention_pinned(reports):
 
 def test_ricci_example_1_4_1(reports):
     r = reports["1.4^1(24)"]
-    expected = FieldMatrix.from_rows(
+    expected = from_rows(
         [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]])
     assert r.lc.ricci == expected and r.lc.scalar.is_zero()
 

@@ -39,7 +39,7 @@ def _report_parts(report) -> dict:
         "det": report.family.det_g,
         "ricci": report.lc.ricci,
         "scalar": report.lc.scalar,
-        "levi-civita curvature": report.lc.operators,
+        "levi-civita curvature": report.lc.form.components,
         "connection maps": report.conn.maps,
         "curvature": report.form.components,
         "curvature structure": report.form.structure,

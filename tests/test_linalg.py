@@ -12,18 +12,19 @@ from eymsym.exact import RatFunc, rf
 from eymsym.linalg import (FieldMatrix, NonSquare, Singular, TensorLayout,
                            det, int_nullspace, inverse, kernel_linear_in,
                            nonzero_entries, nullspace, rank, rref)
+from helpers import from_rows, identity
 
 A, B, C, D = (RatFunc.var(x) for x in "abcd")
 Z = rf(0)
 
 
 def metric_1_1_1() -> FieldMatrix:
-    return FieldMatrix.from_rows([[Z, Z, A, Z], [Z, B, Z, C],
-                                  [A, Z, Z, Z], [Z, C, Z, D]])
+    return from_rows([[Z, Z, A, Z], [Z, B, Z, C],
+                      [A, Z, Z, Z], [Z, C, Z, D]])
 
 
 def test_rref_identity():
-    m = FieldMatrix.identity(4)
+    m = identity(4)
     red, pivots = rref(m)
     assert red == m and pivots == [0, 1, 2, 3]
 
@@ -35,11 +36,11 @@ def test_rref_zero_matrix():
 
 
 def test_nullspace_identity_empty():
-    assert nullspace(FieldMatrix.identity(3)) == []
+    assert nullspace(identity(3)) == []
 
 
 def test_nullspace_one_relation():
-    basis = nullspace(FieldMatrix.from_rows([[1, -1]]))
+    basis = nullspace(from_rows([[1, -1]]))
     assert basis == [[rf(1), rf(1)]]
 
 
@@ -48,7 +49,7 @@ def test_nullspace_vectors_in_kernel():
     for _ in range(25):
         rows = rng.randint(2, 5)
         cols = rng.randint(2, 5)
-        m = FieldMatrix.from_rows(
+        m = from_rows(
             [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
         for v in nullspace(m):
             assert (m * FieldMatrix(cols, 1, [[x] for x in v])).is_zero()
@@ -104,7 +105,7 @@ def test_int_nullspace_is_the_nullspace_basis():
     for _ in range(600):
         rows = _random_system(rng)
         cols = len(rows[0])
-        expected = nullspace(FieldMatrix.from_rows(rows))
+        expected = nullspace(from_rows(rows))
         got = int_nullspace(_int_rows(rows), cols)
         assert [_dense(v, cols) for v in got] == expected, rows
         for v in got:
@@ -121,7 +122,7 @@ def test_int_nullspace_reduces_at_every_pivot_column():
     rows = [[0, 0, 1, 1], [1, 0, 1, 0]]
     assert int_nullspace(_int_rows(rows), 4) == [{1: 1}, {0: 1, 2: -1, 3: 1}]
     assert [_dense(v, 4) for v in int_nullspace(_int_rows(rows), 4)] == \
-        nullspace(FieldMatrix.from_rows(rows))
+        nullspace(from_rows(rows))
 
 
 def test_int_nullspace_edge_systems():
@@ -137,27 +138,27 @@ def test_kernel_linear_in_scales_each_matrix_to_integers():
     entries, alone or next to an integer one, gives the kernel of its
     integer multiple, and that kernel is the stacked nullspace."""
     layout = TensorLayout(rank=2, sign=1)
-    frac = FieldMatrix.from_rows([[Fraction(1, 2), 0, 0, Fraction(-1, 3)],
-                                  [0, 0, 0, 0], [0, 0, 0, 0],
-                                  [Fraction(1, 3), 0, 0, 0]])
+    frac = from_rows([[Fraction(1, 2), 0, 0, Fraction(-1, 3)],
+                      [0, 0, 0, 0], [0, 0, 0, 0],
+                      [Fraction(1, 3), 0, 0, 0]])
     ints = frac.scale(rf(6))
-    other = FieldMatrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0],
-                                   [0, 0, 0, 0], [0, 0, 0, 0]])
+    other = from_rows([[0, 1, 0, 0], [-1, 0, 0, 0],
+                       [0, 0, 0, 0], [0, 0, 0, 0]])
     for mats in ([frac], [frac, other]):
         kernel = kernel_linear_in(mats, layout)
         assert kernel == kernel_linear_in([ints] + mats[1:], layout)
         rows = [[row.get(c, Z) for c in range(layout.cols)]
                 for m in mats for row in layout.rows(nonzero_entries(m))]
         assert [[vec.get(c, Z) for c in range(layout.cols)]
-                for vec in kernel] == nullspace(FieldMatrix.from_rows(rows))
+                for vec in kernel] == nullspace(from_rows(rows))
 
 
 def test_det_metric_families():
     assert det(metric_1_1_1()) == A * A * (C * C - B * D)
-    diag = FieldMatrix.from_rows([[A, Z, Z, Z], [Z, A, Z, Z],
-                                  [Z, Z, A, Z], [Z, Z, Z, B]])
+    diag = from_rows([[A, Z, Z, Z], [Z, A, Z, Z],
+                      [Z, Z, A, Z], [Z, Z, Z, B]])
     assert det(diag) == A * A * A * B
-    assert det(FieldMatrix.identity(4)) == rf(1)
+    assert det(identity(4)) == rf(1)
 
 
 def test_det_nonsquare():
@@ -166,12 +167,12 @@ def test_det_nonsquare():
 
 
 def test_inverse_diagonal():
-    m = FieldMatrix.from_rows([[A, Z, Z, Z], [Z, A, Z, Z],
-                               [Z, Z, A, Z], [Z, Z, Z, B]])
+    m = from_rows([[A, Z, Z, Z], [Z, A, Z, Z],
+                   [Z, Z, A, Z], [Z, Z, Z, B]])
     inv = inverse(m)
     one = rf(1)
     assert inv.entries[0][0] == one / A and inv.entries[3][3] == one / B
-    assert m * inv == FieldMatrix.identity(4)
+    assert m * inv == identity(4)
 
 
 def test_inverse_block_entries():
@@ -193,11 +194,11 @@ def test_inverse_random_exact():
     rng = random.Random(17)
     found = 0
     while found < 15:
-        m = FieldMatrix.from_rows(
+        m = from_rows(
             [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
         if det(m).is_zero():
             continue
-        assert m * inverse(m) == FieldMatrix.identity(4)
+        assert m * inverse(m) == identity(4)
         found += 1
 
 
@@ -206,7 +207,7 @@ def test_det_matches_numeric_elimination():
     rng = random.Random(29)
     names = "abcd"
     for _ in range(10):
-        m = FieldMatrix.from_rows(
+        m = from_rows(
             [[rand_entry(rng) for _ in range(4)] for _ in range(4)])
         point = {n: Fraction(rng.randint(1, 7)) for n in names}
         numeric = [[x.evaluate(point) for x in row] for row in m.entries]

@@ -25,6 +25,7 @@ from eymsym.geom import (MetricFamily, NoInvariantMetric, _METRIC,
 from eymsym.liecat import catalog_load, isotropy_rep
 from eymsym.linalg import (FieldMatrix, kernel_linear_in, nonzero_entries,
                            nullspace)
+from helpers import from_rows, identity
 
 from test_conn import _one_shot_family, is_parameterised
 
@@ -62,7 +63,7 @@ def _same_family(family, rhos, g) -> bool:
     return family.free_params == params and family.maps == maps
 
 
-IDENTITY = MetricFamily(g=FieldMatrix.identity(4), free_params=[],
+IDENTITY = MetricFamily(g=identity(4), free_params=[],
                         det_g=RF_ONE)
 
 
@@ -169,8 +170,8 @@ def test_metric_solve_takes_the_shortcut(monkeypatch, tmp_path, capsys):
 
 
 def _random_matrix(rng) -> FieldMatrix:
-    return FieldMatrix.from_rows([[rng.choice((0, 0, 0, 1, -1, 2))
-                                   for _ in range(4)] for _ in range(4)])
+    return from_rows([[rng.choice((0, 0, 0, 1, -1, 2))
+                       for _ in range(4)] for _ in range(4)])
 
 
 def random_systems(seed: int) -> list:
