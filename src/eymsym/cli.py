@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
 import zlib
 from fractions import Fraction
@@ -98,7 +99,8 @@ def _key_values(text: str | None, option: str):
 def _parse_holonomy(text: str | None) -> HolonomyMetric:
     hm = HolonomyMetric()
     for piece, key, value in _key_values(text, "--g-holonomy"):
-        if not key.isdigit():
+        # ASCII digits only: str.isdigit also takes '²', which int() refuses
+        if not re.fullmatch(r"[0-9]+", key):
             raise _ArgumentError(f"bad --g-holonomy entry {piece!r}")
         if int(key) < 5:
             raise _ArgumentError(f"--g-holonomy entry {piece!r}: holonomy "

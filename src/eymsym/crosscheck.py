@@ -32,8 +32,10 @@ weights, lambda and kappa.  Each stage runs at the point; where nothing it
 reads has a variable (`fixed`), the first point's result is kept for the
 later ones: the brackets, `rho`, the Levi-Civita curvature and Ricci per
 entry, and the Ricci and curvature comparisons and the stress form per
-report.  A point then draws the sample, evaluates g and inverts it, and
-computes the scalar, T and the first-equation residual.
+report.  A point then draws the sample, evaluating g and inverting it once
+(the inversion is the draw's singularity test, and the plan keeps the last
+accepted draw's g and g^-1 for its NumericCase), and computes the scalar, T
+and the first-equation residual.
 
 A plan reads each symbolic RatFunc once, off `Poly.terms`: a constant as a
 number, anything else as the int terms of its numerator and denominator,
@@ -360,7 +362,9 @@ class _EntryPlan:
     """What every point of one entry shares, read once: the sample names,
     the metric's nonzero entries and the brackets as planned values.  When
     no bracket coefficient has a variable (`fixed`), `kept` holds the first
-    point's (h_parts, rho, Levi-Civita curvature, Ricci)."""
+    point's (h_parts, rho, Levi-Civita curvature, Ricci).  `last` holds the
+    last accepted draw's (point, g over ints, g^-1 over ints), so that the
+    NumericCase at that point neither evaluates nor inverts g again."""
 
     def __init__(self, entry: CatalogEntry, metric):
         self.metric = metric
@@ -379,6 +383,7 @@ class _EntryPlan:
         self.fixed = not any(type(v) is tuple for coeffs
                              in self.brackets.values() for v in coeffs.values())
         self.kept = None
+        self.last = None
 
     def metric_at(self, point: dict) -> tuple:
         """g at the point, over ints."""
@@ -424,21 +429,26 @@ def _entry_plan(entry: CatalogEntry, family: MetricFamily | None):
 class NumericCase:
     """All pipeline quantities recomputed numerically from the brackets.
 
-    g and g^-1 are computed over ints (`g_scaled`, `ginv_scaled`); `g` and
-    `ginv`, their dense lists of Fractions, are built on first use.  With
-    constant brackets, `h_parts`, `rho`, `lc_ops` and `ricci` are the first
-    point's, kept by the entry's plan, shared by every later NumericCase of
-    the entry and read-only."""
+    g and g^-1 over ints (`g_scaled`, `ginv_scaled`) are taken from the
+    entry's plan when the point is the last one `sample_point` accepted, and
+    computed otherwise; both are read-only.  `g` and `ginv`, their dense
+    lists of Fractions, are built on first use; `point` is the sample as
+    name -> (numerator, denominator).  With constant brackets, `h_parts`,
+    `rho`, `lc_ops` and `ricci` are the first point's, kept by the entry's
+    plan, shared by every later NumericCase of the entry and read-only."""
 
     def __init__(self, entry: CatalogEntry, sample: dict,
                  family: MetricFamily | None = None):
         """`family` is read only when the entry has no `golden metric`."""
         plan = _entry_plan(entry, family)
-        point = _point(sample)
-        self.g_scaled = plan.metric_at(point)
-        self.ginv_scaled = _inverse_scaled(*self.g_scaled)
-        if self.ginv_scaled is None:
-            raise ZeroDivisionError("degenerate metric sample")
+        self.point = point = _point(sample)
+        if plan.last is not None and plan.last[0] == point:
+            _, self.g_scaled, self.ginv_scaled = plan.last
+        else:
+            self.g_scaled = plan.metric_at(point)
+            self.ginv_scaled = _inverse_scaled(*self.g_scaled)
+            if self.ginv_scaled is None:
+                raise ZeroDivisionError("degenerate metric sample")
 
         if plan.kept is None:
             self.h_parts, self.rho = plan.parts_at(point)
@@ -595,20 +605,25 @@ def sample_point(entry: CatalogEntry, rng: random.Random,
     The parameters are those of the metric (see `_entry_plan`; `family` is
     read only when the entry has no `golden metric`) and of the pair.  g at
     the sample must have an inverse; a recorded `golden det` is not trusted
-    for that.
+    for that.  The test is the inversion itself, and the accepted draw's g
+    and g^-1 are kept in the entry's plan (`_EntryPlan.last`) for the
+    NumericCase at that point.
     """
     plan = _entry_plan(entry, family)
     for _ in range(200):
         sample = {n: Fraction(rng.choice(_NUMERATORS), rng.randint(1, 4))
                   for n in plan.names}
+        point = _point(sample)
         try:
-            # no inverse is needed here, only whether g is singular
-            if _eliminate(plan.metric_at(_point(sample))[0], 4) is None:
+            gs = plan.metric_at(point)
+            ginv = _inverse_scaled(*gs)
+            if ginv is None:
                 continue
             if any(x.evaluate(sample) == 0 for x in (avoid or [])):
                 continue
         except PoleAtPoint:
             continue
+        plan.last = point, gs, ginv
         return sample
     raise RuntimeError("could not draw a nondegenerate sample")
 
@@ -667,7 +682,7 @@ def crosscheck_case(entry: CatalogEntry, report, sample: dict) -> list:
     """
     plan = _report_plan(entry, report)
     num = NumericCase(entry, sample, report.family)
-    point = _point(sample)
+    point = num.point
     if plan.kept is None:
         ricci_differs = _mismatch(plan.ricci, (num.ricci, 1), point)
         # the canonical member's maps are zero, so its curvature is lc_ops

@@ -594,12 +594,18 @@ class RatFunc:
         if const is not None:
             self._value = Fraction(*const)
             return self._value
+        return Fraction(*self._ratio(assignment))
+
+    def _ratio(self, assignment: dict) -> tuple:
+        """(n, d) ints, d != 0 of either sign, with n/d the value at
+        `assignment`, unreduced; PoleAtPoint where the denominator vanishes,
+        MissingParam where a name is not assigned.  No Fraction is built."""
         dn, dd = self.den._ratio(assignment)
         if not dn:
             raise PoleAtPoint(f"denominator {self.den} vanishes at "
                               f"{format_point(assignment)}")
         nn, nd = self.num._ratio(assignment)
-        return Fraction(nn * dd, nd * dn)
+        return nn * dd, nd * dn
 
     # -- rendering ------------------------------------------------------------------
 

@@ -166,12 +166,18 @@ def _verify_shape(pair: LiePair, shape: FieldMatrix, kernel: list,
 
 
 def _scaled_at(g: FieldMatrix, sample: dict) -> tuple:
-    """(B, d): the int rows of B = d * g(sample), d > 0 the lcm of the entry
-    denominators."""
-    values = g.evaluate(sample)
-    d = math.lcm(*(x.denominator for row in values for x in row if x))
-    return [[x.numerator * (d // x.denominator) for x in row]
-            for row in values], d
+    """(B, d): the int rows of B = d * g(sample), d > 0 the lcm of the
+    unreduced entry denominators (of either sign; each divides d).  Only the
+    nonzero entries are read, each as an int ratio (RatFunc._ratio, what
+    RatFunc.evaluate reads), so no Fraction is built; PoleAtPoint and
+    MissingParam as from evaluate."""
+    ratios = [(i, j, x._ratio(sample)) for i, row in enumerate(g.entries)
+              for j, x in enumerate(row) if x.num.terms]
+    d = math.lcm(*(q for _, _, (_, q) in ratios))
+    b = [[0] * g.cols for _ in range(g.rows)]
+    for i, j, (n, q) in ratios:
+        b[i][j] = n * (d // q)
+    return b, d
 
 
 def _charpoly_coefficients(g: FieldMatrix, sample: dict) -> list:
@@ -233,7 +239,8 @@ def lorentz_check(family: MetricFamily, sample: dict) -> SignatureVerdict:
     """Signature class of the 4x4 metric at a sample, from the sign of its
     determinant: one fraction-free (Bareiss) elimination of B = d * g(sample)
     over ints, whose pivots are the leading principal minors of B until a
-    zero pivot forces a row swap.
+    zero pivot forces a row swap.  B is read off g's nonzero entries as int
+    ratios (_scaled_at); no Fraction is built.
 
     det B < 0 (one or three negative eigenvalues) is Lorentzian and det B = 0
     degenerate.  For det B > 0, B is definite, so Riemannian, exactly when

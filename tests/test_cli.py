@@ -558,6 +558,17 @@ def test_holonomy_index_below_5_exit_4(capsys):
                        "start at 5\n")
 
 
+@pytest.mark.parametrize("argv", [["report", "1.1^1(7)"], ["tables"]])
+def test_holonomy_index_of_non_ascii_digits_exit_4(capsys, argv):
+    """An index is ASCII digits: str.isdigit takes '²', which int() refuses,
+    and int() takes the Arabic-Indic five, which the index syntax does not."""
+    for entry in ("²=3", "\u0665=3", "5=4,²=3"):
+        code, out, err = run_cli(capsys, *argv, "--g-holonomy", entry)
+        bad = entry.split(",")[-1]
+        assert (code, out) == (4, "")
+        assert err == f"error: bad --g-holonomy entry '{bad}'\n"
+
+
 @pytest.mark.parametrize("verb", ["report", "solve"])
 def test_holonomy_index_beyond_the_algebra_warns(capsys, verb):
     # 1.1^1(7) has a holonomy algebra of dimension 1: only index 5 exists

@@ -273,6 +273,92 @@ def test_sample_stream_is_pinned(catalog, reports, cid):
         == _PINNED_POINTS[cid]
 
 
+# validate's stream at seed 4242: the cross-check sample first, with the
+# verdict conditions and the nonzero structure coefficients avoided, then
+# two Lorentz samples
+_VALIDATE_STREAM = {
+    "1.1^1(7)": [
+        {"a": "5/2", "b": "-9/4", "c": "4/3", "d": "-1/2"},
+        {"a": "2", "b": "-9/4", "c": "-2", "d": "7"},
+        {"a": "-9/2", "b": "4", "c": "-4/3", "d": "-3"}],
+    "2.5^2(4)": [
+        {"a": "5/2", "b": "-9/4", "t": "4/3"},
+        {"a": "-1/2", "b": "2", "t": "-9/4"},
+        {"a": "-2", "b": "7", "t": "-9/2"}],
+    "3.5^2(2)": [
+        {"a": "5/2", "b": "-9/4"},
+        {"a": "4/3", "b": "-1/2"},
+        {"a": "2", "b": "-9/4"}],
+}
+
+
+@pytest.mark.parametrize("cid", sorted(_VALIDATE_STREAM))
+def test_validate_stream_is_pinned(catalog, reports, cid):
+    entry, r = catalog.get(cid), reports[cid]
+    rng = random.Random(4242)
+    avoid = list(r.verdict.conditions) + [
+        c for coeffs in r.form.structure.values() for c in coeffs
+        if not c.is_zero()]
+    points = [sample_point(entry, rng, avoid=avoid, family=r.family)]
+    points += [sample_point(entry, rng, family=r.family) for _ in range(2)]
+    assert [{name: str(v) for name, v in p.items()} for p in points] \
+        == _VALIDATE_STREAM[cid]
+
+
+@pytest.mark.parametrize("cid", ["1.1^1(7)", "2.5^2(4)", "3.5^2(2)"])
+def test_an_accepted_draw_evaluates_and_inverts_g_once(catalog, reports,
+                                                       monkeypatch, cid):
+    """A draw accepted at the first try and its cross-check evaluate g once
+    and invert it once: the NumericCase takes both from the entry's plan."""
+    # fresh copies, so that the plans are built here
+    entry, r = _replace(catalog.get(cid)), _replace(reports[cid])
+    calls = []
+    metric_at = eymsym.crosscheck._EntryPlan.metric_at
+    inverse = eymsym.crosscheck._inverse_scaled
+
+    def counted_metric_at(self, point):
+        calls.append("metric_at")
+        return metric_at(self, point)
+
+    def counted_inverse(gs, d):
+        calls.append("inverse")
+        return inverse(gs, d)
+
+    monkeypatch.setattr(eymsym.crosscheck._EntryPlan, "metric_at",
+                        counted_metric_at)
+    monkeypatch.setattr(eymsym.crosscheck, "_inverse_scaled", counted_inverse)
+    sample = sample_point(entry, random.Random(4242),
+                          avoid=list(r.verdict.conditions))
+    assert crosscheck_case(entry, r, sample) == []
+    assert calls == ["metric_at", "inverse"]
+    # away from the last draw, the NumericCase evaluates and inverts g itself
+    calls.clear()
+    other = {name: v + 1 for name, v in sample.items()}
+    NumericCase(entry, other, r.family)
+    assert calls == ["metric_at", "inverse"]
+
+
+def test_the_kept_draw_is_used_only_at_its_own_point(catalog, reports):
+    """Draw s1, then s2, then cross-check at s1: the problems and the
+    NumericCase's g and g^-1 over ints are those of a fresh plan."""
+    for entry in catalog.entries:
+        r = reports[entry.pair.case_id]
+        rng = random.Random(61)
+        s1 = sample_point(entry, rng, avoid=list(r.verdict.conditions))
+        s2 = sample_point(entry, rng, avoid=list(r.verdict.conditions))
+        problems = crosscheck_case(entry, r, s1)
+        num = NumericCase(entry, s1, r.family)
+        # a copy of the entry is another key, so it gets a plan of its own
+        fresh_entry = _replace(entry)
+        fresh = NumericCase(fresh_entry, s1, r.family)
+        assert eymsym.crosscheck._ENTRY_PLANS[fresh_entry].last is None
+        assert (num.g_scaled, num.ginv_scaled) \
+            == (fresh.g_scaled, fresh.ginv_scaled), entry.pair.case_id
+        assert problems == crosscheck_case(fresh_entry, _replace(r), s1) == [], \
+            entry.pair.case_id
+        assert s1 != s2
+
+
 def test_flipped_levi_civita_curvature_is_caught(catalog, reports, monkeypatch):
     """levi_civita reads its curvature from conn.curvature; with the sign of
     rho flipped there, the numeric cross-check, which builds -rho([u_i, u_j])

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from eymsym.crosscheck import NumericCase, sample_point
-from eymsym.exact import Poly, RatFunc, rf
+from eymsym.exact import MissingParam, PoleAtPoint, Poly, RatFunc, rf
 from eymsym.geom import (BadMetricShape, MetricFamily, SignatureVerdict,
                          _charpoly_coefficients, lorentz_check,
                          lorentz_condition_holds, signature_at,
@@ -95,6 +95,51 @@ def test_degenerate_sample_detected(catalog):
     fam = family_of(catalog, "1.1^1(7)")
     assert lorentz_check(fam, {"a": 0, "b": 1, "c": 0, "d": 1}) \
         is SignatureVerdict.DEGENERATE
+
+
+def test_lorentz_check_evaluates_no_ratfunc(catalog, reports, monkeypatch):
+    """lorentz_check reads g's nonzero entries as int ratios: no
+    RatFunc.evaluate call on any catalog case, and the verdict is the one
+    read off the Fraction matrix g(sample)."""
+    rng = random.Random(29)
+    samples = {cid: sample_point(catalog.get(cid), rng, family=r.family)
+               for cid, r in reports.items()}
+    calls = []
+    evaluate = RatFunc.evaluate
+
+    def counted(self, assignment):
+        calls.append(self)
+        return evaluate(self, assignment)
+
+    with monkeypatch.context() as m:
+        m.setattr(RatFunc, "evaluate", counted)
+        verdicts = {cid: lorentz_check(r.family, samples[cid])
+                    for cid, r in reports.items()}
+    assert calls == []
+    for cid, r in reports.items():
+        values = r.family.g.evaluate(samples[cid])
+        assert verdicts[cid] is _verdict_of(
+            signature_at(from_rows(values), {})), cid
+
+
+def test_lorentz_check_pole_and_missing_name():
+    """diag(1/(a - 1), b, 1, -1): PoleAtPoint at a = 1, with the text of
+    RatFunc.evaluate, MissingParam without b, and at a = 0 an entry whose
+    denominator is negative at the point."""
+    g = from_rows([[rf(1) / (A - rf(1)), 0, 0, 0], [0, B, 0, 0],
+                   [0, 0, 1, 0], [0, 0, 0, -1]])
+    family = MetricFamily(g=g, free_params=["a", "b"], det_g=det(g))
+    with pytest.raises(PoleAtPoint) as exc:
+        lorentz_check(family, {"a": Fraction(1), "b": Fraction(2)})
+    assert str(exc.value) == "denominator a - 1 vanishes at a=1,b=2"
+    with pytest.raises(MissingParam) as exc:
+        lorentz_check(family, {"a": Fraction(3)})
+    assert exc.value.args == ("b",)
+    # diag(1/2, 2, 1, -1), then diag(-1, 2, 1, -1)
+    assert lorentz_check(family, {"a": Fraction(3), "b": Fraction(2)}) \
+        is SignatureVerdict.LORENTZIAN
+    assert lorentz_check(family, {"a": Fraction(0), "b": Fraction(2)}) \
+        is SignatureVerdict.NEUTRAL
 
 
 def test_det_negative_iff_lorentzian(catalog):

@@ -131,8 +131,9 @@ def test_traced_run_case_records_spans_and_keeps_the_report():
 
 
 def test_traced_crosscheck_builds_no_symbolic_determinant():
-    """A sample point costs Fraction arithmetic only: no polynomial gcd and
-    no symbolic determinant in the cross-check or the signature."""
+    """A sample point costs int and Fraction arithmetic only: no polynomial
+    gcd, no symbolic determinant and no RatFunc.evaluate in the cross-check
+    or the signature, which reads g's entries as int ratios."""
     out = subprocess.run(
         [sys.executable, "-c", _TRACED_CROSSCHECK, str(ROOT / "src"),
          str(SPANS.parent), "1.1^1(7)"],
@@ -145,7 +146,7 @@ def test_traced_crosscheck_builds_no_symbolic_determinant():
     assert calls["crosscheck.crosscheck_case"] == 4
     assert calls["crosscheck.NumericCase"] == 4
     assert calls["geom.signature_at"] == 0
-    assert calls["exact.evaluate"] > 0
+    assert calls["exact.evaluate"] == 0
     assert calls["exact.poly_gcd"] == 0
     assert calls["linalg.det"] == 0
 
