@@ -29,7 +29,7 @@ from fractions import Fraction
 from .conn import NonClosing
 from .exact import (ParseError, PoleAtPoint, format_point, parse_ratfunc,
                     rf)
-from .eym import HolonomyMetric, run_case
+from .eym import CaseReport, HolonomyMetric, run_case
 from .geom import (BadMetricShape, NoInvariantMetric, SingularMetric,
                    lorentz_check, lorentz_condition_holds)
 from .liecat import (Catalog, CatalogParseError, NotReductive, NotSymmetric,
@@ -208,7 +208,7 @@ def _validate_one(entry, failures: list, seed: int | None = None) -> None:
     rng = random.Random(seed)
     # a vanishing structure coefficient would hide a dropped basis element
     avoid = list(report.verdict.conditions) + [
-        c for coeffs in report.form.structure.values() for c in coeffs
+        c for coeffs in report.structure.values() for c in coeffs
         if not c.is_zero()]
     sample = sample_point(entry, rng, avoid=avoid, family=report.family)
     failures += [f"crosscheck {problem} (seed {seed}, sample {format_point(sample)})"
@@ -246,13 +246,19 @@ def _cmd_validate(catalog: Catalog, args) -> int:
     return 0 if n_ok == len(entries) else 1
 
 
+def _run_one(catalog: Catalog, args) -> CaseReport:
+    """run_case on the case `report` and `solve` name, under --g-holonomy,
+    with a warning per override index beyond its holonomy algebra."""
+    report = run_case(catalog.get(args.case), _parse_holonomy(args.g_holonomy))
+    _warn_ignored_holonomy(report.hm, report.hol_dim,
+                           f"the holonomy algebra of {report.case_id}")
+    return report
+
+
 def _cmd_report(catalog: Catalog, args) -> int:
     # imported here and in `tables` only, as `list` and `solve` render no report
     from .report import json_dumps, report_markdown, report_to_dict
-    entry = catalog.get(args.case)
-    report = run_case(entry, _parse_holonomy(args.g_holonomy))
-    _warn_ignored_holonomy(report.hm, report.hol_dim,
-                           f"the holonomy algebra of {report.case_id}")
+    report = _run_one(catalog, args)
     if args.format == "json":
         _emit(json_dumps(report_to_dict(report)), args.out)
     else:
@@ -275,10 +281,7 @@ def _cmd_tables(catalog: Catalog, args) -> int:
 
 
 def _cmd_solve(catalog: Catalog, args) -> int:
-    entry = catalog.get(args.case)
-    report = run_case(entry, _parse_holonomy(args.g_holonomy))
-    _warn_ignored_holonomy(report.hm, report.hol_dim,
-                           f"the holonomy algebra of {report.case_id}")
+    report = _run_one(catalog, args)
     lines = [f"case {report.case_id}"]
     v = report.verdict
     if v.is_solution:
@@ -293,7 +296,7 @@ def _cmd_solve(catalog: Catalog, args) -> int:
     sample = _parse_sample(args.sample)
     if sample:
         missing = sorted(set(report.family.free_params)
-                         | {p.name for p in entry.pair.params})
+                         | {p.name for p in report.pair.params})
         missing = [name for name in missing if name not in sample]
         if missing:
             raise _ArgumentError(f"--sample misses parameters {missing}")

@@ -39,8 +39,10 @@ one the pipeline builds (curvature).  Whether the curvature of the family
 depends on its parameters is read off the basis maps B^k that the kernel
 vectors give (depends_on_connection_params), without building the
 curvature in v1..vd.  The canonical member's holonomy algebra is the span of
-its curvature components, rho([m, m]), which Jacobi closes under brackets;
-holonomy and expand_in_basis find it and its coefficients with linalg.rref.
+its curvature components, rho([m, m]), which Jacobi closes under brackets.
+holonomy finds the span's echelon rows with one linalg.rref, and
+expand_in_basis reads the basis and the components' coefficients in it off a
+second one; both are returned by value, and the form is never written.
 """
 
 from __future__ import annotations
@@ -72,11 +74,8 @@ class ConnectionFamily:
 
 
 class CurvatureForm:
-    def __init__(self, components: dict, holonomy_basis: list | None = None,
-                 structure: dict | None = None):
+    def __init__(self, components: dict):
         self.components = components  # (i, j) with i < j  ->  FieldMatrix
-        self.holonomy_basis = holonomy_basis
-        self.structure = structure  # (i, j) -> coefficients in holonomy_basis
 
     def component(self, i: int, j: int) -> FieldMatrix:
         if i == j:
@@ -85,14 +84,6 @@ class CurvatureForm:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components.values())
-
-    def variables(self) -> set:
-        out: set = set()
-        for c in self.components.values():
-            for row in c.entries:
-                for x in row:
-                    out |= x.variables()
-        return out
 
 
 # A(u_s; x, y) = g(Lambda(u_s) x, y), skew in x, y (module docstring)
@@ -176,18 +167,20 @@ def _vec(m: FieldMatrix) -> list:
     return [m.entries[i][j] for i in range(4) for j in range(4)]
 
 
-def holonomy(form: CurvatureForm, isotropy_mats: list) -> list:
-    """Basis of the holonomy algebra, the span of the curvature components.
+def holonomy(form: CurvatureForm, isotropy_mats: list) -> tuple:
+    """(basis, structure): a basis of the holonomy algebra, the span of the
+    curvature components, and each component's coefficients in it.
 
     Precondition: `form` is R(u_i, u_j) = -rho([u_i, u_j]) on a symmetric
     pair.  Its span rho([m, m]) is then closed under brackets, as Jacobi
     gives [h, [m, m]] in [m, m] (Kobayashi-Nomizu II, ch. XI).  The basis
     lists the isotropy matrices in the span, in order, then completes from
-    the span's reduced echelon rows.
+    the span's reduced echelon rows (expand_in_basis).  A flat form has the
+    empty basis.
     """
     gens = [_vec(c) for c in form.components.values() if not c.is_zero()]
     if not gens:
-        return []
+        return [], {key: [] for key in form.components}
     red, pivots = rref(FieldMatrix(len(gens), 16, gens))
     rows = red.entries[:len(pivots)]
 
@@ -200,20 +193,20 @@ def holonomy(form: CurvatureForm, isotropy_mats: list) -> list:
              if not rho.is_zero() and in_span(_vec(rho))]
     cands += [FieldMatrix(4, 4, [row[4 * i:4 * i + 4] for i in range(4)])
               for row in rows]
-    # pivot columns pick the first independent candidates, left to right
-    _, chosen = rref(FieldMatrix(len(cands), 16,
-                                 list(map(_vec, cands))).transpose())
-    return [cands[c] for c in chosen]
+    return expand_in_basis(form, cands)
 
 
-def expand_in_basis(form: CurvatureForm, basis: list) -> dict:
-    """Coefficients R^alpha_{ij} of each component in the independent
-    holonomy basis, read off one reduced echelon form of [basis | components]."""
+def expand_in_basis(form: CurvatureForm, cands: list) -> tuple:
+    """(basis, structure) from one reduced echelon form of the columns
+    [cands | components]: the pivot columns among the candidates pick the
+    first independent ones, left to right, as the basis, and each component
+    column holds its coefficients R^alpha_{ij} in that basis."""
     keys = list(form.components)
-    cols = [_vec(b) for b in basis] + [_vec(form.components[k]) for k in keys]
-    n = len(basis)
+    cols = [_vec(c) for c in cands] + [_vec(form.components[k]) for k in keys]
+    n = len(cands)
     red, pivots = rref(FieldMatrix(len(cols), 16, cols).transpose())
-    if pivots != list(range(n)):
+    if pivots and pivots[-1] >= n:
         raise NonClosing("curvature component outside the holonomy span")
-    return {key: [red.entries[k][n + t] for k in range(n)]
-            for t, key in enumerate(keys)}
+    return ([cands[c] for c in pivots],
+            {key: [row[n + t] for row in red.entries[:len(pivots)]]
+             for t, key in enumerate(keys)})

@@ -37,7 +37,10 @@ free parameters, the pipeline evaluates the energy-momentum stage at the
 canonical member (all parameters zero), which always belongs to the family;
 reports carry a flag saying so.  The canonical member is the Levi-Civita
 connection, so the pipeline reads its curvature off the Levi-Civita report
-(CurvatureReport.form) instead of building it again.
+(CurvatureReport.form) instead of building it again.  conn.holonomy returns
+the holonomy basis and the curvature's coefficients in it by value;
+run_case passes the coefficients to stress_tensor and both to the
+CaseReport, and writes nothing to the form.
 
 run_case keeps the metric solve, the connection solve and the dependence
 decision in one dict per process, keyed on what the metric solve reads
@@ -60,8 +63,7 @@ from .liecat import (CaseGolden, CatalogEntry, LiePair, NotSymmetric,
 from .geom import (CurvatureReport, MetricFamily, levi_civita,
                    solve_invariant_metric)
 from .conn import (ConnectionFamily, CurvatureForm,
-                   depends_on_connection_params, expand_in_basis, holonomy,
-                   solve_connections)
+                   depends_on_connection_params, holonomy, solve_connections)
 
 
 class HolonomyMetric:
@@ -114,20 +116,18 @@ class EymVerdict:
         return self.outcome is EymOutcome.SOLUTION
 
 
-def stress_tensor(form: CurvatureForm, family: MetricFamily,
+def stress_tensor(structure: dict, family: MetricFamily,
                   hm: HolonomyMetric) -> FieldMatrix:
     """Exact Yang-Mills energy-momentum tensor T = F/2 - (s/8) g, where
     F = sum_a w_a R_a g^-1 R_a^T and s = sum_kh g^kh F_kh; R_a is the
     antisymmetric matrix of the a-th holonomy coefficients of the curvature,
-    R_a[i][j] = form.structure[(i, j)][a], and w_a = hm.value(a)."""
-    if form.structure is None:
-        raise ValueError("curvature form lacks holonomy structure coefficients")
+    R_a[i][j] = structure[(i, j)][a] (conn.holonomy), and w_a = hm.value(a)."""
     ginv = family.g_inverse()
     f = FieldMatrix.zeros(4, 4)
-    for a in range(len(form.holonomy_basis or [])):
+    for a, coeffs in enumerate(zip(*structure.values())):
         r = FieldMatrix.zeros(4, 4)
-        for (i, j), coeffs in form.structure.items():
-            r.entries[i][j], r.entries[j][i] = coeffs[a], -coeffs[a]
+        for (i, j), c in zip(structure, coeffs):
+            r.entries[i][j], r.entries[j][i] = c, -c
         f = f + (r * ginv * r.transpose()).scale(hm.value(a))
     return (f.scale(rf(Fraction(1, 2)))
             - family.g.scale(contract(ginv, f) * rf(Fraction(1, 8))))
@@ -136,7 +136,8 @@ def stress_tensor(form: CurvatureForm, family: MetricFamily,
 def solve_first_eym(lc: CurvatureReport, family: MetricFamily,
                     T: FieldMatrix) -> EymVerdict:
     """Solve  r_ij + (lambda - s/2) g_ij = kappa T_ij  for the two constants;
-    T is built from lc.form, the curvature of the canonical member."""
+    T is built from the holonomy coefficients of lc.form, the curvature of
+    the canonical member."""
     if lc.form.is_zero():
         return EymVerdict(EymOutcome.FLAT_CURVATURE,
                           detail="all curvature components vanish")
@@ -258,8 +259,9 @@ class CaseReport:
     def __init__(self, case_id: str, pair: LiePair, rhos: list,
                  golden: CaseGolden, family: MetricFamily, lc: CurvatureReport,
                  conn: ConnectionFamily, curvature_param_dependent: bool,
-                 form: CurvatureForm, hol_basis: list, T: FieldMatrix,
-                 verdict: EymVerdict, compared: dict, hm: HolonomyMetric):
+                 form: CurvatureForm, hol_basis: list, structure: dict,
+                 T: FieldMatrix, verdict: EymVerdict, compared: dict,
+                 hm: HolonomyMetric):
         self.case_id = case_id
         self.pair = pair
         self.rhos = rhos          # isotropy_rep(pair), built once per case
@@ -268,8 +270,9 @@ class CaseReport:
         self.lc = lc
         self.conn = conn
         self.curvature_param_dependent = curvature_param_dependent
-        self.form = form          # canonical-member curvature, structure filled
+        self.form = form          # canonical-member curvature
         self.hol_basis = hol_basis
+        self.structure = structure  # (i, j) -> coefficients in hol_basis
         self.T = T
         self.verdict = verdict
         self.compared = compared  # golden field -> (golden, computed)
@@ -338,12 +341,8 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
     # the curvature of the canonical member, and of the whole family when it
     # does not depend on the parameters
     form = lc.form
-
-    basis = holonomy(form, rhos)
-    form.holonomy_basis = basis
-    form.structure = expand_in_basis(form, basis)
-
-    T = stress_tensor(form, family, hm)
+    basis, structure = holonomy(form, rhos)
+    T = stress_tensor(structure, family, hm)
     verdict = solve_first_eym(lc, family, T)
 
     compared = {}
@@ -364,5 +363,5 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
     return CaseReport(
         case_id=pair.case_id, pair=pair, rhos=rhos, golden=golden,
         family=family, lc=lc, conn=conn, curvature_param_dependent=param_dep,
-        form=form, hol_basis=basis, T=T, verdict=verdict, compared=compared,
-        hm=hm)
+        form=form, hol_basis=basis, structure=structure, T=T, verdict=verdict,
+        compared=compared, hm=hm)

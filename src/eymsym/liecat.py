@@ -429,11 +429,9 @@ def validate_pair(pair: LiePair) -> list:
             failed.append(("jacobi", f"({x},{y},{z})"))
             break
 
-    witness = ""
-    for e in pair.e_labels:
-        for u in U_LABELS:
-            if any(lbl not in U_LABELS for lbl in pair.bracket(e, u)):
-                witness = f"[{e},{u}]"
+    witness = next((f"[{e},{u}]" for e in pair.e_labels for u in U_LABELS
+                    if any(lbl not in U_LABELS for lbl in pair.bracket(e, u))),
+                   "")
     if witness:
         failed.append(("reductive", witness))
 

@@ -128,10 +128,6 @@ class FieldMatrix:
     def commutator(self, other: "FieldMatrix") -> "FieldMatrix":
         return self * other - other * self
 
-    def evaluate(self, assignment: dict) -> list:
-        """Evaluate every entry to a Fraction; returns a list-of-lists."""
-        return [[a.evaluate(assignment) for a in r] for r in self.entries]
-
     def render(self) -> str:
         """Aligned text grid."""
         cells = [[str(a) for a in r] for r in self.entries]

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from eymsym.conn import CurvatureForm, curvature
+from eymsym.conn import CurvatureForm, NonClosing, _vec, curvature
 from eymsym.crosscheck import _inverse_scaled, _scaled, _unscaled
 from eymsym.exact import RF_ONE, RF_ZERO, rf
-from eymsym.linalg import FieldMatrix
+from eymsym.linalg import FieldMatrix, rref
 
 
 def from_rows(rows) -> FieldMatrix:
@@ -39,3 +39,52 @@ def member_curvature(pair, rhos: list, maps: list) -> CurvatureForm:
     return CurvatureForm(components={
         (i, j): maps[i].commutator(maps[j]) + r
         for (i, j), r in canonical.items()})
+
+
+def evaluate_matrix(m: FieldMatrix, assignment: dict) -> list:
+    """Every entry of `m` evaluated to a Fraction, as a list of rows."""
+    return [[x.evaluate(assignment) for x in row] for row in m.entries]
+
+
+def form_variables(form: CurvatureForm) -> set:
+    """The parameter names in the entries of the form's components."""
+    return {v for c in form.components.values() for row in c.entries
+            for x in row for v in x.variables()}
+
+
+def reference_holonomy(form: CurvatureForm, isotropy_mats: list) -> list:
+    """Holonomy basis through three eliminations: the components' echelon
+    rows and in-span test, then a second elimination that picks the first
+    independent candidates (isotropy matrices in the span, then the echelon
+    rows); reference_expand_in_basis is the third."""
+    gens = [_vec(c) for c in form.components.values() if not c.is_zero()]
+    if not gens:
+        return []
+    red, pivots = rref(FieldMatrix(len(gens), 16, gens))
+    rows = red.entries[:len(pivots)]
+
+    def in_span(v: list) -> bool:
+        return all(x == sum((v[p] * row[c] for p, row in zip(pivots, rows)),
+                            RF_ZERO) for c, x in enumerate(v))
+
+    cands = [rho for rho in isotropy_mats
+             if not rho.is_zero() and in_span(_vec(rho))]
+    cands += [FieldMatrix(4, 4, [row[4 * i:4 * i + 4] for i in range(4)])
+              for row in rows]
+    _, chosen = rref(FieldMatrix(len(cands), 16,
+                                 list(map(_vec, cands))).transpose())
+    return [cands[c] for c in chosen]
+
+
+def reference_expand_in_basis(form: CurvatureForm, basis: list) -> dict:
+    """Coefficients of each component in the independent `basis`, read off
+    one reduced echelon form of [basis | components]; NonClosing when a
+    component lies outside the span or the basis is dependent."""
+    keys = list(form.components)
+    cols = [_vec(b) for b in basis] + [_vec(form.components[k]) for k in keys]
+    n = len(basis)
+    red, pivots = rref(FieldMatrix(len(cols), 16, cols).transpose())
+    if pivots != list(range(n)):
+        raise NonClosing("curvature component outside the holonomy span")
+    return {key: [red.entries[k][n + t] for k in range(n)]
+            for t, key in enumerate(keys)}

@@ -4,6 +4,13 @@ A definition that only the tests call belongs in tests/helpers.py; one that
 nothing calls is dead code.  A name counts as used when a Name or Attribute
 node outside the definition's own body spells it, so a function that only
 calls itself still fails.
+
+The match is on bare names, not on types: a method counts as used when any
+use of its name does.  So a method that shares its name with another one
+passes with no caller of its own, as FieldMatrix.evaluate and
+CurvatureForm.variables did beside RatFunc.evaluate and RatFunc.variables
+while only the tests called them.  Such a method is found by reading, not by
+this guard.
 """
 
 from __future__ import annotations

@@ -474,6 +474,24 @@ def test_not_reductive_case_exit_5(capsys, tmp_path):
     assert err == ""
 
 
+def test_not_reductive_names_the_first_bracket(capsys, tmp_path):
+    """With two brackets leaving m, validate's reductive witness is the
+    first, the one the unanalysable error names."""
+    text = _bundled_catalog()
+    broken = text.replace("bracket e1 u1 = u1\n", "bracket e1 u1 = u1 + e1\n", 1)
+    broken = broken.replace("bracket e1 u3 = -u3\n",
+                            "bracket e1 u3 = -u3 + e1\n", 1)
+    path = _catalog_file(tmp_path, broken)
+    code, out, err = run_cli(capsys, "--catalog", path, "validate",
+                             "--filter", "1.1^1(*)")
+    assert code == 5
+    assert out == ("FAIL 1.1^1(7): jacobi ((e1,u1,u3)); reductive ([e1,u1]); "
+                   "cannot be analysed: 1.1^1(7): [e1,u1] has "
+                   "isotropy component on ['e1']\n"
+                   "ok   1.1^1(10)(t=0)\n1/2 pass\n")
+    assert err == ""
+
+
 def test_no_invariant_metric_exit_5(capsys, tmp_path):
     # e1 scales every u_i, so only the zero form is invariant
     path = _catalog_file(tmp_path, 'case "x(1)" dim_h 1\n' + "".join(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,18 @@ from eymsym.exact import RF_ZERO, RatFunc, rf
 from eymsym.liecat import U_LABELS, isotropy_rep
 from eymsym.linalg import (FieldMatrix, det, inverse, nonzero_entries,
                            nullspace, rank)
+import eymsym.conn as conn_module
+import eymsym.eym as eym_module
+import eymsym.geom as geom_module
+import eymsym.linalg as linalg_module
 from eymsym.conn import (ConnectionFamily, CurvatureForm, NonClosing,
                          depends_on_connection_params, expand_in_basis,
                          holonomy, solve_connections)
+from eymsym.eym import run_case
 from eymsym.geom import MetricFamily
 from eymsym.crosscheck import NumericCase, sample_point
-from helpers import from_rows, member_curvature
+from helpers import (form_variables, from_rows, member_curvature,
+                     reference_expand_in_basis, reference_holonomy)
 
 
 def is_parameterised(mats) -> bool:
@@ -302,43 +309,106 @@ def test_holonomy_completes_from_echelon_rows(catalog):
     zero = FieldMatrix.zeros(4, 4)
     comps = {(i, j): zero for i in range(4) for j in range(i + 1, 4)}
     form = CurvatureForm({**comps, (0, 1): mix.scale(rf(3))})
-    basis = holonomy(form, rhos)
+    basis, structure = holonomy(form, rhos)
     assert basis == [mix.scale(rf(1) / lead)]
-    structure = expand_in_basis(form, basis)
     assert structure[(0, 1)] == [rf(3) * lead]
     assert all(structure[key] == [RF_ZERO] for key in comps if key != (0, 1))
+    assert (basis, structure) == _reference(form, rhos)
 
     form = CurvatureForm({**comps, (0, 1): mix, (2, 3): rhos[2]})
-    basis = holonomy(form, rhos)
+    basis, structure = holonomy(form, rhos)
     assert basis[0] == rhos[2] and len(basis) == 2
     assert span_rank(basis + [mix]) == 2
+    assert (basis, structure) == _reference(form, rhos)
 
 
 def test_expand_in_basis_solves_and_rejects(catalog):
-    """Coefficients of each component in the basis; a component outside the
-    span raises NonClosing, with an empty basis too."""
+    """The first independent candidates are the basis, with each component's
+    coefficients in it; a component outside their span raises NonClosing,
+    with no candidate too."""
     rhos = isotropy_rep(catalog.get("6.1^3(1)").pair)
     t = RatFunc.var("t")
     zero = FieldMatrix.zeros(4, 4)
     comps = {(i, j): zero for i in range(4) for j in range(i + 1, 4)}
     form = CurvatureForm({**comps, (0, 1): rhos[0] + rhos[1],
                           (1, 2): rhos[0] - rhos[1].scale(t)})
-    structure = expand_in_basis(form, rhos[:2])
+    basis, structure = expand_in_basis(form, rhos[:2])
+    assert basis == rhos[:2]
     assert structure[(0, 1)] == [rf(1), rf(1)]
     assert structure[(1, 2)] == [rf(1), -t]
     assert structure[(2, 3)] == [RF_ZERO, RF_ZERO]
-    with pytest.raises(NonClosing):
-        expand_in_basis(form, rhos[:1])
-    with pytest.raises(NonClosing):
-        expand_in_basis(form, [])
-    assert expand_in_basis(CurvatureForm(comps), []) == {k: [] for k in comps}
+    assert structure == reference_expand_in_basis(form, rhos[:2])
+    # a dependent candidate is skipped
+    assert expand_in_basis(form, [rhos[0], rhos[0].scale(t), rhos[1]]) \
+        == (basis, structure)
+    for cands in (rhos[:1], []):
+        with pytest.raises(NonClosing):
+            expand_in_basis(form, cands)
+        with pytest.raises(NonClosing):
+            reference_expand_in_basis(form, cands)
+    flat = CurvatureForm(comps)
+    assert expand_in_basis(flat, []) == ([], {k: [] for k in comps})
+    assert holonomy(flat, rhos) == ([], {k: [] for k in comps}) \
+        == _reference(flat, rhos)
+
+
+def _reference(form: CurvatureForm, rhos: list) -> tuple:
+    """(basis, structure) through the three-elimination reference."""
+    basis = reference_holonomy(form, rhos)
+    return basis, reference_expand_in_basis(form, basis)
+
+
+def test_holonomy_matches_the_three_elimination_reference(reports):
+    for r in reports.values():
+        assert (r.hol_basis, r.structure) == _reference(r.form, r.rhos), \
+            r.case_id
+
+
+def _count_rref(monkeypatch) -> Counter:
+    """Count the rref calls made inside and outside run_case's holonomy
+    call, under the names linalg, geom, conn and eym look rref up by."""
+    calls = Counter()
+    inside = []
+    real_rref, real_holonomy = linalg_module.rref, conn_module.holonomy
+
+    def rref(m):
+        calls["holonomy" if inside else "other"] += 1
+        return real_rref(m)
+
+    def holonomy(form, mats):
+        inside.append(True)
+        try:
+            return real_holonomy(form, mats)
+        finally:
+            inside.pop()
+
+    for module in (linalg_module, geom_module, conn_module, eym_module):
+        monkeypatch.setattr(module, "rref", rref)
+    monkeypatch.setattr(eym_module, "holonomy", holonomy)
+    return calls
+
+
+def test_rref_calls_per_catalog_pass(catalog, monkeypatch):
+    """A catalog pass with an empty solve memo makes 102 rref calls, 42 of
+    them in the holonomy stage (two per curved case), and a flat case none
+    there."""
+    monkeypatch.setattr(eym_module, "_SOLVED", {})
+    calls = _count_rref(monkeypatch)
+    for entry in catalog.entries:
+        run_case(entry)
+    assert calls == {"holonomy": 42, "other": 60}
+
+    calls.clear()
+    flat = run_case(catalog.get("1.1^1(10)(t=0)"))
+    assert flat.form.is_zero() and flat.hol_basis == []
+    assert calls["holonomy"] == 0
 
 
 def test_structure_coefficients_reconstruct_components(reports):
     for r in reports.values():
         for key, comp in r.form.components.items():
             acc = FieldMatrix.zeros(4, 4)
-            for c, b in zip(r.form.structure[key], r.hol_basis):
+            for c, b in zip(r.structure[key], r.hol_basis):
                 acc = acc + b.scale(c)
             assert acc == comp, (r.case_id, key)
 
@@ -368,7 +438,7 @@ def test_dependence_decision_matches_symbolic_curvature(reports):
     for r in reports.values():
         conn = r.conn
         form = member_curvature(r.pair, r.rhos, conn.maps)
-        symbolic = bool(form.variables() & set(conn.free_params))
+        symbolic = bool(form_variables(form) & set(conn.free_params))
         fresh = ConnectionFamily(maps=conn.maps, free_params=conn.free_params,
                                  basis=conn.basis)
         assert depends_on_connection_params(fresh) == symbolic, r.case_id
@@ -418,6 +488,6 @@ def test_u2_u4_subfamily_preserves_curvature(catalog, reports):
         maps, keep = u2_u4_subfamily(r)
         assert len(keep) >= 2, cid
         form = member_curvature(r.pair, r.rhos, maps)
-        assert not (form.variables() & set(keep)), cid
+        assert not (form_variables(form) & set(keep)), cid
         for key, comp in form.components.items():
             assert comp == r.form.components[key], (cid, key)

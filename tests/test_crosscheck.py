@@ -22,8 +22,8 @@ from eymsym.eym import (HolonomyMetric, hodge_star_2form, run_case,
 from eymsym.exact import RF_ZERO, Poly, RatFunc, rf
 from eymsym.liecat import NotSymmetric, parse_catalog
 from eymsym.linalg import FieldMatrix, det
-from helpers import (from_rows, inverse_fractions, member_curvature,
-                     residual_is_zero)
+from helpers import (evaluate_matrix, from_rows, inverse_fractions,
+                     member_curvature, residual_is_zero)
 
 
 def _replace(obj, **changes):
@@ -46,7 +46,7 @@ def _clean_sample(entry, report, seed: int, avoid: list = ()) -> dict:
     coefficient vanishes, so a dropped basis element shows; the RatFuncs in
     `avoid` are nonzero there too."""
     avoid = list(avoid) + list(report.verdict.conditions) + [
-        c for coeffs in report.form.structure.values() for c in coeffs
+        c for coeffs in report.structure.values() for c in coeffs
         if not c.is_zero()]
     sample = sample_point(entry, random.Random(seed), avoid=avoid)
     assert crosscheck_case(entry, report, sample) == []
@@ -89,10 +89,11 @@ def test_second_residual_oracle_at_a_nonzero_member(catalog, reports, cid):
 
     sample = sample_point(entry, random.Random(5))
     num = NumericCase(entry, sample)
-    maps_num = [m.evaluate(sample) for m in maps]
+    maps_num = [evaluate_matrix(m, sample) for m in maps]
     res_num = num.second_residual(
         maps_num, num.star(num.curvature_ops(maps_num)))
-    assert {key: m.evaluate(sample) for key, m in residual.items()} == res_num
+    assert {key: evaluate_matrix(m, sample)
+            for key, m in residual.items()} == res_num
     assert any(x for m in res_num.values() for row in m for x in row)
 
 
@@ -214,7 +215,7 @@ def test_an_edited_copy_is_checked_against_its_own_plan(catalog, reports):
     plan of its own."""
     cid = "2.1^2(1)"
     entry, r = catalog.get(cid), reports[cid]
-    avoid = [c for coeffs in r.form.structure.values() for c in coeffs
+    avoid = [c for coeffs in r.structure.values() for c in coeffs
              if not c.is_zero()]
     rng = random.Random(23)
     samples = [sample_point(entry, rng, avoid=avoid + list(r.verdict.conditions))
@@ -297,7 +298,7 @@ def test_validate_stream_is_pinned(catalog, reports, cid):
     entry, r = catalog.get(cid), reports[cid]
     rng = random.Random(4242)
     avoid = list(r.verdict.conditions) + [
-        c for coeffs in r.form.structure.values() for c in coeffs
+        c for coeffs in r.structure.values() for c in coeffs
         if not c.is_zero()]
     points = [sample_point(entry, rng, avoid=avoid, family=r.family)]
     points += [sample_point(entry, rng, family=r.family) for _ in range(2)]
@@ -525,7 +526,7 @@ def test_structure_at_catalog_samples_is_one_solve_per_component(catalog,
         sample = sample_point(entry, rng, avoid=list(r.verdict.conditions))
         num = NumericCase(entry, sample, r.family)
         ops = num.curvature_ops([[[0] * 4 for _ in range(4)]] * 4)
-        basis = [b.evaluate(sample) for b in r.hol_basis]
+        basis = [evaluate_matrix(b, sample) for b in r.hol_basis]
         assert num.structure(ops, basis) \
             == _one_solve_per_component(ops, basis), entry.pair.case_id
 

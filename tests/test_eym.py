@@ -16,28 +16,29 @@ from eymsym.eym import (EymOutcome, HolonomyMetric, hodge_star_2form,
 from eymsym.geom import CurvatureReport
 from eymsym.liecat import isotropy_rep
 from eymsym.linalg import FieldMatrix, inverse
-from helpers import from_rows, member_curvature, residual_is_zero
+from helpers import (evaluate_matrix, from_rows, member_curvature,
+                     residual_is_zero)
 
 A, B, C, D, W = (RatFunc.var(x) for x in "abcdw")
 
 
-def _structure_array(form: CurvatureForm) -> list:
-    """Full antisymmetric coefficient arrays Rc[alpha][i][j]."""
-    dim = len(form.holonomy_basis or [])
+def _structure_array(structure: dict, dim: int) -> list:
+    """Full antisymmetric coefficient arrays Rc[alpha][i][j] of the
+    coefficients in a holonomy basis of dimension `dim`."""
     arrays = [[[RF_ZERO] * 4 for _ in range(4)] for _ in range(dim)]
-    for (i, j), coeffs in (form.structure or {}).items():
+    for (i, j), coeffs in structure.items():
         for a, c in enumerate(coeffs):
             arrays[a][i][j] = c
             arrays[a][j][i] = -c
     return arrays
 
 
-def _stress_by_contraction(form: CurvatureForm, family,
+def _stress_by_contraction(structure: dict, dim: int, family,
                             hm: HolonomyMetric) -> FieldMatrix:
     """Reference: the energy-momentum tensor as two index contractions,
     T_ij = 1/2 sum_a w_a R_a[i][k] R_a[j][l] g^kl - 1/8 g_ij s_total with
     s_total = sum_a w_a R_a[k][l] R_a[h][m] g^kh g^lm."""
-    arrays = _structure_array(form)
+    arrays = _structure_array(structure, dim)
     g = family.g
     ginv = family.g_inverse()
     half = rf(Fraction(1, 2))
@@ -91,15 +92,9 @@ def test_stress_tensor_equals_the_index_contraction(reports, hm):
     """T read off F = sum_a w_a R_a g^-1 R_a^T equals the index-loop
     contraction exactly on every case."""
     for r in reports.values():
-        assert stress_tensor(r.form, r.family, hm) \
-            == _stress_by_contraction(r.form, r.family, hm), r.case_id
-
-
-def test_stress_tensor_needs_structure(reports):
-    r = reports["1.1^1(7)"]
-    bare = CurvatureForm(components=r.form.components)
-    with pytest.raises(ValueError, match="structure"):
-        stress_tensor(bare, r.family, HolonomyMetric())
+        assert stress_tensor(r.structure, r.family, hm) \
+            == _stress_by_contraction(r.structure, r.hol_dim, r.family, hm), \
+            r.case_id
 
 
 def test_holonomy_weight_two_is_forced(catalog, reports):
@@ -107,9 +102,9 @@ def test_holonomy_weight_two_is_forced(catalog, reports):
     -w/(4a); matching the reference value -1/(2a) forces w = 2."""
     r = reports["1.1^1(7)"]
     hm = HolonomyMetric(default=W)
-    T = stress_tensor(r.form, r.family, hm)
+    T = stress_tensor(r.structure, r.family, hm)
     assert T.entries[0][2] == -W / (rf(4) * A)
-    T2 = stress_tensor(r.form, r.family, HolonomyMetric(default=rf(2)))
+    T2 = stress_tensor(r.structure, r.family, HolonomyMetric(default=rf(2)))
     assert T2.entries[0][2] == -rf(1) / (rf(2) * A)
 
 
@@ -162,23 +157,10 @@ def test_stress_tensor_traceless_synthetic():
             continue
         rounds += 1
         dim = rng.randint(1, 3)
-        basis = [from_rows(
-            [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
-            for _ in range(dim)]
-        structure = {}
-        components = {}
-        for i in range(4):
-            for j in range(i + 1, 4):
-                coeffs = [rf(rng.randint(-2, 2)) for _ in range(dim)]
-                structure[(i, j)] = coeffs
-                acc = FieldMatrix.zeros(4, 4)
-                for c, b in zip(coeffs, basis):
-                    acc = acc + b.scale(c)
-                components[(i, j)] = acc
-        form = CurvatureForm(components=components, holonomy_basis=basis,
-                             structure=structure)
+        structure = {(i, j): [rf(rng.randint(-2, 2)) for _ in range(dim)]
+                     for i in range(4) for j in range(i + 1, 4)}
         family = MetricFamily(g=g, free_params=[], det_g=det(g))
-        T = stress_tensor(form, family, HolonomyMetric())
+        T = stress_tensor(structure, family, HolonomyMetric())
         ginv = inverse(g)
         trace = rf(0)
         for i in range(4):
@@ -312,7 +294,7 @@ def test_star_matches_independent_numeric_star(catalog, reports):
         star_num = num.star(ops)
         star_sym = hodge_star_2form(r.form, r.family)
         for key, comp in star_sym.components.items():
-            assert comp.evaluate(sample) == star_num[key], (cid, key)
+            assert evaluate_matrix(comp, sample) == star_num[key], (cid, key)
 
 
 def test_second_equation_symbolic_u2_u4_family(catalog, reports):

@@ -16,7 +16,7 @@ from eymsym.geom import (BadMetricShape, MetricFamily, SignatureVerdict,
                          solve_invariant_metric)
 from eymsym.liecat import LiePair, isotropy_rep, parse_condition
 from eymsym.linalg import FieldMatrix, det, inverse
-from helpers import from_rows, identity
+from helpers import evaluate_matrix, from_rows, identity
 
 A, B = RatFunc.var("a"), RatFunc.var("b")
 
@@ -117,7 +117,7 @@ def test_lorentz_check_evaluates_no_ratfunc(catalog, reports, monkeypatch):
                     for cid, r in reports.items()}
     assert calls == []
     for cid, r in reports.items():
-        values = r.family.g.evaluate(samples[cid])
+        values = evaluate_matrix(r.family.g, samples[cid])
         assert verdicts[cid] is _verdict_of(
             signature_at(from_rows(values), {})), cid
 
@@ -188,7 +188,7 @@ def _charpoly_by_determinant(g: FieldMatrix, sample: dict) -> list:
     """Reference: coefficients of det(x - g(sample)), constant term first,
     from the symbolic determinant of x I - g(sample) in a variable x."""
     x = RatFunc.var("x")
-    values = g.evaluate(sample)
+    values = evaluate_matrix(g, sample)
     n = len(values)
     xm = FieldMatrix(n, n, [[(x if i == j else rf(0)) - rf(values[i][j])
                              for j in range(n)] for i in range(n)])

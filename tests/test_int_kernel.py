@@ -42,7 +42,7 @@ def _report_parts(report) -> dict:
         "levi-civita curvature": report.lc.form.components,
         "connection maps": report.conn.maps,
         "curvature": report.form.components,
-        "curvature structure": report.form.structure,
+        "curvature structure": report.structure,
         "holonomy basis": report.hol_basis,
         "T": report.T,
         "lambda": report.verdict.lambda_,

@@ -25,7 +25,7 @@ from eymsym.geom import (MetricFamily, NoInvariantMetric, _METRIC,
 from eymsym.liecat import catalog_load, isotropy_rep
 from eymsym.linalg import (FieldMatrix, kernel_linear_in, nonzero_entries,
                            nullspace)
-from helpers import from_rows, identity
+from helpers import evaluate_matrix, from_rows, identity
 
 from test_conn import _one_shot_family, is_parameterised
 
@@ -121,7 +121,7 @@ def test_a_pole_at_the_first_point_is_skipped(reports, monkeypatch):
     pole = RatFunc.const(1) / (LAM - rf(1))
     rhos = [r.rhos[0].scale(pole)] + r.rhos[1:]
     with pytest.raises(PoleAtPoint):
-        rhos[0].evaluate({"lam": 1})
+        evaluate_matrix(rhos[0], {"lam": 1})
     kernel, calls = _solve(monkeypatch, rhos, _CONNECTION)
     assert kernel == [] and calls == {"int_nullspace": 1, "nullspace": 0}
     assert _stacked(rhos, _CONNECTION) == []
