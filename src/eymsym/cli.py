@@ -295,9 +295,13 @@ def _cmd_solve(catalog: Catalog, args) -> int:
                  + ("0" if report.second_residual_zero else "nonzero"))
     sample = _parse_sample(args.sample)
     if sample:
-        missing = sorted(set(report.family.free_params)
-                         | {p.name for p in report.pair.params})
-        missing = [name for name in missing if name not in sample]
+        # every name evaluated below: g's, and lambda's and kappa's, which
+        # a symbolic --g-holonomy weight enters
+        names = (set(report.family.free_params)
+                 | {p.name for p in report.pair.params})
+        if v.is_solution:
+            names |= v.lambda_.variables() | v.kappa.variables()
+        missing = [name for name in sorted(names) if name not in sample]
         if missing:
             raise _ArgumentError(f"--sample misses parameters {missing}")
         sig = lorentz_check(report.family, sample)

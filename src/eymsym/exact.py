@@ -32,7 +32,6 @@ from fractions import Fraction
 Monomial = tuple
 
 _ONE_MONO: Monomial = ()
-_F_ZERO = Fraction(0)
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -160,13 +159,6 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
             return _P_ZERO
-        # constant fast paths keep matrix elimination cheap
-        if len(self.terms) == 1 and _ONE_MONO in self.terms:
-            c = self.terms[_ONE_MONO]
-            return Poly({m: c * v for m, v in other.terms.items()})
-        if len(other.terms) == 1 and _ONE_MONO in other.terms:
-            c = other.terms[_ONE_MONO]
-            return Poly({m: c * v for m, v in self.terms.items()})
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -362,8 +354,6 @@ def _view_content(parts: dict) -> Poly:
     c = _P_ZERO
     for coeff in parts.values():
         c = poly_gcd(c, coeff)
-        if c.is_constant() and not c.is_zero():
-            return _P_ONE
     return c
 
 
@@ -417,21 +407,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     b = {e: v.divexact(cg) for e, v in gu.items()}
     if max(a) < max(b):
         a, b = b, a
-
-    # trial division settles the common fully-cancelling cases cheaply; b may
-    # still carry integer content, and its primitive part divides a over Z
-    # exactly when b divides a over Q (Gauss's lemma)
-    pp_b = _join_by_var(b, x).primitive()
-    try:
-        _join_by_var(a, x).divexact(pp_b)
-    except ValueError:
-        pass
-    else:
-        cb = _view_content(b)
-        if not cb.is_constant():
-            pp_b = pp_b.divexact(cb)
-        return c * pp_b  # primitive with positive lead, as c and pp_b are
-
     gg, hh = _P_ONE, _P_ONE
     while True:
         delta = max(a) - max(b)
@@ -466,14 +441,13 @@ class RatFunc:
     polynomials over Z, so every RatFunc holds only integer coefficients.
     """
 
-    __slots__ = ("num", "den", "_hash", "_value")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: Poly, den: Poly = _P_ONE, _canonical: bool = False):
         if not _canonical:
             num, den = _reduce(num, den)
         self.num, self.den = num, den
         self._hash = None
-        self._value = None  # the Fraction of a constant, kept by evaluate()
 
     # -- constructors --------------------------------------------------------
 
@@ -551,7 +525,7 @@ class RatFunc:
         if a and b:
             return _const(a[0] * b[0], a[1] * b[1])
         num, den = self.num * other.num, self.den * other.den
-        if a or b or (self.den.is_constant() and other.den.is_constant()):
+        if a or b:
             return _from_coprime(num, den)
         return RatFunc(num, den)
 
@@ -581,19 +555,8 @@ class RatFunc:
     # -- evaluation ----------------------------------------------------------------
 
     def evaluate(self, assignment: dict) -> Fraction:
-        """The value at `assignment`.  Zero and constants return a Fraction
-        built once per RatFunc; otherwise numerator and denominator are
-        evaluated as int ratios and one Fraction is built from them."""
-        value = self._value
-        if value is not None:
-            return value
-        if not self.num.terms:
-            self._value = _F_ZERO
-            return _F_ZERO
-        const = _const_parts(self)
-        if const is not None:
-            self._value = Fraction(*const)
-            return self._value
+        """The value at `assignment`: numerator and denominator are evaluated
+        as int ratios and one Fraction is built from them."""
         return Fraction(*self._ratio(assignment))
 
     def _ratio(self, assignment: dict) -> tuple:
@@ -676,10 +639,9 @@ def _from_coprime(num: Poly, den: Poly) -> RatFunc:
     holds when
       * a sum or difference has a constant denominator beta on one side:
         gcd(a*d + beta*c, beta*d) = gcd(beta*c, d) = 1;
-      * a product has two constant denominators, or a constant operand;
-      * a quotient has a constant operand;
-    in the last two, each numerator meets only its own denominator and
-    nonzero constants, which are units of Q[params].
+      * a product or a quotient has a constant operand: each numerator meets
+        only its own denominator and nonzero constants, which are units of
+        Q[params].
     """
     if not num.terms:
         return RF_ZERO

@@ -66,17 +66,19 @@ from .conn import (ConnectionFamily, CurvatureForm,
                    depends_on_connection_params, holonomy, solve_connections)
 
 
+# g_aa where no override is given: the weight the paper's solutions need
+_WEIGHT = rf(2)
+
+
 class HolonomyMetric:
     """Diagonal metric g_aa on the holonomy algebra, alpha = 5 .. 4 + dim."""
 
-    def __init__(self, default: RatFunc | None = None,
-                 overrides: dict | None = None):
-        self.default = rf(2) if default is None else default
+    def __init__(self, overrides: dict | None = None):
         # alpha index -> RatFunc
         self.overrides = {} if overrides is None else overrides
 
     def value(self, basis_index: int) -> RatFunc:
-        v = self.overrides.get(basis_index + 5, self.default)
+        v = self.overrides.get(basis_index + 5, _WEIGHT)
         if v.is_zero():
             raise ValueError("holonomy metric entries must be nonzero")
         return v
@@ -88,9 +90,9 @@ class HolonomyMetric:
         parts = [f"g_{a}{a} = {self.overrides[a]}" if a < 10
                  else f"g_({a},{a}) = {self.overrides[a]}" for a in used]
         if not parts:
-            return f"g_aa = {self.default}"
+            return f"g_aa = {_WEIGHT}"
         if len(used) < dim:
-            parts.append(f"g_aa = {self.default} otherwise")
+            parts.append(f"g_aa = {_WEIGHT} otherwise")
         return ", ".join(parts)
 
 

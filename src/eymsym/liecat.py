@@ -177,9 +177,11 @@ def _parse_matrix(text: str, where: str, parse) -> FieldMatrix:
             rows.append([parse(c) for c in cells])
         except ParseError as exc:
             raise CatalogParseError(f"{where}: {exc}") from exc
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise CatalogParseError(f"{where}: ragged matrix literal")
-    return FieldMatrix(len(rows), len(rows[0]), rows)
+    shape = [len(r) for r in rows]
+    if shape != [4, 4, 4, 4]:
+        raise CatalogParseError(f"{where}: matrix literal must be 4x4, got "
+                                f"rows of lengths {shape}")
+    return FieldMatrix(4, 4, rows)
 
 
 def _split_top_level(text: str) -> list:
@@ -264,6 +266,9 @@ def parse_catalog(text: str, source: str = "<catalog>") -> Catalog:
             m = re.match(r'(\w+)\s+range\s+"([^"]*)"$', rest)
             if not m:
                 raise CatalogParseError(f"{where}: bad param line")
+            if any(p.name == m.group(1) for p in current_pair.params):
+                raise CatalogParseError(
+                    f"{where}: duplicate param {m.group(1)!r}")
             current_pair.params.append(CaseParam(m.group(1), m.group(2)))
         elif head == "bracket":
             m = re.match(r'(\w+)\s+(\w+)\s*=\s*(.+)$', rest)

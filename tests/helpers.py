@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from eymsym.conn import CurvatureForm, NonClosing, _vec, curvature
 from eymsym.crosscheck import _inverse_scaled, _scaled, _unscaled
-from eymsym.exact import RF_ONE, RF_ZERO, rf
+from eymsym.exact import RF_ONE, RF_ZERO, RatFunc, rf
+from eymsym.eym import HolonomyMetric
 from eymsym.linalg import FieldMatrix, rref
 
 
@@ -17,6 +18,11 @@ def from_rows(rows) -> FieldMatrix:
 def identity(n: int) -> FieldMatrix:
     return FieldMatrix(n, n, [[RF_ONE if i == j else RF_ZERO for j in range(n)]
                               for i in range(n)])
+
+
+def uniform_holonomy_metric(weight: RatFunc) -> HolonomyMetric:
+    """g_aa = weight on every holonomy index the catalog reaches (5..10)."""
+    return HolonomyMetric(overrides=dict.fromkeys(range(5, 11), weight))
 
 
 def residual_is_zero(residual: dict) -> bool:

@@ -28,9 +28,9 @@ ALLOWED = {
     "cli._Parser.error": "argparse calls it on a bad argument",
     "crosscheck.NumericCase.second_residual":
         "numeric second-equation reference for the member sweep "
-        "(ROADMAP item 2)",
+        "(ROADMAP item 3)",
     "crosscheck.NumericCase.star":
-        "numeric Hodge star for the member sweep (ROADMAP item 2)",
+        "numeric Hodge star for the member sweep (ROADMAP item 3)",
     "exact.Poly.constant_value":
         "the Fraction boundary of the integer kernel (exact docstring)",
     "exact.RatFunc.constant_value":

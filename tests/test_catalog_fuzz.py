@@ -6,9 +6,11 @@ Each seeded mutation changes one token of a `case`, `param`, `bracket` or
 on the result, with <case> the block the line belongs to.  One more
 mutation drops every `bracket e_i u_j` line of a seeded block, so that h
 acts trivially on m there, and its `golden metric` line, which would
-otherwise be refused as not the general invariant form before any solve.  Every run must
-return an exit code of the contract (0..5) without raising, and an exit of
-2, 3 or 4 must come with exactly one stderr line.
+otherwise be refused as not the general invariant form before any solve.
+Another drops the last row of a seeded block's `golden metric`, which no
+one-token change can do; the catalog must be refused at load.  Every run
+must return an exit code of the contract (0..5) without raising, and an exit
+of 2, 3 or 4 must come with exactly one stderr line.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ def _mutations(seed: int, count: int) -> list:
         r"bracket e\d+ u\d+ |golden metric ", LINES[i])}
     lines = [line for i, line in enumerate(LINES) if i not in drop]
     out.append((f"isolate block {case}", case, "".join(lines)))
+    i, case = rng.choice([(i, c) for i, c in targets
+                          if LINES[i].startswith("golden metric ")])
+    lines = list(LINES)
+    lines[i] = re.sub(r";[^;]*\]", "]", lines[i])
+    out.append((f"truncate line {i + 1}", case, "".join(lines)))
     return out
 
 
@@ -82,10 +89,12 @@ def test_mutated_catalogs_end_in_a_defined_exit_code(tmp_path, capsys,
             err = capsys.readouterr().err
             context = f"{what} ({case}), {argv[0]}: {err!r}"
             assert type(code) is int and 0 <= code <= 5, context
+            if what.startswith("truncate"):
+                assert code == 2, context
             if 2 <= code <= 4:
                 assert err.count("\n") == 1 and err.endswith("\n"), context
             codes.add(code)
     # the seed changes, drops and repeats lines, and reaches a clean run, a
     # mismatch, a catalog error and an unanalysable case
-    assert kinds == {"change", "drop", "repeat", "isolate"}
+    assert kinds == {"change", "drop", "repeat", "isolate", "truncate"}
     assert {0, 1, 2, 5} <= codes

@@ -418,6 +418,40 @@ def _one_case_catalog(tmp_path, line: str, edited: str) -> str:
     return _catalog_file(tmp_path, block.replace(line, edited))
 
 
+@pytest.mark.parametrize("line, edited, where, reason", [
+    ("golden metric = [0,0,a,0; 0,b,0,c; a,0,0,0; 0,c,0,d]\n",
+     "golden metric = [0,a; a,b]\n", 6,
+     "matrix literal must be 4x4, got rows of lengths [2, 2]"),
+    ("golden ricci = [0,0,-1,0; 0,0,0,0; -1,0,0,0; 0,0,0,0]\n",
+     "golden ricci = [0,0,-1,0; 0,0,0,0; -1,0,0,0]\n", 9,
+     "matrix literal must be 4x4, got rows of lengths [4, 4, 4]"),
+    ("bracket e1 u1 = u1\n",
+     'param t range "x"\nparam t range "y"\nbracket e1 u1 = u1\n', 4,
+     "duplicate param 't'"),
+], ids=["metric-2x2", "ricci-3-rows", "duplicate-param"])
+def test_catalog_refused_at_load_exit_2(capsys, tmp_path, line, edited,
+                                        where, reason):
+    """A golden matrix that is not 4x4, or a param declared twice, is a
+    catalog error for every verb, not a traceback or a mismatch."""
+    path = _one_case_catalog(tmp_path, line, edited)
+    for argv in (["report", "1.1^1(7)"], ["solve", "1.1^1(7)"], ["tables"],
+                 ["validate"]):
+        code, out, err = run_cli(capsys, "--catalog", path, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"catalog error: {path}:{where}: {reason}\n", argv
+
+
+def test_solve_sample_covers_a_symbolic_holonomy_weight(capsys):
+    """A symbolic --g-holonomy weight enters kappa, so --sample must set it."""
+    argv = ["solve", "1.1^1(7)", "--g-holonomy", "5=w", "--sample"]
+    code, out, err = run_cli(capsys, *argv, "a=3,b=1,c=0,d=1")
+    assert (code, out, err) == (
+        4, "", "error: --sample misses parameters ['w']\n")
+    code, out, _ = run_cli(capsys, *argv, "a=3,b=1,c=0,d=1,w=2")
+    assert code == 0
+    assert "kappa at sample = 3" in out
+
+
 def test_validate_lorentz_fail_line_replays(capsys, tmp_path):
     """A recorded Lorentz condition that contradicts the signature fails
     validate with the seed and sample that show it, and the printed seed

@@ -23,7 +23,8 @@ from eymsym.exact import RF_ZERO, Poly, RatFunc, rf
 from eymsym.liecat import NotSymmetric, parse_catalog
 from eymsym.linalg import FieldMatrix, det
 from helpers import (evaluate_matrix, from_rows, inverse_fractions,
-                     member_curvature, residual_is_zero)
+                     member_curvature, residual_is_zero,
+                     uniform_holonomy_metric)
 
 
 def _replace(obj, **changes):
@@ -231,7 +232,8 @@ def test_an_edited_copy_is_checked_against_its_own_plan(catalog, reports):
               (_edited(r, "curvature", bump), "curvature"),
               (_edited(r, "stress tensor", bump), "stress tensor"),
               (_replace(r, hol_basis=doubled), "stress tensor"),
-              (_replace(r, hm=HolonomyMetric(default=rf(4))), "stress tensor")]
+              (_replace(r, hm=uniform_holonomy_metric(rf(4))),
+               "stress tensor")]
     for sample in samples:
         for bad, problem in edited:
             assert problem in crosscheck_case(entry, bad, sample), problem
@@ -400,7 +402,7 @@ def test_sample_point_without_golden_metric(catalog, reports):
 
 @pytest.mark.parametrize("cid", ["1.1^1(7)", "3.5^2(2)", "6.1^3(1)"])
 @pytest.mark.parametrize("hm", [
-    HolonomyMetric(default=rf(4)),
+    uniform_holonomy_metric(rf(4)),
     HolonomyMetric(overrides={5: rf(3), 6: rf(-1)}),
 ], ids=["default-4", "override-5-6"])
 def test_crosscheck_uses_the_report_holonomy_metric(catalog, reports, cid, hm):
@@ -415,7 +417,6 @@ def test_crosscheck_uses_the_report_holonomy_metric(catalog, reports, cid, hm):
 
 def test_holonomy_metric_describe():
     assert HolonomyMetric().describe(3) == "g_aa = 2"
-    assert HolonomyMetric(default=rf(4)).describe(0) == "g_aa = 4"
     hm = HolonomyMetric(overrides={5: rf(3), 7: rf(-1), 12: rf(5)})
     assert hm.describe(1) == "g_55 = 3"
     assert hm.describe(3) == "g_55 = 3, g_77 = -1, g_aa = 2 otherwise"

@@ -210,9 +210,9 @@ def _int_poly(rng: random.Random, max_terms: int) -> Poly:
 
 
 def test_coprime_fast_path_matches_general_path():
-    """Sums with a constant denominator, products with two constant
-    denominators or a constant operand, and quotients with a constant
-    operand skip the polynomial gcd; they must still be canonical."""
+    """Sums with a constant denominator on one side, and products and
+    quotients with a constant operand, skip the polynomial gcd; they must
+    still be canonical."""
     rng = random.Random(41)
     consts = [rf(Fraction(rng.choice((-1, 1)) * rng.randint(1, 12),
                           rng.randint(1, 6))) for _ in range(20)]

@@ -17,7 +17,7 @@ from eymsym.geom import CurvatureReport
 from eymsym.liecat import isotropy_rep
 from eymsym.linalg import FieldMatrix, inverse
 from helpers import (evaluate_matrix, from_rows, member_curvature,
-                     residual_is_zero)
+                     residual_is_zero, uniform_holonomy_metric)
 
 A, B, C, D, W = (RatFunc.var(x) for x in "abcdw")
 
@@ -87,7 +87,7 @@ def _stress_by_contraction(structure: dict, dim: int, family,
 
 @pytest.mark.parametrize("hm", [
     HolonomyMetric(), HolonomyMetric(overrides={5: rf(4)}),
-    HolonomyMetric(default=W)], ids=["default", "override_5=4", "symbolic"])
+    uniform_holonomy_metric(W)], ids=["default", "override_5=4", "symbolic"])
 def test_stress_tensor_equals_the_index_contraction(reports, hm):
     """T read off F = sum_a w_a R_a g^-1 R_a^T equals the index-loop
     contraction exactly on every case."""
@@ -101,10 +101,10 @@ def test_holonomy_weight_two_is_forced(catalog, reports):
     """With a symbolic weight w the (1,3) entry of T for 1.1^1(7) comes out
     -w/(4a); matching the reference value -1/(2a) forces w = 2."""
     r = reports["1.1^1(7)"]
-    hm = HolonomyMetric(default=W)
+    hm = uniform_holonomy_metric(W)
     T = stress_tensor(r.structure, r.family, hm)
     assert T.entries[0][2] == -W / (rf(4) * A)
-    T2 = stress_tensor(r.structure, r.family, HolonomyMetric(default=rf(2)))
+    T2 = stress_tensor(r.structure, r.family, HolonomyMetric())
     assert T2.entries[0][2] == -rf(1) / (rf(2) * A)
 
 
@@ -239,7 +239,7 @@ def test_holonomy_metric_override_scales_kappa(catalog):
 def test_kappa_absorbs_symbolic_holonomy_weight(catalog):
     """With g_55 symbolic, kappa appears only through the product kappa*g_55."""
     entry = catalog.get("1.1^1(7)")
-    r = run_case(entry, HolonomyMetric(default=W))
+    r = run_case(entry, uniform_holonomy_metric(W))
     assert r.verdict.kappa == rf(2) * A / W
     assert r.verdict.kappa * W == rf(2) * A
     assert r.verdict.lambda_ == -rf(1) / (rf(2) * A)
