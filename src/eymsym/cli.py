@@ -102,14 +102,17 @@ def _parse_holonomy(text: str | None) -> HolonomyMetric:
         # ASCII digits only: str.isdigit also takes '²', which int() refuses
         if not re.fullmatch(r"[0-9]+", key):
             raise _ArgumentError(f"bad --g-holonomy entry {piece!r}")
-        if int(key) < 5:
+        index = int(key)
+        if index in hm.overrides:   # a second value must not replace the first
+            raise _ArgumentError(f"--g-holonomy repeats key {index}")
+        if index < 5:
             raise _ArgumentError(f"--g-holonomy entry {piece!r}: holonomy "
                                  "indices start at 5")
         try:
-            hm.overrides[int(key)] = parse_ratfunc(value)
+            hm.overrides[index] = parse_ratfunc(value)
         except ParseError as exc:
             raise _ArgumentError(str(exc))
-        if hm.overrides[int(key)].is_zero():
+        if hm.overrides[index].is_zero():
             raise _ArgumentError(f"--g-holonomy entry {piece!r} is zero")
     return hm
 
@@ -127,6 +130,8 @@ def _warn_ignored_holonomy(hm: HolonomyMetric, dim: int, algebra: str) -> None:
 def _parse_sample(text: str | None) -> dict:
     out = {}
     for piece, key, value in _key_values(text, "--sample"):
+        if key in out:
+            raise _ArgumentError(f"--sample repeats key {key}")
         try:
             out[key] = Fraction(value)
         except (ValueError, ZeroDivisionError):

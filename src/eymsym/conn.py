@@ -28,8 +28,9 @@ is that basis: it is unique for their span, and its rows, read back, are
 the identity on the free columns.
 
 The system reads only the isotropy matrices and g, never the [m, m]
-brackets or the case name, so eym.run_case shares one ConnectionFamily among
-cases whose metric solves share theirs.
+brackets or the case name, so the eym solve memo shares one
+ConnectionFamily among cases whose metric solves share theirs.  run_case
+does not solve it: eym.CaseReport.conn does, when a report first reads it.
 
 Every pair reaching this module is symmetric ([m, m] in h; eym.run_case
 checks it first).  The canonical member (all parameters zero) always belongs

@@ -42,9 +42,12 @@ the holonomy basis and the curvature's coefficients in it by value;
 run_case passes the coefficients to stress_tensor and both to the
 CaseReport, and writes nothing to the form.
 
-run_case keeps the metric solve, the connection solve and the dependence
-decision in one dict per process, keyed on what the metric solve reads
-(_solve_key; 14 keys over the 35 catalog cases): the connection solve reads
+run_case keeps the metric solve in one dict per process, keyed on what the
+metric solve reads (_solve_key; 14 keys over the 35 catalog cases).  The
+general connection family and whether the curvature depends on its
+parameters are printed only by the report renderer, so run_case solves
+neither: CaseReport.conn and CaseReport.curvature_param_dependent solve
+both on first read, into the same dict entry, as the connection solve reads
 only the isotropy matrices and that metric.  Cases with equal keys share the
 families, so callers treat them as read-only.  A failed solve is not
 stored, so its error always names the case that raised it.
@@ -259,8 +262,7 @@ def second_eym_residual(maps: list, star: CurvatureForm) -> dict:
 
 class CaseReport:
     def __init__(self, case_id: str, pair: LiePair, rhos: list,
-                 golden: CaseGolden, family: MetricFamily, lc: CurvatureReport,
-                 conn: ConnectionFamily, curvature_param_dependent: bool,
+                 golden: CaseGolden, solved: list, lc: CurvatureReport,
                  form: CurvatureForm, hol_basis: list, structure: dict,
                  T: FieldMatrix, verdict: EymVerdict, compared: dict,
                  hm: HolonomyMetric):
@@ -268,10 +270,9 @@ class CaseReport:
         self.pair = pair
         self.rhos = rhos          # isotropy_rep(pair), built once per case
         self.golden = golden
-        self.family = family
+        self._solved = solved     # the case's _SOLVED entry
+        self.family = solved[0]
         self.lc = lc
-        self.conn = conn
-        self.curvature_param_dependent = curvature_param_dependent
         self.form = form          # canonical-member curvature
         self.hol_basis = hol_basis
         self.structure = structure  # (i, j) -> coefficients in hol_basis
@@ -299,8 +300,26 @@ class CaseReport:
         vanishes, as the pair is symmetric (run_case raises NotSymmetric)."""
         return True
 
+    def _connections(self) -> tuple:
+        """(ConnectionFamily, curvature_param_dependent), solved on the
+        first read of either and kept in the _SOLVED entry."""
+        solved = self._solved
+        if solved[1] is None:
+            conn = solve_connections(self.rhos, self.family)
+            solved[1] = (conn, depends_on_connection_params(conn))
+        return solved[1]
 
-# _solve_key -> (MetricFamily, ConnectionFamily, curvature_param_dependent)
+    @property
+    def conn(self) -> ConnectionFamily:
+        return self._connections()[0]
+
+    @property
+    def curvature_param_dependent(self) -> bool:
+        return self._connections()[1]
+
+
+# _solve_key -> [MetricFamily, (ConnectionFamily, curvature_param_dependent)
+# once a report reads either, None until then]
 _SOLVED: dict = {}
 
 
@@ -317,7 +336,8 @@ def _solve_key(pair: LiePair, rhos: list, shape: FieldMatrix | None,
 
 
 def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseReport:
-    """Full pipeline: metric -> connections -> curvature -> T -> verdicts."""
+    """Pipeline: metric -> curvature -> holonomy -> T -> verdicts; the
+    connection family waits for its first read (CaseReport.conn)."""
     hm = hm if hm is not None else HolonomyMetric()
     pair = entry.pair
     golden = entry.golden
@@ -333,12 +353,10 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
     key = _solve_key(pair, rhos, golden.metric, golden.lorentz)
     solved = _SOLVED.get(key)
     if solved is None:
-        family = solve_invariant_metric(pair, rhos, shape=golden.metric,
-                                        lorentz=golden.lorentz)
-        conn = solve_connections(rhos, family)
-        solved = _SOLVED[key] = (family, conn,
-                                 depends_on_connection_params(conn))
-    family, conn, param_dep = solved
+        solved = _SOLVED[key] = [
+            solve_invariant_metric(pair, rhos, shape=golden.metric,
+                                   lorentz=golden.lorentz), None]
+    family = solved[0]
     lc = levi_civita(pair, rhos, family)
     # the curvature of the canonical member, and of the whole family when it
     # does not depend on the parameters
@@ -364,6 +382,5 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
 
     return CaseReport(
         case_id=pair.case_id, pair=pair, rhos=rhos, golden=golden,
-        family=family, lc=lc, conn=conn, curvature_param_dependent=param_dep,
-        form=form, hol_basis=basis, structure=structure, T=T, verdict=verdict,
-        compared=compared, hm=hm)
+        solved=solved, lc=lc, form=form, hol_basis=basis, structure=structure,
+        T=T, verdict=verdict, compared=compared, hm=hm)

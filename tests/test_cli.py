@@ -610,6 +610,24 @@ def test_holonomy_index_below_5_exit_4(capsys):
                        "start at 5\n")
 
 
+@pytest.mark.parametrize("argv", [["report", "1.1^1(7)"], ["tables"],
+                                  ["solve", "1.1^1(7)"]])
+def test_repeated_holonomy_index_exit_4(capsys, argv):
+    """A second value for one index would silently replace the first;
+    `05` names index 5 too."""
+    for entry in ("5=2,5=3", "5=2,6=1,05=2"):
+        code, out, err = run_cli(capsys, *argv, "--g-holonomy", entry)
+        assert (code, out) == (4, "")
+        assert err == "error: --g-holonomy repeats key 5\n"
+
+
+def test_repeated_sample_parameter_exit_4(capsys):
+    code, out, err = run_cli(capsys, "solve", "1.1^1(7)",
+                             "--sample", "a=1,a=2,b=2,c=0,d=1")
+    assert (code, out) == (4, "")
+    assert err == "error: --sample repeats key a\n"
+
+
 @pytest.mark.parametrize("argv", [["report", "1.1^1(7)"], ["tables"]])
 def test_holonomy_index_of_non_ascii_digits_exit_4(capsys, argv):
     """An index is ASCII digits: str.isdigit takes '²', which int() refuses,

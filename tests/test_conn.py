@@ -389,13 +389,16 @@ def _count_rref(monkeypatch) -> Counter:
 
 
 def test_rref_calls_per_catalog_pass(catalog, monkeypatch):
-    """A catalog pass with an empty solve memo makes 102 rref calls, 42 of
+    """A catalog pass with an empty solve memo makes 94 rref calls, 42 of
     them in the holonomy stage (two per curved case), and a flat case none
-    there."""
+    there.  Reading the connection families of the pass adds 8, one per
+    distinct connection solve with a nonempty kernel."""
     monkeypatch.setattr(eym_module, "_SOLVED", {})
     calls = _count_rref(monkeypatch)
-    for entry in catalog.entries:
-        run_case(entry)
+    reports = [run_case(entry) for entry in catalog.entries]
+    assert calls == {"holonomy": 42, "other": 52}
+    for r in reports:
+        r.conn
     assert calls == {"holonomy": 42, "other": 60}
 
     calls.clear()

@@ -1,11 +1,13 @@
 """One metric and one connection solve per distinct input in a process.
 
-`eym.run_case` keeps the metric solve, the connection solve and the
-dependence decision in one dict keyed on the values the metric solve reads;
-these tests pin that the shared results equal fresh solves, that the
-catalog has 14 distinct inputs, that the key separates shape, Lorentz text
-and case parameters, that a failure still names its own case, and that the
-order in which cases run does not change a report byte.
+`eym.run_case` keeps the metric solve in one dict keyed on the values the
+metric solve reads, and a report's first read of its connection family adds
+the connection solve and the dependence decision to the same entry; these
+tests pin that the shared results equal fresh solves, that the catalog has
+14 distinct inputs, that only `report` solves a connection family, that the
+key separates shape, Lorentz text and case parameters, that a failure still
+names its own case, and that the order in which cases run does not change a
+report byte.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from eymsym import eym
+from eymsym.cli import main
 from eymsym.conn import depends_on_connection_params, solve_connections
 from eymsym.eym import run_case
 from eymsym.exact import RatFunc, parse_ratfunc
@@ -106,18 +109,47 @@ def _counting(monkeypatch, module, name: str) -> list:
 
 
 def test_one_solve_per_distinct_input(catalog, monkeypatch):
+    """run_case solves each distinct metric once and no connection family;
+    reading the reports' families solves each distinct one once."""
     monkeypatch.setattr(eym, "_SOLVED", {})
     conn_solves = _counting(monkeypatch, eym, "solve_connections")
+    dep_calls = _counting(monkeypatch, eym, "depends_on_connection_params")
     metric_solves = _counting(monkeypatch, eym, "solve_invariant_metric")
     reports = [run_case(entry) for entry in catalog.entries]
-    assert len(conn_solves) == 14
-    assert len(metric_solves) == 14
-    # siblings share one family; a second pass solves nothing
+    assert (len(conn_solves), len(dep_calls), len(metric_solves)) == (0, 0, 14)
+    # siblings share one family
     assert len({id(r.conn) for r in reports}) == 14
     assert len({id(r.family) for r in reports}) == 14
+    assert (len(conn_solves), len(dep_calls)) == (14, 14)
+    # a second read, and a second pass, solve nothing
+    for r in reports:
+        r.conn, r.curvature_param_dependent
     for entry in catalog.entries:
-        run_case(entry)
-    assert (len(conn_solves), len(metric_solves)) == (14, 14)
+        run_case(entry).conn
+    assert (len(conn_solves), len(dep_calls), len(metric_solves)) == (14, 14, 14)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["tables"], ["tables", "--format", "json"],
+    ["solve", "1.1^2(9)", "--sample", "a=3,b=1,c=0,d=1"]])
+def test_verbs_that_print_no_connection_family_solve_none(argv, capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(eym, "_SOLVED", {})
+    conn_solves = _counting(monkeypatch, eym, "solve_connections")
+    dep_calls = _counting(monkeypatch, eym, "depends_on_connection_params")
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert (conn_solves, dep_calls) == ([], [])
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "json"])
+def test_report_solves_its_connection_family_once(fmt, capsys, monkeypatch):
+    monkeypatch.setattr(eym, "_SOLVED", {})
+    conn_solves = _counting(monkeypatch, eym, "solve_connections")
+    dep_calls = _counting(monkeypatch, eym, "depends_on_connection_params")
+    assert main(["report", "1.1^2(9)", "--format", fmt]) == 0
+    assert "v8" in capsys.readouterr().out
+    assert (len(conn_solves), len(dep_calls)) == (1, 1)
 
 
 def test_failed_metric_solve_names_its_own_case(tmp_path, monkeypatch):
