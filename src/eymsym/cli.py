@@ -202,7 +202,9 @@ def _validate_one(entry, failures: list, seed: int | None = None) -> None:
     report = run_case(entry)
     failures += [_golden_failure(report, name)
                  for name, ok in report.flags.items() if not ok]
-    # invariant suite: tracelessness, trace identity
+    # invariant suite: tracelessness, trace identity; solve_first_eym is
+    # built on both (lambda = s/4 is the g-trace of the first equation when
+    # T is traceless), and these checks guard that identity
     if not contract(report.family.g_inverse(), report.T).is_zero():
         failures.append("stress tensor trace")
     if report.verdict.is_solution:
@@ -251,10 +253,10 @@ def _cmd_validate(catalog: Catalog, args) -> int:
     return 0 if n_ok == len(entries) else 1
 
 
-def _run_one(catalog: Catalog, args) -> CaseReport:
-    """run_case on the case `report` and `solve` name, under --g-holonomy,
-    with a warning per override index beyond its holonomy algebra."""
-    report = run_case(catalog.get(args.case), _parse_holonomy(args.g_holonomy))
+def _run_one(entry, hm: HolonomyMetric) -> CaseReport:
+    """run_case under `hm`, with a warning per override index beyond the
+    case's holonomy algebra."""
+    report = run_case(entry, hm)
     _warn_ignored_holonomy(report.hm, report.hol_dim,
                            f"the holonomy algebra of {report.case_id}")
     return report
@@ -263,7 +265,7 @@ def _run_one(catalog: Catalog, args) -> CaseReport:
 def _cmd_report(catalog: Catalog, args) -> int:
     # imported here and in `tables` only, as `list` and `solve` render no report
     from .report import json_dumps, report_markdown, report_to_dict
-    report = _run_one(catalog, args)
+    report = _run_one(catalog.get(args.case), _parse_holonomy(args.g_holonomy))
     if args.format == "json":
         _emit(json_dumps(report_to_dict(report)), args.out)
     else:
@@ -286,7 +288,10 @@ def _cmd_tables(catalog: Catalog, args) -> int:
 
 
 def _cmd_solve(catalog: Catalog, args) -> int:
-    report = _run_one(catalog, args)
+    entry, hm = catalog.get(args.case), _parse_holonomy(args.g_holonomy)
+    # a bad --sample ends the run before the case is analysed
+    sample = _parse_sample(args.sample)
+    report = _run_one(entry, hm)
     lines = [f"case {report.case_id}"]
     v = report.verdict
     if v.is_solution:
@@ -298,7 +303,6 @@ def _cmd_solve(catalog: Catalog, args) -> int:
                      + (f" ({v.detail})" if v.detail else ""))
     lines.append("second equation residual: "
                  + ("0" if report.second_residual_zero else "nonzero"))
-    sample = _parse_sample(args.sample)
     if sample:
         # every name evaluated below: g's, and lambda's and kappa's, which
         # a symbolic --g-holonomy weight enters

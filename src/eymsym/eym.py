@@ -8,13 +8,15 @@ the holonomy basis and w_a the diagonal holonomy metric,
 
 so g^ij T_ij = s/2 - 4 s/8 = 0: T is traceless.
 
-The first equation,  r + (lambda - s/2) g = kappa T,  is linear in the two
-constants once everything else is fixed; it is solved exactly over the
-rational-function field and classified:
+The first equation,  r + (lambda - s/2) g = kappa T,  needs no linear
+solve.  Its g-trace is  s + 4 (lambda - s/2) = kappa g^ij T_ij = 0,  as
+g^ij g_ij = 4 and T is traceless by construction; so lambda = s/4, and what
+is left,  r - (s/4) g = kappa T,  asks only whether one symmetric matrix is
+a multiple of another.  Over the rational-function field it is classified:
 
   * all curvature components zero            ->  no solution (flat curvature)
   * T identically zero                       ->  no solution (trivial stress-energy)
-  * the ten component equations inconsistent ->  no solution (inconsistent)
+  * r - (s/4) g not a multiple of T          ->  no solution (inconsistent)
   * unique solution but kappa identically 0  ->  no solution (inconsistent):
     a vanishing coupling decouples the field and reduces the system to a
     plain Einstein condition, which does not count as a solution here
@@ -60,7 +62,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .exact import RatFunc, rf
-from .linalg import FieldMatrix, contract, matrices_key, rref
+from .linalg import FieldMatrix, contract, matrices_key
 from .liecat import (CaseGolden, CatalogEntry, LiePair, NotSymmetric,
                      TrivialIsotropy, isotropy_rep, symmetric_witness)
 from .geom import (CurvatureReport, MetricFamily, levi_civita,
@@ -140,38 +142,28 @@ def stress_tensor(structure: dict, family: MetricFamily,
 
 def solve_first_eym(lc: CurvatureReport, family: MetricFamily,
                     T: FieldMatrix) -> EymVerdict:
-    """Solve  r_ij + (lambda - s/2) g_ij = kappa T_ij  for the two constants;
-    T is built from the holonomy coefficients of lc.form, the curvature of
-    the canonical member."""
+    """Solve  r_ij + (lambda - s/2) g_ij = kappa T_ij  for the two constants:
+    lambda = s/4 by the trace (module docstring), and kappa exists when
+    r - lambda g is a multiple of T.  T is built from the holonomy
+    coefficients of lc.form, the curvature of the canonical member."""
     if lc.form.is_zero():
         return EymVerdict(EymOutcome.FLAT_CURVATURE,
                           detail="all curvature components vanish")
     if T.is_zero():
         return EymVerdict(EymOutcome.TRIVIAL_STRESS_ENERGY,
                           detail="energy-momentum tensor vanishes identically")
-    g = family.g
-    half_s = rf(Fraction(1, 2)) * lc.scalar
-    rows = []
-    for i in range(4):
-        for j in range(i, 4):
-            coeff_l = g.entries[i][j]
-            coeff_k = -T.entries[i][j]
-            rhs = half_s * g.entries[i][j] - lc.ricci.entries[i][j]
-            if coeff_l.is_zero() and coeff_k.is_zero() and rhs.is_zero():
-                continue
-            rows.append([coeff_l, coeff_k, rhs])
-    red, pivots = rref(FieldMatrix(len(rows), 3, rows))
-    if 2 in pivots:
+    lam = rf(Fraction(1, 4)) * lc.scalar
+    g = family.g.entries
+    # (r_ij - lambda g_ij, T_ij) per component equation i <= j
+    pairs = [(lc.ricci.entries[i][j] - lam * g[i][j], T.entries[i][j])
+             for i in range(4) for j in range(i, 4)]
+    e, t = next(p for p in pairs if not p[1].is_zero())
+    # x = (e/t) y for every pair, cross-multiplied: Poly products, no gcd
+    left, right = e.den * t.num, e.num * t.den
+    if any(x.num * y.den * left != right * x.den * y.num for x, y in pairs):
         return EymVerdict(EymOutcome.INCONSISTENT,
                           detail="component equations have no common solution")
-    if pivots != [0, 1]:
-        # T is traceless by construction (stress_tensor: T = F/2 - (s/8) g
-        # with s = g^ij F_ij, so g^ij T_ij = s/2 - 4 s/8 = 0) and g is
-        # nondegenerate (g^ij g_ij = 4), so a nonzero T is never a multiple
-        # of g and columns 0 and 1 are independent
-        raise AssertionError("first-equation system is rank deficient")
-    lam = red.entries[0][2]
-    kap = red.entries[1][2]
+    kap = e / t
     if kap.is_zero():
         return EymVerdict(
             EymOutcome.INCONSISTENT, lambda_=lam, kappa=kap,

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from eymsym.conn import CurvatureForm, NonClosing, _vec, curvature
 from eymsym.crosscheck import _inverse_scaled, _scaled, _unscaled
 from eymsym.exact import RF_ONE, RF_ZERO, RatFunc, rf
-from eymsym.eym import HolonomyMetric
+from eymsym.eym import EymOutcome, EymVerdict, HolonomyMetric
 from eymsym.linalg import FieldMatrix, rref
 
 
@@ -94,3 +96,48 @@ def reference_expand_in_basis(form: CurvatureForm, basis: list) -> dict:
         raise NonClosing("curvature component outside the holonomy span")
     return {key: [red.entries[k][n + t] for k in range(n)]
             for t, key in enumerate(keys)}
+
+
+def reference_first_eym(lc, family, T: FieldMatrix) -> EymVerdict:
+    """The first equation  r_ij + (lambda - s/2) g_ij = kappa T_ij  solved
+    as a linear system in (lambda, kappa): one row per component i <= j,
+    eliminated over the rational-function field and classified by its
+    pivots."""
+    if lc.form.is_zero():
+        return EymVerdict(EymOutcome.FLAT_CURVATURE,
+                          detail="all curvature components vanish")
+    if T.is_zero():
+        return EymVerdict(EymOutcome.TRIVIAL_STRESS_ENERGY,
+                          detail="energy-momentum tensor vanishes identically")
+    g = family.g
+    half_s = rf(Fraction(1, 2)) * lc.scalar
+    rows = []
+    for i in range(4):
+        for j in range(i, 4):
+            coeff_l = g.entries[i][j]
+            coeff_k = -T.entries[i][j]
+            rhs = half_s * g.entries[i][j] - lc.ricci.entries[i][j]
+            if coeff_l.is_zero() and coeff_k.is_zero() and rhs.is_zero():
+                continue
+            rows.append([coeff_l, coeff_k, rhs])
+    red, pivots = rref(FieldMatrix(len(rows), 3, rows))
+    if 2 in pivots:
+        return EymVerdict(EymOutcome.INCONSISTENT,
+                          detail="component equations have no common solution")
+    if pivots != [0, 1]:
+        # T is traceless and g nondegenerate, so a nonzero T is never a
+        # multiple of g and columns 0 and 1 are independent
+        raise AssertionError("first-equation system is rank deficient")
+    lam = red.entries[0][2]
+    kap = red.entries[1][2]
+    if kap.is_zero():
+        return EymVerdict(
+            EymOutcome.INCONSISTENT, lambda_=lam, kappa=kap,
+            detail="unique solution has kappa = 0 (field decouples)")
+    conditions = []
+    for p in (lam.den, kap.den, kap.num):
+        q = p.primitive()
+        if not q.is_constant() and all(q != c.num for c in conditions):
+            conditions.append(RatFunc(q))
+    return EymVerdict(EymOutcome.SOLUTION, lambda_=lam, kappa=kap,
+                      conditions=conditions)

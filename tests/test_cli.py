@@ -59,6 +59,21 @@ def test_bad_arguments_exit_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("case,sample,code,message", [
+    ("1.1^2(9)", "a=oops", 4, "error: bad rational value in 'a=oops'\n"),
+    ("1.1^2(9)", "a=1,a=2", 4, "error: --sample repeats key a\n"),
+    ("nosuch", "a=oops", 3, "unknown case: 'nosuch'\n")])
+def test_bad_sample_exits_before_the_case_runs(capsys, monkeypatch, case,
+                                               sample, code, message):
+    """A bad --sample exits 4 and an unknown case 3, with no run_case."""
+    calls = []
+    monkeypatch.setattr(eymsym.cli, "run_case",
+                        lambda *args: calls.append(args))
+    assert run_cli(capsys, "solve", case, "--sample", sample) \
+        == (code, "", message)
+    assert calls == []
+
+
 def test_bad_catalog_exit_2(capsys, tmp_path):
     bad = tmp_path / "broken.txt"
     bad.write_text('case "x" dim_h 1\nbracket e1 u9 = u1\n')

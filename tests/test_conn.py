@@ -366,7 +366,7 @@ def test_holonomy_matches_the_three_elimination_reference(reports):
 
 def _count_rref(monkeypatch) -> Counter:
     """Count the rref calls made inside and outside run_case's holonomy
-    call, under the names linalg, geom, conn and eym look rref up by."""
+    call, under the names linalg, geom and conn look rref up by."""
     calls = Counter()
     inside = []
     real_rref, real_holonomy = linalg_module.rref, conn_module.holonomy
@@ -382,29 +382,39 @@ def _count_rref(monkeypatch) -> Counter:
         finally:
             inside.pop()
 
-    for module in (linalg_module, geom_module, conn_module, eym_module):
+    for module in (linalg_module, geom_module, conn_module):
         monkeypatch.setattr(module, "rref", rref)
     monkeypatch.setattr(eym_module, "holonomy", holonomy)
     return calls
 
 
 def test_rref_calls_per_catalog_pass(catalog, monkeypatch):
-    """A catalog pass with an empty solve memo makes 94 rref calls, 42 of
+    """A catalog pass with an empty solve memo makes 73 rref calls, 42 of
     them in the holonomy stage (two per curved case), and a flat case none
     there.  Reading the connection families of the pass adds 8, one per
     distinct connection solve with a nonempty kernel."""
     monkeypatch.setattr(eym_module, "_SOLVED", {})
     calls = _count_rref(monkeypatch)
     reports = [run_case(entry) for entry in catalog.entries]
-    assert calls == {"holonomy": 42, "other": 52}
+    assert calls == {"holonomy": 42, "other": 31}
     for r in reports:
         r.conn
-    assert calls == {"holonomy": 42, "other": 60}
+    assert calls == {"holonomy": 42, "other": 39}
 
     calls.clear()
     flat = run_case(catalog.get("1.1^1(10)(t=0)"))
     assert flat.form.is_zero() and flat.hol_basis == []
     assert calls["holonomy"] == 0
+
+
+def test_first_equation_makes_no_rref_call(reports, monkeypatch):
+    """solve_first_eym reads lambda off the trace and kappa off one ratio:
+    it builds no linear system and eliminates nothing."""
+    assert not hasattr(eym_module, "rref")
+    calls = _count_rref(monkeypatch)
+    for r in reports.values():
+        eym_module.solve_first_eym(r.lc, r.family, r.T)
+    assert not calls
 
 
 def test_structure_coefficients_reconstruct_components(reports):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from eymsym.geom import CurvatureReport
 from eymsym.liecat import isotropy_rep
 from eymsym.linalg import FieldMatrix, inverse
 from helpers import (evaluate_matrix, from_rows, member_curvature,
-                     residual_is_zero, uniform_holonomy_metric)
+                     reference_first_eym, residual_is_zero,
+                     uniform_holonomy_metric)
 
 A, B, C, D, W = (RatFunc.var(x) for x in "abcdw")
 
@@ -177,6 +179,28 @@ def test_verdicts_match_reference_for_all_cases(catalog, reports):
             assert r.verdict.lambda_ == entry.golden.lambda_, r.case_id
             assert r.verdict.kappa == entry.golden.kappa, r.case_id
             assert r.verdict.conditions == entry.golden.conditions, r.case_id
+
+
+@pytest.mark.parametrize("hm", [
+    None, uniform_holonomy_metric(rf(4)), uniform_holonomy_metric(W)],
+    ids=["default", "uniform_4", "symbolic"])
+def test_first_equation_matches_the_elimination_reference(catalog, reports,
+                                                          hm):
+    """lambda = s/4 and kappa by proportionality give what eliminating the
+    ten component equations in (lambda, kappa) gives, on every case."""
+    outcomes = Counter()
+    for entry in catalog.entries:
+        cid = entry.pair.case_id
+        r = reports[cid] if hm is None else run_case(entry, hm)
+        v, ref = r.verdict, reference_first_eym(r.lc, r.family, r.T)
+        assert (v.outcome, v.lambda_, v.kappa, v.conditions, v.detail) \
+            == (ref.outcome, ref.lambda_, ref.kappa, ref.conditions,
+                ref.detail), cid
+        outcomes[v.outcome.value, v.kappa is not None] += 1
+    assert outcomes == {("solution", True): 16,
+                        ("no_solution:flat_curvature", False): 14,
+                        ("no_solution:inconsistent", True): 3,
+                        ("no_solution:inconsistent", False): 2}
 
 
 def test_solution_example_1_1_2_9(reports):
