@@ -11,9 +11,9 @@ Exit codes (stable contract for CI):
   4  bad arguments, a --sample point at a pole of lambda or kappa included,
      an --out file that cannot be written, or a closed stdout
   5  a case cannot be analysed (not reductive, not symmetric, an isotropy
-     that acts trivially, no invariant metric, a bad metric shape, a
-     degenerate metric, or a curvature component outside the holonomy span);
-     `validate` prints such a case as FAIL, goes on, and exits 5 at the end
+     that acts trivially or is not faithful, no invariant metric, a bad
+     metric shape, or a degenerate metric); `validate` prints such a case as
+     FAIL, goes on, and exits 5 at the end
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import sys
 import zlib
 from fractions import Fraction
 
-from .conn import NonClosing
 from .exact import (ParseError, PoleAtPoint, format_point, parse_ratfunc,
                     rf)
 from .eym import CaseReport, HolonomyMetric, run_case
@@ -39,7 +38,7 @@ from .linalg import FieldMatrix, contract
 
 # A case whose data the pipeline cannot analyse (exit code 5).
 _UNANALYSABLE = (NotReductive, NotSymmetric, TrivialIsotropy,
-                 NoInvariantMetric, BadMetricShape, SingularMetric, NonClosing)
+                 NoInvariantMetric, BadMetricShape, SingularMetric)
 
 
 class _ArgumentError(Exception):

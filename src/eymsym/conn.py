@@ -41,9 +41,12 @@ depends on its parameters is read off the basis maps B^k that the kernel
 vectors give (depends_on_connection_params), without building the
 curvature in v1..vd.  The canonical member's holonomy algebra is the span of
 its curvature components, rho([m, m]), which Jacobi closes under brackets.
-holonomy finds the span's echelon rows with one linalg.rref, and
-expand_in_basis reads the basis and the components' coefficients in it off a
-second one; both are returned by value, and the form is never written.
+Its coefficients over e_1..e_n are the negated [u_i, u_j] brackets, so
+holonomy reads the basis and the components' coefficients in it off one
+linalg.rref of that 6 x dim_h array (expand_in_basis), never touching a
+4 x 4 matrix but the basis itself; both are returned by value.  rho maps
+the echelon rows to independent matrices as it is faithful: eym.run_case
+refuses a pair on which part of h acts trivially (TrivialIsotropy).
 """
 
 from __future__ import annotations
@@ -56,11 +59,6 @@ from .liecat import LiePair, U_LABELS, rho_of
 
 if TYPE_CHECKING:
     from .geom import MetricFamily
-
-
-class NonClosing(RuntimeError):
-    """A curvature component lies outside the holonomy span (guards
-    implementation bugs)."""
 
 
 class ConnectionFamily:
@@ -130,15 +128,18 @@ def curvature(pair: LiePair, rhos: list) -> CurvatureForm:
     """R(u_i, u_j) = -rho([u_i, u_j]), the curvature of the canonical member
     on a symmetric pair, with `rhos` its isotropy matrices
     (liecat.isotropy_rep)."""
-    components = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            coeffs = pair.bracket(U_LABELS[i], U_LABELS[j])
-            # negate the coefficients, not the entries: zero entries stay
-            # the shared RF_ZERO
-            components[(i, j)] = rho_of(pair, rhos,
-                                        {lbl: -c for lbl, c in coeffs.items()})
-    return CurvatureForm(components=components)
+    return CurvatureForm(components={
+        key: rho_of(pair, rhos, dict(zip(pair.e_labels, row)))
+        for key, row in _curvature_coefficients(pair).items()})
+
+
+def _curvature_coefficients(pair: LiePair) -> dict:
+    """(i, j) -> the coefficients of -[u_i, u_j] over e_1..e_n, so that
+    R(u_i, u_j) is rho of them (curvature)."""
+    brackets = {(i, j): pair.bracket(U_LABELS[i], U_LABELS[j])
+                for i in range(4) for j in range(i + 1, 4)}
+    return {key: [-b[lbl] if lbl in b else RF_ZERO for lbl in pair.e_labels]
+            for key, b in brackets.items()}
 
 
 def depends_on_connection_params(conn: ConnectionFamily) -> bool:
@@ -164,50 +165,33 @@ def _quadratic_coefficients(basis: list):
                            + basis[l][i].commutator(basis[k][j]))
 
 
-def _vec(m: FieldMatrix) -> list:
-    return [m.entries[i][j] for i in range(4) for j in range(4)]
+def holonomy(pair: LiePair, rhos: list) -> tuple:
+    """(basis, structure): a basis of the holonomy algebra of the canonical
+    member and each curvature component's coefficients in it, read off the
+    [m, m] brackets, with `rhos` the isotropy matrices (liecat.isotropy_rep).
 
-
-def holonomy(form: CurvatureForm, isotropy_mats: list) -> tuple:
-    """(basis, structure): a basis of the holonomy algebra, the span of the
-    curvature components, and each component's coefficients in it.
-
-    Precondition: `form` is R(u_i, u_j) = -rho([u_i, u_j]) on a symmetric
-    pair.  Its span rho([m, m]) is then closed under brackets, as Jacobi
-    gives [h, [m, m]] in [m, m] (Kobayashi-Nomizu II, ch. XI).  The basis
-    lists the isotropy matrices in the span, in order, then completes from
-    the span's reduced echelon rows (expand_in_basis).  A flat form has the
-    empty basis.
+    On a symmetric pair the span rho([m, m]) is closed under brackets, as
+    Jacobi gives [h, [m, m]] in [m, m] (Kobayashi-Nomizu II, ch. XI), and
+    expand_in_basis reads the basis off the coefficients of the curvature
+    over e_1..e_n (_curvature_coefficients).  A flat pair has the empty basis.
     """
-    gens = [_vec(c) for c in form.components.values() if not c.is_zero()]
-    if not gens:
-        return [], {key: [] for key in form.components}
-    red, pivots = rref(FieldMatrix(len(gens), 16, gens))
-    rows = red.entries[:len(pivots)]
-
-    def in_span(v: list) -> bool:
-        # echelon rows rebuild each vector of their span from its pivot entries
-        return all(x == sum((v[p] * row[c] for p, row in zip(pivots, rows)),
-                            RF_ZERO) for c, x in enumerate(v))
-
-    cands = [rho for rho in isotropy_mats
-             if not rho.is_zero() and in_span(_vec(rho))]
-    cands += [FieldMatrix(4, 4, [row[4 * i:4 * i + 4] for i in range(4)])
-              for row in rows]
-    return expand_in_basis(form, cands)
+    coeffs = _curvature_coefficients(pair)
+    if all(c.is_zero() for row in coeffs.values() for c in row):
+        return [], {key: [] for key in coeffs}
+    return expand_in_basis(pair, rhos, coeffs)
 
 
-def expand_in_basis(form: CurvatureForm, cands: list) -> tuple:
-    """(basis, structure) from one reduced echelon form of the columns
-    [cands | components]: the pivot columns among the candidates pick the
-    first independent ones, left to right, as the basis, and each component
-    column holds its coefficients R^alpha_{ij} in that basis."""
-    keys = list(form.components)
-    cols = [_vec(c) for c in cands] + [_vec(form.components[k]) for k in keys]
-    n = len(cands)
-    red, pivots = rref(FieldMatrix(len(cols), 16, cols).transpose())
-    if pivots and pivots[-1] >= n:
-        raise NonClosing("curvature component outside the holonomy span")
-    return ([cands[c] for c in pivots],
-            {key: [row[n + t] for row in red.entries[:len(pivots)]]
-             for t, key in enumerate(keys)})
+def expand_in_basis(pair: LiePair, rhos: list, coeffs: dict) -> tuple:
+    """(basis, structure) from one reduced echelon form of the nonzero rows
+    of `coeffs` ((i, j) -> coefficients over e_1..e_n): each echelon row E
+    gives the basis element rho(E), rhos[p] itself for a unit row, and as E
+    is 1 at its own pivot p and 0 at the others, row (i, j) is the sum of
+    coeffs[(i, j)][p] E over the pivots.  The basis is independent as rho is
+    faithful, which run_case checks (TrivialIsotropy)."""
+    rows = [row for row in coeffs.values() if any(not c.is_zero() for c in row)]
+    red, pivots = rref(FieldMatrix(len(rows), pair.dim_h, rows))
+    basis = [rhos[p] if all(c.is_zero() for c in row[p + 1:])
+             else rho_of(pair, rhos, dict(zip(pair.e_labels, row)))
+             for p, row in zip(pivots, red.entries)]
+    return basis, {key: [row[p] for p in pivots]
+                   for key, row in coeffs.items()}

@@ -1,12 +1,16 @@
 """Energy-momentum tensor, the two field equations, and the case pipeline.
 
-The Yang-Mills energy-momentum tensor is read off one matrix product.  With
-R_a the antisymmetric matrix of the a-th coefficients of the curvature in
-the holonomy basis and w_a the diagonal holonomy metric,
+The Yang-Mills energy-momentum tensor is read off the curvature's
+coefficients in the holonomy basis.  With R_a the antisymmetric array of
+the a-th coefficients and w_a the diagonal holonomy metric,
 
-  F = sum_a w_a R_a g^-1 R_a^T,   s = sum_kh g^kh F_kh,   T = F/2 - (s/8) g,
+  F_ij = sum_a w_a sum_kl R_a[i][k] R_a[j][l] g^kl,   s = sum_kh g^kh F_kh,
+  T = F/2 - (s/8) g,
 
-so g^ij T_ij = s/2 - 4 s/8 = 0: T is traceless.
+so g^ij T_ij = s/2 - 4 s/8 = 0: T is traceless.  F is symmetric, so
+stress_tensor sums the coefficients of each g^kl over the nonzero entries
+of the R_a for the upper triangle only, then multiplies by the nonzero
+g^kl; it forms no matrix product.
 
 The first equation,  r + (lambda - s/2) g = kappa T,  needs no linear
 solve.  Its g-trace is  s + 4 (lambda - s/2) = kappa g^ij T_ij = 0,  as
@@ -39,10 +43,10 @@ free parameters, the pipeline evaluates the energy-momentum stage at the
 canonical member (all parameters zero), which always belongs to the family;
 reports carry a flag saying so.  The canonical member is the Levi-Civita
 connection, so the pipeline reads its curvature off the Levi-Civita report
-(CurvatureReport.form) instead of building it again.  conn.holonomy returns
-the holonomy basis and the curvature's coefficients in it by value;
-run_case passes the coefficients to stress_tensor and both to the
-CaseReport, and writes nothing to the form.
+(CurvatureReport.form) instead of building it again.  conn.holonomy reads
+the holonomy basis and the curvature's coefficients in it off the [m, m]
+brackets, by value; run_case passes the coefficients to stress_tensor and
+both to the CaseReport, and writes nothing to the form.
 
 run_case keeps the metric solve in one dict per process, keyed on what the
 metric solve reads (_solve_key; 14 keys over the 35 catalog cases).  The
@@ -59,12 +63,13 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
 
-from .exact import RatFunc, rf
-from .linalg import FieldMatrix, contract, matrices_key
+from .exact import RF_ZERO, RatFunc, rf
+from .linalg import FieldMatrix, contract, matrices_key, nonzero_entries
 from .liecat import (CaseGolden, CatalogEntry, LiePair, NotSymmetric,
-                     TrivialIsotropy, isotropy_rep, symmetric_witness)
+                     TrivialIsotropy, isotropy_rep, rep_is_faithful,
+                     symmetric_witness)
 from .geom import (CurvatureReport, MetricFamily, levi_civita,
                    solve_invariant_metric)
 from .conn import (ConnectionFamily, CurvatureForm,
@@ -126,18 +131,30 @@ class EymVerdict:
 def stress_tensor(structure: dict, family: MetricFamily,
                   hm: HolonomyMetric) -> FieldMatrix:
     """Exact Yang-Mills energy-momentum tensor T = F/2 - (s/8) g, where
-    F = sum_a w_a R_a g^-1 R_a^T and s = sum_kh g^kh F_kh; R_a is the
-    antisymmetric matrix of the a-th holonomy coefficients of the curvature,
-    R_a[i][j] = structure[(i, j)][a] (conn.holonomy), and w_a = hm.value(a)."""
+    F_ij = sum_a w_a sum_kl R_a[i][k] R_a[j][l] g^kl and s = sum_kh g^kh F_kh;
+    R_a is the antisymmetric matrix of the a-th holonomy coefficients of the
+    curvature, R_a[i][j] = structure[(i, j)][a] (conn.holonomy), and
+    w_a = hm.value(a)."""
     ginv = family.g_inverse()
-    f = FieldMatrix.zeros(4, 4)
-    for a, coeffs in enumerate(zip(*structure.values())):
-        r = FieldMatrix.zeros(4, 4)
-        for (i, j), c in zip(structure, coeffs):
-            r.entries[i][j], r.entries[j][i] = c, -c
-        f = f + (r * ginv * r.transpose()).scale(hm.value(a))
-    return (f.scale(rf(Fraction(1, 2)))
-            - family.g.scale(contract(ginv, f) * rf(Fraction(1, 8))))
+    g_kl = {(k, l): x for k, l, x in nonzero_entries(ginv)}
+    # (i, j, k, l) with i <= j and g^kl != 0  ->  sum_a w_a R_a[i][k] R_a[j][l]
+    terms: dict = {}
+    for a, column in enumerate(zip(*structure.values())):
+        w = hm.value(a)
+        # (i, k, R_a[i][k]) for the nonzero entries of R_a
+        nonzero = [t for (i, k), c in zip(structure, column) if not c.is_zero()
+                   for t in ((i, k, c), (k, i, -c))]
+        for (i, k, x), (j, l, y) in product(nonzero, repeat=2):
+            if i <= j and (k, l) in g_kl:
+                terms[i, j, k, l] = terms.get((i, j, k, l), RF_ZERO) + w * x * y
+    t = FieldMatrix.zeros(4, 4)
+    e, g = t.entries, family.g.entries  # F, then T, mirrored as written
+    for (i, j, k, l), c in terms.items():
+        e[i][j] = e[j][i] = e[i][j] + c * g_kl[k, l]
+    half, s8 = rf(Fraction(1, 2)), contract(ginv, t) * rf(Fraction(1, 8))
+    for i, j in combinations_with_replacement(range(4), 2):
+        e[i][j] = e[j][i] = half * e[i][j] - s8 * g[i][j]
+    return t
 
 
 def solve_first_eym(lc: CurvatureReport, family: MetricFamily,
@@ -345,6 +362,9 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
     key = _solve_key(pair, rhos, golden.metric, golden.lorentz)
     solved = _SOLVED.get(key)
     if solved is None:
+        # rho must be faithful for conn.holonomy's basis to be independent
+        if not rep_is_faithful(pair, rhos):
+            raise TrivialIsotropy(f"{pair.case_id}: h acts unfaithfully on m")
         solved = _SOLVED[key] = [
             solve_invariant_metric(pair, rhos, shape=golden.metric,
                                    lorentz=golden.lorentz), None]
@@ -353,7 +373,7 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
     # the curvature of the canonical member, and of the whole family when it
     # does not depend on the parameters
     form = lc.form
-    basis, structure = holonomy(form, rhos)
+    basis, structure = holonomy(pair, rhos)
     T = stress_tensor(structure, family, hm)
     verdict = solve_first_eym(lc, family, T)
 

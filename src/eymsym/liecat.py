@@ -54,7 +54,8 @@ class NotSymmetric(ValueError):
 
 
 class TrivialIsotropy(ValueError):
-    """h acts trivially on m: every isotropy matrix is zero."""
+    """h, or a nonzero part of it, acts trivially on m: the isotropy
+    matrices are all zero or linearly dependent."""
 
 
 class CaseParam:
@@ -460,10 +461,12 @@ def symmetric_witness(pair: LiePair) -> str:
 def rho_of(pair: LiePair, mats: list, coeffs: dict) -> FieldMatrix:
     """rho(x) = sum_l c_l rho(e_l) for x in h given by its coefficients
     {e_l: c_l}, with `mats` the isotropy matrices of the pair
-    (isotropy_rep)."""
+    (isotropy_rep), summed over the nonzero c_l only, so zero entries stay
+    the shared RF_ZERO."""
     out = FieldMatrix.zeros(4, 4)
     for lbl, c in coeffs.items():
-        out = out + mats[pair.e_labels.index(lbl)].scale(c)
+        if not c.is_zero():
+            out = out + mats[pair.e_labels.index(lbl)].scale(c)
     return out
 
 

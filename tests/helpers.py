@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from eymsym.conn import CurvatureForm, NonClosing, _vec, curvature
+from eymsym.conn import CurvatureForm, curvature
 from eymsym.crosscheck import _inverse_scaled, _scaled, _unscaled
 from eymsym.exact import RF_ONE, RF_ZERO, RatFunc, rf
 from eymsym.eym import EymOutcome, EymVerdict, HolonomyMetric
-from eymsym.linalg import FieldMatrix, rref
+from eymsym.geom import MetricFamily
+from eymsym.linalg import FieldMatrix, contract, rref
 
 
 def from_rows(rows) -> FieldMatrix:
@@ -60,6 +61,15 @@ def form_variables(form: CurvatureForm) -> set:
             for x in row for v in x.variables()}
 
 
+class NonClosing(RuntimeError):
+    """A curvature component lies outside the span of a candidate basis."""
+
+
+def _vec(m: FieldMatrix) -> list:
+    """The 16 entries of a 4x4 matrix, row by row."""
+    return [m.entries[i][j] for i in range(4) for j in range(4)]
+
+
 def reference_holonomy(form: CurvatureForm, isotropy_mats: list) -> list:
     """Holonomy basis through three eliminations: the components' echelon
     rows and in-span test, then a second elimination that picks the first
@@ -96,6 +106,21 @@ def reference_expand_in_basis(form: CurvatureForm, basis: list) -> dict:
         raise NonClosing("curvature component outside the holonomy span")
     return {key: [red.entries[k][n + t] for k in range(n)]
             for t, key in enumerate(keys)}
+
+
+def reference_stress_tensor(structure: dict, family: MetricFamily,
+                             hm: HolonomyMetric) -> FieldMatrix:
+    """T = F/2 - (s/8) g with F = sum_a w_a R_a g^-1 R_a^T taken as 4x4
+    matrix products, and s = sum_kh g^kh F_kh."""
+    ginv = family.g_inverse()
+    f = FieldMatrix.zeros(4, 4)
+    for a, coeffs in enumerate(zip(*structure.values())):
+        r = FieldMatrix.zeros(4, 4)
+        for (i, j), c in zip(structure, coeffs):
+            r.entries[i][j], r.entries[j][i] = c, -c
+        f = f + (r * ginv * r.transpose()).scale(hm.value(a))
+    return (f.scale(rf(Fraction(1, 2)))
+            - family.g.scale(contract(ginv, f) * rf(Fraction(1, 8))))
 
 
 def reference_first_eym(lc, family, T: FieldMatrix) -> EymVerdict:

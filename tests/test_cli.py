@@ -753,3 +753,24 @@ def test_trivial_isotropy_exit_5(capsys, tmp_path, text, faithful):
     assert out == ("FAIL z: " + ("" if faithful else "isotropy faithfulness; ")
                    + "cannot be analysed: z: h acts trivially on m\n"
                    "0/1 pass\n")
+
+
+def test_unfaithful_isotropy_exit_5(capsys, tmp_path):
+    """An e2 that acts trivially on m but is the bracket [u2, u4] would make
+    rho of the holonomy rows dependent (rho(e2) = 0); the case is refused
+    instead of given a zero holonomy basis element."""
+    text = _bundled_catalog()
+    start = text.index('case "1.1^1(7)" dim_h 1\n')
+    broken = text[:start] + text[start:].replace(
+        'case "1.1^1(7)" dim_h 1\n',
+        'case "1.1^1(7)" dim_h 2\nbracket u2 u4 = e2\n', 1)
+    path = _catalog_file(tmp_path, broken)
+    message = "cannot be analysed: 1.1^1(7): h acts unfaithfully on m"
+    for command in ("report", "solve"):
+        code, out, err = run_cli(capsys, "--catalog", path, command, "1.1^1(7)")
+        assert (code, out, err) == (5, "", f"error: case {message}\n")
+    code, out, err = run_cli(capsys, "--catalog", path, "validate",
+                             "--filter", "1.1^1(7)")
+    assert (code, err) == (5, "")
+    assert out == (f"FAIL 1.1^1(7): isotropy faithfulness; {message}\n"
+                   "0/1 pass\n")

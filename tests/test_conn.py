@@ -9,16 +9,16 @@ from fractions import Fraction
 import pytest
 
 from eymsym.exact import RF_ZERO, RatFunc, rf
-from eymsym.liecat import U_LABELS, isotropy_rep
+from eymsym.liecat import LiePair, U_LABELS, isotropy_rep
 from eymsym.linalg import (FieldMatrix, det, inverse, nonzero_entries,
                            nullspace, rank)
 import eymsym.conn as conn_module
 import eymsym.eym as eym_module
 import eymsym.geom as geom_module
 import eymsym.linalg as linalg_module
-from eymsym.conn import (ConnectionFamily, CurvatureForm, NonClosing,
-                         depends_on_connection_params, expand_in_basis,
-                         holonomy, solve_connections)
+from eymsym.conn import (ConnectionFamily, CurvatureForm, curvature,
+                         depends_on_connection_params, holonomy,
+                         solve_connections)
 from eymsym.eym import run_case
 from eymsym.geom import MetricFamily
 from eymsym.crosscheck import NumericCase, sample_point
@@ -300,56 +300,63 @@ def test_holonomy_closure_and_skewness(reports):
             assert (b.transpose() * g + g * b).is_zero(), r.case_id
 
 
+def _with_mm_brackets(pair, mm: dict) -> LiePair:
+    """`pair` with its [u_i, u_j] brackets replaced by `mm`."""
+    brackets = {key: v for key, v in pair.brackets.items()
+                if not set(key) <= set(U_LABELS)}
+    return LiePair("synthetic", pair.dim_h, {**brackets, **mm})
+
+
+def _recomposed(basis: list, structure: dict) -> dict:
+    """sum_a structure[key][a] basis[a] per component key."""
+    out = {}
+    for key, coeffs in structure.items():
+        acc = FieldMatrix.zeros(4, 4)
+        for c, b in zip(coeffs, basis):
+            acc = acc + b.scale(c)
+        out[key] = acc
+    return out
+
+
 def test_holonomy_completes_from_echelon_rows(catalog):
-    """A span that holds no isotropy matrix is spanned by its reduced echelon
-    rows (first nonzero entry 1); isotropy matrices in the span come first."""
-    rhos = isotropy_rep(catalog.get("6.1^3(1)").pair)
-    mix = rhos[0] + rhos[1]
-    lead = next(x for row in mix.entries for x in row if not x.is_zero())
-    zero = FieldMatrix.zeros(4, 4)
-    comps = {(i, j): zero for i in range(4) for j in range(i + 1, 4)}
-    form = CurvatureForm({**comps, (0, 1): mix.scale(rf(3))})
-    basis, structure = holonomy(form, rhos)
-    assert basis == [mix.scale(rf(1) / lead)]
-    assert structure[(0, 1)] == [rf(3) * lead]
-    assert all(structure[key] == [RF_ZERO] for key in comps if key != (0, 1))
-    assert (basis, structure) == _reference(form, rhos)
-
-    form = CurvatureForm({**comps, (0, 1): mix, (2, 3): rhos[2]})
-    basis, structure = holonomy(form, rhos)
-    assert basis[0] == rhos[2] and len(basis) == 2
-    assert span_rank(basis + [mix]) == 2
-    assert (basis, structure) == _reference(form, rhos)
-
-
-def test_expand_in_basis_solves_and_rejects(catalog):
-    """The first independent candidates are the basis, with each component's
-    coefficients in it; a component outside their span raises NonClosing,
-    with no candidate too."""
-    rhos = isotropy_rep(catalog.get("6.1^3(1)").pair)
+    """A span [m, m] that holds no isotropy matrix gets rho of the echelon
+    rows of the bracket coefficients as its basis; a unit row gives the
+    isotropy matrix itself.  The span and the recomposed components agree
+    with the three-elimination reference, and a flat pair has the empty
+    basis."""
+    pair = catalog.get("6.1^3(1)").pair
+    rhos = isotropy_rep(pair)
     t = RatFunc.var("t")
-    zero = FieldMatrix.zeros(4, 4)
-    comps = {(i, j): zero for i in range(4) for j in range(i + 1, 4)}
-    form = CurvatureForm({**comps, (0, 1): rhos[0] + rhos[1],
-                          (1, 2): rhos[0] - rhos[1].scale(t)})
-    basis, structure = expand_in_basis(form, rhos[:2])
-    assert basis == rhos[:2]
-    assert structure[(0, 1)] == [rf(1), rf(1)]
-    assert structure[(1, 2)] == [rf(1), -t]
-    assert structure[(2, 3)] == [RF_ZERO, RF_ZERO]
-    assert structure == reference_expand_in_basis(form, rhos[:2])
-    # a dependent candidate is skipped
-    assert expand_in_basis(form, [rhos[0], rhos[0].scale(t), rhos[1]]) \
-        == (basis, structure)
-    for cands in (rhos[:1], []):
-        with pytest.raises(NonClosing):
-            expand_in_basis(form, cands)
-        with pytest.raises(NonClosing):
-            reference_expand_in_basis(form, cands)
-    flat = CurvatureForm(comps)
-    assert expand_in_basis(flat, []) == ([], {k: [] for k in comps})
-    assert holonomy(flat, rhos) == ([], {k: [] for k in comps}) \
-        == _reference(flat, rhos)
+    keys = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+    # [u_1, u_2] = 3 e1 + 3 t e2, so R_12 = -3 rho(e1 + t e2)
+    mixed = _with_mm_brackets(pair, {("u1", "u2"): {"e1": rf(3),
+                                                    "e2": rf(3) * t}})
+    basis, structure = holonomy(mixed, rhos)
+    assert basis == [rhos[0] + rhos[1].scale(t)]
+    assert structure == {key: [rf(-3) if key == (0, 1) else RF_ZERO]
+                         for key in keys}
+
+    # [u_1, u_2] = e1 + e2 and [u_3, u_4] = e3: echelon rows in pivot order
+    two = _with_mm_brackets(pair, {("u1", "u2"): {"e1": rf(1), "e2": rf(1)},
+                                   ("u3", "u4"): {"e3": rf(1)}})
+    basis, structure = holonomy(two, rhos)
+    assert basis == [rhos[0] + rhos[1], rhos[2]]
+    assert structure[(0, 1)] == [rf(-1), RF_ZERO]
+    assert structure[(2, 3)] == [RF_ZERO, rf(-1)]
+
+    for synthetic in (mixed, two):
+        basis, structure = holonomy(synthetic, rhos)
+        form = curvature(synthetic, rhos)
+        ref_basis, ref_structure = _reference(form, rhos)
+        n = len(ref_basis)
+        assert len(basis) == n == span_rank(basis + ref_basis)
+        assert _recomposed(basis, structure) == form.components \
+            == _recomposed(ref_basis, ref_structure)
+
+    flat = _with_mm_brackets(pair, {})
+    assert holonomy(flat, rhos) == ([], {key: [] for key in keys}) \
+        == _reference(curvature(flat, rhos), rhos)
 
 
 def _reference(form: CurvatureForm, rhos: list) -> tuple:
@@ -360,51 +367,65 @@ def _reference(form: CurvatureForm, rhos: list) -> tuple:
 
 def test_holonomy_matches_the_three_elimination_reference(reports):
     for r in reports.values():
-        assert (r.hol_basis, r.structure) == _reference(r.form, r.rhos), \
-            r.case_id
+        assert holonomy(r.pair, r.rhos) == (r.hol_basis, r.structure) \
+            == _reference(r.form, r.rhos), r.case_id
 
 
 def _count_rref(monkeypatch) -> Counter:
-    """Count the rref calls made inside and outside run_case's holonomy
-    call, under the names linalg, geom and conn look rref up by."""
+    """Count the rref calls made inside run_case's holonomy call, inside its
+    faithfulness check and outside both, under the names linalg, geom and
+    conn look rref up by.  Inside holonomy, each matrix must have at most six
+    rows and dim_h columns."""
     calls = Counter()
     inside = []
     real_rref, real_holonomy = linalg_module.rref, conn_module.holonomy
+    real_faithful = eym_module.rep_is_faithful
 
     def rref(m):
-        calls["holonomy" if inside else "other"] += 1
+        stage = inside[-1][0] if inside else "other"
+        calls[stage] += 1
+        assert stage != "holonomy" or (m.rows <= 6 and m.cols == inside[-1][1])
         return real_rref(m)
 
-    def holonomy(form, mats):
-        inside.append(True)
+    def holonomy(pair, rhos):
+        inside.append(("holonomy", pair.dim_h))
         try:
-            return real_holonomy(form, mats)
+            return real_holonomy(pair, rhos)
+        finally:
+            inside.pop()
+
+    def rep_is_faithful(pair, rhos):
+        inside.append(("faithful", pair.dim_h))
+        try:
+            return real_faithful(pair, rhos)
         finally:
             inside.pop()
 
     for module in (linalg_module, geom_module, conn_module):
         monkeypatch.setattr(module, "rref", rref)
     monkeypatch.setattr(eym_module, "holonomy", holonomy)
+    monkeypatch.setattr(eym_module, "rep_is_faithful", rep_is_faithful)
     return calls
 
 
 def test_rref_calls_per_catalog_pass(catalog, monkeypatch):
-    """A catalog pass with an empty solve memo makes 73 rref calls, 42 of
-    them in the holonomy stage (two per curved case), and a flat case none
-    there.  Reading the connection families of the pass adds 8, one per
-    distinct connection solve with a nonempty kernel."""
+    """A catalog pass with an empty solve memo makes 66 rref calls: 21 in
+    the holonomy stage (one per curved case, of at most six rows and dim_h
+    columns), a flat case none there, and 14 in the faithfulness check (one
+    per solve memo key, dim_h x 16).  Reading the connection families of the
+    pass adds 8, one per distinct connection solve with a nonempty kernel."""
     monkeypatch.setattr(eym_module, "_SOLVED", {})
     calls = _count_rref(monkeypatch)
     reports = [run_case(entry) for entry in catalog.entries]
-    assert calls == {"holonomy": 42, "other": 31}
+    assert calls == {"holonomy": 21, "faithful": 14, "other": 31}
     for r in reports:
         r.conn
-    assert calls == {"holonomy": 42, "other": 39}
+    assert calls == {"holonomy": 21, "faithful": 14, "other": 39}
 
     calls.clear()
     flat = run_case(catalog.get("1.1^1(10)(t=0)"))
     assert flat.form.is_zero() and flat.hol_basis == []
-    assert calls["holonomy"] == 0
+    assert calls["holonomy"] == calls["faithful"] == 0
 
 
 def test_first_equation_makes_no_rref_call(reports, monkeypatch):

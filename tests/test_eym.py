@@ -18,8 +18,8 @@ from eymsym.geom import CurvatureReport
 from eymsym.liecat import isotropy_rep
 from eymsym.linalg import FieldMatrix, inverse
 from helpers import (evaluate_matrix, from_rows, member_curvature,
-                     reference_first_eym, residual_is_zero,
-                     uniform_holonomy_metric)
+                     reference_first_eym, reference_stress_tensor,
+                     residual_is_zero, uniform_holonomy_metric)
 
 A, B, C, D, W = (RatFunc.var(x) for x in "abcdw")
 
@@ -87,16 +87,44 @@ def _stress_by_contraction(structure: dict, dim: int, family,
     return FieldMatrix(4, 4, rows)
 
 
-@pytest.mark.parametrize("hm", [
+_WEIGHTS = pytest.mark.parametrize("hm", [
     HolonomyMetric(), HolonomyMetric(overrides={5: rf(4)}),
     uniform_holonomy_metric(W)], ids=["default", "override_5=4", "symbolic"])
+
+
+@_WEIGHTS
 def test_stress_tensor_equals_the_index_contraction(reports, hm):
-    """T read off F = sum_a w_a R_a g^-1 R_a^T equals the index-loop
-    contraction exactly on every case."""
+    """T read off F_ij = sum_a w_a sum_kl R_a[i][k] R_a[j][l] g^kl equals the
+    index-loop contraction exactly on every case."""
     for r in reports.values():
         assert stress_tensor(r.structure, r.family, hm) \
             == _stress_by_contraction(r.structure, r.hol_dim, r.family, hm), \
             r.case_id
+
+
+@_WEIGHTS
+def test_stress_tensor_equals_the_matrix_products(reports, hm):
+    """The accumulated upper triangle of F equals sum_a w_a R_a g^-1 R_a^T
+    taken as 4x4 matrix products, on every case."""
+    for r in reports.values():
+        assert stress_tensor(r.structure, r.family, hm) \
+            == reference_stress_tensor(r.structure, r.family, hm), r.case_id
+
+
+def test_stress_tensor_makes_no_matrix_product(reports, monkeypatch):
+    """stress_tensor reads F off the nonzero coefficients and entries of
+    g^-1: it multiplies no two matrices."""
+    calls = []
+    real_mul = FieldMatrix.__mul__
+
+    def mul(a, b):
+        calls.append((a, b))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(FieldMatrix, "__mul__", mul)
+    for r in reports.values():
+        stress_tensor(r.structure, r.family, r.hm)
+    assert not calls
 
 
 def test_holonomy_weight_two_is_forced(catalog, reports):
