@@ -312,6 +312,9 @@ def _cmd_solve(catalog: Catalog, args) -> int:
         missing = [name for name in sorted(names) if name not in sample]
         if missing:
             raise _ArgumentError(f"--sample misses parameters {missing}")
+        for key in sorted(sample.keys() - names):
+            print(f"warning: --sample key {key} ignored: {report.case_id} "
+                  f"evaluates only {', '.join(sorted(names))}", file=sys.stderr)
         sig = lorentz_check(report.family, sample)
         lines.append(f"signature at sample: {sig.value}")
         if v.is_solution:

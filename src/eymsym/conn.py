@@ -98,10 +98,10 @@ def solve_connections(rhos: list, family: MetricFamily) -> ConnectionFamily:
     vecs = []
     kernel = kernel_linear_in(rhos, _CONNECTION)
     if kernel:
-        # det(g) g^-1 has polynomial entries and spans the same rows as g^-1
-        adj = family.g_inverse().scale(family.det_g)
+        # Lambda_s = g^-1 A_s for each kernel vector A_1..A_4
+        inv = family.g_inverse()
         vecs = [[x for rows in _CONNECTION.unpack(vec)
-                 for row in (adj * FieldMatrix(4, 4, rows)).entries for x in row]
+                 for row in (inv * FieldMatrix(4, 4, rows)).entries for x in row]
                 for vec in kernel]
         # columns reversed, each echelon row ends in a 1 at its free column
         red, _ = rref(FieldMatrix(len(vecs), 64, [v[::-1] for v in vecs]))

@@ -11,26 +11,17 @@ Both systems linear in the isotropy matrices, metric invariance and
 connection equivariance, are rho.T = 0 for a covariant tensor T on m; a
 TensorLayout builds their rows from the index symmetry of T.
 kernel_linear_in returns the nullspace() basis of those rows over a list of
-matrices.  It evaluates every nonzero entry at one point: the empty point
-when every entry is constant (all catalog cases but the three whose
-isotropy carries `lam`), otherwise every parameter set to c = 1, then 2,
-..., 8, skipping each point where an entry has a pole.  Each matrix's
-values are scaled to integers and all rows are solved by int_nullspace:
-sparse {col: int} rows, Gauss-Jordan over Z with each row divided by its
-content, and Fractions only where the basis is read off.  Its rows are kept
-fully reduced (zero at every pivot column but their own) and each starts at
-its own pivot, so they are the rows of the reduced echelon form up to
-scaling.  That form is unique for the row space, so the pivot columns, and
-the basis that is the identity on the other columns, are exactly those of
-nullspace().
-
-Without parameters that kernel is the answer.  With them, specialising can
-only lower the rank where every entry is defined: a nonzero minor at the
-point is the value of the same minor over Q(params), which is then nonzero
-too.  So the kernel at the point is at least as large as the generic one,
-and when it is empty the kernel over Q(params) is empty as well.
-Otherwise, or when no point tried is free of poles, the rows of all
-matrices are stacked and solved by one nullspace() over RatFunc.
+matrices, by one of two solves.  When every entry is constant (all catalog
+cases but the three whose isotropy carries `lam`), each matrix's values are
+scaled to integers and all rows are solved by int_nullspace: sparse
+{col: int} rows, Gauss-Jordan over Z with each row divided by its content,
+and Fractions only where the basis is read off.  Its rows are kept fully
+reduced (zero at every pivot column but their own) and each starts at its
+own pivot, so they are the rows of the reduced echelon form up to scaling.
+That form is unique for the row space, so the pivot columns, and the basis
+that is the identity on the other columns, are exactly those of nullspace().
+Otherwise the rows of all matrices are stacked and solved by one nullspace()
+over RatFunc.
 """
 
 from __future__ import annotations
@@ -38,8 +29,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
-from .exact import RF_ONE, RF_ZERO, PoleAtPoint, RatFunc, rf
+from .exact import RF_ONE, RF_ZERO, RatFunc, rf
 
 
 class NonSquare(ValueError):
@@ -101,19 +93,9 @@ class FieldMatrix:
     def __mul__(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        out = [[RF_ZERO] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self.entries[i]
-            for k in range(self.cols):
-                x = row[k]
-                if x.is_zero():
-                    continue
-                orow = other.entries[k]
-                for j in range(other.cols):
-                    y = orow[j]
-                    if not y.is_zero():
-                        out[i][j] = out[i][j] + x * y
-        return FieldMatrix(self.rows, other.cols, out)
+        return FieldMatrix(self.rows, other.cols, [
+            [sum(map(mul, row, col), RF_ZERO) for col in zip(*other.entries)]
+            for row in self.entries])
 
     def scale(self, c: RatFunc) -> "FieldMatrix":
         c = rf(c)
@@ -390,26 +372,18 @@ class TensorLayout:
 
 def kernel_linear_in(mats: list, layout: TensorLayout) -> list:
     """nullspace() basis of the rows of rho.T = 0 over `layout`, for every
-    rho in `mats`, as sparse {col: RatFunc} vectors (module docstring)."""
+    rho in `mats`, as sparse {col: RatFunc} vectors: one int_nullspace when
+    every entry is constant, one nullspace() over RatFunc otherwise."""
     ents = [nonzero_entries(m) for m in mats]
-    names = sorted({v for es in ents for _, _, x in es for v in x.variables()})
-    points = [dict.fromkeys(names, c) for c in range(1, 9)] if names else [{}]
-    for point in points:
-        try:
-            values = [[(i, j, x.evaluate(point)) for i, j, x in es]
-                      for es in ents]
-        except PoleAtPoint:
-            continue
+    if all(x.is_constant() for es in ents for _, _, x in es):
         rows = []
-        for vs in values:
+        for es in ents:
+            vs = [(i, j, x.evaluate({})) for i, j, x in es]
             # scaling a matrix leaves the kernel of rho.T = 0 unchanged
             d = math.lcm(*(x.denominator for _, _, x in vs))
             rows += layout.rows([(i, j, (x * d).numerator) for i, j, x in vs])
-        kernel = int_nullspace(rows, layout.cols)
-        if not names or not kernel:
-            return [{c: RatFunc.const(x) for c, x in vec.items()}
-                    for vec in kernel]
-        break
+        return [{c: RatFunc.const(x) for c, x in vec.items()}
+                for vec in int_nullspace(rows, layout.cols)]
     cols = layout.cols
     rows = [[row.get(c, RF_ZERO) for c in range(cols)]
             for es in ents for row in layout.rows(es)]

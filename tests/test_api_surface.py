@@ -11,6 +11,9 @@ passes with no caller of its own, as FieldMatrix.evaluate and
 CurvatureForm.variables did beside RatFunc.evaluate and RatFunc.variables
 while only the tests called them.  Such a method is found by reading, not by
 this guard.
+
+Every name an import binds in a module, at module or function level, is
+also referred to in that module; `from __future__` imports are exempt.
 """
 
 from __future__ import annotations
@@ -107,3 +110,42 @@ def test_an_unused_function_is_reported(tmp_path):
         (SRC / "conn.py").read_text()
         + "\n\ndef _orphan(x):\n    return _orphan(x - 1) if x else 0\n")
     assert unreferenced(tmp_path) == ["conn._orphan"]
+
+
+def unused_imports(src: Path) -> list:
+    """`module.name` of each name bound by an import in a module under
+    `src` that no Name node of that module spells, sorted."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    out.append(f"{path.stem}.{name}")
+    return sorted(out)
+
+
+def test_every_import_is_used_in_its_module():
+    assert unused_imports(SRC) == []
+
+
+def test_an_unused_import_is_reported(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    edits = {"linalg.py": ("from .exact import RF_ONE, RF_ZERO, RatFunc, rf",
+                           "from .exact import RF_ONE, RF_ZERO, PoleAtPoint, "
+                           "RatFunc, rf"),
+             # a function-level import
+             "cli.py": ("from .crosscheck import crosscheck_case, sample_point",
+                        "from .crosscheck import (NumericCase, crosscheck_case,"
+                        " sample_point)")}
+    for name, (old, new) in edits.items():
+        text = (SRC / name).read_text()
+        assert text.count(old) == 1, name
+        (tmp_path / name).write_text(text.replace(old, new))
+    assert unused_imports(tmp_path) == ["cli.NumericCase", "linalg.PoleAtPoint"]

@@ -172,6 +172,23 @@ def test_solve_with_sample(capsys):
     assert "signature at sample: lorentzian" in out
 
 
+def test_solve_warns_for_a_sample_key_it_does_not_evaluate(capsys):
+    code, out, err = run_cli(capsys, "solve", "1.1^1(7)",
+                             "--sample", "a=1,b=2,c=0,d=1,e=5")
+    assert err == ("warning: --sample key e ignored: 1.1^1(7) evaluates "
+                   "only a, b, c, d\n")
+    # stdout and the exit code are those of the sample without e
+    assert (code, out) == run_cli(capsys, "solve", "1.1^1(7)",
+                                  "--sample", "a=1,b=2,c=0,d=1")[:2]
+    # a weight's variable enters kappa, so it is evaluated, not ignored
+    argv = ["solve", "1.1^1(7)", "--g-holonomy", "5=w", "--sample"]
+    assert run_cli(capsys, *argv, "a=3,b=1,c=0,d=1,w=2")[2] == ""
+    assert run_cli(capsys, *argv, "w=2,a=3,b=1,c=0,d=1,z=1,y=0")[2] == (
+        "warning: --sample key y ignored: 1.1^1(7) evaluates only a, b, c, "
+        "d, w\nwarning: --sample key z ignored: 1.1^1(7) evaluates only a, "
+        "b, c, d, w\n")
+
+
 def test_solve_missing_sample_params(capsys):
     code, _, err = run_cli(capsys, "solve", "1.1^1(7)", "--sample", "a=3")
     assert code == 4

@@ -413,14 +413,15 @@ def test_rref_calls_per_catalog_pass(catalog, monkeypatch):
     the holonomy stage (one per curved case, of at most six rows and dim_h
     columns), a flat case none there, and 14 in the faithfulness check (one
     per solve memo key, dim_h x 16).  Reading the connection families of the
-    pass adds 8, one per distinct connection solve with a nonempty kernel."""
+    pass adds 8, one per distinct connection solve with a nonempty kernel,
+    and 3 in the one nullspace of each lam case's equivariance system."""
     monkeypatch.setattr(eym_module, "_SOLVED", {})
     calls = _count_rref(monkeypatch)
     reports = [run_case(entry) for entry in catalog.entries]
     assert calls == {"holonomy": 21, "faithful": 14, "other": 31}
     for r in reports:
         r.conn
-    assert calls == {"holonomy": 21, "faithful": 14, "other": 39}
+    assert calls == {"holonomy": 21, "faithful": 14, "other": 42}
 
     calls.clear()
     flat = run_case(catalog.get("1.1^1(10)(t=0)"))

@@ -12,7 +12,7 @@ from eymsym.exact import RatFunc, rf
 from eymsym.linalg import (FieldMatrix, NonSquare, Singular, TensorLayout,
                            det, int_nullspace, inverse, kernel_linear_in,
                            nonzero_entries, nullspace, rank, rref)
-from helpers import from_rows, identity
+from helpers import evaluate_matrix, from_rows, identity
 
 A, B, C, D = (RatFunc.var(x) for x in "abcd")
 Z = rf(0)
@@ -151,6 +151,39 @@ def test_kernel_linear_in_scales_each_matrix_to_integers():
                 for m in mats for row in layout.rows(nonzero_entries(m))]
         assert [[vec.get(c, Z) for c in range(layout.cols)]
                 for vec in kernel] == nullspace(from_rows(rows))
+
+
+def _sparse_entry(rng: random.Random) -> RatFunc:
+    """Zero half the time, else rand_entry, over b + 3 a third of those."""
+    if rng.random() < 0.5:
+        return Z
+    x = rand_entry(rng)
+    return x / (B + rf(3)) if rng.random() < 1 / 3 else x
+
+
+def test_product_equals_an_index_loop_at_a_sample():
+    """Products of sparse RatFunc matrices, evaluated at a sample, equal the
+    index-loop product of the evaluated factors; a mismatch raises."""
+    rng = random.Random(37)
+    for n, k, m in [(4, 4, 4), (1, 4, 1), (4, 1, 4)] * 4:
+        a = FieldMatrix(n, k, [[_sparse_entry(rng) for _ in range(k)]
+                               for _ in range(n)])
+        b = FieldMatrix(k, m, [[_sparse_entry(rng) for _ in range(m)]
+                               for _ in range(k)])
+        point = {x: Fraction(rng.randint(1, 7)) for x in "abcd"}
+        va, vb = evaluate_matrix(a, point), evaluate_matrix(b, point)
+        expected = [[Fraction(0)] * m for _ in range(n)]
+        for i in range(n):
+            for j in range(m):
+                for l in range(k):
+                    expected[i][j] += va[i][l] * vb[l][j]
+        product = a * b
+        assert (product.rows, product.cols) == (n, m)
+        assert evaluate_matrix(product, point) == expected
+    for a, b in ((identity(4), FieldMatrix.zeros(1, 4)),
+                 (FieldMatrix.zeros(4, 1), FieldMatrix.zeros(4, 1))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            a * b
 
 
 def test_det_metric_families():

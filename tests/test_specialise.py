@@ -1,12 +1,12 @@
-"""linalg.kernel_linear_in decides a parameterised system at one specialised
-point when that point leaves no solution, for both systems linear in the
-isotropy matrices: metric invariance and connection equivariance.
+"""linalg.kernel_linear_in has two routes, for both systems linear in the
+isotropy matrices: metric invariance and connection equivariance.  A system
+whose entries are all constant is solved by one int_nullspace; one whose
+entries carry a parameter, such as the isotropy of the three `lam` cases,
+by one nullspace of all its rows stacked, over RatFunc.
 
-Specialising the case parameters can only lower the rank where every entry
-is defined, so an empty kernel at such a point means an empty kernel over
-Q(params); otherwise the routine takes one nullspace of all rows stacked.
-These tests check each route against that one nullspace, built here, and
-count which solver ran.
+These tests check each kernel against that one nullspace, built here, and
+count which solver ran.  Entries with a pole at some parameter value, such
+as 1/(lam - 1) and 1/(lam - mu), take the same route as any other.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ def _stacked(mats, layout) -> list:
             for vec in nullspace(FieldMatrix(len(rows), cols, rows))]
 
 
+# solver calls of each route
+ONE_NULLSPACE = {"int_nullspace": 0, "nullspace": 1}
+ONE_INT_NULLSPACE = {"int_nullspace": 1, "nullspace": 0}
+
+
 def _solve(monkeypatch, mats, layout) -> tuple:
     """kernel_linear_in's kernel, and how often each solver ran."""
     calls = {"int_nullspace": 0, "nullspace": 0}
@@ -80,14 +85,14 @@ def test_only_the_lam_cases_have_parameterised_isotropy(reports):
 
 
 @pytest.mark.parametrize("cid", LAM_CASES)
-def test_shortcut_equals_one_nullspace_on_the_lam_cases(reports,
-                                                        monkeypatch, cid):
-    """Equivariance has no solution at lam = 1; the empty kernel is that of
+def test_lam_equivariance_is_one_nullspace_of_the_stacked_rows(
+        reports, monkeypatch, cid):
+    """Equivariance has no solution over Q(lam): the empty kernel is that of
     one nullspace of the stacked rows, and the family is that of one
     nullspace of the whole 64-unknown system."""
     r = reports[cid]
     kernel, calls = _solve(monkeypatch, r.rhos, _CONNECTION)
-    assert kernel == [] and calls == {"int_nullspace": 1, "nullspace": 0}
+    assert kernel == [] and calls == ONE_NULLSPACE
     assert _stacked(r.rhos, _CONNECTION) == []
     assert r.conn.basis == [] and _same_family(r.conn, r.rhos, r.family.g)
 
@@ -95,35 +100,36 @@ def test_shortcut_equals_one_nullspace_on_the_lam_cases(reports,
 @pytest.mark.parametrize("cid", LAM_CASES)
 def test_lam_invariance_reaches_one_nullspace_of_the_stacked_rows(
         reports, monkeypatch, cid):
-    """Invariant metrics exist at lam = 1, so the shortcut declines."""
+    """Invariant metrics exist, found by the one nullspace alone."""
     rhos = reports[cid].rhos
     kernel, calls = _solve(monkeypatch, rhos, _METRIC)
-    assert kernel and calls == {"int_nullspace": 1, "nullspace": 1}
+    assert kernel and calls == ONE_NULLSPACE
     assert kernel == _stacked(rhos, _METRIC)
 
 
-def test_nonempty_specialised_kernel_reaches_one_nullspace(monkeypatch):
-    """lam times a plane rotation has solutions at every lam != 0, in both
-    systems: the shortcut declines, and the kernel is the one-shot one."""
+def test_a_lam_rotation_is_one_nullspace_in_both_systems(monkeypatch):
+    """lam times a plane rotation has solutions in both systems, and the
+    kernel is the one-shot one."""
     rhos = [_rotation(LAM)]
     for layout in (_CONNECTION, _METRIC):
         kernel, calls = _solve(monkeypatch, rhos, layout)
-        assert kernel and calls == {"int_nullspace": 1, "nullspace": 1}
+        assert kernel and calls == ONE_NULLSPACE
         assert kernel == _stacked(rhos, layout)
     family = solve_connections(rhos, IDENTITY)
     assert family.dim > 0 and _same_family(family, rhos, IDENTITY.g)
 
 
-def test_a_pole_at_the_first_point_is_skipped(reports, monkeypatch):
-    """With one rho scaled by 1/(lam - 1), lam = 1 is a pole; lam = 2 decides,
-    for an empty kernel (a lam case) and a nonempty one (a rotation)."""
+def test_a_pole_at_lam_1_reaches_one_nullspace(reports, monkeypatch):
+    """With one rho scaled by 1/(lam - 1), lam = 1 is a pole; the one
+    nullspace over Q(lam) decides, for an empty kernel (a lam case) and a
+    nonempty one (a rotation)."""
     r = reports["1.1^3(1)"]
     pole = RatFunc.const(1) / (LAM - rf(1))
     rhos = [r.rhos[0].scale(pole)] + r.rhos[1:]
     with pytest.raises(PoleAtPoint):
         evaluate_matrix(rhos[0], {"lam": 1})
     kernel, calls = _solve(monkeypatch, rhos, _CONNECTION)
-    assert kernel == [] and calls == {"int_nullspace": 1, "nullspace": 0}
+    assert kernel == [] and calls == ONE_NULLSPACE
     assert _stacked(rhos, _CONNECTION) == []
     assert solve_connections(rhos, r.family).free_params == []
 
@@ -131,34 +137,34 @@ def test_a_pole_at_the_first_point_is_skipped(reports, monkeypatch):
                          ([_rotation(LAM * pole)], _METRIC),
                          (rhos, _METRIC)):
         kernel, calls = _solve(monkeypatch, mats, layout)
-        assert kernel and calls == {"int_nullspace": 1, "nullspace": 1}
+        assert kernel and calls == ONE_NULLSPACE
         assert kernel == _stacked(mats, layout)
 
 
-def test_no_pole_free_point_falls_back_to_one_nullspace(monkeypatch):
-    """An entry 1/(lam - mu) has a pole wherever lam = mu, so every point
-    tried is skipped, and one nullspace of the rows of both rotations
-    decides."""
+def test_a_pole_on_a_line_reaches_one_nullspace(monkeypatch):
+    """An entry 1/(lam - mu) has a pole wherever lam = mu; one nullspace of
+    the rows of both rotations decides."""
     mu = RatFunc.var("mu")
     rhos = [_rotation(RatFunc.const(1) / (LAM - mu)), _rotation(rf(1), 1, 2)]
     for layout in (_CONNECTION, _METRIC):
         kernel, calls = _solve(monkeypatch, rhos, layout)
-        assert kernel and calls == {"int_nullspace": 0, "nullspace": 1}
+        assert kernel and calls == ONE_NULLSPACE
         assert kernel == _stacked(rhos, layout)
     assert _same_family(solve_connections(rhos, IDENTITY), rhos, IDENTITY.g)
 
 
-def test_metric_solve_takes_the_shortcut(monkeypatch, tmp_path, capsys):
+def test_a_lam_metric_solve_with_no_invariant_form(monkeypatch, tmp_path,
+                                                   capsys):
     """[e1, u_i] = i*lam*u_i gives rho = lam*diag(1, 2, 3, 4): row (i, j) of
     the invariance system is (i + j)*lam*G_ij, so no form is invariant, and
-    the integer solve at lam = 1 says so."""
+    the one nullspace over Q(lam) says so."""
     path = tmp_path / "catalog.txt"
     path.write_text('case "x(lam)" dim_h 1\nparam lam range ">0"\n' + "".join(
         f"bracket e1 u{i} = {i}*lam*u{i}\n" for i in range(1, 5)))
     pair = catalog_load(str(path)).get("x(lam)").pair
     rhos = isotropy_rep(pair)
     kernel, calls = _solve(monkeypatch, rhos, _METRIC)
-    assert kernel == [] and calls == {"int_nullspace": 1, "nullspace": 0}
+    assert kernel == [] and calls == ONE_NULLSPACE
     assert _stacked(rhos, _METRIC) == []
     with pytest.raises(NoInvariantMetric, match=r"^x\(lam\): "):
         solve_invariant_metric(pair, rhos)
@@ -188,20 +194,25 @@ def random_systems(seed: int) -> list:
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_random_systems_equal_one_nullspace_of_the_stacked_rows(seed):
+def test_random_systems_equal_one_nullspace_of_the_stacked_rows(
+        monkeypatch, seed):
     """Small seeded constant matrices, then the same with some scaled by lam,
-    which leaves the kernel over Q(lam) unchanged, in both systems."""
+    which leaves the kernel over Q(lam) unchanged, in both systems; the
+    constant system takes the integer route, the scaled one the other."""
     for layout, consts, scaled in random_systems(seed):
         expected = _stacked(consts, layout)
-        assert kernel_linear_in(consts, layout) == expected, seed
-        assert kernel_linear_in(scaled, layout) == expected, seed
+        assert _solve(monkeypatch, consts, layout) == \
+            (expected, ONE_INT_NULLSPACE), seed
+        assert _solve(monkeypatch, scaled, layout) == \
+            (expected, ONE_NULLSPACE), seed
 
 
-def test_a_fresh_pass_reaches_nullspace_only_for_the_lam_metrics(
+def test_a_fresh_pass_reaches_nullspace_only_for_the_lam_systems(
         catalog, monkeypatch):
     """Over the 35 cases with an empty memo, linalg.nullspace runs three times:
-    the invariance systems (10 unknowns) of the three lam cases.  No
-    connection solve reaches it."""
+    the invariance systems (10 unknowns) of the three lam cases.  Reading
+    every connection family adds their three equivariance systems (24
+    unknowns), and no other."""
     monkeypatch.setattr(eym, "_SOLVED", {})
     widths = []
 
@@ -210,6 +221,8 @@ def test_a_fresh_pass_reaches_nullspace_only_for_the_lam_metrics(
         return _f(m)
 
     monkeypatch.setattr(linalg, "nullspace", counted)
-    for entry in catalog.entries:
-        run_case(entry)
+    reports = [run_case(entry) for entry in catalog.entries]
     assert widths == [_METRIC.cols] * 3
+    for r in reports:
+        r.conn
+    assert widths == [_METRIC.cols] * 3 + [_CONNECTION.cols] * 3
