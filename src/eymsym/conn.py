@@ -44,9 +44,12 @@ its curvature components, rho([m, m]), which Jacobi closes under brackets.
 Its coefficients over e_1..e_n are the negated [u_i, u_j] brackets, so
 holonomy reads the basis and the components' coefficients in it off one
 linalg.rref of that 6 x dim_h array (expand_in_basis), never touching a
-4 x 4 matrix but the basis itself; both are returned by value.  rho maps
-the echelon rows to independent matrices as it is faithful: eym.run_case
-refuses a pair on which part of h acts trivially (TrivialIsotropy).
+4 x 4 matrix but the basis itself; both are returned by value.
+eym.run_case builds the array once per case (_curvature_coefficients), and
+curvature, through geom.levi_civita, and holonomy both read that one
+array.  rho maps the echelon rows to independent matrices as it is
+faithful: eym.run_case refuses a pair on which part of h acts trivially
+(TrivialIsotropy).
 """
 
 from __future__ import annotations
@@ -124,18 +127,20 @@ def _slots(vec: list) -> list:
                                for i in range(4)]) for s in range(4)]
 
 
-def curvature(pair: LiePair, rhos: list) -> CurvatureForm:
+def curvature(pair: LiePair, rhos: list, coeffs: dict) -> CurvatureForm:
     """R(u_i, u_j) = -rho([u_i, u_j]), the curvature of the canonical member
     on a symmetric pair, with `rhos` its isotropy matrices
-    (liecat.isotropy_rep)."""
+    (liecat.isotropy_rep) and `coeffs` the coefficients of -[u_i, u_j]
+    (_curvature_coefficients)."""
     return CurvatureForm(components={
         key: rho_of(pair, rhos, dict(zip(pair.e_labels, row)))
-        for key, row in _curvature_coefficients(pair).items()})
+        for key, row in coeffs.items()})
 
 
 def _curvature_coefficients(pair: LiePair) -> dict:
     """(i, j) -> the coefficients of -[u_i, u_j] over e_1..e_n, so that
-    R(u_i, u_j) is rho of them (curvature)."""
+    R(u_i, u_j) is rho of them (curvature); eym.run_case builds them once
+    per case for curvature and holonomy."""
     brackets = {(i, j): pair.bracket(U_LABELS[i], U_LABELS[j])
                 for i in range(4) for j in range(i + 1, 4)}
     return {key: [-b[lbl] if lbl in b else RF_ZERO for lbl in pair.e_labels]
@@ -165,17 +170,17 @@ def _quadratic_coefficients(basis: list):
                            + basis[l][i].commutator(basis[k][j]))
 
 
-def holonomy(pair: LiePair, rhos: list) -> tuple:
+def holonomy(pair: LiePair, rhos: list, coeffs: dict) -> tuple:
     """(basis, structure): a basis of the holonomy algebra of the canonical
     member and each curvature component's coefficients in it, read off the
-    [m, m] brackets, with `rhos` the isotropy matrices (liecat.isotropy_rep).
+    [m, m] brackets, with `rhos` the isotropy matrices (liecat.isotropy_rep)
+    and `coeffs` the coefficients of -[u_i, u_j] (_curvature_coefficients).
 
     On a symmetric pair the span rho([m, m]) is closed under brackets, as
     Jacobi gives [h, [m, m]] in [m, m] (Kobayashi-Nomizu II, ch. XI), and
-    expand_in_basis reads the basis off the coefficients of the curvature
-    over e_1..e_n (_curvature_coefficients).  A flat pair has the empty basis.
+    expand_in_basis reads the basis off `coeffs`, the coefficients of the
+    curvature over e_1..e_n.  A flat pair has the empty basis.
     """
-    coeffs = _curvature_coefficients(pair)
     if all(c.is_zero() for row in coeffs.values() for c in row):
         return [], {key: [] for key in coeffs}
     return expand_in_basis(pair, rhos, coeffs)

@@ -6,10 +6,10 @@ All arithmetic is exact; there is no floating point anywhere.
 
 Every Poly coefficient is a plain int: a value of Q(params) is a ratio of two
 polynomials in Z[params]. Rational numbers appear only as Fractions at the
-boundaries: the argument of RatFunc.const, and what evaluate() and
-constant_value() return. By Gauss's lemma (a primitive integer polynomial
-that divides an integer polynomial over Q leaves an integer quotient), every
-exact division in the reduction and in poly_gcd stays in Z.
+boundaries: the argument of RatFunc.const, and what evaluate() returns (a
+constant's value is evaluate({})). By Gauss's lemma (a primitive integer
+polynomial that divides an integer polynomial over Q leaves an integer
+quotient), every exact division in the reduction and in poly_gcd stays in Z.
 
 Canonical form (unique representation per mathematical value):
   * polynomials store no zero coefficients; monomials are compared in graded
@@ -95,11 +95,6 @@ class Poly:
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ONE_MONO in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        return Fraction(self.terms[_ONE_MONO])
 
     def variables(self) -> set:
         out: set = set()
@@ -470,13 +465,6 @@ class RatFunc:
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        if self.is_zero():
-            return Fraction(0)
-        return Fraction(self.num.terms[_ONE_MONO], self.den.terms[_ONE_MONO])
 
     def variables(self) -> set:
         return self.num.variables() | self.den.variables()

@@ -43,20 +43,26 @@ free parameters, the pipeline evaluates the energy-momentum stage at the
 canonical member (all parameters zero), which always belongs to the family;
 reports carry a flag saying so.  The canonical member is the Levi-Civita
 connection, so the pipeline reads its curvature off the Levi-Civita report
-(CurvatureReport.form) instead of building it again.  conn.holonomy reads
-the holonomy basis and the curvature's coefficients in it off the [m, m]
-brackets, by value; run_case passes the coefficients to stress_tensor and
-both to the CaseReport, and writes nothing to the form.
+(CurvatureReport.form) instead of building it again.  run_case builds the
+[m, m] coefficient array once per case (conn._curvature_coefficients), and
+both the Levi-Civita curvature and conn.holonomy read it; holonomy reads
+the holonomy basis and the curvature's coefficients in it off that array,
+by value.  run_case passes the coefficients to stress_tensor and both to
+the CaseReport, and writes nothing to the form.
 
 run_case keeps the metric solve in one dict per process, keyed on what the
-metric solve reads (_solve_key; 14 keys over the 35 catalog cases).  The
+metric solve reads (_solve_key; 14 keys over the 35 catalog cases): the
+[e_a, u_j] bracket coefficients that the isotropy matrices are built from,
+not the matrices, so a hit builds none.  The entry keeps the isotropy
+matrices, built and checked on the miss, beside the metric family.  The
 general connection family and whether the curvature depends on its
 parameters are printed only by the report renderer, so run_case solves
 neither: CaseReport.conn and CaseReport.curvature_param_dependent solve
 both on first read, into the same dict entry, as the connection solve reads
 only the isotropy matrices and that metric.  Cases with equal keys share the
-families, so callers treat them as read-only.  A failed solve is not
-stored, so its error always names the case that raised it.
+isotropy matrices and the families, so callers treat them as read-only.  A
+failed solve is not stored, so its error always names the case that raised
+it.
 """
 
 from __future__ import annotations
@@ -67,17 +73,19 @@ from itertools import combinations_with_replacement, permutations, product
 
 from .exact import RF_ZERO, RatFunc, rf
 from .linalg import FieldMatrix, contract, matrices_key, nonzero_entries
-from .liecat import (CaseGolden, CatalogEntry, LiePair, NotSymmetric,
-                     TrivialIsotropy, isotropy_rep, rep_is_faithful,
-                     symmetric_witness)
+from .liecat import (U_LABELS, CaseGolden, CatalogEntry, LiePair,
+                     NotSymmetric, TrivialIsotropy, isotropy_rep,
+                     rep_is_faithful, symmetric_witness)
 from .geom import (CurvatureReport, MetricFamily, levi_civita,
                    solve_invariant_metric)
-from .conn import (ConnectionFamily, CurvatureForm,
+from .conn import (ConnectionFamily, CurvatureForm, _curvature_coefficients,
                    depends_on_connection_params, holonomy, solve_connections)
 
 
 # g_aa where no override is given: the weight the paper's solutions need
 _WEIGHT = rf(2)
+# 1/2 and 1/8 in T = F/2 - (s/8) g (stress_tensor); 1/2 also in the star
+_HALF, _EIGHTH = rf(Fraction(1, 2)), rf(Fraction(1, 8))
 
 
 class HolonomyMetric:
@@ -151,9 +159,9 @@ def stress_tensor(structure: dict, family: MetricFamily,
     e, g = t.entries, family.g.entries  # F, then T, mirrored as written
     for (i, j, k, l), c in terms.items():
         e[i][j] = e[j][i] = e[i][j] + c * g_kl[k, l]
-    half, s8 = rf(Fraction(1, 2)), contract(ginv, t) * rf(Fraction(1, 8))
+    s8 = contract(ginv, t) * _EIGHTH
     for i, j in combinations_with_replacement(range(4), 2):
-        e[i][j] = e[j][i] = half * e[i][j] - s8 * g[i][j]
+        e[i][j] = e[j][i] = _HALF * e[i][j] - s8 * g[i][j]
     return t
 
 
@@ -210,7 +218,6 @@ for _p in permutations(range(4)):
 def hodge_star_2form(form: CurvatureForm, family: MetricFamily) -> CurvatureForm:
     """Densitized star: (*R)_{kl} = 1/2 eps_{ijkl} g^{ii'} g^{jj'} R_{i'j'}."""
     ginv = family.g_inverse()
-    half = rf(Fraction(1, 2))
     comps = {}
     for k in range(4):
         for l in range(k + 1, 4):
@@ -230,7 +237,7 @@ def hodge_star_2form(form: CurvatureForm, family: MetricFamily) -> CurvatureForm
                             gj = ginv.entries[j][jp]
                             if gj.is_zero():
                                 continue
-                            factor = half * rf(sign) * gi * gj
+                            factor = _HALF * rf(sign) * gi * gj
                             acc = acc + form.component(ip, jp).scale(factor)
             comps[(k, l)] = acc
     return CurvatureForm(components=comps)
@@ -270,17 +277,16 @@ def second_eym_residual(maps: list, star: CurvatureForm) -> dict:
 
 
 class CaseReport:
-    def __init__(self, case_id: str, pair: LiePair, rhos: list,
-                 golden: CaseGolden, solved: list, lc: CurvatureReport,
-                 form: CurvatureForm, hol_basis: list, structure: dict,
-                 T: FieldMatrix, verdict: EymVerdict, compared: dict,
-                 hm: HolonomyMetric):
+    def __init__(self, case_id: str, pair: LiePair, golden: CaseGolden,
+                 solved: list, lc: CurvatureReport, form: CurvatureForm,
+                 hol_basis: list, structure: dict, T: FieldMatrix,
+                 verdict: EymVerdict, compared: dict, hm: HolonomyMetric):
         self.case_id = case_id
         self.pair = pair
-        self.rhos = rhos          # isotropy_rep(pair), built once per case
         self.golden = golden
         self._solved = solved     # the case's _SOLVED entry
-        self.family = solved[0]
+        self.rhos = solved[0]     # isotropy_rep(pair), built once per key
+        self.family = solved[1]
         self.lc = lc
         self.form = form          # canonical-member curvature
         self.hol_basis = hol_basis
@@ -313,10 +319,10 @@ class CaseReport:
         """(ConnectionFamily, curvature_param_dependent), solved on the
         first read of either and kept in the _SOLVED entry."""
         solved = self._solved
-        if solved[1] is None:
+        if solved[2] is None:
             conn = solve_connections(self.rhos, self.family)
-            solved[1] = (conn, depends_on_connection_params(conn))
-        return solved[1]
+            solved[2] = (conn, depends_on_connection_params(conn))
+        return solved[2]
 
     @property
     def conn(self) -> ConnectionFamily:
@@ -327,21 +333,25 @@ class CaseReport:
         return self._connections()[1]
 
 
-# _solve_key -> [MetricFamily, (ConnectionFamily, curvature_param_dependent)
-# once a report reads either, None until then]
+# _solve_key -> [isotropy_rep(pair), MetricFamily, (ConnectionFamily,
+# curvature_param_dependent) once a report reads either, None until then]
 _SOLVED: dict = {}
 
 
-def _solve_key(pair: LiePair, rhos: list, shape: FieldMatrix | None,
+def _solve_key(pair: LiePair, shape: FieldMatrix | None,
                lorentz: str | None) -> tuple:
-    """The values solve_invariant_metric reads (geom module docstring), with
-    matrices as tuples of canonical RatFuncs that hash and compare by value."""
+    """The values solve_invariant_metric reads (geom module docstring): the
+    [e_a, u_j] bracket coefficients that isotropy_rep builds its matrices
+    from, as sorted (label, RatFunc) items, and the shape as tuples of
+    canonical RatFuncs, all of which hash and compare by value."""
     params = {p.name for p in pair.params}
     if shape is not None:
         params &= {v for row in shape.entries for x in row
                    for v in x.variables()}
         shape = matrices_key([shape])
-    return (matrices_key(rhos), shape, lorentz, tuple(sorted(params)))
+    isotropy = tuple(tuple(sorted(pair.bracket(e, u).items()))
+                     for e in pair.e_labels for u in U_LABELS)
+    return (isotropy, shape, lorentz, tuple(sorted(params)))
 
 
 def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseReport:
@@ -355,25 +365,26 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
     if witness:
         raise NotSymmetric(
             f"{pair.case_id}: bracket of {witness} has a component in m")
-    rhos = isotropy_rep(pair)
-    # every form would be invariant; the paper's spaces have none of these
-    if all(m.is_zero() for m in rhos):
-        raise TrivialIsotropy(f"{pair.case_id}: h acts trivially on m")
-    key = _solve_key(pair, rhos, golden.metric, golden.lorentz)
+    key = _solve_key(pair, golden.metric, golden.lorentz)
     solved = _SOLVED.get(key)
     if solved is None:
+        rhos = isotropy_rep(pair)
+        # every form would be invariant; the paper's spaces have none of these
+        if all(m.is_zero() for m in rhos):
+            raise TrivialIsotropy(f"{pair.case_id}: h acts trivially on m")
         # rho must be faithful for conn.holonomy's basis to be independent
         if not rep_is_faithful(pair, rhos):
             raise TrivialIsotropy(f"{pair.case_id}: h acts unfaithfully on m")
         solved = _SOLVED[key] = [
-            solve_invariant_metric(pair, rhos, shape=golden.metric,
-                                   lorentz=golden.lorentz), None]
-    family = solved[0]
-    lc = levi_civita(pair, rhos, family)
+            rhos, solve_invariant_metric(pair, rhos, shape=golden.metric,
+                                         lorentz=golden.lorentz), None]
+    rhos, family = solved[:2]
+    coeffs = _curvature_coefficients(pair)
+    lc = levi_civita(pair, rhos, family, coeffs)
     # the curvature of the canonical member, and of the whole family when it
     # does not depend on the parameters
     form = lc.form
-    basis, structure = holonomy(pair, rhos)
+    basis, structure = holonomy(pair, rhos, coeffs)
     T = stress_tensor(structure, family, hm)
     verdict = solve_first_eym(lc, family, T)
 
@@ -393,6 +404,6 @@ def run_case(entry: CatalogEntry, hm: HolonomyMetric | None = None) -> CaseRepor
             compared["kappa"] = (golden.kappa, verdict.kappa)
 
     return CaseReport(
-        case_id=pair.case_id, pair=pair, rhos=rhos, golden=golden,
-        solved=solved, lc=lc, form=form, hol_basis=basis, structure=structure,
-        T=T, verdict=verdict, compared=compared, hm=hm)
+        case_id=pair.case_id, pair=pair, golden=golden, solved=solved, lc=lc,
+        form=form, hol_basis=basis, structure=structure, T=T, verdict=verdict,
+        compared=compared, hm=hm)

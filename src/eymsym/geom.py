@@ -15,13 +15,16 @@ carries and the case-parameter names (all of them without a shape, where
 the default letters skip them; those in the shape otherwise, where they are
 not metric parameters), never the [m, m] brackets, which is what lets
 eym.run_case share one MetricFamily, its det_g and its lazily computed
-inverse among cases with equal inputs.  A family whose det g vanishes
+inverse among cases with equal inputs.  The isotropy matrices are the
+[e_a, u_j] bracket coefficients, so run_case keys the solve on those and
+builds the matrices once per key.  A family whose det g vanishes
 identically is refused here (SingularMetric), so every family returned has
-an inverse.
+an inverse; det g is linalg.det's cofactor expansion.
 
 Curvature conventions, pinned once and checked by the golden tests.  The
 pair is symmetric ([m, m] in h), so the Levi-Civita connection is the
-canonical member and its curvature is conn.curvature:
+canonical member and its curvature is conn.curvature, read off the case's
+one array of [m, m] coefficients (conn._curvature_coefficients):
   R(X, Y) = -ad([X,Y])   restricted to m
   ricci(X, Y) = trace(Z -> R(Z, X) Y)
   scalar = g^{ij} ricci_{ij}
@@ -293,11 +296,12 @@ def lorentz_condition_holds(condition: str, sample: dict) -> bool:
 # -- Levi-Civita curvature --------------------------------------------------------------
 
 
-def levi_civita(pair: LiePair, rhos: list,
-                family: MetricFamily) -> CurvatureReport:
+def levi_civita(pair: LiePair, rhos: list, family: MetricFamily,
+                coeffs: dict) -> CurvatureReport:
     """Curvature, Ricci and scalar of the Levi-Civita connection; `rhos`
-    are the isotropy matrices of the pair (liecat.isotropy_rep)."""
-    form = curvature(pair, rhos)
+    are the isotropy matrices of the pair (liecat.isotropy_rep) and
+    `coeffs` the coefficients of -[u_i, u_j] (conn._curvature_coefficients)."""
+    form = curvature(pair, rhos, coeffs)
     ricci_rows = []
     for i in range(4):
         row = []

@@ -5,7 +5,10 @@ nonzero entry in column order (arithmetic is exact, so there is no numerical
 reason to prefer large pivots), and nullspace bases set free variables to one
 in column order.  Matrices in this engine stay small (at most 64 columns), so
 FieldMatrix stores them dense; elimination walks only the nonzero entries of
-the pivot row.
+the pivot row.  det is a cofactor expansion over the nonzero entries, with
+products and sums only: at most n! terms, and on the sparse 4 x 4 metrics
+it measured cheaper than Bareiss elimination, which divides.  inverse is
+one rref of [m | I].
 
 Both systems linear in the isotropy matrices, metric invariance and
 connection equivariance, are rho.T = 0 for a covariant tensor T on m; a
@@ -219,31 +222,28 @@ def nullspace(m: FieldMatrix) -> list:
 
 
 def det(m: FieldMatrix) -> RatFunc:
-    """Exact determinant via Bareiss fraction-free elimination."""
+    """Exact determinant by cofactor expansion along the first row, each
+    minor expanded along its own first row.  Zero entries and zero minors
+    are skipped, and only products and sums of entries are formed: no
+    RatFunc division, so polynomial entries reach no poly_gcd."""
     if m.rows != m.cols:
         raise NonSquare(f"determinant of {m.rows}x{m.cols} matrix")
-    n = m.rows
-    a = [list(r) for r in m.entries]
-    sign = 1
-    prev = RF_ONE
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            swap = None
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    swap = i
-                    break
-            if swap is None:
-                return RF_ZERO
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev
-            a[i][k] = RF_ZERO
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
+    n, a = m.rows, m.entries
+
+    def minor(cols: tuple) -> RatFunc:
+        """det of the last len(cols) rows on the columns cols."""
+        row, d = a[n - len(cols)], RF_ZERO
+        if len(cols) == 1:
+            return row[cols[0]]
+        for k, c in enumerate(cols):
+            if row[c].is_zero():
+                continue
+            sub = minor(cols[:k] + cols[k + 1:])
+            if not sub.is_zero():
+                d = d - row[c] * sub if k % 2 else d + row[c] * sub
+        return d
+
+    return minor(tuple(range(n)))
 
 
 def inverse(m: FieldMatrix) -> FieldMatrix:

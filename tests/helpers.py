@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from eymsym.conn import CurvatureForm, curvature
+from eymsym.conn import CurvatureForm, _curvature_coefficients, curvature
 from eymsym.crosscheck import _inverse_scaled, _scaled, _unscaled
 from eymsym.exact import RF_ONE, RF_ZERO, RatFunc, rf
 from eymsym.eym import EymOutcome, EymVerdict, HolonomyMetric
@@ -33,6 +33,31 @@ def residual_is_zero(residual: dict) -> bool:
     return all(m.is_zero() for m in residual.values())
 
 
+def reference_det(m: FieldMatrix) -> RatFunc:
+    """Exact determinant of a square matrix via Bareiss fraction-free
+    elimination: each step divides by the previous pivot, which divides
+    exactly over the rational-function field."""
+    n = m.rows
+    a = [list(r) for r in m.entries]
+    sign = 1
+    prev = RF_ONE
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n)
+                         if not a[i][k].is_zero()), None)
+            if swap is None:
+                return RF_ZERO
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev
+            a[i][k] = RF_ZERO
+        prev = a[k][k]
+    d = a[n - 1][n - 1]
+    return -d if sign < 0 else d
+
+
 def inverse_fractions(mat: list) -> list | None:
     """The inverse of a dense Fraction matrix through the numeric
     cross-check's integer elimination, or None when it is singular."""
@@ -44,7 +69,7 @@ def member_curvature(pair, rhos: list, maps: list) -> CurvatureForm:
     """R(u_i, u_j) = [L_i, L_j] - rho([u_i, u_j]) of the connection with maps
     L_i = maps[i] on a symmetric pair: the canonical curvature plus the
     commutators of the maps."""
-    canonical = curvature(pair, rhos).components
+    canonical = curvature(pair, rhos, _curvature_coefficients(pair)).components
     return CurvatureForm(components={
         (i, j): maps[i].commutator(maps[j]) + r
         for (i, j), r in canonical.items()})

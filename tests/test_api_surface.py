@@ -34,10 +34,6 @@ ALLOWED = {
         "(ROADMAP item 3)",
     "crosscheck.NumericCase.star":
         "numeric Hodge star for the member sweep (ROADMAP item 3)",
-    "exact.Poly.constant_value":
-        "the Fraction boundary of the integer kernel (exact docstring)",
-    "exact.RatFunc.constant_value":
-        "the Fraction boundary of the integer kernel (exact docstring)",
 }
 
 

@@ -16,7 +16,8 @@ import eymsym.conn as conn_module
 import eymsym.eym as eym_module
 import eymsym.geom as geom_module
 import eymsym.linalg as linalg_module
-from eymsym.conn import (ConnectionFamily, CurvatureForm, curvature,
+from eymsym.conn import (ConnectionFamily, CurvatureForm,
+                         _curvature_coefficients, curvature,
                          depends_on_connection_params, holonomy,
                          solve_connections)
 from eymsym.eym import run_case
@@ -332,7 +333,7 @@ def test_holonomy_completes_from_echelon_rows(catalog):
     # [u_1, u_2] = 3 e1 + 3 t e2, so R_12 = -3 rho(e1 + t e2)
     mixed = _with_mm_brackets(pair, {("u1", "u2"): {"e1": rf(3),
                                                     "e2": rf(3) * t}})
-    basis, structure = holonomy(mixed, rhos)
+    basis, structure = holonomy(mixed, rhos, _curvature_coefficients(mixed))
     assert basis == [rhos[0] + rhos[1].scale(t)]
     assert structure == {key: [rf(-3) if key == (0, 1) else RF_ZERO]
                          for key in keys}
@@ -340,14 +341,15 @@ def test_holonomy_completes_from_echelon_rows(catalog):
     # [u_1, u_2] = e1 + e2 and [u_3, u_4] = e3: echelon rows in pivot order
     two = _with_mm_brackets(pair, {("u1", "u2"): {"e1": rf(1), "e2": rf(1)},
                                    ("u3", "u4"): {"e3": rf(1)}})
-    basis, structure = holonomy(two, rhos)
+    basis, structure = holonomy(two, rhos, _curvature_coefficients(two))
     assert basis == [rhos[0] + rhos[1], rhos[2]]
     assert structure[(0, 1)] == [rf(-1), RF_ZERO]
     assert structure[(2, 3)] == [RF_ZERO, rf(-1)]
 
     for synthetic in (mixed, two):
-        basis, structure = holonomy(synthetic, rhos)
-        form = curvature(synthetic, rhos)
+        coeffs = _curvature_coefficients(synthetic)
+        basis, structure = holonomy(synthetic, rhos, coeffs)
+        form = curvature(synthetic, rhos, coeffs)
         ref_basis, ref_structure = _reference(form, rhos)
         n = len(ref_basis)
         assert len(basis) == n == span_rank(basis + ref_basis)
@@ -355,8 +357,9 @@ def test_holonomy_completes_from_echelon_rows(catalog):
             == _recomposed(ref_basis, ref_structure)
 
     flat = _with_mm_brackets(pair, {})
-    assert holonomy(flat, rhos) == ([], {key: [] for key in keys}) \
-        == _reference(curvature(flat, rhos), rhos)
+    coeffs = _curvature_coefficients(flat)
+    assert holonomy(flat, rhos, coeffs) == ([], {key: [] for key in keys}) \
+        == _reference(curvature(flat, rhos, coeffs), rhos)
 
 
 def _reference(form: CurvatureForm, rhos: list) -> tuple:
@@ -367,7 +370,8 @@ def _reference(form: CurvatureForm, rhos: list) -> tuple:
 
 def test_holonomy_matches_the_three_elimination_reference(reports):
     for r in reports.values():
-        assert holonomy(r.pair, r.rhos) == (r.hol_basis, r.structure) \
+        coeffs = _curvature_coefficients(r.pair)
+        assert holonomy(r.pair, r.rhos, coeffs) == (r.hol_basis, r.structure) \
             == _reference(r.form, r.rhos), r.case_id
 
 
@@ -387,10 +391,10 @@ def _count_rref(monkeypatch) -> Counter:
         assert stage != "holonomy" or (m.rows <= 6 and m.cols == inside[-1][1])
         return real_rref(m)
 
-    def holonomy(pair, rhos):
+    def holonomy(pair, rhos, coeffs):
         inside.append(("holonomy", pair.dim_h))
         try:
-            return real_holonomy(pair, rhos)
+            return real_holonomy(pair, rhos, coeffs)
         finally:
             inside.pop()
 

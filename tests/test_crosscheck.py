@@ -14,7 +14,7 @@ import pytest
 
 import eymsym.crosscheck
 from eymsym import geom
-from eymsym.conn import CurvatureForm, curvature
+from eymsym.conn import CurvatureForm, _curvature_coefficients, curvature
 from eymsym.crosscheck import (NumericCase, _gauss_solve, crosscheck_case,
                                sample_point)
 from eymsym.eym import (HolonomyMetric, hodge_star_2form, run_case,
@@ -366,15 +366,16 @@ def test_flipped_levi_civita_curvature_is_caught(catalog, reports, monkeypatch):
     """levi_civita reads its curvature from conn.curvature; with the sign of
     rho flipped there, the numeric cross-check, which builds -rho([u_i, u_j])
     from the brackets at the sample point, flags Ricci and scalar."""
-    def flipped(pair, rhos):
-        form = curvature(pair, rhos)
+    def flipped(pair, rhos, coeffs):
+        form = curvature(pair, rhos, coeffs)
         return CurvatureForm({k: -m for k, m in form.components.items()})
 
     monkeypatch.setattr(geom, "curvature", flipped)
     flagged = []
     for entry in catalog.entries:
         r = reports[entry.pair.case_id]
-        lc = geom.levi_civita(r.pair, r.rhos, r.family)
+        lc = geom.levi_civita(r.pair, r.rhos, r.family,
+                              _curvature_coefficients(r.pair))
         assert lc.ricci == -r.lc.ricci and lc.scalar == -r.lc.scalar
         # a sample where every nonzero Ricci entry and the scalar stay nonzero
         avoid = [x for row in r.lc.ricci.entries for x in row if not x.is_zero()]

@@ -16,7 +16,7 @@ from eymsym.geom import (BadMetricShape, MetricFamily, SignatureVerdict,
                          solve_invariant_metric)
 from eymsym.liecat import LiePair, isotropy_rep, parse_condition
 from eymsym.linalg import FieldMatrix, det, inverse
-from helpers import evaluate_matrix, from_rows, identity
+from helpers import evaluate_matrix, from_rows, identity, reference_det
 
 A, B = RatFunc.var("a"), RatFunc.var("b")
 
@@ -186,14 +186,16 @@ def test_recorded_lorentz_condition_matches_signature(catalog):
 
 def _charpoly_by_determinant(g: FieldMatrix, sample: dict) -> list:
     """Reference: coefficients of det(x - g(sample)), constant term first,
-    from the symbolic determinant of x I - g(sample) in a variable x."""
+    from the symbolic determinant of x I - g(sample) in a variable x, which
+    must equal the Bareiss elimination's."""
     x = RatFunc.var("x")
     values = evaluate_matrix(g, sample)
     n = len(values)
     xm = FieldMatrix(n, n, [[(x if i == j else rf(0)) - rf(values[i][j])
                              for j in range(n)] for i in range(n)])
     p = det(xm)
-    den = p.den.constant_value()
+    assert p == reference_det(xm)
+    den = RatFunc(p.den).evaluate({})
     coeffs = [Fraction(0)] * (n + 1)
     for mono, c in p.num.terms.items():
         coeffs[mono[0][1] if mono else 0] = Fraction(c) / den

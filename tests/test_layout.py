@@ -94,8 +94,8 @@ def _int_entries(m) -> list | None:
     ents = nonzero_entries(m)
     if any(x.variables() for _, _, x in ents):
         return None
-    d = math.lcm(*(x.constant_value().denominator for _, _, x in ents))
-    return [(i, j, (x.constant_value() * d).numerator) for i, j, x in ents]
+    d = math.lcm(*(x.evaluate({}).denominator for _, _, x in ents))
+    return [(i, j, (x.evaluate({}) * d).numerator) for i, j, x in ents]
 
 
 def _assert_same_rows(mats: list, context) -> None:

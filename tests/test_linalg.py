@@ -12,7 +12,7 @@ from eymsym.exact import RatFunc, rf
 from eymsym.linalg import (FieldMatrix, NonSquare, Singular, TensorLayout,
                            det, int_nullspace, inverse, kernel_linear_in,
                            nonzero_entries, nullspace, rank, rref)
-from helpers import evaluate_matrix, from_rows, identity
+from helpers import evaluate_matrix, from_rows, identity, reference_det
 
 A, B, C, D = (RatFunc.var(x) for x in "abcd")
 Z = rf(0)
@@ -195,8 +195,36 @@ def test_det_metric_families():
 
 
 def test_det_nonsquare():
-    with pytest.raises(NonSquare):
-        det(FieldMatrix.zeros(2, 3))
+    for rows, cols in ((2, 3), (4, 1), (1, 4)):
+        with pytest.raises(NonSquare):
+            det(FieldMatrix.zeros(rows, cols))
+
+
+def test_det_equals_the_bareiss_reference(reports):
+    """The cofactor expansion equals Bareiss elimination on the 14 metric
+    families, on seeded sparse matrices of sizes 1 to 4 (singular ones and
+    ones with a zero leading entry among them), and on dense ones."""
+    families = {id(r.family): r.family.g for r in reports.values()}
+    assert len(families) == 14
+    for g in families.values():
+        assert det(g) == reference_det(g)
+    rng = random.Random(41)
+    singular = zero_lead = 0
+    for k in range(240):
+        n = k % 4 + 1
+        rows = [[_sparse_entry(rng) for _ in range(n)] for _ in range(n)]
+        if n > 1 and k % 5 == 0:    # a dependent last row
+            c = rf(rng.randint(-2, 2))
+            rows[-1] = [x * c + y for x, y in zip(rows[0], rows[1 % (n - 1)])]
+        m = FieldMatrix(n, n, rows)
+        expected = reference_det(m)
+        assert det(m) == expected, rows
+        singular += expected.is_zero()
+        zero_lead += rows[0][0].is_zero()
+    assert singular >= 40 and 240 - singular >= 40 and zero_lead >= 80
+    for _ in range(20):
+        m = from_rows([[rand_entry(rng) for _ in range(4)] for _ in range(4)])
+        assert det(m) == reference_det(m)
 
 
 def test_inverse_diagonal():
@@ -236,7 +264,7 @@ def test_inverse_random_exact():
 
 
 def test_det_matches_numeric_elimination():
-    """Symbolic Bareiss det equals a plain Fraction Gauss det at samples."""
+    """Symbolic det equals a plain Fraction Gauss det at samples."""
     rng = random.Random(29)
     names = "abcd"
     for _ in range(10):

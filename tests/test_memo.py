@@ -4,10 +4,11 @@
 metric solve reads, and a report's first read of its connection family adds
 the connection solve and the dependence decision to the same entry; these
 tests pin that the shared results equal fresh solves, that the catalog has
-14 distinct inputs, that only `report` solves a connection family, that the
-key separates shape, Lorentz text and case parameters, that a failure still
-names its own case, and that the order in which cases run does not change a
-report byte.
+14 distinct inputs, that the isotropy matrices are built once per input,
+that only `report` solves a connection family, that the key separates the
+[e_a, u_j] brackets, shape, Lorentz text and case parameters but not the
+[m, m] brackets, that a failure still names its own case, and that the
+order in which cases run does not change a report byte.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from eymsym import eym
 from eymsym.cli import main
 from eymsym.conn import depends_on_connection_params, solve_connections
 from eymsym.eym import run_case
-from eymsym.exact import RatFunc, parse_ratfunc
+from eymsym.exact import RatFunc, parse_ratfunc, rf
 from eymsym.geom import BadMetricShape, SingularMetric, solve_invariant_metric
 from eymsym.liecat import (CaseGolden, CaseParam, CatalogEntry, LiePair,
                            catalog_load, isotropy_rep)
@@ -61,16 +62,19 @@ def test_memoized_families_equal_fresh_solves(catalog, reports):
             entry.pair.case_id
 
 
-def _variant(entry, metric=None, lorentz=None, params=()) -> CatalogEntry:
+def _variant(entry, metric=None, lorentz=None, params=(),
+             brackets=None) -> CatalogEntry:
     pair = LiePair(case_id=entry.pair.case_id, dim_h=entry.pair.dim_h,
-                   brackets=entry.pair.brackets, params=list(params))
+                   brackets=entry.pair.brackets if brackets is None
+                   else brackets, params=list(params))
     return CatalogEntry(pair, CaseGolden(metric=metric, lorentz=lorentz))
 
 
 def test_memo_keys_separate_what_the_solves_read(catalog, monkeypatch):
-    """Inputs that differ only in the shape, in the Lorentz condition, or in
-    the case parameters a shapeless solve skips get results of their own,
-    each equal to a fresh solve."""
+    """Inputs that differ only in the shape, in the Lorentz condition, in
+    the case parameters a shapeless solve skips, or in one [e_a, u_j]
+    coefficient get results of their own, each equal to a fresh solve;
+    negated [m, m] brackets, which the solves do not read, share one."""
     memo = {}
     monkeypatch.setattr(eym, "_SOLVED", memo)
     entry = catalog.get("1.1^1(7)")
@@ -95,6 +99,26 @@ def test_memo_keys_separate_what_the_solves_read(catalog, monkeypatch):
     run_case(_variant(entry, g, params=[CaseParam("t", ">=0")]))
     assert len(memo) == len(variants)
 
+    # [e1, u1] = u1 + u3 instead of u1: another isotropy matrix, a miss
+    brackets = {**entry.pair.brackets,
+                ("e1", "u1"): {"u1": rf(1), "u3": rf(1)}}
+    other = _variant(entry, brackets=brackets)
+    r = run_case(other)
+    assert len(memo) == len(variants) + 1
+    assert _same(r, _fresh(other))
+    assert r.rhos != reports[3].rhos and r.family.g != reports[3].family.g
+
+    # [u1, u3] = -e1 instead of e1: the same isotropy matrices and shape, a
+    # hit that shares the entry's matrices and families but not the curvature
+    brackets = {**entry.pair.brackets, ("u1", "u3"): {"e1": rf(-1)}}
+    negated = _variant(entry, g, brackets=brackets)
+    r = run_case(negated)
+    assert len(memo) == len(variants) + 1
+    assert _same(r, _fresh(negated))
+    assert r.rhos is reports[0].rhos and r.family is reports[0].family
+    assert r.conn is reports[0].conn
+    assert r.lc.ricci == -reports[0].lc.ricci != reports[0].lc.ricci
+
 
 def _counting(monkeypatch, module, name: str) -> list:
     calls = []
@@ -109,15 +133,21 @@ def _counting(monkeypatch, module, name: str) -> list:
 
 
 def test_one_solve_per_distinct_input(catalog, monkeypatch):
-    """run_case solves each distinct metric once and no connection family;
-    reading the reports' families solves each distinct one once."""
+    """run_case builds the isotropy matrices and solves the metric once per
+    distinct input, builds the curvature coefficients once per case, and
+    solves no connection family; reading the reports' families solves each
+    distinct one once."""
     monkeypatch.setattr(eym, "_SOLVED", {})
     conn_solves = _counting(monkeypatch, eym, "solve_connections")
     dep_calls = _counting(monkeypatch, eym, "depends_on_connection_params")
     metric_solves = _counting(monkeypatch, eym, "solve_invariant_metric")
+    isotropy = _counting(monkeypatch, eym, "isotropy_rep")
+    coefficients = _counting(monkeypatch, eym, "_curvature_coefficients")
     reports = [run_case(entry) for entry in catalog.entries]
     assert (len(conn_solves), len(dep_calls), len(metric_solves)) == (0, 0, 14)
-    # siblings share one family
+    assert (len(isotropy), len(coefficients)) == (14, 35)
+    # siblings share one list of isotropy matrices and one family
+    assert len({id(r.rhos) for r in reports}) == 14
     assert len({id(r.conn) for r in reports}) == 14
     assert len({id(r.family) for r in reports}) == 14
     assert (len(conn_solves), len(dep_calls)) == (14, 14)
